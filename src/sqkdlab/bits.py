@@ -6,15 +6,23 @@ package; "0011"-style strings are accepted at the boundaries.
 
 import numpy as np
 
+_NON_BINARY = "bit sequence may only contain 0 and 1"
+
 
 def as_bits(value) -> np.ndarray:
-    """Coerce a bit string, iterable, or array to a uint8 0/1 array."""
+    """Coerce a bit string, iterable, or array to a fresh uint8 0/1 array."""
+    if isinstance(value, np.ndarray) and value.dtype == np.uint8:
+        # Internal bit arrays are already uint8: one reduction validates them.
+        arr = value.reshape(-1)
+        if arr.size and np.maximum.reduce(arr) > 1:
+            raise ValueError(_NON_BINARY)
+        return arr.copy()
     if isinstance(value, str):
         arr = np.frombuffer(value.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
         arr = np.asarray(value).reshape(-1)
     if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bit sequence may only contain 0 and 1")
+        raise ValueError(_NON_BINARY)
     return arr.astype(np.uint8)
 
 

@@ -11,6 +11,7 @@ JSON apart from wall_time_ms.
 import csv
 import io
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -70,6 +71,18 @@ class RunConfig:
             raise ValueError(f"attack: must be one of {ATTACKS}, got {self.attack!r}")
         if self.attack == ATTACK_CUSTOM and self.custom_strategy is None:
             raise ValueError("custom_strategy: required when attack is 'custom'")
+        if self.attack != ATTACK_CUSTOM and self.custom_strategy is not None:
+            raise ValueError(f"custom_strategy: only applies when attack is 'custom', got attack {self.attack!r}")
+        # Types before ranges: a bool would pass as 0/1, a float would fail
+        # deep inside numpy; both are rejected here, before any allocation.
+        for name in ("n", "trials", "seed", "hash_bits", "pa_bits"):
+            value = getattr(self, name)
+            if name == "pa_bits" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau: must be a real number, got {self.tau!r}")
         if self.n < 1:
             raise ValueError(f"n: must be >= 1, got {self.n}")
         if self.trials < 1:

@@ -10,6 +10,11 @@ at most ``2**-out_len`` over a uniform key.
 
 The same construction doubles as the privacy-amplification compressor
 (mask zero, matrix bits expanded from a public seed).
+
+The matrix is never materialized on the hashing path: row i of ``T·x`` is
+the sliding correlation of the key with ``x`` at offset ``out_len - 1 - i``,
+computed exactly in int64 with O(in_len + out_len) memory.
+``toeplitz_matrix`` remains as the reference form.
 """
 
 import hashlib
@@ -57,8 +62,9 @@ def toeplitz_hash(spec: ToeplitzSpec, x) -> np.ndarray:
     x = as_bits(x)
     if len(x) != spec.in_len:
         raise ValueError(f"input is {len(x)} bits, spec expects {spec.in_len}")
-    t = toeplitz_matrix(spec).astype(np.int64)
-    linear = (t @ x.astype(np.int64)) & 1
+    if spec.in_len == 0:  # T·x is empty-sum zero; np.correlate rejects empty input
+        return spec.mask_bits.copy()
+    linear = np.correlate(spec.key_bits.astype(np.int64), x.astype(np.int64), "valid")[::-1] & 1
     return linear.astype(np.uint8) ^ spec.mask_bits
 
 

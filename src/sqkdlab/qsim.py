@@ -44,6 +44,14 @@ _COMPONENT_BIT = {
     ALICE: np.array([0, 0, 1, 1], dtype=np.uint8),
     BOB: np.array([0, 1, 0, 1], dtype=np.uint8),
 }
+# Indices of the components where the measured qubit reads 0.
+_ZERO_COMPONENTS = {target: np.flatnonzero(bits == 0) for target, bits in _COMPONENT_BIT.items()}
+
+# Lifted, transposed 4x4 operators of gates already checked for unitarity,
+# keyed by (target, shape, gate bytes).  Only unitary gates are stored, so a
+# bad gate is re-checked and rejected on every call.
+_LIFTED_CACHE: dict = {}
+_LIFTED_CACHE_MAX = 64
 
 
 class MeasurementRecord(NamedTuple):
@@ -101,6 +109,22 @@ def apply_gate(state, gate, target: str) -> np.ndarray:
     return _expand(np.asarray(gate, dtype=complex), target) @ state
 
 
+def _lifted_transpose(gate, target: str) -> np.ndarray:
+    """The transposed 4x4 lift of a unitary gate, memoized per (gate, target)."""
+    g = np.asarray(gate, dtype=complex)
+    key = (target, g.shape, g.tobytes())
+    op_t = _LIFTED_CACHE.get(key)
+    if op_t is None:
+        if not is_unitary(g):
+            raise ValueError("gate is not unitary (within 1e-12)")
+        if len(_LIFTED_CACHE) >= _LIFTED_CACHE_MAX:
+            _LIFTED_CACHE.clear()
+        op_t = _expand(g, target).T
+        op_t.flags.writeable = False
+        _LIFTED_CACHE[key] = op_t
+    return op_t
+
+
 def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     """Apply one gate to the same qubit of many independent pairs.
 
@@ -108,10 +132,8 @@ def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     gate per-position on a key bit).  Returns a new (n, 4) array.
     """
     _require_target(target)
-    if not is_unitary(gate):
-        raise ValueError("gate is not unitary (within 1e-12)")
+    op_t = _lifted_transpose(gate, target)
     states = np.array(states, dtype=complex)
-    op_t = _expand(np.asarray(gate, dtype=complex), target).T
     if where is None:
         return states @ op_t
     states[where] = states[where] @ op_t
@@ -162,10 +184,9 @@ def measure_z_batch(states, target: str, rng: np.random.Generator):
     states = np.asarray(states, dtype=complex)
     weights = np.abs(states) ** 2
     _check_normalized(weights.sum(axis=1))
-    component_bit = _COMPONENT_BIT[target]
-    p_zero = weights[:, component_bit == 0].sum(axis=1)
+    p_zero = weights[:, _ZERO_COMPONENTS[target]].sum(axis=1)
     outcomes = (rng.random(states.shape[0]) >= p_zero).astype(np.uint8)
-    keep = component_bit[None, :] == outcomes[:, None]
+    keep = _COMPONENT_BIT[target][None, :] == outcomes[:, None]
     post = np.where(keep, states, 0.0)
     norms = np.linalg.norm(post, axis=1)
     if np.any(norms <= ATOL):

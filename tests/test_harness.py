@@ -47,12 +47,29 @@ def drop_wall_time(report: AggregateReport) -> dict:
         ({"hash_bits": 0}, "hash_bits"),
         ({"pa_bits": 0}, "pa_bits"),
         ({"output_format": "yaml"}, "output_format"),
+        ({"n": True}, "n"),
+        ({"n": 2.5}, "n"),
+        ({"n": "8"}, "n"),
+        ({"trials": 2.5}, "trials"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"hash_bits": 8.5}, "hash_bits"),
+        ({"pa_bits": 4.0}, "pa_bits"),
+        ({"pa_bits": True}, "pa_bits"),
+        ({"tau": "0.1"}, "tau"),
+        ({"tau": False}, "tau"),
+        ({"tau": 0.1j}, "tau"),
+        ({"custom_strategy": {"quantum": "none"}}, "custom_strategy"),
     ],
 )
 def test_config_validation_names_the_field(overrides, field):
     config = RunConfig(**overrides)
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"^{field}:"):
         config.validate()
+
+
+def test_config_accepts_integral_tau():
+    RunConfig(tau=0).validate()
 
 
 def test_trial_seed_derivation_is_stable():
@@ -287,3 +304,20 @@ def test_cli_rejects_custom_without_strategy_file(capsys):
     rc = main(["run", "--attack", "custom"])
     assert rc == 1
     assert "custom_strategy" in capsys.readouterr().err
+
+
+def test_cli_rejects_strategy_file_without_custom_attack(tmp_path, capsys):
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps({"quantum": "intercept_resend_z", "classical": "none"}))
+    rc = main(["run", "--attack", "modification", "--strategy-file", str(strategy), "--n", "4", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "custom_strategy" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "2.5"), ("--trials", "true"), ("--hash-bits", "8.5")])
+def test_cli_rejects_non_integer_flags(flag, value):
+    with pytest.raises(SystemExit) as err:
+        main(["run", flag, value])
+    assert err.value.code == 1

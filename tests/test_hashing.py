@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkdlab.bits import as_bits, flip, random_bits
@@ -201,3 +201,22 @@ def test_privacy_amplify_contract():
         privacy_amplify(raw, seed, 17)
     with pytest.raises(ValueError, match="empty"):
         privacy_amplify([], seed, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_hash_equals_matrix_product(in_len, out_len, seed):
+    rng = np.random.default_rng(seed)
+    spec = spec_of(random_bits(rng, in_len + out_len - 1), random_bits(rng, out_len), in_len, out_len)
+    x = random_bits(rng, in_len)
+    expected = (toeplitz_matrix(spec).astype(np.int64) @ x.astype(np.int64)) % 2 ^ spec.mask_bits
+    got = toeplitz_hash(spec, x)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
+def test_empty_input_hashes_to_a_copy_of_the_mask():
+    spec = spec_of("101", "1101", in_len=0, out_len=4)
+    out = toeplitz_hash(spec, "")
+    assert np.array_equal(out, spec.mask_bits)
+    assert not np.shares_memory(out, spec.mask_bits)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqkdlab.qsim import (
     ALICE,
@@ -228,3 +230,49 @@ def test_measure_batch_matches_single():
     singles = [measure_z(s, BOB, rng) for s in states]
     assert np.array_equal(out_b, [rec.outcome for rec in singles])
     assert np.allclose(post_b, [rec.post_state for rec in singles], rtol=0, atol=1e-12)
+
+
+def random_unitary(rng) -> np.ndarray:
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_states(rng, count) -> np.ndarray:
+    states = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    return states / np.linalg.norm(states, axis=1)[:, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ALICE, BOB]), st.booleans())
+def test_apply_gate_batch_equals_kron_formula(seed, target, masked):
+    rng = np.random.default_rng(seed)
+    gate = random_unitary(rng)
+    states = random_states(rng, 9)
+    eye = np.eye(2, dtype=complex)
+    op_t = (np.kron(gate, eye) if target == ALICE else np.kron(eye, gate)).T
+    where = None
+    expected = states @ op_t
+    if masked:
+        where = rng.integers(0, 2, size=9).astype(bool)
+        expected = states.copy()
+        expected[where] = states[where] @ op_t
+    for _ in range(2):  # first call fills the cache, second reads it
+        got = apply_gate_batch(states, gate, target, where=where)
+        assert np.array_equal(got, expected)
+        assert not np.shares_memory(got, states)
+
+
+@pytest.mark.parametrize("target", [ALICE, BOB])
+def test_bad_gates_raise_on_every_call(target):
+    rng = np.random.default_rng(17)
+    states = bell_batch(3)
+    for name in GATE_NAMES:
+        apply_gate_batch(states, standard_gate(name), target)
+    for _ in range(3):
+        apply_gate_batch(states, random_unitary(rng), target)
+    hadamard = standard_gate("H")
+    for bad in (2 * hadamard, hadamard + 1e-6, hadamard.reshape(4), np.eye(4, dtype=complex)):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not unitary"):
+                apply_gate_batch(states, bad, target)
