@@ -23,12 +23,13 @@ sequential state machine; distinct sessions share nothing and may run in
 parallel with independent rng streams.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import as_bits, random_bits, to01
-from .hashing import derive_hash_spec, privacy_amplify, toeplitz_hash
+from .hashing import MIN_HASH_KEY_BITS, _checked_hash_key, _digest_keys, _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_z_batch, standard_gate
 
 VARIANT_ORIGINAL = "original"
@@ -37,8 +38,11 @@ VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 
 DONE_NOTICE = "measurements-complete"
 
-DEFAULT_HASH_KEY_BITS = 128
+DEFAULT_HASH_KEY_BITS = MIN_HASH_KEY_BITS
 PA_SEED_BITS = 128
+
+_HADAMARD = standard_gate("H")
+_HADAMARD.flags.writeable = False
 
 # Domain-separation bit prepended to hashed inputs: one pre-shared hash key
 # serves both directions without letting a digest be replayed across them.
@@ -56,7 +60,8 @@ class MasterKeys:
 
     op_key selects I (0) or H (1) per position; partition_key sends a
     position to the raw key (0) or the check set (1); hash_key feeds the
-    improved variant's keyed digests.
+    improved variant's keyed digests and needs at least MIN_HASH_KEY_BITS
+    bits.  Construction validates every key, so a session trusts them.
     """
 
     op_key: np.ndarray
@@ -71,6 +76,8 @@ class MasterKeys:
             raise ValueError("op_key and partition_key must have equal length")
         if len(self.op_key) == 0 or len(self.op_key) % 2:
             raise ValueError("master keys must have positive even length (2n bits)")
+        if len(self.hash_key) < MIN_HASH_KEY_BITS:
+            raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(self.hash_key)}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,16 @@ class ProtocolParams:
     pa_out_len: int | None = None
 
     def __post_init__(self):
+        # Types before ranges: a bool would pass as 0/1 and a float would
+        # fail deep inside numpy; both are rejected before any allocation.
+        for name in ("n", "hash_out_len", "pa_out_len"):
+            value = getattr(self, name)
+            if name == "pa_out_len" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau: must be a real number, got {self.tau!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.variant not in VARIANTS:
@@ -205,8 +222,8 @@ def generate_master_keys(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if l_key < 1:
-        raise ValueError("l_key must be >= 1")
+    if l_key < MIN_HASH_KEY_BITS:
+        raise ValueError(f"l_key must be >= {MIN_HASH_KEY_BITS}")
     if rng is None:
         raise ValueError("an rng is required")
     op_key = random_bits(rng, 2 * n)
@@ -228,7 +245,7 @@ def alice_prepare(keys: MasterKeys, n: int) -> np.ndarray:
     if len(keys.op_key) != 2 * n:
         raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={n}")
     states = bell_batch(2 * n)
-    return apply_gate_batch(states, standard_gate("H"), ALICE, where=keys.op_key == 1)
+    return apply_gate_batch(states, _HADAMARD, ALICE, where=keys.op_key == 1)
 
 
 def bob_receive_measure(keys: MasterKeys, delivered, rng: np.random.Generator):
@@ -243,7 +260,7 @@ def bob_receive_measure(keys: MasterKeys, delivered, rng: np.random.Generator):
     if delivered.ndim != 2 or delivered.shape != (expected, 4):
         got = delivered.shape[0] if delivered.ndim == 2 else "malformed"
         raise ProtocolError(f"expected {expected} delivered qubits, got {got}")
-    states = apply_gate_batch(delivered, standard_gate("H"), BOB, where=keys.op_key == 1)
+    states = apply_gate_batch(delivered, _HADAMARD, BOB, where=keys.op_key == 1)
     outcomes, states = measure_z_batch(states, BOB, rng)
     return outcomes, states, DONE_NOTICE
 
@@ -268,8 +285,11 @@ def partition_measurements(measured, partition_key) -> Partition:
     k = as_bits(partition_key)
     if len(m) != len(k):
         raise ValueError(f"record has {len(m)} bits but partition key has {len(k)}")
-    raw_indices = np.flatnonzero(k == 0)
-    check_indices = np.flatnonzero(k == 1)
+    return _split(m, np.flatnonzero(k == 0), np.flatnonzero(k == 1))
+
+
+def _split(m: np.ndarray, raw_indices: np.ndarray, check_indices: np.ndarray) -> Partition:
+    """partition_measurements without the checks, for indices already taken from the key."""
     check = m[check_indices]
     return Partition(
         raw=m[raw_indices],
@@ -282,8 +302,10 @@ def partition_measurements(measured, partition_key) -> Partition:
 
 
 def _through(channel, announced: np.ndarray) -> np.ndarray:
-    delivered = announced if channel is None else channel(announced)
-    return as_bits(delivered)
+    """What the receiver gets: a copy of the announcement, or the tap's output, validated."""
+    if channel is None:
+        return announced.copy()
+    return as_bits(channel(announced))
 
 
 def exchange_and_check_original(
@@ -332,7 +354,10 @@ def exchange_and_check_original(
 
 
 def _tagged(direction: int, half: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.array([direction], dtype=np.uint8), half])
+    tagged = np.empty(len(half) + 1, dtype=np.uint8)
+    tagged[0] = direction
+    tagged[1:] = half
+    return tagged
 
 
 def exchange_and_check_improved(
@@ -347,22 +372,29 @@ def exchange_and_check_improved(
     recomputes the digest of its retained half and requires exact equality.
 
     The compared/mismatch counters refer to digest bits.  A received digest
-    whose length differs from digest_len aborts.
+    whose length differs from digest_len aborts.  Both directions' hash
+    specs come from one expansion of the hash key.
     """
     if alice_part.source_len != bob_part.source_len:
         raise ValueError("partitions do not come from the same partition key")
-    spec_even = derive_hash_spec(hash_key, len(alice_part.check_even) + 1, digest_len)
-    spec_odd = derive_hash_spec(hash_key, len(alice_part.check_odd) + 1, digest_len)
+    hash_key = _checked_hash_key(hash_key)
+    if digest_len < 1:
+        raise ValueError("digest_len must be >= 1")
+    in_lens = (len(alice_part.check_even) + 1, len(alice_part.check_odd) + 1)
+    (key_even, mask_even), (key_odd, mask_odd) = _digest_keys(hash_key, in_lens, digest_len)
 
-    announced_by_alice = toeplitz_hash(spec_even, _tagged(DIRECTION_EVEN, alice_part.check_even))
-    announced_by_bob = toeplitz_hash(spec_odd, _tagged(DIRECTION_ODD, bob_part.check_odd))
+    def digest(key, mask, direction, half):
+        return _toeplitz_product(key, _tagged(direction, half)) ^ mask
+
+    announced_by_alice = digest(key_even, mask_even, DIRECTION_EVEN, alice_part.check_even)
+    announced_by_bob = digest(key_odd, mask_odd, DIRECTION_ODD, bob_part.check_odd)
     received_by_bob = _through(channel, announced_by_alice)
     received_by_alice = _through(channel, announced_by_bob)
     if len(received_by_alice) != digest_len or len(received_by_bob) != digest_len:
         raise ProtocolError("received digest has the wrong length")
 
-    expected_by_alice = toeplitz_hash(spec_odd, _tagged(DIRECTION_ODD, alice_part.check_odd))
-    expected_by_bob = toeplitz_hash(spec_even, _tagged(DIRECTION_EVEN, bob_part.check_even))
+    expected_by_alice = digest(key_odd, mask_odd, DIRECTION_ODD, alice_part.check_odd)
+    expected_by_bob = digest(key_even, mask_even, DIRECTION_EVEN, bob_part.check_even)
     mism_alice = int(np.count_nonzero(received_by_alice != expected_by_alice))
     mism_bob = int(np.count_nonzero(received_by_bob != expected_by_bob))
     return CheckResult(
@@ -405,6 +437,12 @@ def run_session(
     Generator; identical (params, adversary, seed, keys) inputs give a
     bit-identical SessionOutcome.  ``keys`` forces the master keys instead
     of sampling them from the session rng.
+
+    Inputs are checked where they enter: ``params`` and ``keys`` on
+    construction, the adversary's deliveries on receipt.  Everything else
+    is an array the session built, so it calls the unchecked cores behind
+    partition_measurements and the hashing helpers, partitions once for
+    both parties and expands each key once.
     """
     rng = _as_rng(seed)
     if keys is None:
@@ -444,8 +482,11 @@ def run_session(
     assert notice == DONE_NOTICE  # Alice waits for Bob before measuring
     alice_bits, pairs = alice_measure(pairs, rng)
 
-    part_alice = partition_measurements(alice_bits, keys.partition_key)
-    part_bob = partition_measurements(bob_bits, keys.partition_key)
+    # Both parties hold the same partition key, so one pass finds the indices.
+    raw_indices = np.flatnonzero(keys.partition_key == 0)
+    check_indices = np.flatnonzero(keys.partition_key == 1)
+    part_alice = _split(alice_bits, raw_indices, check_indices)
+    part_bob = _split(bob_bits, raw_indices, check_indices)
     vacuous = len(part_alice.check_odd) == 0 or len(part_alice.check_even) == 0
 
     tap = adversary.tap_classical if adversary is not None else None
@@ -473,8 +514,11 @@ def run_session(
             session_key_alice = _empty_bits()
             session_key_bob = _empty_bits()
         else:
-            session_key_alice = privacy_amplify(part_alice.raw, pa_seed, out_len)
-            session_key_bob = privacy_amplify(part_bob.raw, pa_seed, out_len)
+            # privacy_amplify for both parties from one key expansion:
+            # their raw keys have equal length (same partition key).
+            pa_key = _expand(pa_seed, raw_len + out_len - 1).astype(np.int64)
+            session_key_alice = _toeplitz_product(pa_key, part_alice.raw)
+            session_key_bob = _toeplitz_product(pa_key, part_bob.raw)
 
     return SessionOutcome(
         aborted=aborted,

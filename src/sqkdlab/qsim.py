@@ -44,8 +44,11 @@ _COMPONENT_BIT = {
     ALICE: np.array([0, 0, 1, 1], dtype=np.uint8),
     BOB: np.array([0, 1, 0, 1], dtype=np.uint8),
 }
-# Indices of the components where the measured qubit reads 0.
-_ZERO_COMPONENTS = {target: np.flatnonzero(bits == 0) for target, bits in _COMPONENT_BIT.items()}
+# The two components where the measured qubit reads 0.
+_ZERO_COMPONENTS = {target: tuple(np.flatnonzero(bits == 0).tolist()) for target, bits in _COMPONENT_BIT.items()}
+# Row ``outcome`` marks the components a measurement with that outcome
+# keeps; the other two collapse to zero.
+_KEPT_BY_OUTCOME = {target: np.array([bits == 0, bits == 1]) for target, bits in _COMPONENT_BIT.items()}
 
 # Lifted, transposed 4x4 operators of gates already checked for unitarity,
 # keyed by (target, shape, gate bytes).  Only unitary gates are stored, so a
@@ -76,7 +79,7 @@ def bell_phi_plus() -> np.ndarray:
 
 def bell_batch(count: int) -> np.ndarray:
     """``count`` independent (|00> + |11>)/√2 pairs as a (count, 4) array."""
-    return np.tile(bell_phi_plus(), (count, 1))
+    return np.full((count, 4), bell_phi_plus())
 
 
 def is_unitary(gate, atol: float = ATOL) -> bool:
@@ -133,11 +136,20 @@ def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     """
     _require_target(target)
     op_t = _lifted_transpose(gate, target)
-    states = np.array(states, dtype=complex)
+    states = np.asarray(states, dtype=complex)
     if where is None:
         return states @ op_t
-    states[where] = states[where] @ op_t
-    return states
+    where = np.asarray(where)
+    if where.dtype != bool or where.shape != states.shape[:1]:
+        raise ValueError(f"where must be a boolean mask of {states.shape[0]} rows")
+    # Every row goes through one product and the mask picks.  matmul rounds
+    # each row of a many-row product alike, so the picked rows equal the
+    # product of the gathered rows exactly; a single gathered row goes
+    # through numpy's vector routine instead, which rounds differently.
+    product = states @ op_t
+    if np.count_nonzero(where) == 1:
+        product[where] = states[where] @ op_t
+    return np.where(where[:, None], product, states)
 
 
 def born_probability_zero(state, target: str) -> float:
@@ -148,8 +160,8 @@ def born_probability_zero(state, target: str) -> float:
     return float(weights[zero_components].sum())
 
 
-def _check_normalized(weights_sum: np.ndarray | float) -> None:
-    if np.max(np.abs(weights_sum - 1.0)) > 1e-9:
+def _check_normalized(weights_sum: np.ndarray | np.floating) -> None:
+    if np.abs(weights_sum - 1.0).max() > 1e-9:
         raise ValueError("state is not normalized")
 
 
@@ -182,13 +194,18 @@ def measure_z_batch(states, target: str, rng: np.random.Generator):
     """
     _require_target(target)
     states = np.asarray(states, dtype=complex)
-    weights = np.abs(states) ** 2
-    _check_normalized(weights.sum(axis=1))
-    p_zero = weights[:, _ZERO_COMPONENTS[target]].sum(axis=1)
+    # Explicit column sums, added in the order sum(axis=1) adds a length-4
+    # row, so every probability and norm is bit-identical to that reduction.
+    weights = (np.abs(states) ** 2).T
+    _check_normalized(weights[0] + weights[1] + weights[2] + weights[3])
+    zero_a, zero_b = _ZERO_COMPONENTS[target]
+    p_zero = weights[zero_a] + weights[zero_b]
     outcomes = (rng.random(states.shape[0]) >= p_zero).astype(np.uint8)
-    keep = _COMPONENT_BIT[target][None, :] == outcomes[:, None]
-    post = np.where(keep, states, 0.0)
-    norms = np.linalg.norm(post, axis=1)
-    if np.any(norms <= ATOL):
+    post = np.where(_KEPT_BY_OUTCOME[target][outcomes], states, 0.0)
+    # np.linalg.norm(post, axis=1), written out: sqrt of the summed (x.conj() * x).real.
+    squares = (post.conj() * post).real.T
+    norms = np.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
+    if (norms <= ATOL).any():
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    return outcomes, post / norms[:, None]
+    post /= norms[:, None]
+    return outcomes, post

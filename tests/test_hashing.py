@@ -11,6 +11,7 @@ from sqkdlab.bits import as_bits, flip, random_bits
 from sqkdlab.hashing import (
     MIN_HASH_KEY_BITS,
     ToeplitzSpec,
+    _digest_keys,
     derive_hash_spec,
     expand_key_bits,
     privacy_amplify,
@@ -137,6 +138,28 @@ def test_expand_differs_across_seeds():
 def test_expand_rejects_empty_seed():
     with pytest.raises(ValueError, match="empty"):
         expand_key_bits([], 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 700), st.integers(0, 700), st.integers(0, 2**32 - 1))
+def test_expansion_is_prefix_stable(seed_len, a, b, seed):
+    # A session expands each key once, to the longest length it needs, and
+    # slices shorter streams from it; that relies on this property.
+    a, b = min(a, b), max(a, b)
+    seed_bits = random_bits(np.random.default_rng(seed), seed_len)
+    assert np.array_equal(expand_key_bits(seed_bits, a), expand_key_bits(seed_bits, b)[:a])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 200), st.integers(1, 100), st.integers(0, 2**32 - 1))
+def test_single_stream_specs_equal_derive_hash_spec(in_even, in_odd, out_len, seed):
+    hash_key = random_bits(np.random.default_rng(seed), MIN_HASH_KEY_BITS + seed % 64)
+    derived = _digest_keys(hash_key, (in_even, in_odd), out_len)
+    for in_len, (key, mask) in zip((in_even, in_odd), derived):
+        spec = derive_hash_spec(hash_key, in_len, out_len)
+        assert key.dtype == np.int64
+        assert np.array_equal(key, spec.key_bits)
+        assert np.array_equal(mask, spec.mask_bits)
 
 
 def test_derive_hash_spec_contract():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack
+from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack, search_attacks
 from sqkdlab.bits import as_bits, flip, random_bits, to01
+from sqkdlab.hashing import MIN_HASH_KEY_BITS, derive_hash_spec, privacy_amplify, toeplitz_hash
 from sqkdlab.protocol import (
     DONE_NOTICE,
     VARIANT_IMPROVED,
@@ -69,6 +70,16 @@ def test_master_keys_validation():
         keys_for("00", "0000")
     with pytest.raises(ValueError, match="even"):
         keys_for("000", "000")
+
+
+def test_master_keys_reject_a_short_hash_key():
+    # Checked where the key enters, for both variants: a session never
+    # meets a hash key shorter than the digests' minimum.
+    keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS)
+    with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127"):
+        keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
+    with pytest.raises(ValueError, match="^l_key"):
+        generate_master_keys(2, l_key=MIN_HASH_KEY_BITS - 1, rng=np.random.default_rng(0))
 
 
 # -- preparation and measurement --------------------------------------------------
@@ -371,3 +382,65 @@ def test_params_validation():
         ProtocolParams(n=1, hash_out_len=0)
     with pytest.raises(ValueError, match="pa_out_len"):
         ProtocolParams(n=1, pa_out_len=0)
+
+
+PARAM_TYPE_CASES = [
+    ("n", 2.5),
+    ("n", True),
+    ("n", "4"),
+    ("n", None),
+    ("hash_out_len", 8.0),
+    ("hash_out_len", False),
+    ("pa_out_len", 2.5),
+    ("pa_out_len", True),
+    ("tau", True),
+    ("tau", "0.1"),
+    ("tau", None),
+    ("tau", 0.1j),
+]
+
+
+@pytest.mark.parametrize("field, value", PARAM_TYPE_CASES)
+def test_params_type_errors_name_the_field_in_run_session(field, value):
+    with pytest.raises(ValueError, match=rf"^{field}: must be"):
+        run_session(ProtocolParams(**{"n": 4, field: value}), None, seed=0)
+
+
+SEARCH_ARGUMENT = {"n": "n", "hash_out_len": "hash_bits", "tau": "tau"}
+
+
+@pytest.mark.parametrize("field, value", [case for case in PARAM_TYPE_CASES if case[0] in SEARCH_ARGUMENT])
+def test_params_type_errors_name_the_field_in_search_attacks(field, value):
+    with pytest.raises(ValueError, match=rf"^{field}: must be"):
+        search_attacks("original", trials=1, **{SEARCH_ARGUMENT[field]: value})
+
+
+def test_params_accept_numpy_integers():
+    params = ProtocolParams(n=np.int64(4), hash_out_len=np.int32(8), pa_out_len=np.int16(1))
+    out = run_session(params, None, seed=2)
+    assert len(out.alice_bits) == 8
+
+
+@pytest.mark.parametrize("variant", [VARIANT_ORIGINAL, VARIANT_IMPROVED])
+def test_session_keys_and_digests_equal_the_public_helpers(variant):
+    # run_session calls the trusted hashing cores once per session; its
+    # session keys and announced digests must be what the checked public
+    # helpers give for the same inputs.
+    params = ProtocolParams(n=12, variant=variant, hash_out_len=20)
+    reached_pa = 0
+    for seed in range(30):
+        keys = generate_master_keys(12, rng=np.random.default_rng(seed))
+        out = run_session(params, None, seed=seed, keys=keys)
+        if out.alice_session_key is not None and len(out.alice_session_key):
+            reached_pa += 1
+            out_len = len(out.alice_raw_key) // 2
+            assert np.array_equal(out.alice_session_key, privacy_amplify(out.alice_raw_key, out.pa_seed, out_len))
+            assert np.array_equal(out.bob_session_key, privacy_amplify(out.bob_raw_key, out.pa_seed, out_len))
+        if variant == VARIANT_IMPROVED:
+            alice = partition_measurements(out.alice_bits, keys.partition_key)
+            bob = partition_measurements(out.bob_bits, keys.partition_key)
+            announcements = ((0, alice.check_even, out.announced_by_alice), (1, bob.check_odd, out.announced_by_bob))
+            for direction, half, announced in announcements:
+                spec = derive_hash_spec(keys.hash_key, len(half) + 1, 20)
+                assert np.array_equal(announced, toeplitz_hash(spec, np.concatenate([[direction], half])))
+    assert reached_pa >= 20

@@ -276,3 +276,53 @@ def test_bad_gates_raise_on_every_call(target):
         for _ in range(3):
             with pytest.raises(ValueError, match="not unitary"):
                 apply_gate_batch(states, bad, target)
+
+
+def test_masked_gate_on_a_single_row_equals_the_gathered_product():
+    # A one-row gather goes through numpy's vector routine, which rounds
+    # differently from a many-row product; the masked path must still
+    # equal the gathered formula exactly.
+    rng = np.random.default_rng(29)
+    states = random_states(rng, 9)
+    for target in (ALICE, BOB):
+        gate = random_unitary(rng)
+        eye = np.eye(2, dtype=complex)
+        op_t = (np.kron(gate, eye) if target == ALICE else np.kron(eye, gate)).T
+        for row in range(9):
+            where = np.arange(9) == row
+            expected = states.copy()
+            expected[where] = states[where] @ op_t
+            assert np.array_equal(apply_gate_batch(states, gate, target, where=where), expected)
+
+
+@pytest.mark.parametrize("where", [np.arange(3), np.ones(4, dtype=bool), [[True], [False], [True]]])
+def test_gate_mask_must_be_one_boolean_per_row(where):
+    with pytest.raises(ValueError, match="boolean mask of 3 rows"):
+        apply_gate_batch(bell_batch(3), standard_gate("H"), BOB, where=where)
+
+
+def measure_z_batch_by_reduction(states, target, rng):
+    """measure_z_batch as a reduction: sum(axis=1) for the probability, linalg.norm for the collapse."""
+    component_bit = np.array([0, 0, 1, 1] if target == ALICE else [0, 1, 0, 1])
+    weights = np.abs(states) ** 2
+    p_zero = weights[:, component_bit == 0].sum(axis=1)
+    outcomes = (rng.random(states.shape[0]) >= p_zero).astype(np.uint8)
+    post = np.where(component_bit[None, :] == outcomes[:, None], states, 0.0)
+    return outcomes, post / np.linalg.norm(post, axis=1)[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ALICE, BOB]), st.integers(1, 70), st.booleans())
+def test_measure_z_batch_equals_reduction_formula(seed, target, count, sparse):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    if sparse:  # exact zeros, as in prepared Bell pairs
+        states[rng.random((count, 4)) < 0.4] = 0
+        states[:, 0] += np.all(states == 0, axis=1)
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    draw = int(rng.integers(2**32))
+    expected_outcomes, expected_post = measure_z_batch_by_reduction(states, target, np.random.default_rng(draw))
+    outcomes, post = measure_z_batch(states, target, np.random.default_rng(draw))
+    assert outcomes.dtype == np.uint8
+    assert np.array_equal(outcomes, expected_outcomes)
+    assert np.array_equal(post, expected_post)
