@@ -10,15 +10,12 @@ by the original variant's plain comparison, no hashing needed.
 
 from sqkdlab.harness import RunConfig, run_batch, trial_seed
 from sqkdlab.adversary import intercept_resend_attack
-from sqkdlab.protocol import ProtocolParams, run_session
+from sqkdlab.protocol import ProtocolParams, count_sessions
 
-mismatched = compared = 0
 params = ProtocolParams(n=32, variant="original", tau=0.0)
-for trial in range(600):
-    out = run_session(params, intercept_resend_attack(), seed=trial_seed(5, trial))
-    mismatched += out.check_mismatches_alice + out.check_mismatches_bob
-    compared += out.compared_bits_alice + out.compared_bits_bob
-print(f"per-compared-bit mismatch rate: {mismatched / compared:.4f} over {compared} bits (analytic 0.25)")
+counts = count_sessions(params, intercept_resend_attack(), (trial_seed(5, trial) for trial in range(600)))
+rate = counts.mismatched_bits / counts.compared_bits
+print(f"per-compared-bit mismatch rate: {rate:.4f} over {counts.compared_bits} bits (analytic 0.25)")
 
 report = run_batch(RunConfig(protocol="original", attack="intercept-resend", n=32, trials=600, seed=5))
 print(f"session detection rate at tau=0 : {report.detection_rate}")

@@ -27,13 +27,7 @@ from .protocol import (
     partition_measurements,
     run_session,
 )
-from .qsim import (
-    MeasurementRecord,
-    apply_gate,
-    bell_phi_plus,
-    measure_z,
-    standard_gate,
-)
+from .qsim import bell_phi_plus, standard_gate
 
 __version__ = "0.1.0"
 
@@ -42,7 +36,6 @@ __all__ = [
     "AggregateReport",
     "AttackSearchResult",
     "MasterKeys",
-    "MeasurementRecord",
     "Partition",
     "ProtocolError",
     "ProtocolParams",
@@ -51,12 +44,10 @@ __all__ = [
     "ToeplitzSpec",
     "VARIANT_IMPROVED",
     "VARIANT_ORIGINAL",
-    "apply_gate",
     "bell_phi_plus",
     "derive_hash_spec",
     "generate_master_keys",
     "intercept_resend_attack",
-    "measure_z",
     "modification_attack",
     "partition_measurements",
     "privacy_amplify",

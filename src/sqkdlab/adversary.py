@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import as_bits, flip
-from .protocol import ProtocolParams, run_session
-from .qsim import BOB, apply_gate, apply_gate_batch, measure_z, measure_z_batch, standard_gate
+from .protocol import ProtocolParams, count_sessions
+from .qsim import BOB, apply_gate_batch, measure_z_batch, standard_gate
 
 QUANTUM_NONE = "none"
 QUANTUM_GATE_ALL = "gate_all"
@@ -63,21 +63,13 @@ class AdversaryStrategy:
 
     # -- quantum channel -------------------------------------------------
 
-    def tap_quantum(self, state, rng: np.random.Generator) -> np.ndarray:
-        """Tamper with one flying qubit (the Bob half of one pair state)."""
-        if self.quantum == QUANTUM_GATE_ALL:
-            return apply_gate(state, standard_gate(self.gate), BOB)
-        if self.quantum == QUANTUM_INTERCEPT_RESEND_Z:
-            # Measuring the flying qubit collapses it to the observed basis
-            # state, which is exactly the fresh qubit Eve forwards.
-            return measure_z(state, BOB, rng).post_state
-        return np.asarray(state, dtype=complex)
-
     def tap_quantum_batch(self, states, rng: np.random.Generator) -> np.ndarray:
-        """Tamper with every flying qubit of a (n, 4) batch, in order."""
+        """Tamper with every flying qubit (the Bob half of each pair) of a (n, 4) batch, in order."""
         if self.quantum == QUANTUM_GATE_ALL:
             return apply_gate_batch(states, standard_gate(self.gate), BOB)
         if self.quantum == QUANTUM_INTERCEPT_RESEND_Z:
+            # Measuring a flying qubit collapses it to the observed basis
+            # state, which is exactly the fresh qubit Eve forwards.
             return measure_z_batch(states, BOB, rng)[1]
         return np.asarray(states, dtype=complex)
 
@@ -169,16 +161,12 @@ def search_attacks(
     ]
     results = []
     for index, strategy in enumerate(strategies):
-        detected = corrupted = 0
-        for trial in range(trials):
-            outcome = run_session(params, strategy, seed=np.random.SeedSequence((seed, index, trial)))
-            detected += outcome.detected_by_alice or outcome.detected_by_bob
-            corrupted += not np.array_equal(outcome.alice_raw_key, outcome.bob_raw_key)
+        counts = count_sessions(params, strategy, (np.random.SeedSequence((seed, index, t)) for t in range(trials)))
         results.append(
             AttackSearchResult(
                 strategy=strategy,
-                detection_rate=detected / trials,
-                key_corruption_rate=corrupted / trials,
+                detection_rate=counts.detected / trials,
+                key_corruption_rate=(trials - counts.matched) / trials,
                 trials=trials,
             )
         )

@@ -32,6 +32,7 @@ from .protocol import (
     MasterKeys,
     ProtocolParams,
     SessionOutcome,
+    count_sessions,
     partition_measurements,
     run_session,
 )
@@ -154,16 +155,8 @@ class AggregateReport:
     wall_time_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "detection_rate": self.detection_rate,
-            "abort_rate": self.abort_rate,
-            "key_match_rate": self.key_match_rate,
-            "raw_key_complement_rate": self.raw_key_complement_rate,
-            "mean_check_error_rate": self.mean_check_error_rate,
-            "vacuous_check_sessions": self.vacuous_check_sessions,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        """Every field, in declaration order."""
+        return dict(vars(self))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -182,40 +175,35 @@ def run_batch(config: RunConfig) -> AggregateReport:
     strategy = config.resolve_strategy()
 
     started = time.perf_counter()
-    detected = aborted = matched = complemented = vacuous = 0
-    mismatched_bits = compared_bits = 0
-    for trial in range(config.trials):
-        outcome = run_session(
-            params,
-            strategy,
-            seed=trial_seed(config.seed, trial),
-            balanced_k2=config.balanced_k2,
-        )
-        detected += outcome.detected_by_alice or outcome.detected_by_bob
-        aborted += outcome.aborted
-        matched += np.array_equal(outcome.alice_raw_key, outcome.bob_raw_key)
-        complemented += np.array_equal(outcome.bob_raw_key, 1 - outcome.alice_raw_key)
-        vacuous += outcome.vacuous_check
-        mismatched_bits += outcome.check_mismatches_alice + outcome.check_mismatches_bob
-        compared_bits += outcome.compared_bits_alice + outcome.compared_bits_bob
+    seeds = (trial_seed(config.seed, trial) for trial in range(config.trials))
+    counts = count_sessions(params, strategy, seeds, balanced_k2=config.balanced_k2)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     trials = config.trials
     return AggregateReport(
         config=config.echo(),
-        detection_rate=detected / trials,
-        abort_rate=aborted / trials,
-        key_match_rate=matched / trials,
-        raw_key_complement_rate=complemented / trials,
-        mean_check_error_rate=(mismatched_bits / compared_bits) if compared_bits else 0.0,
-        vacuous_check_sessions=vacuous,
+        detection_rate=counts.detected / trials,
+        abort_rate=counts.aborted / trials,
+        key_match_rate=counts.matched / trials,
+        raw_key_complement_rate=counts.complemented / trials,
+        mean_check_error_rate=(counts.mismatched_bits / counts.compared_bits) if counts.compared_bits else 0.0,
+        vacuous_check_sessions=counts.vacuous,
         wall_time_ms=elapsed_ms,
     )
 
 
 def run_search(config: RunConfig) -> list[AttackSearchResult]:
-    """Sweep the full gate x classical strategy space under this config."""
+    """Sweep the full gate x classical strategy space under this config.
+
+    The sweep picks its own strategies and runs every session with auto
+    privacy amplification and uniform partitions, so a config that sets
+    any of those fields is rejected rather than echoed unused.
+    """
     config.validate()
+    for name in ("attack", "custom_strategy", "pa_bits", "balanced_k2"):
+        value, default = getattr(config, name), getattr(RunConfig, name)
+        if value != default:
+            raise ValueError(f"{name}: run_search does not use it; leave it at {default!r}, got {value!r}")
     return search_attacks(
         variant=config.protocol,
         trials=config.trials,
@@ -333,10 +321,10 @@ def replay_paper_example(stream=None) -> dict:
         "alice_check_even": to01(part_alice.check_even),
         "bob_check_odd": to01(part_bob.check_odd),
         "bob_check_even": to01(part_bob.check_even),
-        "announced_by_alice": to01(outcome.announced_by_alice),
-        "announced_by_bob": to01(outcome.announced_by_bob),
-        "received_by_alice": to01(outcome.received_by_alice),
-        "received_by_bob": to01(outcome.received_by_bob),
+        "announced_by_alice": to01(outcome.check.announced_by_alice),
+        "announced_by_bob": to01(outcome.check.announced_by_bob),
+        "received_by_alice": to01(outcome.check.received_by_alice),
+        "received_by_bob": to01(outcome.check.received_by_bob),
         "alice_pass": not outcome.detected_by_alice,
         "bob_pass": not outcome.detected_by_bob,
         "aborted": outcome.aborted,

@@ -13,8 +13,8 @@ The same construction doubles as the privacy-amplification compressor
 
 The matrix is never materialized on the hashing path: row i of ``T·x`` is
 the sliding correlation of the key with ``x`` at offset ``out_len - 1 - i``,
-computed exactly in int64 with O(in_len + out_len) memory.
-``toeplitz_matrix`` remains as the reference form.
+computed exactly in int64 with O(in_len + out_len) memory.  The test
+suite keeps the materialized matrix as the reference form.
 
 Validation happens once, where bits enter.  The public functions
 (``ToeplitzSpec``, ``toeplitz_hash``, ``expand_key_bits``,
@@ -58,13 +58,6 @@ class ToeplitzSpec:
             )
         if len(self.mask_bits) != self.out_len:
             raise ValueError(f"mask must be out_len = {self.out_len} bits, got {len(self.mask_bits)}")
-
-
-def toeplitz_matrix(spec: ToeplitzSpec) -> np.ndarray:
-    """Materialize the out_len x in_len matrix (row i, column j = key[out_len-1+j-i])."""
-    rows = np.arange(spec.out_len)[:, None]
-    cols = np.arange(spec.in_len)[None, :]
-    return spec.key_bits[spec.out_len - 1 + cols - rows]
 
 
 def toeplitz_hash(spec: ToeplitzSpec, x) -> np.ndarray:

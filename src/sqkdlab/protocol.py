@@ -148,14 +148,19 @@ class Partition:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one announce-and-compare exchange."""
+    """Outcome of one announce-and-compare exchange.
+
+    The counters and arrays carry the names they have in a session
+    transcript (SessionOutcome.to_dict).  For the original variant the
+    counters count check bits, for the improved variant digest bits.
+    """
 
     alice_pass: bool
     bob_pass: bool
-    mismatches_alice: int
-    mismatches_bob: int
-    compared_alice: int
-    compared_bob: int
+    check_mismatches_alice: int
+    check_mismatches_bob: int
+    compared_bits_alice: int
+    compared_bits_bob: int
     announced_by_alice: np.ndarray
     announced_by_bob: np.ndarray
     received_by_alice: np.ndarray
@@ -166,12 +171,12 @@ class CheckResult:
 class SessionOutcome:
     """Full transcript of one session.
 
-    Raw keys are always populated (the partition happens before the check);
-    session keys and pa_seed are present iff the session was not aborted.
-    For the original variant the compared/mismatch counters refer to check
-    bits, for the improved variant to digest bits.  vacuous_check flags
-    sessions where some announced check half was empty, making that
-    direction's comparison pass vacuously.
+    Raw keys are populated whenever Bob accepted the delivery (the
+    partition happens before the check); session keys and pa_seed are
+    present iff the session was not aborted.  ``check`` records the
+    exchange; a session that aborted before it holds an empty one.
+    vacuous_check flags sessions where some announced check half was
+    empty, making that direction's comparison pass vacuously.
     """
 
     aborted: bool
@@ -184,28 +189,41 @@ class SessionOutcome:
     bob_raw_key: np.ndarray
     alice_session_key: np.ndarray | None
     bob_session_key: np.ndarray | None
-    check_mismatches_alice: int
-    check_mismatches_bob: int
-    compared_bits_alice: int
-    compared_bits_bob: int
     vacuous_check: bool
-    announced_by_alice: np.ndarray
-    announced_by_bob: np.ndarray
-    received_by_alice: np.ndarray
-    received_by_bob: np.ndarray
+    check: CheckResult
     pa_seed: np.ndarray | None
 
     def to_dict(self) -> dict:
-        """JSON-able rendering; bit arrays become '0101' strings."""
+        """Flat JSON-able rendering: the session's fields and the check's
+        record side by side (the check's verdicts show as detected_by_*);
+        bit arrays become '0101' strings."""
 
         def render(value):
-            if value is None:
-                return None
             if isinstance(value, np.ndarray):
                 return to01(value)
             return value
 
-        return {name: render(getattr(self, name)) for name in self.__dataclass_fields__}
+        fields = {**vars(self), **vars(self.check)}
+        return {name: render(v) for name, v in fields.items() if name not in ("check", "alice_pass", "bob_pass")}
+
+
+@dataclass(frozen=True)
+class SessionCounts:
+    """What happened across a run of sessions, counted per session.
+
+    matched / complemented compare the raw keys bit-wise (both hold when
+    the keys are empty); mismatched_bits / compared_bits sum the check's
+    counters over both parties.
+    """
+
+    sessions: int
+    detected: int
+    aborted: int
+    matched: int
+    complemented: int
+    vacuous: int
+    mismatched_bits: int
+    compared_bits: int
 
 
 def generate_master_keys(
@@ -270,8 +288,7 @@ def alice_measure(retained, rng: np.random.Generator):
 
     Returns ``(alice_bits, post_states)``.
     """
-    outcomes, states = measure_z_batch(np.asarray(retained, dtype=complex), ALICE, rng)
-    return outcomes, states
+    return measure_z_batch(np.asarray(retained, dtype=complex), ALICE, rng)
 
 
 def partition_measurements(measured, partition_key) -> Partition:
@@ -342,10 +359,10 @@ def exchange_and_check_original(
     return CheckResult(
         alice_pass=alice_pass,
         bob_pass=bob_pass,
-        mismatches_alice=mism_alice,
-        mismatches_bob=mism_bob,
-        compared_alice=compared_alice,
-        compared_bob=compared_bob,
+        check_mismatches_alice=mism_alice,
+        check_mismatches_bob=mism_bob,
+        compared_bits_alice=compared_alice,
+        compared_bits_bob=compared_bob,
         announced_by_alice=announced_by_alice,
         announced_by_bob=announced_by_bob,
         received_by_alice=received_by_alice,
@@ -400,10 +417,10 @@ def exchange_and_check_improved(
     return CheckResult(
         alice_pass=mism_alice == 0,
         bob_pass=mism_bob == 0,
-        mismatches_alice=mism_alice,
-        mismatches_bob=mism_bob,
-        compared_alice=digest_len,
-        compared_bob=digest_len,
+        check_mismatches_alice=mism_alice,
+        check_mismatches_bob=mism_bob,
+        compared_bits_alice=digest_len,
+        compared_bits_bob=digest_len,
         announced_by_alice=announced_by_alice,
         announced_by_bob=announced_by_bob,
         received_by_alice=received_by_alice,
@@ -456,27 +473,22 @@ def run_session(
     try:
         bob_bits, pairs, notice = bob_receive_measure(keys, pairs, rng)
     except ProtocolError as err:
-        # Bob is the party that notices a malformed delivery.
+        # Bob is the party that notices a malformed delivery; nothing was
+        # measured, announced or compared.
+        empty = _empty_bits()
         return SessionOutcome(
             aborted=True,
             detected_by_alice=False,
             detected_by_bob=True,
             abort_reason=str(err),
-            alice_bits=_empty_bits(),
-            bob_bits=_empty_bits(),
-            alice_raw_key=_empty_bits(),
-            bob_raw_key=_empty_bits(),
+            alice_bits=empty,
+            bob_bits=empty,
+            alice_raw_key=empty,
+            bob_raw_key=empty,
             alice_session_key=None,
             bob_session_key=None,
-            check_mismatches_alice=0,
-            check_mismatches_bob=0,
-            compared_bits_alice=0,
-            compared_bits_bob=0,
             vacuous_check=True,
-            announced_by_alice=_empty_bits(),
-            announced_by_bob=_empty_bits(),
-            received_by_alice=_empty_bits(),
-            received_by_bob=_empty_bits(),
+            check=CheckResult(True, True, 0, 0, 0, 0, empty, empty, empty, empty),
             pa_seed=None,
         )
     assert notice == DONE_NOTICE  # Alice waits for Bob before measuring
@@ -531,14 +543,30 @@ def run_session(
         bob_raw_key=part_bob.raw,
         alice_session_key=session_key_alice,
         bob_session_key=session_key_bob,
-        check_mismatches_alice=chk.mismatches_alice,
-        check_mismatches_bob=chk.mismatches_bob,
-        compared_bits_alice=chk.compared_alice,
-        compared_bits_bob=chk.compared_bob,
         vacuous_check=vacuous,
-        announced_by_alice=chk.announced_by_alice,
-        announced_by_bob=chk.announced_by_bob,
-        received_by_alice=chk.received_by_alice,
-        received_by_bob=chk.received_by_bob,
+        check=chk,
         pa_seed=pa_seed,
     )
+
+
+def count_sessions(params: ProtocolParams, adversary, seeds, balanced_k2: bool = False) -> SessionCounts:
+    """Run one session per seed in ``seeds`` and count what happened.
+
+    This is the package's one trial loop: run_batch and search_attacks
+    differ only in the seeds they pass, so each keeps its own streams.
+    """
+    sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
+    for seed in seeds:
+        outcome = run_session(params, adversary, seed=seed, balanced_k2=balanced_k2)
+        sessions += 1
+        detected += outcome.detected_by_alice or outcome.detected_by_bob
+        aborted += outcome.aborted
+        # Both raw keys come from one partition (equal lengths): match = all agree, complement = none does.
+        agree = outcome.alice_raw_key == outcome.bob_raw_key
+        matched += bool(agree.all())
+        complemented += not agree.any()
+        vacuous += outcome.vacuous_check
+        check = outcome.check
+        mismatched += check.check_mismatches_alice + check.check_mismatches_bob
+        compared += check.compared_bits_alice + check.compared_bits_bob
+    return SessionCounts(sessions, detected, aborted, matched, complemented, vacuous, mismatched, compared)

@@ -3,9 +3,11 @@
 Every entangled pair lives in its own 4-amplitude complex vector indexed by
 the computational basis states (00, 01, 10, 11); the first bit belongs to
 Alice's qubit, the second to Bob's.  Pairs never interact, so a run over
-many pairs is just a stack of independent 4-vectors; the ``*_batch``
-functions operate on an ``(n, 4)`` array at once and are exactly equivalent
-to looping the single-pair functions (asserted in the test suite).
+many pairs is just a stack of independent 4-vectors, and the simulator
+works on that stack: the ``*_batch`` functions operate on an ``(n, 4)``
+array at once.  Single-pair forms (one 4-vector, one explicit 4x4 product
+or one Born draw at a time) live in the test suite as reference oracles,
+and the batch forms are asserted equal to looping them.
 
 Gates are plain 2x2 complex unitaries and measurement follows the Born rule
 with explicit collapse.  All arithmetic is double precision with 1e-12
@@ -15,7 +17,6 @@ normalized away; comparisons that need it are made up to phase by callers.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,11 +58,6 @@ _LIFTED_CACHE: dict = {}
 _LIFTED_CACHE_MAX = 64
 
 
-class MeasurementRecord(NamedTuple):
-    outcome: int
-    post_state: np.ndarray
-
-
 def standard_gate(name: str) -> np.ndarray:
     """Return one of the named 2x2 unitaries (I, H, X, Y, Z, SPIN_FLIP)."""
     try:
@@ -94,26 +90,9 @@ def _require_target(target: str) -> None:
         raise ValueError(f"qubit selector must be {ALICE!r} or {BOB!r}, got {target!r}")
 
 
-def _expand(gate: np.ndarray, target: str) -> np.ndarray:
-    """Lift a 2x2 gate to the 4-dimensional pair space on the chosen qubit."""
-    eye = np.eye(2, dtype=complex)
-    return np.kron(gate, eye) if target == ALICE else np.kron(eye, gate)
-
-
-def apply_gate(state, gate, target: str) -> np.ndarray:
-    """Apply a single-qubit unitary to one qubit of a pair state.
-
-    Rejects non-unitary gates; preserves the norm to within 1e-12.
-    """
-    _require_target(target)
-    if not is_unitary(gate):
-        raise ValueError("gate is not unitary (within 1e-12)")
-    state = np.asarray(state, dtype=complex)
-    return _expand(np.asarray(gate, dtype=complex), target) @ state
-
-
 def _lifted_transpose(gate, target: str) -> np.ndarray:
-    """The transposed 4x4 lift of a unitary gate, memoized per (gate, target)."""
+    """The gate lifted to the pair space on the chosen qubit (a 4x4 Kronecker
+    product with the identity), transposed and memoized per (gate, target)."""
     g = np.asarray(gate, dtype=complex)
     key = (target, g.shape, g.tobytes())
     op_t = _LIFTED_CACHE.get(key)
@@ -122,7 +101,8 @@ def _lifted_transpose(gate, target: str) -> np.ndarray:
             raise ValueError("gate is not unitary (within 1e-12)")
         if len(_LIFTED_CACHE) >= _LIFTED_CACHE_MAX:
             _LIFTED_CACHE.clear()
-        op_t = _expand(g, target).T
+        eye = np.eye(2, dtype=complex)
+        op_t = (np.kron(g, eye) if target == ALICE else np.kron(eye, g)).T
         op_t.flags.writeable = False
         _LIFTED_CACHE[key] = op_t
     return op_t
@@ -152,52 +132,22 @@ def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     return np.where(where[:, None], product, states)
 
 
-def born_probability_zero(state, target: str) -> float:
-    """Born-rule probability of outcome 0 on the chosen qubit."""
-    _require_target(target)
-    weights = np.abs(np.asarray(state)) ** 2
-    zero_components = _COMPONENT_BIT[target] == 0
-    return float(weights[zero_components].sum())
-
-
-def _check_normalized(weights_sum: np.ndarray | np.floating) -> None:
-    if np.abs(weights_sum - 1.0).max() > 1e-9:
-        raise ValueError("state is not normalized")
-
-
-def measure_z(state, target: str, rng: np.random.Generator) -> MeasurementRecord:
-    """Z-measure one qubit: draw the outcome by the Born rule and collapse.
-
-    Deterministic given the rng stream state.  The post state is the
-    renormalized projection; components inconsistent with the outcome are
-    exactly zero.
-    """
-    _require_target(target)
-    state = np.asarray(state, dtype=complex)
-    weights = np.abs(state) ** 2
-    _check_normalized(weights.sum())
-    p_zero = float(weights[_COMPONENT_BIT[target] == 0].sum())
-    outcome = 0 if rng.random() < p_zero else 1
-    post = np.where(_COMPONENT_BIT[target] == outcome, state, 0.0)
-    norm = np.linalg.norm(post)
-    if norm <= ATOL:
-        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    return MeasurementRecord(outcome, post / norm)
-
-
 def measure_z_batch(states, target: str, rng: np.random.Generator):
-    """Z-measure the chosen qubit of every pair.
+    """Z-measure the chosen qubit of every pair: draw each outcome by the
+    Born rule and collapse to the renormalized projection.
 
     Returns ``(outcomes, collapsed)`` with outcomes uint8 of shape (n,) and
-    collapsed states (n, 4).  Consumes exactly n uniform draws, in row
-    order, matching n sequential ``measure_z`` calls on the same stream.
+    collapsed states (n, 4); components inconsistent with an outcome are
+    exactly zero.  Consumes exactly n uniform draws, one per pair in row
+    order, so the outcomes are a fixed function of the rng stream state.
     """
     _require_target(target)
     states = np.asarray(states, dtype=complex)
     # Explicit column sums, added in the order sum(axis=1) adds a length-4
     # row, so every probability and norm is bit-identical to that reduction.
     weights = (np.abs(states) ** 2).T
-    _check_normalized(weights[0] + weights[1] + weights[2] + weights[3])
+    if np.abs(weights[0] + weights[1] + weights[2] + weights[3] - 1.0).max() > 1e-9:
+        raise ValueError("state is not normalized")
     zero_a, zero_b = _ZERO_COMPONENTS[target]
     p_zero = weights[zero_a] + weights[zero_b]
     outcomes = (rng.random(states.shape[0]) >= p_zero).astype(np.uint8)

@@ -15,10 +15,13 @@ from sqkdlab.protocol import (
     VARIANT_ORIGINAL,
     MasterKeys,
     ProtocolParams,
+    count_sessions,
     generate_master_keys,
     run_session,
 )
-from sqkdlab.qsim import ALICE, BOB, apply_gate, bell_phi_plus, measure_z, standard_gate
+from sqkdlab.qsim import ALICE, BOB, bell_phi_plus, standard_gate
+
+from oracles import apply_gate, measure_z, tap_quantum
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -83,12 +86,12 @@ def test_tap_classical_policies():
 
 def test_tap_quantum_none_is_identity():
     state = bell_phi_plus()
-    tapped = AdversaryStrategy().tap_quantum(state, np.random.default_rng(0))
+    tapped = tap_quantum(AdversaryStrategy(), state, np.random.default_rng(0))
     assert np.array_equal(tapped, state)
 
 
 def test_tap_quantum_spin_flip_gives_singlet():
-    tapped = modification_attack().tap_quantum(bell_phi_plus(), np.random.default_rng(0))
+    tapped = tap_quantum(modification_attack(), bell_phi_plus(), np.random.default_rng(0))
     singlet = np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex)
     ratio = tapped[np.abs(singlet) > 0] / singlet[np.abs(singlet) > 0]
     assert np.allclose(ratio, ratio[0], rtol=0, atol=1e-12)  # equal up to global phase
@@ -98,7 +101,7 @@ def test_tap_quantum_spin_flip_gives_singlet():
 def test_tap_quantum_intercept_collapses_to_product_state():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        tapped = intercept_resend_attack().tap_quantum(bell_phi_plus(), rng)
+        tapped = tap_quantum(intercept_resend_attack(), bell_phi_plus(), rng)
         assert np.allclose(tapped, [1, 0, 0, 0], rtol=0, atol=1e-12) or np.allclose(
             tapped, [0, 0, 0, 1], rtol=0, atol=1e-12
         )
@@ -110,7 +113,7 @@ def test_tap_quantum_batch_matches_single():
     states = np.tile(bell_phi_plus(), (32, 1))
     strategy = intercept_resend_attack()
     batched = strategy.tap_quantum_batch(states, rng_batch)
-    singles = np.array([strategy.tap_quantum(s, rng_single) for s in states])
+    singles = np.array([tap_quantum(strategy, s, rng_single) for s in states])
     assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
 
@@ -122,7 +125,7 @@ def test_intercept_resend_breaks_hadamard_basis_agreement():
     trials = 4000
     for _ in range(trials):
         state = apply_gate(bell_phi_plus(), standard_gate("H"), ALICE)
-        state = intercept_resend_attack().tap_quantum(state, rng)
+        state = tap_quantum(intercept_resend_attack(), state, rng)
         state = apply_gate(state, standard_gate("H"), BOB)
         bob = measure_z(state, BOB, rng)
         alice = measure_z(bob.post_state, ALICE, rng)
@@ -178,13 +181,9 @@ def test_x_and_z_attacks_detected_conditionally(gate, detecting_bit):
 def test_intercept_resend_quarter_mismatch_rate():
     params = ProtocolParams(n=16, variant=VARIANT_ORIGINAL, tau=0.0)
     strategy = intercept_resend_attack()
-    mismatched = compared = 0
-    for seed in range(800):
-        out = run_session(params, strategy, seed=seed)
-        mismatched += out.check_mismatches_alice + out.check_mismatches_bob
-        compared += out.compared_bits_alice + out.compared_bits_bob
-    assert compared > 10_000
-    assert 0.22 < mismatched / compared < 0.28
+    counts = count_sessions(params, strategy, range(800))
+    assert counts.compared_bits > 10_000
+    assert 0.22 < counts.mismatched_bits / counts.compared_bits < 0.28
 
 
 # -- search -------------------------------------------------------------------------

@@ -158,6 +158,15 @@ def test_search_batches():
     assert zero_detection == {("Y", "flip_all"), ("SPIN_FLIP", "flip_all")}
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("attack", "modification"), ("custom_strategy", {"quantum": "none"}), ("pa_bits", 100), ("balanced_k2", True)],
+)
+def test_search_rejects_fields_it_does_not_use(field, value):
+    with pytest.raises(ValueError, match=rf"^{field}:"):
+        run_search(RunConfig(n=6, trials=2, seed=5, **{field: value}))
+
+
 def test_search_single_trial_rates_are_boolean():
     results = run_search(RunConfig(protocol="original", n=4, trials=1, seed=6))
     for result in results:

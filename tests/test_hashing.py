@@ -16,8 +16,9 @@ from sqkdlab.hashing import (
     expand_key_bits,
     privacy_amplify,
     toeplitz_hash,
-    toeplitz_matrix,
 )
+
+from oracles import toeplitz_matrix
 
 
 def spec_of(key, mask, in_len, out_len):

@@ -15,9 +15,11 @@ from sqkdlab.protocol import (
     MasterKeys,
     ProtocolError,
     ProtocolParams,
+    SessionCounts,
     alice_measure,
     alice_prepare,
     bob_receive_measure,
+    count_sessions,
     exchange_and_check_improved,
     exchange_and_check_original,
     generate_master_keys,
@@ -170,7 +172,7 @@ def test_original_honest_exchange_passes():
     part = partition_measurements("011010", "110110")
     result = exchange_and_check_original(part, part, tau=0.0)
     assert result.alice_pass and result.bob_pass
-    assert result.mismatches_alice == result.mismatches_bob == 0
+    assert result.check_mismatches_alice == result.check_mismatches_bob == 0
 
 
 def test_original_walkthrough_flipped_announcements_fool_both():
@@ -189,15 +191,15 @@ def test_original_spin_flip_without_classical_flip_detected():
     bob = partition_measurements(flip("00110101"), "11111111")
     result = exchange_and_check_original(alice, bob, tau=0.0)
     assert not result.alice_pass and not result.bob_pass
-    assert result.mismatches_alice == result.compared_alice
-    assert result.mismatches_bob == result.compared_bob
+    assert result.check_mismatches_alice == result.compared_bits_alice
+    assert result.check_mismatches_bob == result.compared_bits_bob
 
 
 def test_original_vacuous_pass_with_no_check_bits():
     part = partition_measurements("0101", "0000")
     result = exchange_and_check_original(part, part, tau=0.0, channel=flip)
     assert result.alice_pass and result.bob_pass
-    assert result.compared_alice == result.compared_bob == 0
+    assert result.compared_bits_alice == result.compared_bits_bob == 0
 
 
 def test_original_threshold_tolerates_fraction():
@@ -307,7 +309,7 @@ def test_forced_keys_control_the_partition():
     params = ProtocolParams(n=2, variant=VARIANT_ORIGINAL)
     out = run_session(params, None, seed=0, keys=keys)
     assert len(out.alice_raw_key) == 2
-    assert out.compared_bits_alice == 1 and out.compared_bits_bob == 1
+    assert out.check.compared_bits_alice == 1 and out.check.compared_bits_bob == 1
 
 
 def test_explicit_pa_length():
@@ -369,6 +371,58 @@ def test_custom_strategy_duck_typing():
     honest = run_session(params, None, seed=3)
     tapped = run_session(params, Relabel(), seed=3)
     assert honest.to_dict() == tapped.to_dict()
+
+
+class DropLastQubit:
+    """Delivers one flying qubit fewer than Alice sent."""
+
+    def tap_quantum_batch(self, states, rng):
+        return states[:-1]
+
+    def tap_classical(self, bits):
+        return bits
+
+
+def test_malformed_delivery_aborts_with_an_empty_transcript():
+    out = run_session(ProtocolParams(n=4, variant=VARIANT_ORIGINAL), DropLastQubit(), seed=0)
+    empty = {name: "" for name in ("alice_bits", "bob_bits", "alice_raw_key", "bob_raw_key")}
+    empty.update({f"{side}_by_{party}": "" for side in ("announced", "received") for party in ("alice", "bob")})
+    counters = ("check_mismatches_alice", "check_mismatches_bob", "compared_bits_alice", "compared_bits_bob")
+    assert out.to_dict() == {
+        "aborted": True,
+        "detected_by_alice": False,
+        "detected_by_bob": True,
+        "abort_reason": "expected 8 delivered qubits, got 7",
+        "alice_session_key": None,
+        "bob_session_key": None,
+        "vacuous_check": True,
+        "pa_seed": None,
+        **empty,
+        **dict.fromkeys(counters, 0),
+    }
+    counts = count_sessions(ProtocolParams(n=4), DropLastQubit(), range(3))
+    assert (counts.sessions, counts.detected, counts.aborted, counts.vacuous) == (3, 3, 3, 3)
+    assert counts.compared_bits == counts.mismatched_bits == 0
+
+
+def test_count_sessions_equals_a_loop_over_run_session():
+    params = ProtocolParams(n=8, variant=VARIANT_ORIGINAL, tau=0.1)
+    seeds = [np.random.SeedSequence((3, trial)) for trial in range(120)]
+    outcomes = [run_session(params, intercept_resend_attack(), seed=seed) for seed in seeds]
+    expected = SessionCounts(
+        sessions=len(outcomes),
+        detected=sum(out.detected_by_alice or out.detected_by_bob for out in outcomes),
+        aborted=sum(out.aborted for out in outcomes),
+        matched=sum(np.array_equal(out.alice_raw_key, out.bob_raw_key) for out in outcomes),
+        complemented=sum(np.array_equal(out.bob_raw_key, 1 - out.alice_raw_key) for out in outcomes),
+        vacuous=sum(out.vacuous_check for out in outcomes),
+        mismatched_bits=sum(out.check.check_mismatches_alice + out.check.check_mismatches_bob for out in outcomes),
+        compared_bits=sum(out.check.compared_bits_alice + out.check.compared_bits_bob for out in outcomes),
+    )
+    assert count_sessions(params, intercept_resend_attack(), iter(seeds)) == expected
+    # a mixed case: at tau=0.1 some sessions abort and some end with matching raw keys
+    assert 0 < expected.detected < expected.sessions
+    assert 0 < expected.matched < expected.sessions
 
 
 def test_params_validation():
@@ -439,7 +493,8 @@ def test_session_keys_and_digests_equal_the_public_helpers(variant):
         if variant == VARIANT_IMPROVED:
             alice = partition_measurements(out.alice_bits, keys.partition_key)
             bob = partition_measurements(out.bob_bits, keys.partition_key)
-            announcements = ((0, alice.check_even, out.announced_by_alice), (1, bob.check_odd, out.announced_by_bob))
+            announced = (out.check.announced_by_alice, out.check.announced_by_bob)
+            announcements = ((0, alice.check_even, announced[0]), (1, bob.check_odd, announced[1]))
             for direction, half, announced in announcements:
                 spec = derive_hash_spec(keys.hash_key, len(half) + 1, 20)
                 assert np.array_equal(announced, toeplitz_hash(spec, np.concatenate([[direction], half])))

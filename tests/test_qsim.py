@@ -10,16 +10,15 @@ from sqkdlab.qsim import (
     ATOL,
     BOB,
     GATE_NAMES,
-    apply_gate,
     apply_gate_batch,
     bell_batch,
     bell_phi_plus,
-    born_probability_zero,
     is_unitary,
-    measure_z,
     measure_z_batch,
     standard_gate,
 )
+
+from oracles import apply_gate, born_probability_zero, measure_z
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -122,12 +121,14 @@ def test_spin_flip_on_bob_gives_singlet():
 
 def test_non_unitary_gate_rejected():
     with pytest.raises(ValueError, match="unitary"):
-        apply_gate(bell_phi_plus(), np.array([[1, 0], [0, 0.5]]), BOB)
+        apply_gate_batch(bell_batch(2), np.array([[1, 0], [0, 0.5]]), BOB)
 
 
 def test_invalid_target_rejected():
     with pytest.raises(ValueError, match="selector"):
-        apply_gate(bell_phi_plus(), standard_gate("I"), "C")
+        apply_gate_batch(bell_batch(2), standard_gate("I"), "C")
+    with pytest.raises(ValueError, match="selector"):
+        measure_z_batch(bell_batch(2), "C", np.random.default_rng(0))
 
 
 def test_norm_preserved_for_random_states_and_gates():
@@ -163,8 +164,9 @@ def test_measure_collapse_invariants():
 
 
 def test_measure_rejects_unnormalized_state():
+    states = np.array([bell_phi_plus(), [1.0, 1.0, 0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="normalized"):
-        measure_z(np.array([1.0, 1.0, 0, 0], dtype=complex), ALICE, np.random.default_rng(0))
+        measure_z_batch(states, ALICE, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("gate_name", ["I", "H"])
