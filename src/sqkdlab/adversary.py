@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import as_bits, flip
-from .protocol import ProtocolParams, count_sessions
+from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
 from .qsim import BOB, apply_gate_batch, measure_z_batch, standard_gate
 
 QUANTUM_NONE = "none"
@@ -136,8 +136,6 @@ class AttackSearchResult:
 
 def search_attacks(
     variant: str,
-    gate_names=SEARCH_GATE_NAMES,
-    classical_policies=CLASSICAL_POLICIES,
     trials: int = 1000,
     n: int = 16,
     seed: int = 0,
@@ -149,15 +147,16 @@ def search_attacks(
     detection_rate counts trials where some party failed its check;
     key_corruption_rate counts trials where the raw keys disagree.  Results
     come back sorted by (detection_rate ascending, key_corruption_rate
-    descending, strategy label), most dangerous strategies first.
+    descending, strategy label), most dangerous strategies first.  trials
+    and seed follow the rules of RunConfig and are checked before any
+    session runs.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials_and_seed(trials, seed)
     params = ProtocolParams(n=n, variant=variant, tau=tau, hash_out_len=hash_bits)
     strategies = [
         AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
-        for g in gate_names
-        for c in classical_policies
+        for g in SEARCH_GATE_NAMES
+        for c in CLASSICAL_POLICIES
     ]
     results = []
     for index, strategy in enumerate(strategies):
@@ -170,12 +169,6 @@ def search_attacks(
                 trials=trials,
             )
         )
-    results.sort(
-        key=lambda r: (
-            r.detection_rate,
-            -r.key_corruption_rate,
-            r.strategy.describe()["quantum"],
-            r.strategy.describe()["classical"],
-        )
-    )
+    # describe() lists the quantum label, then the classical one.
+    results.sort(key=lambda r: (r.detection_rate, -r.key_corruption_rate, *r.strategy.describe().values()))
     return results

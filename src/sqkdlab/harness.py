@@ -32,6 +32,7 @@ from .protocol import (
     MasterKeys,
     ProtocolParams,
     SessionOutcome,
+    _check_trials_and_seed,
     count_sessions,
     partition_measurements,
     run_session,
@@ -44,8 +45,6 @@ ATTACK_CUSTOM = "custom"
 ATTACKS = (ATTACK_NONE, ATTACK_MODIFICATION, ATTACK_INTERCEPT_RESEND, ATTACK_CUSTOM)
 
 OUTPUT_FORMATS = ("json", "csv")
-
-MAX_SEED = 2**64 - 1
 
 
 @dataclass
@@ -76,7 +75,8 @@ class RunConfig:
             raise ValueError(f"custom_strategy: only applies when attack is 'custom', got attack {self.attack!r}")
         # Types before ranges: a bool would pass as 0/1, a float would fail
         # deep inside numpy; both are rejected here, before any allocation.
-        for name in ("n", "trials", "seed", "hash_bits", "pa_bits"):
+        _check_trials_and_seed(self.trials, self.seed)
+        for name in ("n", "hash_bits", "pa_bits"):
             value = getattr(self, name)
             if name == "pa_bits" and value is None:
                 continue
@@ -86,10 +86,6 @@ class RunConfig:
             raise ValueError(f"tau: must be a real number, got {self.tau!r}")
         if self.n < 1:
             raise ValueError(f"n: must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials: must be >= 1, got {self.trials}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
         if self.hash_bits < 1:

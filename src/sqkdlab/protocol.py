@@ -7,14 +7,16 @@ it to her half before sending, Bob applies the same choice on receipt;
 Bob, the classical party, only ever needs I/H plus Z-basis measurement),
 and the partition key splits the Z-measurement records into raw-key and
 check positions.  The check bits are split again into their odd- and
-even-position halves (1-based), and each party announces one half:
+even-position halves (1-based), and the two variants run one
+announce-and-compare exchange: Alice announces an encoding of her even
+half, Bob of his odd half, and each side compares what it receives
+against the same encoding of its own retained half.  The variant picks
+only the encoding and how much mismatch passes:
 
-* original variant: Alice announces her even half, Bob his odd half, in
-  the clear; each side compares the received half bit-wise against its own
-  retained half and passes when the mismatch fraction is within ``tau``.
-* improved variant: the same halves are announced only as keyed Toeplitz
-  digests; the receiver recomputes the digest of its retained half and
-  requires exact equality.
+* original variant: the halves themselves, in the clear; a side passes
+  when its mismatch fraction is within ``tau``.
+* improved variant: a keyed Toeplitz digest of each half; a side passes
+  only on exact digest equality.
 
 Announcements and flying qubits pass through adversary-tappable channels.
 After a passing check both sides compress their raw keys into session keys
@@ -40,6 +42,7 @@ DONE_NOTICE = "measurements-complete"
 
 DEFAULT_HASH_KEY_BITS = MIN_HASH_KEY_BITS
 PA_SEED_BITS = 128
+MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 
 _HADAMARD = standard_gate("H")
 _HADAMARD.flags.writeable = False
@@ -318,47 +321,35 @@ def _split(m: np.ndarray, raw_indices: np.ndarray, check_indices: np.ndarray) ->
     )
 
 
-def _through(channel, announced: np.ndarray) -> np.ndarray:
-    """What the receiver gets: a copy of the announcement, or the tap's output, validated."""
-    if channel is None:
-        return announced.copy()
-    return as_bits(channel(announced))
+def _exchange(alice_part: Partition, bob_part: Partition, encode, tau: float, channel, what: str) -> CheckResult:
+    """The one announce-and-compare exchange; the variants differ only in ``encode`` and ``tau``.
 
-
-def exchange_and_check_original(
-    alice_part: Partition,
-    bob_part: Partition,
-    tau: float,
-    channel=None,
-) -> CheckResult:
-    """Plain-bit exchange: Alice announces her even check half, Bob his odd
-    half; each side compares the received half position-wise against its own
-    retained half of the same parity.
-
-    A side passes when its mismatch fraction is <= tau (vacuously when it
-    compared zero bits).  ``channel`` is the classical tamper tap (bits ->
-    bits), identity when None.  Announcement length mismatches abort.
+    ``encode(direction, half)`` is what a party announces for one check
+    half: Alice announces her even half, Bob his odd half, each through
+    ``channel`` (the classical tamper tap, identity when None).  Each side
+    compares what it receives against the encoding of its own retained half
+    of the same parity and passes when it compared nothing or its mismatch
+    fraction is <= tau.  A received ``what`` of the wrong length aborts.
     """
     if alice_part.source_len != bob_part.source_len:
         raise ValueError("partitions do not come from the same partition key")
-    announced_by_alice = alice_part.check_even.copy()
-    announced_by_bob = bob_part.check_odd.copy()
-    received_by_bob = _through(channel, announced_by_alice)
-    received_by_alice = _through(channel, announced_by_bob)
-    if len(received_by_alice) != len(alice_part.check_odd):
-        raise ProtocolError("announcement to Alice has the wrong length")
-    if len(received_by_bob) != len(bob_part.check_even):
-        raise ProtocolError("announcement to Bob has the wrong length")
+    announced_by_alice = encode(DIRECTION_EVEN, alice_part.check_even)
+    announced_by_bob = encode(DIRECTION_ODD, bob_part.check_odd)
+    if channel is None:
+        received_by_bob, received_by_alice = announced_by_alice.copy(), announced_by_bob.copy()
+    else:
+        received_by_bob, received_by_alice = as_bits(channel(announced_by_alice)), as_bits(channel(announced_by_bob))
+    expected_by_alice = encode(DIRECTION_ODD, alice_part.check_odd)
+    expected_by_bob = encode(DIRECTION_EVEN, bob_part.check_even)
+    if len(received_by_alice) != len(expected_by_alice) or len(received_by_bob) != len(expected_by_bob):
+        raise ProtocolError(f"received {what} has the wrong length")
 
-    mism_alice = int(np.count_nonzero(received_by_alice != alice_part.check_odd))
-    mism_bob = int(np.count_nonzero(received_by_bob != bob_part.check_even))
-    compared_alice = len(alice_part.check_odd)
-    compared_bob = len(bob_part.check_even)
-    alice_pass = compared_alice == 0 or mism_alice / compared_alice <= tau
-    bob_pass = compared_bob == 0 or mism_bob / compared_bob <= tau
+    mism_alice = int(np.count_nonzero(received_by_alice != expected_by_alice))
+    mism_bob = int(np.count_nonzero(received_by_bob != expected_by_bob))
+    compared_alice, compared_bob = len(expected_by_alice), len(expected_by_bob)
     return CheckResult(
-        alice_pass=alice_pass,
-        bob_pass=bob_pass,
+        alice_pass=compared_alice == 0 or mism_alice / compared_alice <= tau,
+        bob_pass=compared_bob == 0 or mism_bob / compared_bob <= tau,
         check_mismatches_alice=mism_alice,
         check_mismatches_bob=mism_bob,
         compared_bits_alice=compared_alice,
@@ -370,62 +361,36 @@ def exchange_and_check_original(
     )
 
 
-def _tagged(direction: int, half: np.ndarray) -> np.ndarray:
-    tagged = np.empty(len(half) + 1, dtype=np.uint8)
-    tagged[0] = direction
-    tagged[1:] = half
-    return tagged
+def exchange_and_check_original(alice_part: Partition, bob_part: Partition, tau: float, channel=None) -> CheckResult:
+    """Plain-bit exchange: each check half is announced as itself, in the
+    clear; a side passes when its mismatch fraction is <= tau.  ``channel``
+    is the classical tamper tap (bits -> bits), identity when None."""
+    return _exchange(alice_part, bob_part, lambda direction, half: half.copy(), tau, channel, "check half")
 
 
 def exchange_and_check_improved(
-    alice_part: Partition,
-    bob_part: Partition,
-    hash_key,
-    digest_len: int,
-    channel=None,
+    alice_part: Partition, bob_part: Partition, hash_key, digest_len: int, channel=None
 ) -> CheckResult:
-    """Digest exchange: each side announces only the keyed Toeplitz digest of
-    its half (direction bit prepended for domain separation); the receiver
-    recomputes the digest of its retained half and requires exact equality.
-
-    The compared/mismatch counters refer to digest bits.  A received digest
-    whose length differs from digest_len aborts.  Both directions' hash
-    specs come from one expansion of the hash key.
-    """
-    if alice_part.source_len != bob_part.source_len:
-        raise ValueError("partitions do not come from the same partition key")
+    """Digest exchange: each check half is announced as its keyed Toeplitz
+    digest, direction bit prepended for domain separation; a side passes only
+    on exact digest equality, so the counters count digest bits.  Both
+    directions' hash specs come from one expansion of the hash key."""
     hash_key = _checked_hash_key(hash_key)
     if digest_len < 1:
         raise ValueError("digest_len must be >= 1")
+    # Indexed by direction: DIRECTION_EVEN (0) hashes even halves, DIRECTION_ODD (1) odd ones.
     in_lens = (len(alice_part.check_even) + 1, len(alice_part.check_odd) + 1)
-    (key_even, mask_even), (key_odd, mask_odd) = _digest_keys(hash_key, in_lens, digest_len)
+    specs = _digest_keys(hash_key, in_lens, digest_len)
 
-    def digest(key, mask, direction, half):
-        return _toeplitz_product(key, _tagged(direction, half)) ^ mask
+    def digest(direction, half):
+        key, mask = specs[direction]
+        tagged = np.empty(len(half) + 1, dtype=np.uint8)
+        tagged[0] = direction
+        tagged[1:] = half
+        return _toeplitz_product(key, tagged) ^ mask
 
-    announced_by_alice = digest(key_even, mask_even, DIRECTION_EVEN, alice_part.check_even)
-    announced_by_bob = digest(key_odd, mask_odd, DIRECTION_ODD, bob_part.check_odd)
-    received_by_bob = _through(channel, announced_by_alice)
-    received_by_alice = _through(channel, announced_by_bob)
-    if len(received_by_alice) != digest_len or len(received_by_bob) != digest_len:
-        raise ProtocolError("received digest has the wrong length")
-
-    expected_by_alice = digest(key_odd, mask_odd, DIRECTION_ODD, alice_part.check_odd)
-    expected_by_bob = digest(key_even, mask_even, DIRECTION_EVEN, bob_part.check_even)
-    mism_alice = int(np.count_nonzero(received_by_alice != expected_by_alice))
-    mism_bob = int(np.count_nonzero(received_by_bob != expected_by_bob))
-    return CheckResult(
-        alice_pass=mism_alice == 0,
-        bob_pass=mism_bob == 0,
-        check_mismatches_alice=mism_alice,
-        check_mismatches_bob=mism_bob,
-        compared_bits_alice=digest_len,
-        compared_bits_bob=digest_len,
-        announced_by_alice=announced_by_alice,
-        announced_by_bob=announced_by_bob,
-        received_by_alice=received_by_alice,
-        received_by_bob=received_by_bob,
-    )
+    # A digest of >= 1 bit passes at tau = 0 exactly when every bit matches.
+    return _exchange(alice_part, bob_part, digest, 0.0, channel, "digest")
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -547,6 +512,17 @@ def run_session(
         check=chk,
         pa_seed=pa_seed,
     )
+
+
+def _check_trials_and_seed(trials, seed) -> None:
+    """Reject a run's trial count or master seed with an error naming the field."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if trials < 1:
+        raise ValueError(f"trials: must be >= 1, got {trials}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed}")
 
 
 def count_sessions(params: ProtocolParams, adversary, seeds, balanced_k2: bool = False) -> SessionCounts:

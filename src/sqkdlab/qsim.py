@@ -78,11 +78,11 @@ def bell_batch(count: int) -> np.ndarray:
     return np.full((count, 4), bell_phi_plus())
 
 
-def is_unitary(gate, atol: float = ATOL) -> bool:
+def is_unitary(gate) -> bool:
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         return False
-    return bool(np.all(np.abs(g.conj().T @ g - np.eye(2)) <= atol))
+    return bool(np.all(np.abs(g.conj().T @ g - np.eye(2)) <= ATOL))
 
 
 def _require_target(target: str) -> None:

@@ -204,12 +204,29 @@ def test_search_smoke():
     assert rates == sorted(rates)
 
 
-def test_search_rejects_bad_trials():
-    with pytest.raises(ValueError, match="trials"):
-        search_attacks(VARIANT_ORIGINAL, trials=0)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", 0),
+        ("trials", True),
+        ("trials", 2.5),
+        ("trials", "3"),
+        ("seed", 2.5),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", True),
+    ],
+)
+def test_search_rejects_bad_trials(field, value, monkeypatch):
+    def no_sessions(*args, **kwargs):
+        raise AssertionError("a session ran before the inputs were checked")
+
+    monkeypatch.setattr("sqkdlab.adversary.count_sessions", no_sessions)
+    with pytest.raises(ValueError, match=rf"^{field}:"):
+        search_attacks(VARIANT_ORIGINAL, n=2, **{field: value})
 
 
 def test_search_result_wire_format():
-    result = search_attacks(VARIANT_ORIGINAL, gate_names=("I",), trials=2, n=2, seed=0)[0]
+    result = search_attacks(VARIANT_ORIGINAL, trials=2, n=2, seed=0)[0]
     data = result.to_dict()
     assert set(data) == {"quantum", "classical", "detection_rate", "key_corruption_rate", "trials"}

@@ -254,7 +254,8 @@ def test_cli_run_csv_to_file(tmp_path, capsys):
     rc = main(["run", "--n", "4", "--trials", "10", "--format", "csv", "--out", str(out)])
     assert rc == 0
     assert capsys.readouterr().out == ""
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["key_match_rate"] == "1.0"
 

@@ -1,5 +1,7 @@
 """Protocol engine tests: keys, partition, exchanges, full sessions."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -250,6 +252,50 @@ def test_improved_rejects_wrong_digest_length():
         exchange_and_check_improved(part, part, kh, digest_len=8, channel=lambda bits: bits[:4])
 
 
+@given(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), max_size=40),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.booleans(),
+    st.lists(st.integers(0, 1), min_size=MIN_HASH_KEY_BITS, max_size=MIN_HASH_KEY_BITS),
+    st.integers(1, 24),
+)
+def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, digest_len):
+    # Random check records under one shared partition key, honest or
+    # flipping classical channel: the original variant's counters and
+    # verdicts are a plain bit comparison, and the improved variant's
+    # digests are the public keyed hash of the direction-tagged half.
+    key = as_bits([k for _, _, k in records])
+    alice = partition_measurements(as_bits([a for a, _, _ in records]), key)
+    bob = partition_measurements(as_bits([b for _, b, _ in records]), key)
+    channel = flip if tampered else None
+    deliver = flip if tampered else as_bits
+
+    def public_digest(direction, half):
+        spec = derive_hash_spec(hash_key, len(half) + 1, digest_len)
+        return toeplitz_hash(spec, [direction, *half])
+
+    original = exchange_and_check_original(alice, bob, tau, channel)
+    improved = exchange_and_check_improved(alice, bob, hash_key, digest_len, channel)
+    assert np.array_equal(improved.announced_by_alice, public_digest(0, alice.check_even))
+    assert np.array_equal(improved.announced_by_bob, public_digest(1, bob.check_odd))
+    # (side, what the other side announced, the side's own half, its direction)
+    sides = (("alice", bob.check_odd, alice.check_odd, 1), ("bob", alice.check_even, bob.check_even, 0))
+    for side, sent, own, direction in sides:
+        received = deliver(sent)
+        mismatches = int(np.count_nonzero(received != own))
+        assert np.array_equal(getattr(original, f"received_by_{side}"), received)
+        assert getattr(original, f"check_mismatches_{side}") == mismatches
+        assert getattr(original, f"compared_bits_{side}") == len(own)
+        assert getattr(original, f"{side}_pass") == (len(own) == 0 or mismatches / len(own) <= tau)
+
+        received = deliver(public_digest(direction, sent))
+        mismatches = int(np.count_nonzero(received != public_digest(direction, own)))
+        assert np.array_equal(getattr(improved, f"received_by_{side}"), received)
+        assert getattr(improved, f"check_mismatches_{side}") == mismatches
+        assert getattr(improved, f"compared_bits_{side}") == digest_len
+        assert getattr(improved, f"{side}_pass") == (mismatches == 0)
+
+
 # -- full sessions -----------------------------------------------------------------
 
 
@@ -467,6 +513,17 @@ SEARCH_ARGUMENT = {"n": "n", "hash_out_len": "hash_bits", "tau": "tau"}
 def test_params_type_errors_name_the_field_in_search_attacks(field, value):
     with pytest.raises(ValueError, match=rf"^{field}: must be"):
         search_attacks("original", trials=1, **{SEARCH_ARGUMENT[field]: value})
+
+
+def test_session_with_numpy_integer_params_renders_to_json():
+    # numpy integers pass ProtocolParams; the transcript's counters must
+    # still be Python ints, or json.dumps of to_dict() fails.
+    params = ProtocolParams(n=4, variant=VARIANT_IMPROVED, hash_out_len=np.int64(8))
+    data = run_session(params, None, seed=0).to_dict()
+    json.dumps(data)
+    counters = [name for name in data if name.startswith(("compared_bits_", "check_mismatches_"))]
+    assert len(counters) == 4
+    assert all(type(data[name]) is int for name in counters)
 
 
 def test_params_accept_numpy_integers():
