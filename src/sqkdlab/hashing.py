@@ -13,8 +13,10 @@ The same construction doubles as the privacy-amplification compressor
 
 The matrix is never materialized on the hashing path: row i of ``T·x`` is
 the sliding correlation of the key with ``x`` at offset ``out_len - 1 - i``,
-computed exactly in int64 with O(in_len + out_len) memory.  The test
-suite keeps the materialized matrix as the reference form.
+computed in float64 with O(in_len + out_len) memory and reduced mod 2.
+The float form is exact: every partial sum is an integer count of at most
+in_len, far below 2**53, so no addition rounds.  The test suite keeps the
+materialized matrix as the reference form.
 
 Validation happens once, where bits enter.  The public functions
 (``ToeplitzSpec``, ``toeplitz_hash``, ``expand_key_bits``,
@@ -65,7 +67,7 @@ def toeplitz_hash(spec: ToeplitzSpec, x) -> np.ndarray:
     x = as_bits(x)
     if len(x) != spec.in_len:
         raise ValueError(f"input is {len(x)} bits, spec expects {spec.in_len}")
-    return _toeplitz_product(spec.key_bits.astype(np.int64), x) ^ spec.mask_bits
+    return _toeplitz_product(spec.key_bits.astype(np.float64), x) ^ spec.mask_bits
 
 
 def expand_key_bits(seed_bits, count: int) -> np.ndarray:
@@ -117,7 +119,7 @@ def privacy_amplify(raw, pa_seed, out_len: int) -> np.ndarray:
     if not 1 <= out_len <= len(raw):
         raise ValueError(f"out_len must be in 1..{len(raw)}, got {out_len}")
     key = expand_key_bits(pa_seed, len(raw) + out_len - 1)
-    return _toeplitz_product(key.astype(np.int64), raw)
+    return _toeplitz_product(key.astype(np.float64), raw)
 
 
 # -- trusted cores ----------------------------------------------------------
@@ -138,20 +140,27 @@ def _expand(seed: np.ndarray, count: int) -> np.ndarray:
 
 
 def _toeplitz_product(key: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T·x over GF(2) as uint8, for an int64 matrix key of len(x) + out_len - 1 bits."""
+    """T·x over GF(2) as uint8, for a float64 0/1 matrix key of len(x) + out_len - 1 bits.
+
+    numpy correlates float64 through its BLAS dot product and int64 with a
+    plain loop, so the float form is several times faster at
+    privacy-amplification sizes.  It is exact: each sum counts at most
+    len(x) ones, an integer far below 2**53.
+    """
     if len(x) == 0:  # empty sum; np.correlate rejects empty input
         return np.zeros(len(key) + 1, dtype=np.uint8)
-    return (np.correlate(key, x, "valid")[::-1] & 1).astype(np.uint8)
+    return (np.correlate(key, x, "valid")[::-1].astype(np.int64) & 1).astype(np.uint8)
 
 
 def _digest_keys(hash_key: np.ndarray, in_lens, out_len: int) -> list:
-    """``(int64 matrix key, mask)`` of ``derive_hash_spec(hash_key, in_len, out_len)`` per in_len.
+    """``(float64 matrix key, mask)`` of ``derive_hash_spec(hash_key, in_len, out_len)`` per in_len.
 
     One stream, expanded to the longest in_len, serves every in_len: each
-    spec reads a prefix of it, and the stream is prefix-stable.
+    spec reads a prefix of it, and the stream is prefix-stable.  The key
+    is float64 for ``_toeplitz_product``, whose 0/1 sums are exact in it.
     """
     stream = _expand(hash_key, max(in_lens) + 2 * out_len - 1)
     return [
-        (stream[: in_len + out_len - 1].astype(np.int64), stream[in_len + out_len - 1 : in_len + 2 * out_len - 1])
+        (stream[: in_len + out_len - 1].astype(np.float64), stream[in_len + out_len - 1 : in_len + 2 * out_len - 1])
         for in_len in in_lens
     ]

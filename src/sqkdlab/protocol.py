@@ -47,6 +47,13 @@ MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 _HADAMARD = standard_gate("H")
 _HADAMARD.flags.writeable = False
 
+# Every pair starts as the same Bell row, so a prepared pair is one of two
+# constant rows, indexed by its op bit: that row as it is (0) or with H on
+# Alice's qubit (1).  The batch gate computes both, so every prepared row
+# has the bytes that gating a fresh Bell batch gives it.
+_PREPARED_ROWS = apply_gate_batch(bell_batch(2), _HADAMARD, ALICE, where=np.array([False, True]))
+_PREPARED_ROWS.flags.writeable = False
+
 # Domain-separation bit prepended to hashed inputs: one pre-shared hash key
 # serves both directions without letting a digest be replayed across them.
 DIRECTION_EVEN = 0  # Alice -> Bob announcements (even halves)
@@ -110,15 +117,15 @@ class ProtocolParams:
         if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
             raise ValueError(f"tau: must be a real number, got {self.tau!r}")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n: must be >= 1, got {self.n}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must satisfy 0 <= tau < 1")
+            raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
         if self.hash_out_len < 1:
-            raise ValueError("hash_out_len must be >= 1")
+            raise ValueError(f"hash_out_len: must be >= 1, got {self.hash_out_len}")
         if self.pa_out_len is not None and self.pa_out_len < 1:
-            raise ValueError("pa_out_len must be >= 1 (or None for auto)")
+            raise ValueError(f"pa_out_len: must be >= 1 (or None for auto), got {self.pa_out_len}")
 
 
 @dataclass(frozen=True)
@@ -242,9 +249,9 @@ def generate_master_keys(
     sampling the partition key uniformly.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n: must be >= 1, got {n}")
     if l_key < MIN_HASH_KEY_BITS:
-        raise ValueError(f"l_key must be >= {MIN_HASH_KEY_BITS}")
+        raise ValueError(f"l_key: must be >= {MIN_HASH_KEY_BITS}, got {l_key}")
     if rng is None:
         raise ValueError("an rng is required")
     op_key = random_bits(rng, 2 * n)
@@ -260,13 +267,14 @@ def generate_master_keys(
 def alice_prepare(keys: MasterKeys, n: int) -> np.ndarray:
     """Create 2n Bell pairs and apply I/H to Alice's qubit per the op key.
 
-    Returns the (2n, 4) pair states; Bob's halves are queued for
-    transmission in row order.  Preparation is deterministic given keys.
+    Every pair starts alike, so row i is a copy of the constant prepared
+    row for op bit i.  Returns the (2n, 4) pair states; Bob's halves are
+    queued for transmission in row order.  Preparation is deterministic
+    given keys.
     """
     if len(keys.op_key) != 2 * n:
         raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={n}")
-    states = bell_batch(2 * n)
-    return apply_gate_batch(states, _HADAMARD, ALICE, where=keys.op_key == 1)
+    return _PREPARED_ROWS.take(keys.op_key, axis=0)
 
 
 def bob_receive_measure(keys: MasterKeys, delivered, rng: np.random.Generator):
@@ -377,7 +385,7 @@ def exchange_and_check_improved(
     directions' hash specs come from one expansion of the hash key."""
     hash_key = _checked_hash_key(hash_key)
     if digest_len < 1:
-        raise ValueError("digest_len must be >= 1")
+        raise ValueError(f"digest_len: must be >= 1, got {digest_len}")
     # Indexed by direction: DIRECTION_EVEN (0) hashes even halves, DIRECTION_ODD (1) odd ones.
     in_lens = (len(alice_part.check_even) + 1, len(alice_part.check_odd) + 1)
     specs = _digest_keys(hash_key, in_lens, digest_len)
@@ -493,7 +501,7 @@ def run_session(
         else:
             # privacy_amplify for both parties from one key expansion:
             # their raw keys have equal length (same partition key).
-            pa_key = _expand(pa_seed, raw_len + out_len - 1).astype(np.int64)
+            pa_key = _expand(pa_seed, raw_len + out_len - 1).astype(np.float64)
             session_key_alice = _toeplitz_product(pa_key, part_alice.raw)
             session_key_bob = _toeplitz_product(pa_key, part_bob.raw)
 

@@ -10,10 +10,12 @@ or one Born draw at a time) live in the test suite as reference oracles,
 and the batch forms are asserted equal to looping them.
 
 Gates are plain 2x2 complex unitaries and measurement follows the Born rule
-with explicit collapse.  All arithmetic is double precision with 1e-12
-tolerances: the gate set used here only has entries in {0, ±1, ±1/√2}, so
-rounding error stays near machine epsilon.  Global phase is never
-normalized away; comparisons that need it are made up to phase by callers.
+with explicit collapse: the components the outcome rules out are set to
+zero and the rest are scaled by the reciprocal of their norm.  All
+arithmetic is double precision with 1e-12 tolerances: the gate set used
+here only has entries in {0, ±1, ±1/√2}, so rounding error stays near
+machine epsilon.  Global phase is never normalized away; comparisons that
+need it are made up to phase by callers.
 """
 
 import math
@@ -129,7 +131,8 @@ def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     product = states @ op_t
     if np.count_nonzero(where) == 1:
         product[where] = states[where] @ op_t
-    return np.where(where[:, None], product, states)
+    np.copyto(product, states, where=~where[:, None])
+    return product
 
 
 def measure_z_batch(states, target: str, rng: np.random.Generator):
@@ -140,22 +143,37 @@ def measure_z_batch(states, target: str, rng: np.random.Generator):
     collapsed states (n, 4); components inconsistent with an outcome are
     exactly zero.  Consumes exactly n uniform draws, one per pair in row
     order, so the outcomes are a fixed function of the rng stream state.
+    A state that is not normalized, or holds a NaN or infinite amplitude,
+    is rejected before any draw.
+
+    The collapse divides by the norm as a multiply by ``1 / norm`` on the
+    real and imaginary parts, which is how numpy divides a complex number
+    by ``norm + 0j``.  The two agree bit for bit, except that complex
+    division can turn a kept ``-0.0`` part into ``+0.0``, depending on the
+    sign of the amplitude's other part; no probability or outcome reads
+    the sign of a zero.
     """
     _require_target(target)
     states = np.asarray(states, dtype=complex)
     # Explicit column sums, added in the order sum(axis=1) adds a length-4
     # row, so every probability and norm is bit-identical to that reduction.
     weights = (np.abs(states) ** 2).T
-    if np.abs(weights[0] + weights[1] + weights[2] + weights[3] - 1.0).max() > 1e-9:
+    total = weights[0] + weights[1] + weights[2] + weights[3]
+    # Written so that a NaN total fails the check too.
+    if not (np.abs(total - 1.0) <= 1e-9).all():
         raise ValueError("state is not normalized")
     zero_a, zero_b = _ZERO_COMPONENTS[target]
     p_zero = weights[zero_a] + weights[zero_b]
     outcomes = (rng.random(states.shape[0]) >= p_zero).astype(np.uint8)
-    post = np.where(_KEPT_BY_OUTCOME[target][outcomes], states, 0.0)
+    # take() gathers the (n, 4) mask several times faster than fancy
+    # indexing or a broadcast comparison would build it.
+    post = np.where(_KEPT_BY_OUTCOME[target].take(outcomes, axis=0), states, 0.0)
     # np.linalg.norm(post, axis=1), written out: sqrt of the summed (x.conj() * x).real.
     squares = (post.conj() * post).real.T
     norms = np.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
     if (norms <= ATOL).any():
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    post /= norms[:, None]
+    # post /= norms[:, None], without the complex division loop.
+    parts = post.view(np.float64).reshape(len(post), 8)
+    parts *= (1.0 / norms)[:, None]
     return outcomes, post

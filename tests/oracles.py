@@ -13,7 +13,7 @@ import numpy as np
 
 from sqkdlab.adversary import QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
 from sqkdlab.hashing import ToeplitzSpec
-from sqkdlab.qsim import ALICE, ATOL, BOB, is_unitary, standard_gate
+from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate
 
 # Value of the measured qubit in each of the four basis components.
 _COMPONENT_BIT = {
@@ -64,6 +64,12 @@ def measure_z(state, target: str, rng: np.random.Generator) -> MeasurementRecord
     if norm <= ATOL:
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
     return MeasurementRecord(outcome, post / norm)
+
+
+def prepare(op_key) -> np.ndarray:
+    """``protocol.alice_prepare`` the direct way: a fresh Bell batch, H on Alice's qubit where the op bit is 1."""
+    op_key = np.asarray(op_key)
+    return apply_gate_batch(bell_batch(len(op_key)), standard_gate("H"), ALICE, where=op_key == 1)
 
 
 def tap_quantum(strategy: AdversaryStrategy, state, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack, search_attacks
@@ -29,6 +29,8 @@ from sqkdlab.protocol import (
     run_session,
 )
 from sqkdlab.qsim import bell_phi_plus
+
+from oracles import prepare
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -82,7 +84,7 @@ def test_master_keys_reject_a_short_hash_key():
     keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS)
     with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127"):
         keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
-    with pytest.raises(ValueError, match="^l_key"):
+    with pytest.raises(ValueError, match=rf"^l_key: must be >= {MIN_HASH_KEY_BITS}, got 127$"):
         generate_master_keys(2, l_key=MIN_HASH_KEY_BITS - 1, rng=np.random.default_rng(0))
 
 
@@ -99,6 +101,24 @@ def test_alice_prepare_states():
     assert np.allclose(states[2], [0.5, 0.5, 0.5, -0.5], rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 600), st.sampled_from(["random", "zeros", "ones", "one"]), st.integers(0, 2**32 - 1))
+def test_alice_prepare_is_byte_equal_to_the_batch_gate(n, pattern, seed):
+    rng = np.random.default_rng(seed)
+    op_key = {
+        "random": random_bits(rng, 2 * n),
+        "zeros": np.zeros(2 * n, dtype=np.uint8),
+        "ones": np.ones(2 * n, dtype=np.uint8),
+        "one": (np.arange(2 * n) == rng.integers(2 * n)).astype(np.uint8),
+    }[pattern]
+    keys = MasterKeys(op_key, random_bits(rng, 2 * n), random_bits(rng, MIN_HASH_KEY_BITS))
+    states = alice_prepare(keys, n)
+    expected = prepare(op_key)
+    assert states.dtype == expected.dtype and states.shape == expected.shape
+    assert states.tobytes() == expected.tobytes()
+    assert states.flags.writeable
+
+
 def test_alice_prepare_requires_matching_sizes():
     with pytest.raises(ValueError, match="sized"):
         alice_prepare(keys_for("00", "00"), 3)
@@ -109,6 +129,20 @@ def test_bob_rejects_wrong_qubit_count():
     states = alice_prepare(keys, 2)
     with pytest.raises(ProtocolError, match="expected 4"):
         bob_receive_measure(keys, states[:3], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 0)])
+def test_non_finite_delivery_raises_before_any_draw(bad):
+    keys = keys_for("0110", "0000")
+    delivered = alice_prepare(keys, 2)
+    delivered[1, 3] = bad
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    # Bob's gate turns an infinite amplitude into NaNs (inf * 0) with a
+    # RuntimeWarning; silenced here, the measurement must still reject it.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not normalized"):
+        bob_receive_measure(keys, delivered, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_bob_emits_done_notice_and_alice_agrees():
@@ -472,16 +506,21 @@ def test_count_sessions_equals_a_loop_over_run_session():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="n must"):
+    with pytest.raises(ValueError, match=r"^n: must be >= 1, got 0$"):
         ProtocolParams(n=0)
-    with pytest.raises(ValueError, match="variant"):
+    with pytest.raises(ValueError, match="^variant:"):
         ProtocolParams(n=1, variant="other")
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match="^tau:"):
         ProtocolParams(n=1, tau=1.0)
-    with pytest.raises(ValueError, match="hash_out_len"):
+    with pytest.raises(ValueError, match="^hash_out_len:"):
         ProtocolParams(n=1, hash_out_len=0)
-    with pytest.raises(ValueError, match="pa_out_len"):
+    with pytest.raises(ValueError, match="^pa_out_len:"):
         ProtocolParams(n=1, pa_out_len=0)
+
+
+def test_master_key_count_error_names_the_field():
+    with pytest.raises(ValueError, match=r"^n: must be >= 1, got 0$"):
+        generate_master_keys(0, rng=np.random.default_rng(0))
 
 
 PARAM_TYPE_CASES = [

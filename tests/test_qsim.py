@@ -18,7 +18,7 @@ from sqkdlab.qsim import (
     standard_gate,
 )
 
-from oracles import apply_gate, born_probability_zero, measure_z
+from oracles import apply_gate, born_probability_zero, measure_z, prepare
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -167,6 +167,18 @@ def test_measure_rejects_unnormalized_state():
     states = np.array([bell_phi_plus(), [1.0, 1.0, 0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="normalized"):
         measure_z_batch(states, ALICE, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("target", [ALICE, BOB])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_measure_rejects_non_finite_states_before_any_draw(target, bad):
+    states = bell_batch(3)
+    states[1, 0] = bad
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="state is not normalized"):
+        measure_z_batch(states, target, rng)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("gate_name", ["I", "H"])
@@ -328,3 +340,21 @@ def test_measure_z_batch_equals_reduction_formula(seed, target, count, sparse):
     assert outcomes.dtype == np.uint8
     assert np.array_equal(outcomes, expected_outcomes)
     assert np.array_equal(post, expected_post)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ALICE, BOB]), st.integers(1, 70))
+def test_collapse_is_byte_equal_to_complex_division(seed, target, count):
+    # The collapse multiplies by 1 / norm; complex division by norm + 0j
+    # gives the same bytes wherever no kept part is -0.0.  The states the
+    # session measures (prepared pairs, a tapped gate, Bob's H) are among them.
+    rng = np.random.default_rng(seed)
+    tapped = [apply_gate_batch(prepare([0, 1]), standard_gate(name), BOB) for name in GATE_NAMES]
+    session_like = np.concatenate(tapped + [apply_gate_batch(rows, standard_gate("H"), BOB) for rows in tapped])
+    states = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    for batch in (states, session_like[rng.integers(len(session_like), size=count)]):
+        draw = int(rng.integers(2**32))
+        _, expected_post = measure_z_batch_by_reduction(batch, target, np.random.default_rng(draw))
+        _, post = measure_z_batch(batch, target, np.random.default_rng(draw))
+        assert post.tobytes() == expected_post.tobytes()
