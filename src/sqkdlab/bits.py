@@ -26,8 +26,26 @@ def as_bits(value) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+# A 0-d uint8 shift count keeps the shift in uint8 without the slower
+# promotion step a Python int operand takes.
+_TOP_BIT_SHIFT = np.array(7, dtype=np.uint8)
+
+
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent uniform bits."""
+    """n independent uniform bits: ``rng.integers(0, 2, n, uint8)``, bit for
+    bit, and leaving the stream where that call leaves it.
+
+    ``integers`` takes output bit i from the top bit of byte i of successive
+    little-endian ``next_uint32`` words, and PCG64 serves those from the low
+    and then the high half of one 64-bit word.  So when n is a multiple of
+    8 and no half-word is buffered, the top bits of the bytes of n // 8 raw
+    words are the same bits and consume the same words.  Any other count or
+    bit generator goes through ``integers``.
+    """
+    bit_generator = rng.bit_generator
+    if n % 8 == 0 and type(bit_generator) is np.random.PCG64 and not bit_generator.state["has_uint32"]:
+        raw_bytes = bit_generator.random_raw(n // 8).astype("<u8", copy=False).view(np.uint8)
+        return np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 

@@ -27,11 +27,14 @@ from .adversary import (
 )
 from .bits import to01
 from .protocol import (
+    MAX_HASH_OUT_LEN,
+    MAX_N,
     VARIANT_ORIGINAL,
     VARIANTS,
     MasterKeys,
     ProtocolParams,
     SessionOutcome,
+    _check_size,
     _check_trials_and_seed,
     count_sessions,
     partition_measurements,
@@ -84,12 +87,13 @@ class RunConfig:
                 raise ValueError(f"{name}: must be an integer, got {value!r}")
         if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
             raise ValueError(f"tau: must be a real number, got {self.tau!r}")
-        if self.n < 1:
-            raise ValueError(f"n: must be >= 1, got {self.n}")
+        # n and hash_bits are capped (protocol.MAX_N, MAX_HASH_OUT_LEN) by
+        # what they allocate per session; trials and pa_bits allocate
+        # nothing that grows with them, so they are not.
+        _check_size("n", self.n, MAX_N)
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
-        if self.hash_bits < 1:
-            raise ValueError(f"hash_bits: must be >= 1, got {self.hash_bits}")
+        _check_size("hash_bits", self.hash_bits, MAX_HASH_OUT_LEN)
         if self.pa_bits is not None and self.pa_bits < 1:
             raise ValueError(f"pa_bits: must be >= 1 or auto, got {self.pa_bits}")
         if self.output_format not in OUTPUT_FORMATS:

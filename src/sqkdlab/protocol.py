@@ -32,7 +32,7 @@ import numpy as np
 
 from .bits import as_bits, random_bits, to01
 from .hashing import MIN_HASH_KEY_BITS, _checked_hash_key, _digest_keys, _expand, _toeplitz_product
-from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_z_batch, standard_gate
+from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_qubits_z, measure_z_split, standard_gate
 
 VARIANT_ORIGINAL = "original"
 VARIANT_IMPROVED = "improved"
@@ -43,6 +43,15 @@ DONE_NOTICE = "measurements-complete"
 DEFAULT_HASH_KEY_BITS = MIN_HASH_KEY_BITS
 PA_SEED_BITS = 128
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
+# Size caps, checked before anything is allocated.  A session holds 2n pair
+# states of 64 bytes each, so MAX_N = 2**20 caps that array at 128 MiB.  The
+# improved variant expands the hash key to about n + 2 * hash_out_len bits,
+# one byte each, so MAX_HASH_OUT_LEN = 2**16 adds at most 128 KiB to it.  A
+# run's trial count and the PA output length allocate nothing that grows
+# with them (sessions run one at a time; a PA output longer than the raw
+# key aborts), so they have no cap.
+MAX_N = 2**20
+MAX_HASH_OUT_LEN = 2**16
 
 _HADAMARD = standard_gate("H")
 _HADAMARD.flags.writeable = False
@@ -58,6 +67,14 @@ _PREPARED_ROWS.flags.writeable = False
 # serves both directions without letting a digest be replayed across them.
 DIRECTION_EVEN = 0  # Alice -> Bob announcements (even halves)
 DIRECTION_ODD = 1  # Bob -> Alice announcements (odd halves)
+
+
+def _check_size(name: str, value: int, cap: int) -> None:
+    """Reject a size below 1 or above its cap with an error naming the field."""
+    if value < 1:
+        raise ValueError(f"{name}: must be >= 1, got {value}")
+    if value > cap:
+        raise ValueError(f"{name}: must be <= {cap}, got {value}")
 
 
 class ProtocolError(Exception):
@@ -82,12 +99,23 @@ class MasterKeys:
         object.__setattr__(self, "op_key", as_bits(self.op_key))
         object.__setattr__(self, "partition_key", as_bits(self.partition_key))
         object.__setattr__(self, "hash_key", as_bits(self.hash_key))
-        if len(self.op_key) != len(self.partition_key):
-            raise ValueError("op_key and partition_key must have equal length")
-        if len(self.op_key) == 0 or len(self.op_key) % 2:
-            raise ValueError("master keys must have positive even length (2n bits)")
+        size = len(self.op_key)
+        if size == 0 or size % 2:
+            raise ValueError(f"op_key: must have positive even length (2n bits), got {size}")
+        if len(self.partition_key) != size:
+            got = len(self.partition_key)
+            raise ValueError(f"partition_key: must have equal length to op_key ({size} bits), got {got}")
         if len(self.hash_key) < MIN_HASH_KEY_BITS:
             raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(self.hash_key)}")
+
+    @classmethod
+    def _drawn(cls, op_key: np.ndarray, partition_key: np.ndarray, hash_key: np.ndarray) -> "MasterKeys":
+        """Keys from fresh, correctly sized uint8 0/1 arrays, stored as they are, without the checks."""
+        keys = object.__new__(cls)
+        object.__setattr__(keys, "op_key", op_key)
+        object.__setattr__(keys, "partition_key", partition_key)
+        object.__setattr__(keys, "hash_key", hash_key)
+        return keys
 
 
 @dataclass(frozen=True)
@@ -116,14 +144,12 @@ class ProtocolParams:
                 raise ValueError(f"{name}: must be an integer, got {value!r}")
         if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
             raise ValueError(f"tau: must be a real number, got {self.tau!r}")
-        if self.n < 1:
-            raise ValueError(f"n: must be >= 1, got {self.n}")
+        _check_size("n", self.n, MAX_N)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
-        if self.hash_out_len < 1:
-            raise ValueError(f"hash_out_len: must be >= 1, got {self.hash_out_len}")
+        _check_size("hash_out_len", self.hash_out_len, MAX_HASH_OUT_LEN)
         if self.pa_out_len is not None and self.pa_out_len < 1:
             raise ValueError(f"pa_out_len: must be >= 1 (or None for auto), got {self.pa_out_len}")
 
@@ -248,8 +274,7 @@ def generate_master_keys(
     balanced_k2 forces exactly n raw and n check positions instead of
     sampling the partition key uniformly.
     """
-    if n < 1:
-        raise ValueError(f"n: must be >= 1, got {n}")
+    _check_size("n", n, MAX_N)
     if l_key < MIN_HASH_KEY_BITS:
         raise ValueError(f"l_key: must be >= {MIN_HASH_KEY_BITS}, got {l_key}")
     if rng is None:
@@ -261,7 +286,8 @@ def generate_master_keys(
     else:
         partition_key = random_bits(rng, 2 * n)
     hash_key = random_bits(rng, l_key)
-    return MasterKeys(op_key, partition_key, hash_key)
+    # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
+    return MasterKeys._drawn(op_key, partition_key, hash_key)
 
 
 def alice_prepare(keys: MasterKeys, n: int) -> np.ndarray:
@@ -281,25 +307,35 @@ def bob_receive_measure(keys: MasterKeys, delivered, rng: np.random.Generator):
     """Bob's turn: mirror Alice's I/H choice on each received qubit, Z-measure
     them all, and emit a done notice on the classical channel.
 
-    Returns ``(bob_bits, post_states, DONE_NOTICE)``.  A wrong qubit count is
-    a protocol error.
+    Returns ``(bob_bits, alice_qubits, DONE_NOTICE)``.  Bob's measurement
+    leaves every pair a product state, so ``alice_qubits`` is the (2n, 2)
+    stack of Alice's retained qubits (``qsim.measure_z_split``).
+
+    A delivery is decided here, once.  A wrong qubit count is something an
+    adversary can cause (by dropping qubits), so it is a ProtocolError and
+    the session aborts, detected by Bob.  A NaN or infinite amplitude is not
+    a state any channel can deliver, only a fault in the tap that produced
+    it, so it raises ValueError (``state is not normalized``) before Bob's
+    gate and before any draw, as an unnormalized delivery does at the
+    measurement.
     """
     delivered = np.asarray(delivered, dtype=complex)
     expected = len(keys.op_key)
     if delivered.ndim != 2 or delivered.shape != (expected, 4):
         got = delivered.shape[0] if delivered.ndim == 2 else "malformed"
         raise ProtocolError(f"expected {expected} delivered qubits, got {got}")
+    if not np.isfinite(delivered).all():
+        raise ValueError("delivered state is not normalized: it holds a NaN or infinite amplitude")
     states = apply_gate_batch(delivered, _HADAMARD, BOB, where=keys.op_key == 1)
-    outcomes, states = measure_z_batch(states, BOB, rng)
-    return outcomes, states, DONE_NOTICE
+    outcomes, alice_qubits = measure_z_split(states, BOB, rng)
+    return outcomes, alice_qubits, DONE_NOTICE
 
 
-def alice_measure(retained, rng: np.random.Generator):
-    """Alice's turn (after Bob's done notice): Z-measure her halves.
-
-    Returns ``(alice_bits, post_states)``.
-    """
-    return measure_z_batch(np.asarray(retained, dtype=complex), ALICE, rng)
+def alice_measure(alice_qubits, rng: np.random.Generator) -> np.ndarray:
+    """Alice's turn (after Bob's done notice): Z-measure her retained qubits,
+    the (2n, 2) stack ``bob_receive_measure`` returns, and return her bits.
+    Nothing reads her post-measurement states, so none are built."""
+    return measure_qubits_z(alice_qubits, rng)
 
 
 def partition_measurements(measured, partition_key) -> Partition:
@@ -444,7 +480,7 @@ def run_session(
     if adversary is not None:
         pairs = adversary.tap_quantum_batch(pairs, rng)
     try:
-        bob_bits, pairs, notice = bob_receive_measure(keys, pairs, rng)
+        bob_bits, alice_qubits, notice = bob_receive_measure(keys, pairs, rng)
     except ProtocolError as err:
         # Bob is the party that notices a malformed delivery; nothing was
         # measured, announced or compared.
@@ -465,7 +501,7 @@ def run_session(
             pa_seed=None,
         )
     assert notice == DONE_NOTICE  # Alice waits for Bob before measuring
-    alice_bits, pairs = alice_measure(pairs, rng)
+    alice_bits = alice_measure(alice_qubits, rng)
 
     # Both parties hold the same partition key, so one pass finds the indices.
     raw_indices = np.flatnonzero(keys.partition_key == 0)

@@ -11,8 +11,13 @@ and the batch forms are asserted equal to looping them.
 
 Gates are plain 2x2 complex unitaries and measurement follows the Born rule
 with explicit collapse: the components the outcome rules out are set to
-zero and the rest are scaled by the reciprocal of their norm.  All
-arithmetic is double precision with 1e-12 tolerances: the gate set used
+zero and the rest are scaled by the reciprocal of their norm.  A measured
+pair is a product state, the measured basis state times one qubit, so
+``measure_z_split`` returns only that qubit as an (n, 2) stack and
+``measure_qubits_z`` measures such a stack.  This is exact: the dropped
+components add exact zeros to every sum that reads them, and
+``measure_z_batch`` writes the same qubit back into a zeroed (n, 4) array.
+All arithmetic is double precision with 1e-12 tolerances: the gate set used
 here only has entries in {0, ±1, ±1/√2}, so rounding error stays near
 machine epsilon.  Global phase is never normalized away; comparisons that
 need it are made up to phase by callers.
@@ -49,9 +54,6 @@ _COMPONENT_BIT = {
 }
 # The two components where the measured qubit reads 0.
 _ZERO_COMPONENTS = {target: tuple(np.flatnonzero(bits == 0).tolist()) for target, bits in _COMPONENT_BIT.items()}
-# Row ``outcome`` marks the components a measurement with that outcome
-# keeps; the other two collapse to zero.
-_KEPT_BY_OUTCOME = {target: np.array([bits == 0, bits == 1]) for target, bits in _COMPONENT_BIT.items()}
 
 # Lifted, transposed 4x4 operators of gates already checked for unitarity,
 # keyed by (target, shape, gate bytes).  Only unitary gates are stored, so a
@@ -135,28 +137,35 @@ def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     return product
 
 
-def measure_z_batch(states, target: str, rng: np.random.Generator):
-    """Z-measure the chosen qubit of every pair: draw each outcome by the
-    Born rule and collapse to the renormalized projection.
+def measure_z_split(states, target: str, rng: np.random.Generator):
+    """Z-measure the chosen qubit of every pair and return the other qubit.
 
-    Returns ``(outcomes, collapsed)`` with outcomes uint8 of shape (n,) and
-    collapsed states (n, 4); components inconsistent with an outcome are
-    exactly zero.  Consumes exactly n uniform draws, one per pair in row
-    order, so the outcomes are a fixed function of the rng stream state.
-    A state that is not normalized, or holds a NaN or infinite amplitude,
-    is rejected before any draw.
+    Draws each outcome by the Born rule and collapses: after the
+    measurement a pair is the product of the measured basis state and one
+    qubit, so the collapse is that qubit's two amplitudes (those the
+    outcome keeps, ordered by the other qubit's bit) scaled by the
+    reciprocal of their norm.  Returns ``(outcomes, rest)`` with outcomes
+    uint8 of shape (n,) and ``rest`` the (n, 2) states of the unmeasured
+    qubits.  Consumes exactly n uniform draws, one per pair in row order,
+    so the outcomes are a fixed function of the rng stream state.  A state
+    that is not normalized, or holds a NaN or infinite amplitude, is
+    rejected before any draw.
 
-    The collapse divides by the norm as a multiply by ``1 / norm`` on the
-    real and imaginary parts, which is how numpy divides a complex number
-    by ``norm + 0j``.  The two agree bit for bit, except that complex
-    division can turn a kept ``-0.0`` part into ``+0.0``, depending on the
-    sign of the amplitude's other part; no probability or outcome reads
-    the sign of a zero.
+    The norm is ``sqrt(sq[k0] + sq[k1])`` over the kept indices k0 < k1,
+    with ``sq = (x.conj() * x).real``: the norm of the zero-padded
+    projection with its two exact +0.0 terms left out, so bit for bit the
+    same number.  The scaling multiplies the real and imaginary parts by
+    ``1 / norm``, which is how numpy divides a complex number by
+    ``norm + 0j``; the two agree bit for bit, except that complex division
+    can turn a kept ``-0.0`` part into ``+0.0``, depending on the sign of
+    the amplitude's other part.  No probability or outcome reads the sign
+    of a zero.
     """
     _require_target(target)
     states = np.asarray(states, dtype=complex)
+    count = states.shape[0]
     # Explicit column sums, added in the order sum(axis=1) adds a length-4
-    # row, so every probability and norm is bit-identical to that reduction.
+    # row, so every probability is bit-identical to that reduction.
     weights = (np.abs(states) ** 2).T
     total = weights[0] + weights[1] + weights[2] + weights[3]
     # Written so that a NaN total fails the check too.
@@ -164,16 +173,64 @@ def measure_z_batch(states, target: str, rng: np.random.Generator):
         raise ValueError("state is not normalized")
     zero_a, zero_b = _ZERO_COMPONENTS[target]
     p_zero = weights[zero_a] + weights[zero_b]
-    outcomes = (rng.random(states.shape[0]) >= p_zero).astype(np.uint8)
-    # take() gathers the (n, 4) mask several times faster than fancy
-    # indexing or a broadcast comparison would build it.
-    post = np.where(_KEPT_BY_OUTCOME[target].take(outcomes, axis=0), states, 0.0)
-    # np.linalg.norm(post, axis=1), written out: sqrt of the summed (x.conj() * x).real.
-    squares = (post.conj() * post).real.T
-    norms = np.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
+    outcomes = (rng.random(count) >= p_zero).astype(np.uint8)
+    # Indexed [row, Alice's bit, Bob's bit]: the outcome picks one column
+    # (Bob measured) or one row (Alice measured) of each pair's 2x2 block.
+    # The 0/1 outcomes viewed as booleans are the condition, with no compare.
+    blocks = states.reshape(count, 2, 2)
+    read_one = outcomes.view(bool)[:, None]
+    if target == BOB:
+        rest = np.where(read_one, blocks[:, :, 1], blocks[:, :, 0])
+    else:
+        rest = np.where(read_one, blocks[:, 1, :], blocks[:, 0, :])
+    squares = (rest.conj() * rest).real
+    norms = np.sqrt(squares[:, 0] + squares[:, 1])
     if (norms <= ATOL).any():
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    # post /= norms[:, None], without the complex division loop.
-    parts = post.view(np.float64).reshape(len(post), 8)
+    # rest /= norms[:, None], without the complex division loop.
+    parts = rest.view(np.float64).reshape(count, 4)
     parts *= (1.0 / norms)[:, None]
-    return outcomes, post
+    return outcomes, rest
+
+
+def measure_z_batch(states, target: str, rng: np.random.Generator):
+    """Z-measure the chosen qubit of every pair: draw each outcome by the
+    Born rule and collapse to the renormalized projection.
+
+    Returns ``(outcomes, collapsed)`` with outcomes uint8 of shape (n,) and
+    collapsed states (n, 4); components inconsistent with an outcome are
+    exactly zero.  This is ``measure_z_split`` with the unmeasured qubit
+    written back into the kept components, so it draws, checks and rounds
+    exactly as that does.
+    """
+    outcomes, rest = measure_z_split(states, target, rng)
+    count = len(outcomes)
+    collapsed = np.zeros((count, 2, 2), dtype=complex)
+    rows = np.arange(count)
+    if target == BOB:
+        collapsed[rows, :, outcomes] = rest
+    else:
+        collapsed[rows, outcomes, :] = rest
+    return outcomes, collapsed.reshape(count, 4)
+
+
+def measure_qubits_z(qubits, rng: np.random.Generator) -> np.ndarray:
+    """Z-measure a stack of single qubits, one Born draw per row.
+
+    ``qubits`` is an (m, 2) array of amplitudes (|0>, |1>).  Returns the
+    uint8 outcomes; the post-measurement states are the basis states the
+    outcomes name, so none are built.  Consumes exactly m uniform draws in
+    row order.  A qubit that is not normalized, or holds a NaN or infinite
+    amplitude, is rejected before any draw.
+
+    On the ``rest`` of ``measure_z_split`` this draws what measuring the
+    collapsed pair would: the pair's probability of outcome 0 adds one
+    kept weight and one exact +0.0, so it equals ``abs(q0) ** 2``.
+    """
+    qubits = np.asarray(qubits, dtype=complex)
+    if qubits.ndim != 2 or qubits.shape[1] != 2:
+        raise ValueError(f"qubits must be an (m, 2) array, got shape {qubits.shape}")
+    weights = (np.abs(qubits) ** 2).T
+    if not (np.abs(weights[0] + weights[1] - 1.0) <= 1e-9).all():
+        raise ValueError("state is not normalized")
+    return (rng.random(qubits.shape[0]) >= weights[0]).astype(np.uint8)

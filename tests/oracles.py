@@ -20,6 +20,8 @@ _COMPONENT_BIT = {
     ALICE: np.array([0, 0, 1, 1], dtype=np.uint8),
     BOB: np.array([0, 1, 0, 1], dtype=np.uint8),
 }
+# Row ``outcome`` marks the components a measurement with that outcome keeps.
+_KEPT_BY_OUTCOME = {target: np.array([bits == 0, bits == 1]) for target, bits in _COMPONENT_BIT.items()}
 
 
 class MeasurementRecord(NamedTuple):
@@ -64,6 +66,37 @@ def measure_z(state, target: str, rng: np.random.Generator) -> MeasurementRecord
     if norm <= ATOL:
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
     return MeasurementRecord(outcome, post / norm)
+
+
+def measure_z_collapse(states, target: str, rng: np.random.Generator):
+    """``qsim.measure_z_batch`` over all four amplitudes: zero the components
+    the outcome rules out, then scale the whole row by 1 / its four-term norm."""
+    _require_target(target)
+    states = np.asarray(states, dtype=complex)
+    weights = (np.abs(states) ** 2).T
+    total = weights[0] + weights[1] + weights[2] + weights[3]
+    if not (np.abs(total - 1.0) <= 1e-9).all():
+        raise ValueError("state is not normalized")
+    zero_a, zero_b = np.flatnonzero(_COMPONENT_BIT[target] == 0)
+    outcomes = (rng.random(states.shape[0]) >= weights[zero_a] + weights[zero_b]).astype(np.uint8)
+    post = np.where(_KEPT_BY_OUTCOME[target].take(outcomes, axis=0), states, 0.0)
+    squares = (post.conj() * post).real.T
+    norms = np.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
+    if (norms <= ATOL).any():
+        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
+    parts = post.view(np.float64).reshape(len(post), 8)
+    parts *= (1.0 / norms)[:, None]
+    return outcomes, post
+
+
+def measure_session(op_key, delivered, rng: np.random.Generator):
+    """Bob's and then Alice's measurement of a session, on whole pair states:
+    Bob's H where the op bit is 1, a four-term collapse of Bob's qubit, then
+    one of Alice's.  Returns ``(bob_bits, alice_bits)``."""
+    states = apply_gate_batch(delivered, standard_gate("H"), BOB, where=np.asarray(op_key) == 1)
+    bob_bits, states = measure_z_collapse(states, BOB, rng)
+    alice_bits, _ = measure_z_collapse(states, ALICE, rng)
+    return bob_bits, alice_bits
 
 
 def prepare(op_key) -> np.ndarray:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkdlab.bits import as_bits, flip, random_bits, to01
@@ -28,6 +28,31 @@ def test_random_bits_reproducible():
     b = random_bits(np.random.default_rng(9), 64)
     assert np.array_equal(a, b)
     assert a.shape == (64,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2100),
+    st.integers(0, 40),
+    st.integers(0, 2),
+    st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
+    st.integers(0, 2**32 - 1),
+)
+def test_random_bits_equals_integers(count, bits_before, doubles_before, bit_generator, seed):
+    # The same bits as Generator.integers and the same stream afterwards,
+    # whichever path random_bits takes: an odd count of bits drawn before
+    # leaves a PCG64 half-word buffered, doubles do not.
+    ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for rng in (ours, reference):
+        rng.integers(0, 2, size=bits_before, dtype=np.uint8)
+        rng.random(doubles_before)
+    got = random_bits(ours, count)
+    expected = reference.integers(0, 2, size=count, dtype=np.uint8)
+    assert got.dtype == np.uint8 and got.shape == (count,)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(random_bits(ours, 13), reference.integers(0, 2, size=13, dtype=np.uint8))
+    assert np.array_equal(ours.random(3), reference.random(3))
+    assert np.array_equal(random_bits(ours, 64), reference.integers(0, 2, size=64, dtype=np.uint8))
 
 
 @given(st.lists(st.integers(0, 1), max_size=100))

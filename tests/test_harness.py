@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqkdlab.cli import main
 from sqkdlab.harness import (
@@ -22,6 +25,7 @@ from sqkdlab.harness import (
     run_search,
     trial_seed,
 )
+from sqkdlab.protocol import MAX_HASH_OUT_LEN, MAX_N, VARIANTS, run_session
 
 
 def drop_wall_time(report: AggregateReport) -> dict:
@@ -60,6 +64,9 @@ def drop_wall_time(report: AggregateReport) -> dict:
         ({"tau": False}, "tau"),
         ({"tau": 0.1j}, "tau"),
         ({"custom_strategy": {"quantum": "none"}}, "custom_strategy"),
+        ({"n": MAX_N + 1}, "n"),
+        ({"n": 10**9}, "n"),
+        ({"hash_bits": MAX_HASH_OUT_LEN + 1}, "hash_bits"),
     ],
 )
 def test_config_validation_names_the_field(overrides, field):
@@ -70,6 +77,12 @@ def test_config_validation_names_the_field(overrides, field):
 
 def test_config_accepts_integral_tau():
     RunConfig(tau=0).validate()
+
+
+def test_config_caps_only_what_allocates():
+    # n and hash_bits size per-session arrays and are capped; trials and
+    # pa_bits size nothing that grows with them and are not.
+    RunConfig(n=MAX_N, hash_bits=MAX_HASH_OUT_LEN, trials=10**12, pa_bits=10**12).validate()
 
 
 def test_trial_seed_derivation_is_stable():
@@ -326,8 +339,89 @@ def test_cli_rejects_strategy_file_without_custom_attack(tmp_path, capsys):
     assert "custom_strategy" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--n", str(10**9)], "n"),
+        (["run", "--protocol", "improved", "--hash-bits", str(10**12)], "hash_bits"),
+        (["search", "--n", str(10**9)], "n"),
+    ],
+)
+def test_cli_rejects_oversized_inputs_before_allocating(argv, field, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"sqkdlab: error: {field}: must be <= ")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("flag, value", [("--n", "2.5"), ("--trials", "true"), ("--hash-bits", "8.5")])
 def test_cli_rejects_non_integer_flags(flag, value):
     with pytest.raises(SystemExit) as err:
         main(["run", flag, value])
     assert err.value.code == 1
+
+
+# -- report invariants over random configs ------------------------------------------
+
+RATE_FIELDS = ("detection_rate", "abort_rate", "key_match_rate", "raw_key_complement_rate", "mean_check_error_rate")
+
+
+CUSTOM_STRATEGIES = st.fixed_dictionaries(
+    {
+        "quantum": st.sampled_from(
+            ["none", "intercept_resend_z"] + [f"gate_all:{g}" for g in ("i", "x", "y", "z", "h", "spin_flip")]
+        ),
+        "classical": st.sampled_from(["none", "flip_all"]),
+    }
+)
+
+
+@st.composite
+def small_configs(draw) -> RunConfig:
+    attack = draw(st.sampled_from(["none", "modification", "intercept-resend", "custom"]))
+    return RunConfig(
+        protocol=draw(st.sampled_from(VARIANTS)),
+        attack=attack,
+        custom_strategy=draw(CUSTOM_STRATEGIES) if attack == "custom" else None,
+        n=draw(st.integers(1, 6)),
+        trials=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        tau=draw(st.sampled_from([0.0, 0.25, 0.5, 0.99])),
+        hash_bits=draw(st.integers(1, 16)),
+        pa_bits=draw(st.none() | st.integers(1, 8)),
+        balanced_k2=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs())
+def test_report_invariants_over_random_configs(config):
+    report = run_batch(config)
+    for name in RATE_FIELDS:
+        assert 0.0 <= getattr(report, name) <= 1.0, name
+    assert 0 <= report.vacuous_check_sessions <= config.trials
+
+    # Replay the batch's sessions to see what the rates cannot show.
+    params, strategy = config.to_params(), config.resolve_strategy()
+    outcomes = [
+        run_session(params, strategy, seed=trial_seed(config.seed, t), balanced_k2=config.balanced_k2)
+        for t in range(config.trials)
+    ]
+    empty_raw = sum(len(out.alice_raw_key) == 0 for out in outcomes)
+    pa_aborts = sum(out.abort_reason == "pa-output-exceeds-raw-key" for out in outcomes)
+    matched = round(report.key_match_rate * config.trials)
+    complemented = round(report.raw_key_complement_rate * config.trials)
+    # Empty raw keys both match and complement; any other session does at most one.
+    assert empty_raw <= min(matched, complemented)
+    assert matched + complemented <= config.trials + empty_raw
+    # Every detection aborts; only a PA abort can be counted apart from the check.
+    assert report.detection_rate <= report.abort_rate
+    if pa_aborts == 0:
+        assert report.detection_rate == report.abort_rate
+
+    assert drop_wall_time(run_batch(config)) == drop_wall_time(report)

@@ -12,6 +12,8 @@ from sqkdlab.bits import as_bits, flip, random_bits, to01
 from sqkdlab.hashing import MIN_HASH_KEY_BITS, derive_hash_spec, privacy_amplify, toeplitz_hash
 from sqkdlab.protocol import (
     DONE_NOTICE,
+    MAX_HASH_OUT_LEN,
+    MAX_N,
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
     MasterKeys,
@@ -30,7 +32,7 @@ from sqkdlab.protocol import (
 )
 from sqkdlab.qsim import bell_phi_plus
 
-from oracles import prepare
+from oracles import measure_session, prepare
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -72,10 +74,31 @@ def test_partition_key_bits_are_uniform():
 
 
 def test_master_keys_validation():
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ValueError, match=r"^partition_key: must have equal length to op_key \(2 bits\), got 4$"):
         keys_for("00", "0000")
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match=r"^op_key: must have positive even length \(2n bits\), got 3$"):
         keys_for("000", "000")
+    with pytest.raises(ValueError, match=r"^op_key: must have positive even length \(2n bits\), got 0$"):
+        keys_for("", "")
+
+
+def test_size_caps_name_the_field_before_anything_is_drawn():
+    # Constructing params allocates nothing, so the caps are tested at and
+    # just past their bounds without building a state.
+    ProtocolParams(n=MAX_N, hash_out_len=MAX_HASH_OUT_LEN)
+    with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {MAX_N + 1}$"):
+        ProtocolParams(n=MAX_N + 1)
+    with pytest.raises(ValueError, match=rf"^hash_out_len: must be <= {MAX_HASH_OUT_LEN}, got {10**12}$"):
+        ProtocolParams(n=1, hash_out_len=10**12)
+    with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
+        search_attacks("original", trials=1, n=10**9)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
+        generate_master_keys(10**9, rng=rng)
+    assert rng.bit_generator.state == before
+    # The cap's arithmetic: 2n pair states of four complex128 amplitudes.
+    assert 2 * MAX_N * 4 * np.dtype(complex).itemsize == 128 * 2**20
 
 
 def test_master_keys_reject_a_short_hash_key():
@@ -138,19 +161,43 @@ def test_non_finite_delivery_raises_before_any_draw(bad):
     delivered[1, 3] = bad
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
-    # Bob's gate turns an infinite amplitude into NaNs (inf * 0) with a
-    # RuntimeWarning; silenced here, the measurement must still reject it.
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not normalized"):
+    # Rejected before Bob's gate, which would turn an infinite amplitude
+    # into NaNs (inf * 0) with a RuntimeWarning (an error in this suite).
+    with pytest.raises(ValueError, match="not normalized"):
         bob_receive_measure(keys, delivered, rng)
     assert rng.bit_generator.state == before
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 350), st.integers(0, 2**32 - 1), st.booleans())
+def test_measurements_equal_collapsing_whole_pairs(n, seed, session_like):
+    # Bob's then Alice's measurement give the bytes that collapsing all four
+    # amplitudes of each pair twice gives, on random normalized deliveries
+    # and on what a tapped session delivers.
+    rng = np.random.default_rng(seed)
+    keys = MasterKeys(random_bits(rng, 2 * n), random_bits(rng, 2 * n), random_bits(rng, MIN_HASH_KEY_BITS))
+    if session_like:
+        gate = AdversaryStrategy("gate_all", str(rng.choice(["I", "X", "Y", "Z", "H", "SPIN_FLIP"])))
+        delivered = gate.tap_quantum_batch(alice_prepare(keys, n), rng)
+    else:
+        delivered = rng.normal(size=(2 * n, 4)) + 1j * rng.normal(size=(2 * n, 4))
+        delivered /= np.linalg.norm(delivered, axis=1)[:, None]
+    draw = int(rng.integers(2**32))
+    expected_bob, expected_alice = measure_session(keys.op_key, delivered, np.random.default_rng(draw))
+    session_rng = np.random.default_rng(draw)
+    bob_bits, alice_qubits, _ = bob_receive_measure(keys, delivered, session_rng)
+    alice_bits = alice_measure(alice_qubits, session_rng)
+    assert bob_bits.tobytes() == expected_bob.tobytes()
+    assert alice_bits.tobytes() == expected_alice.tobytes()
 
 
 def test_bob_emits_done_notice_and_alice_agrees():
     keys = keys_for("0101", "0000")
     states = alice_prepare(keys, 2)
-    bob_bits, states, notice = bob_receive_measure(keys, states, np.random.default_rng(1))
+    bob_bits, alice_qubits, notice = bob_receive_measure(keys, states, np.random.default_rng(1))
     assert notice == DONE_NOTICE
-    alice_bits, _ = alice_measure(states, np.random.default_rng(2))
+    assert alice_qubits.shape == (4, 2)
+    alice_bits = alice_measure(alice_qubits, np.random.default_rng(2))
     assert np.array_equal(alice_bits, bob_bits)
 
 

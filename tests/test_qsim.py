@@ -14,11 +14,13 @@ from sqkdlab.qsim import (
     bell_batch,
     bell_phi_plus,
     is_unitary,
+    measure_qubits_z,
     measure_z_batch,
+    measure_z_split,
     standard_gate,
 )
 
-from oracles import apply_gate, born_probability_zero, measure_z, prepare
+from oracles import apply_gate, born_probability_zero, measure_z, measure_z_collapse, prepare
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -358,3 +360,80 @@ def test_collapse_is_byte_equal_to_complex_division(seed, target, count):
         _, expected_post = measure_z_batch_by_reduction(batch, target, np.random.default_rng(draw))
         _, post = measure_z_batch(batch, target, np.random.default_rng(draw))
         assert post.tobytes() == expected_post.tobytes()
+
+
+def mixed_states(rng, count) -> np.ndarray:
+    """Random normalized rows, some with exact zeros, some the rows a session measures."""
+    states = random_states(rng, count)
+    sparse = rng.random((count, 4)) < 0.4
+    states[sparse] = 0
+    states[:, 0] += np.all(states == 0, axis=1)
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    tapped = [apply_gate_batch(prepare([0, 1]), standard_gate(name), BOB) for name in GATE_NAMES]
+    session_like = np.concatenate(tapped + [apply_gate_batch(rows, standard_gate("H"), BOB) for rows in tapped])
+    pick = rng.random(count) < 0.5
+    states[pick] = session_like[rng.integers(len(session_like), size=int(pick.sum()))]
+    return states
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ALICE, BOB]), st.integers(1, 700))
+def test_split_collapse_is_byte_equal_to_the_four_term_collapse(seed, target, count):
+    rng = np.random.default_rng(seed)
+    states = mixed_states(rng, count)
+    draw = int(rng.integers(2**32))
+    expected_outcomes, expected_post = measure_z_collapse(states, target, np.random.default_rng(draw))
+
+    outcomes, collapsed = measure_z_batch(states, target, np.random.default_rng(draw))
+    assert outcomes.dtype == np.uint8 and np.array_equal(outcomes, expected_outcomes)
+    assert collapsed.shape == (count, 4) and collapsed.tobytes() == expected_post.tobytes()
+
+    split_rng = np.random.default_rng(draw)
+    outcomes, rest = measure_z_split(states, target, split_rng)
+    assert np.array_equal(outcomes, expected_outcomes)
+    # rest is the kept pair of components, ordered by the other qubit's bit.
+    kept = expected_post.reshape(count, 2, 2)
+    rows = np.arange(count)
+    kept = kept[rows, :, outcomes] if target == BOB else kept[rows, outcomes, :]
+    assert rest.shape == (count, 2) and rest.tobytes() == kept.tobytes()
+    assert split_rng.random() == np.random.default_rng(draw).random(count + 1)[-1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ALICE, BOB]), st.integers(1, 700))
+def test_measuring_the_rest_equals_measuring_the_collapsed_pair(seed, target, count):
+    rng = np.random.default_rng(seed)
+    states = mixed_states(rng, count)
+    first, second = int(rng.integers(2**32)), int(rng.integers(2**32))
+    _, collapsed = measure_z_collapse(states, target, np.random.default_rng(first))
+    _, rest = measure_z_split(states, target, np.random.default_rng(first))
+    other = BOB if target == ALICE else ALICE
+    expected, _ = measure_z_collapse(collapsed, other, np.random.default_rng(second))
+    got = measure_qubits_z(rest, np.random.default_rng(second))
+    assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+
+def test_measure_qubits_z_follows_the_born_rule():
+    rng = np.random.default_rng(8)
+    zero, one, plus = [1, 0], [0, 1j], [SQRT_HALF, -SQRT_HALF]
+    assert np.array_equal(measure_qubits_z(np.array([zero, one] * 50), rng), [0, 1] * 50)
+    assert 0.45 < measure_qubits_z(np.array([plus] * 4000), rng).mean() < 0.55
+    assert measure_qubits_z(np.zeros((0, 2)), rng).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "bad", [[1.0, 1.0], [0.5, 0.5], [np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0, np.nan)], [-np.inf, 1.0]]
+)
+def test_measure_qubits_z_rejects_bad_qubits_before_any_draw(bad):
+    qubits = np.array([[1, 0], bad, [0, 1]], dtype=complex)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="state is not normalized"):
+        measure_qubits_z(qubits, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2)])
+def test_measure_qubits_z_needs_a_stack_of_qubits(shape):
+    with pytest.raises(ValueError, match=r"\(m, 2\) array"):
+        measure_qubits_z(np.ones(shape, dtype=complex), np.random.default_rng(0))
