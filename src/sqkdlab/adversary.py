@@ -98,8 +98,11 @@ class AdversaryStrategy:
         unknown = set(description) - {"quantum", "classical"}
         if unknown:
             raise ValueError(f"unknown strategy fields: {sorted(unknown)}")
-        quantum = str(description.get("quantum", QUANTUM_NONE)).lower()
-        classical = str(description.get("classical", CLASSICAL_NONE)).lower()
+        policies = {"quantum": QUANTUM_NONE, "classical": CLASSICAL_NONE, **description}
+        for name, value in policies.items():
+            if not isinstance(value, str):
+                raise ValueError(f"{name}: must be a string, got {value!r}")
+        quantum, classical = policies["quantum"].lower(), policies["classical"].lower()
         gate = None
         if quantum.startswith(QUANTUM_GATE_ALL + ":"):
             quantum, gate = quantum.split(":", 1)
@@ -152,7 +155,7 @@ def search_attacks(
     session runs.
     """
     _check_trials_and_seed(trials, seed)
-    params = ProtocolParams(n=n, variant=variant, tau=tau, hash_out_len=hash_bits)
+    params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=hash_bits)
     strategies = [
         AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
         for g in SEARCH_GATE_NAMES

@@ -121,10 +121,10 @@ def main(argv=None) -> int:
                 if config.output_format == "json"
                 else render_search_csv(results, config)
             )
+        _emit(text, config.output_path)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"sqkdlab: error: {err}", file=sys.stderr)
         return 1
-    _emit(text, config.output_path)
     return 0
 
 

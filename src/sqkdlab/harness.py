@@ -11,7 +11,6 @@ JSON apart from wall_time_ms.
 import csv
 import io
 import json
-import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -27,14 +26,11 @@ from .adversary import (
 )
 from .bits import to01
 from .protocol import (
-    MAX_HASH_OUT_LEN,
-    MAX_N,
     VARIANT_ORIGINAL,
     VARIANTS,
     MasterKeys,
     ProtocolParams,
     SessionOutcome,
-    _check_size,
     _check_trials_and_seed,
     count_sessions,
     partition_measurements,
@@ -52,7 +48,10 @@ OUTPUT_FORMATS = ("json", "csv")
 
 @dataclass
 class RunConfig:
-    """Everything one batch needs; validate() reports the offending field."""
+    """Everything one batch needs; validate() reports the offending field.
+
+    ProtocolParams (through to_params) checks the session values.
+    """
 
     protocol: str = VARIANT_ORIGINAL
     attack: str = ATTACK_NONE
@@ -76,26 +75,8 @@ class RunConfig:
             raise ValueError("custom_strategy: required when attack is 'custom'")
         if self.attack != ATTACK_CUSTOM and self.custom_strategy is not None:
             raise ValueError(f"custom_strategy: only applies when attack is 'custom', got attack {self.attack!r}")
-        # Types before ranges: a bool would pass as 0/1, a float would fail
-        # deep inside numpy; both are rejected here, before any allocation.
         _check_trials_and_seed(self.trials, self.seed)
-        for name in ("n", "hash_bits", "pa_bits"):
-            value = getattr(self, name)
-            if name == "pa_bits" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name}: must be an integer, got {value!r}")
-        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
-            raise ValueError(f"tau: must be a real number, got {self.tau!r}")
-        # n and hash_bits are capped (protocol.MAX_N, MAX_HASH_OUT_LEN) by
-        # what they allocate per session; trials and pa_bits allocate
-        # nothing that grows with them, so they are not.
-        _check_size("n", self.n, MAX_N)
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
-        _check_size("hash_bits", self.hash_bits, MAX_HASH_OUT_LEN)
-        if self.pa_bits is not None and self.pa_bits < 1:
-            raise ValueError(f"pa_bits: must be >= 1 or auto, got {self.pa_bits}")
+        self.to_params()
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output_format: must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
 
@@ -104,8 +85,9 @@ class RunConfig:
             n=self.n,
             variant=self.protocol,
             tau=self.tau,
-            hash_out_len=self.hash_bits,
-            pa_out_len=self.pa_bits,
+            hash_bits=self.hash_bits,
+            pa_bits=self.pa_bits,
+            balanced_k2=self.balanced_k2,
         )
 
     def resolve_strategy(self) -> AdversaryStrategy | None:
@@ -120,17 +102,18 @@ class RunConfig:
     def echo(self) -> dict:
         """Config summary embedded in reports (fixed key order)."""
         strategy = self.resolve_strategy()
+        params = self.to_params()
         return {
             "protocol": self.protocol,
             "attack": self.attack,
             "strategy": None if strategy is None else strategy.describe(),
-            "n": self.n,
+            "n": params.n,
             "trials": self.trials,
             "seed": self.seed,
-            "tau": self.tau,
-            "hash_bits": self.hash_bits,
-            "pa_bits": self.pa_bits,
-            "balanced_k2": self.balanced_k2,
+            "tau": params.tau,
+            "hash_bits": params.hash_bits,
+            "pa_bits": params.pa_bits,
+            "balanced_k2": params.balanced_k2,
         }
 
 
@@ -176,7 +159,7 @@ def run_batch(config: RunConfig) -> AggregateReport:
 
     started = time.perf_counter()
     seeds = (trial_seed(config.seed, trial) for trial in range(config.trials))
-    counts = count_sessions(params, strategy, seeds, balanced_k2=config.balanced_k2)
+    counts = count_sessions(params, strategy, seeds)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     trials = config.trials

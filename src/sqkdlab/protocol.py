@@ -45,13 +45,13 @@ PA_SEED_BITS = 128
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # Size caps, checked before anything is allocated.  A session holds 2n pair
 # states of 64 bytes each, so MAX_N = 2**20 caps that array at 128 MiB.  The
-# improved variant expands the hash key to about n + 2 * hash_out_len bits,
-# one byte each, so MAX_HASH_OUT_LEN = 2**16 adds at most 128 KiB to it.  A
+# improved variant expands the hash key to about n + 2 * hash_bits bits,
+# one byte each, so MAX_HASH_BITS = 2**16 adds at most 128 KiB to it.  A
 # run's trial count and the PA output length allocate nothing that grows
 # with them (sessions run one at a time; a PA output longer than the raw
 # key aborts), so they have no cap.
 MAX_N = 2**20
-MAX_HASH_OUT_LEN = 2**16
+MAX_HASH_BITS = 2**16
 
 _HADAMARD = standard_gate("H")
 _HADAMARD.flags.writeable = False
@@ -69,12 +69,17 @@ DIRECTION_EVEN = 0  # Alice -> Bob announcements (even halves)
 DIRECTION_ODD = 1  # Bob -> Alice announcements (odd halves)
 
 
-def _check_size(name: str, value: int, cap: int) -> None:
-    """Reject a size below 1 or above its cap with an error naming the field."""
-    if value < 1:
-        raise ValueError(f"{name}: must be >= 1, got {value}")
-    if value > cap:
+def _check_size(name: str, value, cap: int | None = None, low: int = 1) -> int:
+    """``value`` as an int, after rejecting a bool (it would pass as 0/1), a
+    non-integer (it would fail deep inside numpy), or a value below ``low``
+    or above ``cap``, with an error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name}: must be >= {low}, got {value}")
+    if cap is not None and value > cap:
         raise ValueError(f"{name}: must be <= {cap}, got {value}")
+    return int(value)
 
 
 class ProtocolError(Exception):
@@ -120,38 +125,38 @@ class MasterKeys:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Session configuration; a run uses 2n pairs.
+    """Session configuration, the one check of every entry point's session
+    values; a run uses 2n pairs.
 
-    pa_out_len None means "auto": half the raw-key length, rounded down.
-    tau only applies to the original variant's bit-wise comparison; the
-    improved variant requires exact digest equality.
+    Integers are any ``numbers.Integral`` but bool, stored as int; tau is
+    any ``numbers.Real`` but bool, stored as float, so every accepted value
+    renders to JSON.  pa_bits None means "auto": half the raw-key length,
+    rounded down.  tau only applies to the original variant's bit-wise
+    comparison.  balanced_k2 forces exactly n raw and n check positions.
     """
 
     n: int
     variant: str = VARIANT_ORIGINAL
     tau: float = 0.0
-    hash_out_len: int = 64
-    pa_out_len: int | None = None
+    hash_bits: int = 64
+    pa_bits: int | None = None
+    balanced_k2: bool = False
 
     def __post_init__(self):
-        # Types before ranges: a bool would pass as 0/1 and a float would
-        # fail deep inside numpy; both are rejected before any allocation.
-        for name in ("n", "hash_out_len", "pa_out_len"):
-            value = getattr(self, name)
-            if name == "pa_out_len" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}: must be an integer, got {value!r}")
-        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
-            raise ValueError(f"tau: must be a real number, got {self.tau!r}")
-        _check_size("n", self.n, MAX_N)
+        object.__setattr__(self, "n", _check_size("n", self.n, MAX_N))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau: must be a real number, got {self.tau!r}")
+        object.__setattr__(self, "tau", float(self.tau))
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
-        _check_size("hash_out_len", self.hash_out_len, MAX_HASH_OUT_LEN)
-        if self.pa_out_len is not None and self.pa_out_len < 1:
-            raise ValueError(f"pa_out_len: must be >= 1 (or None for auto), got {self.pa_out_len}")
+        object.__setattr__(self, "hash_bits", _check_size("hash_bits", self.hash_bits, MAX_HASH_BITS))
+        if self.pa_bits is not None:
+            object.__setattr__(self, "pa_bits", _check_size("pa_bits", self.pa_bits))
+        if not isinstance(self.balanced_k2, (bool, np.bool_)):
+            raise ValueError(f"balanced_k2: must be a bool, got {self.balanced_k2!r}")
+        object.__setattr__(self, "balanced_k2", bool(self.balanced_k2))
 
 
 @dataclass(frozen=True)
@@ -272,11 +277,12 @@ def generate_master_keys(
     """Sample fresh 2n-bit master keys plus an l_key-bit hash key.
 
     balanced_k2 forces exactly n raw and n check positions instead of
-    sampling the partition key uniformly.
+    sampling the partition key uniformly.  n and l_key are checked before
+    any draw; l_key is capped at 2 * MAX_N, the longest op key a session
+    holds.
     """
-    _check_size("n", n, MAX_N)
-    if l_key < MIN_HASH_KEY_BITS:
-        raise ValueError(f"l_key: must be >= {MIN_HASH_KEY_BITS}, got {l_key}")
+    n = _check_size("n", n, MAX_N)
+    l_key = _check_size("l_key", l_key, 2 * MAX_N, low=MIN_HASH_KEY_BITS)
     if rng is None:
         raise ValueError("an rng is required")
     op_key = random_bits(rng, 2 * n)
@@ -453,7 +459,6 @@ def run_session(
     seed=0,
     *,
     keys: MasterKeys | None = None,
-    balanced_k2: bool = False,
 ) -> SessionOutcome:
     """Execute one full session through adversary-tappable channels.
 
@@ -472,9 +477,7 @@ def run_session(
     """
     rng = _as_rng(seed)
     if keys is None:
-        keys = generate_master_keys(params.n, rng=rng, balanced_k2=balanced_k2)
-    elif len(keys.op_key) != 2 * params.n:
-        raise ValueError(f"forced keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
+        keys = generate_master_keys(params.n, rng=rng, balanced_k2=params.balanced_k2)
 
     pairs = alice_prepare(keys, params.n)
     if adversary is not None:
@@ -514,7 +517,7 @@ def run_session(
     if params.variant == VARIANT_ORIGINAL:
         chk = exchange_and_check_original(part_alice, part_bob, params.tau, tap)
     else:
-        chk = exchange_and_check_improved(part_alice, part_bob, keys.hash_key, params.hash_out_len, tap)
+        chk = exchange_and_check_improved(part_alice, part_bob, keys.hash_key, params.hash_bits, tap)
 
     detected_alice = not chk.alice_pass
     detected_bob = not chk.bob_pass
@@ -525,7 +528,7 @@ def run_session(
     if not aborted:
         pa_seed = random_bits(rng, PA_SEED_BITS)
         raw_len = len(part_alice.raw)
-        out_len = raw_len // 2 if params.pa_out_len is None else params.pa_out_len
+        out_len = raw_len // 2 if params.pa_bits is None else params.pa_bits
         if out_len > raw_len:
             # Both parties see the impossible compression request.
             aborted = detected_alice = detected_bob = True
@@ -569,7 +572,7 @@ def _check_trials_and_seed(trials, seed) -> None:
         raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed}")
 
 
-def count_sessions(params: ProtocolParams, adversary, seeds, balanced_k2: bool = False) -> SessionCounts:
+def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
     """Run one session per seed in ``seeds`` and count what happened.
 
     This is the package's one trial loop: run_batch and search_attacks
@@ -577,7 +580,7 @@ def count_sessions(params: ProtocolParams, adversary, seeds, balanced_k2: bool =
     """
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
     for seed in seeds:
-        outcome = run_session(params, adversary, seed=seed, balanced_k2=balanced_k2)
+        outcome = run_session(params, adversary, seed=seed)
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted

@@ -61,6 +61,11 @@ def test_description_parsing():
         AdversaryStrategy.from_description({"quantum": "none", "extra": 1})
     with pytest.raises(ValueError, match="mapping"):
         AdversaryStrategy.from_description("flip_all")
+    # str(None) would read as the "none" policy; a policy must be a string.
+    with pytest.raises(ValueError, match="^quantum: must be a string, got None$"):
+        AdversaryStrategy.from_description({"quantum": None, "classical": None})
+    with pytest.raises(ValueError, match="^classical: must be a string, got 0$"):
+        AdversaryStrategy.from_description({"quantum": "none", "classical": 0})
 
 
 def test_modification_attack_composition():

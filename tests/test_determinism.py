@@ -52,7 +52,7 @@ def test_search_report_pinned():
 # session keys, PA seeds) pin far more than the batch rates do.
 TRANSCRIPT_CASES = {
     "original-honest-pa": (
-        ProtocolParams(n=16, variant="original", pa_out_len=3),
+        ProtocolParams(n=16, variant="original", pa_bits=3),
         None,
         "249c27c077e46dde842c84f7efdb025508ada7bdad0c7c33cfeeaa53226a5d86",
     ),
@@ -62,12 +62,12 @@ TRANSCRIPT_CASES = {
         "1c4847c1b98c58220565eb3be053f781ae4b7ae37ac19a2386d4852cfad41c3d",
     ),
     "improved-honest": (
-        ProtocolParams(n=16, variant="improved", hash_out_len=24),
+        ProtocolParams(n=16, variant="improved", hash_bits=24),
         None,
         "27e04560eb7c48208838cc151ac52eebf5002e97bb0171bb853a6c710f9bbc27",
     ),
     "improved-intercept": (
-        ProtocolParams(n=16, variant="improved", hash_out_len=5),
+        ProtocolParams(n=16, variant="improved", hash_bits=5),
         intercept_resend_attack(),
         "946f2fde3e666d28a809c2ada08c4ae63be95f8acbc0c18acc5aa84d6b27d266",
     ),

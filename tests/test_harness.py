@@ -3,13 +3,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqkdlab.adversary import search_attacks
 from sqkdlab.cli import main
 from sqkdlab.harness import (
     WALKTHROUGH_EXPECTED,
@@ -25,7 +31,7 @@ from sqkdlab.harness import (
     run_search,
     trial_seed,
 )
-from sqkdlab.protocol import MAX_HASH_OUT_LEN, MAX_N, VARIANTS, run_session
+from sqkdlab.protocol import MAX_HASH_BITS, MAX_N, VARIANTS, ProtocolParams, run_session
 
 
 def drop_wall_time(report: AggregateReport) -> dict:
@@ -66,7 +72,7 @@ def drop_wall_time(report: AggregateReport) -> dict:
         ({"custom_strategy": {"quantum": "none"}}, "custom_strategy"),
         ({"n": MAX_N + 1}, "n"),
         ({"n": 10**9}, "n"),
-        ({"hash_bits": MAX_HASH_OUT_LEN + 1}, "hash_bits"),
+        ({"hash_bits": MAX_HASH_BITS + 1}, "hash_bits"),
     ],
 )
 def test_config_validation_names_the_field(overrides, field):
@@ -82,7 +88,59 @@ def test_config_accepts_integral_tau():
 def test_config_caps_only_what_allocates():
     # n and hash_bits size per-session arrays and are capped; trials and
     # pa_bits size nothing that grows with them and are not.
-    RunConfig(n=MAX_N, hash_bits=MAX_HASH_OUT_LEN, trials=10**12, pa_bits=10**12).validate()
+    RunConfig(n=MAX_N, hash_bits=MAX_HASH_BITS, trials=10**12, pa_bits=10**12).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 0),
+        ("n", 2.5),
+        ("n", True),
+        ("n", MAX_N + 1),
+        ("tau", 1.0),
+        ("tau", -0.5),
+        ("tau", float("nan")),
+        ("tau", True),
+        ("tau", "0.1"),
+        ("hash_bits", 0),
+        ("hash_bits", 8.0),
+        ("hash_bits", MAX_HASH_BITS + 1),
+        ("pa_bits", 0),
+        ("pa_bits", 2.5),
+        ("pa_bits", True),
+        ("balanced_k2", "no"),
+        ("balanced_k2", 1),
+        ("balanced_k2", None),
+    ],
+)
+def test_entry_points_reject_a_session_value_alike(field, value):
+    # RunConfig, ProtocolParams and search_attacks reach one check, so a bad
+    # value gets one message, naming the field as the caller wrote it.
+    with pytest.raises(ValueError, match=f"^{field}:") as from_params:
+        ProtocolParams(**{"n": 4, field: value})
+    with pytest.raises(ValueError) as from_config:
+        RunConfig(**{field: value}).validate()
+    assert str(from_config.value) == str(from_params.value)
+    if field in ("n", "tau", "hash_bits"):
+        with pytest.raises(ValueError) as from_search:
+            search_attacks("original", trials=1, **{field: value})
+        assert str(from_search.value) == str(from_params.value)
+
+
+def test_reports_from_numpy_and_fraction_inputs_render_like_plain_ones():
+    # Accepted numpy and Fraction values are stored as int / float / bool,
+    # so a report built from them renders to JSON and equals the plain one.
+    odd = dict(n=np.int64(4), tau=np.float32(0.25), hash_bits=np.int32(8), pa_bits=np.int64(2), balanced_k2=np.True_)
+    plain = dict(n=4, tau=0.25, hash_bits=8, pa_bits=2, balanced_k2=True)
+    for protocol in VARIANTS:
+        report = run_batch(RunConfig(protocol=protocol, attack="modification", trials=6, seed=3, **odd))
+        json.loads(render_report_json(report))
+        expected = run_batch(RunConfig(protocol=protocol, attack="modification", trials=6, seed=3, **plain))
+        assert drop_wall_time(report) == drop_wall_time(expected)
+    config = RunConfig(n=np.int64(2), tau=Fraction(1, 4), hash_bits=np.int64(4), trials=2, seed=1)
+    rendered = json.loads(render_search_json(run_search(config), config))
+    assert rendered["config"]["tau"] == 0.25 and type(rendered["config"]["n"]) is int
 
 
 def test_trial_seed_derivation_is_stable():
@@ -339,6 +397,17 @@ def test_cli_rejects_strategy_file_without_custom_attack(tmp_path, capsys):
     assert "custom_strategy" in captured.err
 
 
+def test_cli_unwritable_out_path_exits_1_without_a_traceback(tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-m", "sqkdlab", "run", "--n", "2", "--trials", "2", "--out", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("sqkdlab: error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -408,10 +477,7 @@ def test_report_invariants_over_random_configs(config):
 
     # Replay the batch's sessions to see what the rates cannot show.
     params, strategy = config.to_params(), config.resolve_strategy()
-    outcomes = [
-        run_session(params, strategy, seed=trial_seed(config.seed, t), balanced_k2=config.balanced_k2)
-        for t in range(config.trials)
-    ]
+    outcomes = [run_session(params, strategy, seed=trial_seed(config.seed, t)) for t in range(config.trials)]
     empty_raw = sum(len(out.alice_raw_key) == 0 for out in outcomes)
     pa_aborts = sum(out.abort_reason == "pa-output-exceeds-raw-key" for out in outcomes)
     matched = round(report.key_match_rate * config.trials)

@@ -12,7 +12,7 @@ from sqkdlab.bits import as_bits, flip, random_bits, to01
 from sqkdlab.hashing import MIN_HASH_KEY_BITS, derive_hash_spec, privacy_amplify, toeplitz_hash
 from sqkdlab.protocol import (
     DONE_NOTICE,
-    MAX_HASH_OUT_LEN,
+    MAX_HASH_BITS,
     MAX_N,
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
@@ -85,11 +85,11 @@ def test_master_keys_validation():
 def test_size_caps_name_the_field_before_anything_is_drawn():
     # Constructing params allocates nothing, so the caps are tested at and
     # just past their bounds without building a state.
-    ProtocolParams(n=MAX_N, hash_out_len=MAX_HASH_OUT_LEN)
+    ProtocolParams(n=MAX_N, hash_bits=MAX_HASH_BITS)
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {MAX_N + 1}$"):
         ProtocolParams(n=MAX_N + 1)
-    with pytest.raises(ValueError, match=rf"^hash_out_len: must be <= {MAX_HASH_OUT_LEN}, got {10**12}$"):
-        ProtocolParams(n=1, hash_out_len=10**12)
+    with pytest.raises(ValueError, match=rf"^hash_bits: must be <= {MAX_HASH_BITS}, got {10**12}$"):
+        ProtocolParams(n=1, hash_bits=10**12)
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
         search_attacks("original", trials=1, n=10**9)
     rng = np.random.default_rng(0)
@@ -109,6 +109,23 @@ def test_master_keys_reject_a_short_hash_key():
         keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
     with pytest.raises(ValueError, match=rf"^l_key: must be >= {MIN_HASH_KEY_BITS}, got 127$"):
         generate_master_keys(2, l_key=MIN_HASH_KEY_BITS - 1, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "l_key, message",
+    [
+        (200.5, "must be an integer, got 200.5"),
+        (True, "must be an integer, got True"),
+        (2 * MAX_N + 1, f"must be <= {2 * MAX_N}, got {2 * MAX_N + 1}"),
+    ],
+    ids=["float", "bool", "over-cap"],
+)
+def test_l_key_is_checked_before_any_draw(l_key, message):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^l_key: {message}$"):
+        generate_master_keys(4, l_key=l_key, rng=rng)
+    assert rng.bit_generator.state == before
 
 
 # -- preparation and measurement --------------------------------------------------
@@ -440,14 +457,14 @@ def test_forced_keys_control_the_partition():
 
 
 def test_explicit_pa_length():
-    params = ProtocolParams(n=16, variant=VARIANT_ORIGINAL, pa_out_len=4)
+    params = ProtocolParams(n=16, variant=VARIANT_ORIGINAL, pa_bits=4)
     out = run_session(params, None, seed=5)
     assert len(out.alice_session_key) == 4
 
 
 def test_oversized_pa_request_aborts():
     keys = keys_for("0000", "1110")  # raw key is a single bit
-    params = ProtocolParams(n=2, variant=VARIANT_ORIGINAL, pa_out_len=8)
+    params = ProtocolParams(n=2, variant=VARIANT_ORIGINAL, pa_bits=8)
     out = run_session(params, None, seed=5, keys=keys)
     assert out.aborted
     assert out.abort_reason == "pa-output-exceeds-raw-key"
@@ -559,10 +576,10 @@ def test_params_validation():
         ProtocolParams(n=1, variant="other")
     with pytest.raises(ValueError, match="^tau:"):
         ProtocolParams(n=1, tau=1.0)
-    with pytest.raises(ValueError, match="^hash_out_len:"):
-        ProtocolParams(n=1, hash_out_len=0)
-    with pytest.raises(ValueError, match="^pa_out_len:"):
-        ProtocolParams(n=1, pa_out_len=0)
+    with pytest.raises(ValueError, match="^hash_bits:"):
+        ProtocolParams(n=1, hash_bits=0)
+    with pytest.raises(ValueError, match="^pa_bits:"):
+        ProtocolParams(n=1, pa_bits=0)
 
 
 def test_master_key_count_error_names_the_field():
@@ -575,10 +592,10 @@ PARAM_TYPE_CASES = [
     ("n", True),
     ("n", "4"),
     ("n", None),
-    ("hash_out_len", 8.0),
-    ("hash_out_len", False),
-    ("pa_out_len", 2.5),
-    ("pa_out_len", True),
+    ("hash_bits", 8.0),
+    ("hash_bits", False),
+    ("pa_bits", 2.5),
+    ("pa_bits", True),
     ("tau", True),
     ("tau", "0.1"),
     ("tau", None),
@@ -592,19 +609,16 @@ def test_params_type_errors_name_the_field_in_run_session(field, value):
         run_session(ProtocolParams(**{"n": 4, field: value}), None, seed=0)
 
 
-SEARCH_ARGUMENT = {"n": "n", "hash_out_len": "hash_bits", "tau": "tau"}
-
-
-@pytest.mark.parametrize("field, value", [case for case in PARAM_TYPE_CASES if case[0] in SEARCH_ARGUMENT])
+@pytest.mark.parametrize("field, value", [case for case in PARAM_TYPE_CASES if case[0] in ("n", "hash_bits", "tau")])
 def test_params_type_errors_name_the_field_in_search_attacks(field, value):
     with pytest.raises(ValueError, match=rf"^{field}: must be"):
-        search_attacks("original", trials=1, **{SEARCH_ARGUMENT[field]: value})
+        search_attacks("original", trials=1, **{field: value})
 
 
 def test_session_with_numpy_integer_params_renders_to_json():
     # numpy integers pass ProtocolParams; the transcript's counters must
     # still be Python ints, or json.dumps of to_dict() fails.
-    params = ProtocolParams(n=4, variant=VARIANT_IMPROVED, hash_out_len=np.int64(8))
+    params = ProtocolParams(n=4, variant=VARIANT_IMPROVED, hash_bits=np.int64(8))
     data = run_session(params, None, seed=0).to_dict()
     json.dumps(data)
     counters = [name for name in data if name.startswith(("compared_bits_", "check_mismatches_"))]
@@ -613,7 +627,7 @@ def test_session_with_numpy_integer_params_renders_to_json():
 
 
 def test_params_accept_numpy_integers():
-    params = ProtocolParams(n=np.int64(4), hash_out_len=np.int32(8), pa_out_len=np.int16(1))
+    params = ProtocolParams(n=np.int64(4), hash_bits=np.int32(8), pa_bits=np.int16(1))
     out = run_session(params, None, seed=2)
     assert len(out.alice_bits) == 8
 
@@ -623,7 +637,7 @@ def test_session_keys_and_digests_equal_the_public_helpers(variant):
     # run_session calls the trusted hashing cores once per session; its
     # session keys and announced digests must be what the checked public
     # helpers give for the same inputs.
-    params = ProtocolParams(n=12, variant=variant, hash_out_len=20)
+    params = ProtocolParams(n=12, variant=variant, hash_bits=20)
     reached_pa = 0
     for seed in range(30):
         keys = generate_master_keys(12, rng=np.random.default_rng(seed))
