@@ -14,7 +14,7 @@ from .adversary import (
     search_attacks,
 )
 from .harness import AggregateReport, RunConfig, replay_paper_example, run_batch, run_search
-from .hashing import ToeplitzSpec, derive_hash_spec, privacy_amplify, toeplitz_hash
+from .hashing import privacy_amplify
 from .protocol import (
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
@@ -41,11 +41,9 @@ __all__ = [
     "ProtocolParams",
     "RunConfig",
     "SessionOutcome",
-    "ToeplitzSpec",
     "VARIANT_IMPROVED",
     "VARIANT_ORIGINAL",
     "bell_phi_plus",
-    "derive_hash_spec",
     "generate_master_keys",
     "intercept_resend_attack",
     "modification_attack",
@@ -57,5 +55,4 @@ __all__ = [
     "run_session",
     "search_attacks",
     "standard_gate",
-    "toeplitz_hash",
 ]

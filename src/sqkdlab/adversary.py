@@ -56,6 +56,8 @@ class AdversaryStrategy:
         if self.quantum == QUANTUM_GATE_ALL:
             if self.gate is None:
                 raise ValueError("gate_all needs a gate name")
+            if not isinstance(self.gate, str):
+                raise ValueError(f"gate: must be a string, got {self.gate!r}")
             object.__setattr__(self, "gate", self.gate.upper())
             standard_gate(self.gate)  # validates the name
         elif self.gate is not None:

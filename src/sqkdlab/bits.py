@@ -1,8 +1,12 @@
 """Bit-sequence helpers.
 
 Bit sequences are numpy uint8 arrays with values in {0, 1} throughout the
-package; "0011"-style strings are accepted at the boundaries.
+package; "0011"-style strings are accepted at the boundaries.  The one
+size check of a count given from outside (``_check_size``) lives here too,
+so that every module can import it without a cycle.
 """
+
+import numbers
 
 import numpy as np
 
@@ -24,6 +28,19 @@ def as_bits(value) -> np.ndarray:
     if arr.size and not np.all((arr == 0) | (arr == 1)):
         raise ValueError(_NON_BINARY)
     return arr.astype(np.uint8)
+
+
+def _check_size(name: str, value, cap: int | None = None, low: int = 1) -> int:
+    """``value`` as an int, after rejecting a bool (it would pass as 0/1), a
+    non-integer (it would fail deep inside numpy), or a value below ``low``
+    or above ``cap``, with an error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name}: must be >= {low}, got {value}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{name}: must be <= {cap}, got {value}")
+    return int(value)
 
 
 # A 0-d uint8 shift count keeps the shift in uint8 without the slower

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, random_bits, to01
-from .hashing import MIN_HASH_KEY_BITS, _checked_hash_key, _digest_keys, _expand, _toeplitz_product
+from .bits import _check_size, as_bits, random_bits, to01
+from .hashing import _digest_keys, _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_qubits_z, measure_z_split, standard_gate
 
 VARIANT_ORIGINAL = "original"
@@ -40,6 +40,7 @@ VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 
 DONE_NOTICE = "measurements-complete"
 
+MIN_HASH_KEY_BITS = 128
 DEFAULT_HASH_KEY_BITS = MIN_HASH_KEY_BITS
 PA_SEED_BITS = 128
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
@@ -69,19 +70,6 @@ DIRECTION_EVEN = 0  # Alice -> Bob announcements (even halves)
 DIRECTION_ODD = 1  # Bob -> Alice announcements (odd halves)
 
 
-def _check_size(name: str, value, cap: int | None = None, low: int = 1) -> int:
-    """``value`` as an int, after rejecting a bool (it would pass as 0/1), a
-    non-integer (it would fail deep inside numpy), or a value below ``low``
-    or above ``cap``, with an error naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name}: must be >= {low}, got {value}")
-    if cap is not None and value > cap:
-        raise ValueError(f"{name}: must be <= {cap}, got {value}")
-    return int(value)
-
-
 class ProtocolError(Exception):
     """A party observed a malformed protocol step (wrong counts or lengths)."""
 
@@ -103,15 +91,13 @@ class MasterKeys:
     def __post_init__(self):
         object.__setattr__(self, "op_key", as_bits(self.op_key))
         object.__setattr__(self, "partition_key", as_bits(self.partition_key))
-        object.__setattr__(self, "hash_key", as_bits(self.hash_key))
         size = len(self.op_key)
         if size == 0 or size % 2:
             raise ValueError(f"op_key: must have positive even length (2n bits), got {size}")
         if len(self.partition_key) != size:
             got = len(self.partition_key)
             raise ValueError(f"partition_key: must have equal length to op_key ({size} bits), got {got}")
-        if len(self.hash_key) < MIN_HASH_KEY_BITS:
-            raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(self.hash_key)}")
+        object.__setattr__(self, "hash_key", _checked_hash_key(self.hash_key))
 
     @classmethod
     def _drawn(cls, op_key: np.ndarray, partition_key: np.ndarray, hash_key: np.ndarray) -> "MasterKeys":
@@ -121,6 +107,14 @@ class MasterKeys:
         object.__setattr__(keys, "partition_key", partition_key)
         object.__setattr__(keys, "hash_key", hash_key)
         return keys
+
+
+def _checked_hash_key(hash_key) -> np.ndarray:
+    """The hash key as a fresh bit array; rejects keys shorter than MIN_HASH_KEY_BITS."""
+    hash_key = as_bits(hash_key)
+    if len(hash_key) < MIN_HASH_KEY_BITS:
+        raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(hash_key)}")
+    return hash_key
 
 
 @dataclass(frozen=True)
@@ -284,7 +278,7 @@ def generate_master_keys(
     n = _check_size("n", n, MAX_N)
     l_key = _check_size("l_key", l_key, 2 * MAX_N, low=MIN_HASH_KEY_BITS)
     if rng is None:
-        raise ValueError("an rng is required")
+        raise ValueError("rng: required")
     op_key = random_bits(rng, 2 * n)
     if balanced_k2:
         partition_key = np.zeros(2 * n, dtype=np.uint8)
@@ -424,10 +418,9 @@ def exchange_and_check_improved(
     """Digest exchange: each check half is announced as its keyed Toeplitz
     digest, direction bit prepended for domain separation; a side passes only
     on exact digest equality, so the counters count digest bits.  Both
-    directions' hash specs come from one expansion of the hash key."""
+    directions' digest keys come from one expansion of the hash key."""
     hash_key = _checked_hash_key(hash_key)
-    if digest_len < 1:
-        raise ValueError(f"digest_len: must be >= 1, got {digest_len}")
+    digest_len = _check_size("digest_len", digest_len, MAX_HASH_BITS)
     # Indexed by direction: DIRECTION_EVEN (0) hashes even halves, DIRECTION_ODD (1) odd ones.
     in_lens = (len(alice_part.check_even) + 1, len(alice_part.check_odd) + 1)
     specs = _digest_keys(hash_key, in_lens, digest_len)
@@ -472,8 +465,8 @@ def run_session(
     Inputs are checked where they enter: ``params`` and ``keys`` on
     construction, the adversary's deliveries on receipt.  Everything else
     is an array the session built, so it calls the unchecked cores behind
-    partition_measurements and the hashing helpers, partitions once for
-    both parties and expands each key once.
+    partition_measurements and privacy_amplify, partitions once for both
+    parties and expands each key once.
     """
     rng = _as_rng(seed)
     if keys is None:

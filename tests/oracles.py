@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from sqkdlab.adversary import QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
-from sqkdlab.hashing import ToeplitzSpec
 from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate
 
 # Value of the measured qubit in each of the four basis components.
@@ -114,8 +113,8 @@ def tap_quantum(strategy: AdversaryStrategy, state, rng: np.random.Generator) ->
     return np.asarray(state, dtype=complex)
 
 
-def toeplitz_matrix(spec: ToeplitzSpec) -> np.ndarray:
+def toeplitz_matrix(key_bits, in_len: int, out_len: int) -> np.ndarray:
     """Materialize the out_len x in_len matrix (row i, column j = key[out_len-1+j-i])."""
-    rows = np.arange(spec.out_len)[:, None]
-    cols = np.arange(spec.in_len)[None, :]
-    return spec.key_bits[spec.out_len - 1 + cols - rows]
+    rows = np.arange(out_len)[:, None]
+    cols = np.arange(in_len)[None, :]
+    return np.asarray(key_bits)[out_len - 1 + cols - rows]

@@ -38,6 +38,8 @@ def test_strategy_validation():
         AdversaryStrategy(quantum="gate_all")
     with pytest.raises(ValueError, match="unknown gate"):
         AdversaryStrategy(quantum="gate_all", gate="CNOT")
+    with pytest.raises(ValueError, match="^gate: must be a string, got 5$"):
+        AdversaryStrategy(quantum="gate_all", gate=5)
     with pytest.raises(ValueError, match="gate only"):
         AdversaryStrategy(quantum="none", gate="X")
 

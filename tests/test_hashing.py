@@ -7,22 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqkdlab
 from sqkdlab.bits import as_bits, flip, random_bits
-from sqkdlab.hashing import (
-    MIN_HASH_KEY_BITS,
-    ToeplitzSpec,
-    _digest_keys,
-    derive_hash_spec,
-    expand_key_bits,
-    privacy_amplify,
-    toeplitz_hash,
-)
+from sqkdlab.hashing import _digest_keys, _expand, _toeplitz_product, privacy_amplify
+from sqkdlab.protocol import MIN_HASH_KEY_BITS
 
 from oracles import toeplitz_matrix
 
 
-def spec_of(key, mask, in_len, out_len):
-    return ToeplitzSpec(as_bits(key), as_bits(mask), in_len, out_len)
+def digest(key: np.ndarray, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The keyed digest ``T·x xor mask`` as a session computes it."""
+    return _toeplitz_product(key.astype(np.float64), x) ^ mask
 
 
 # -- the hash map --------------------------------------------------------------
@@ -30,60 +25,42 @@ def spec_of(key, mask, in_len, out_len):
 
 def test_worked_example():
     # key 1011, 2x3 matrix: rows (011, 101); x=110 hashes to 11 (hand-checked).
-    spec = spec_of("1011", "00", in_len=3, out_len=2)
-    assert np.array_equal(toeplitz_matrix(spec), [[0, 1, 1], [1, 0, 1]])
-    assert np.array_equal(toeplitz_hash(spec, "110"), [1, 1])
+    key = as_bits("1011")
+    assert np.array_equal(toeplitz_matrix(key, 3, 2), [[0, 1, 1], [1, 0, 1]])
+    assert np.array_equal(digest(key, as_bits("00"), as_bits("110")), [1, 1])
 
 
 def test_matrix_diagonals_constant():
-    rng = np.random.default_rng(4)
-    spec = spec_of(random_bits(rng, 12), random_bits(rng, 5), in_len=8, out_len=5)
-    t = toeplitz_matrix(spec)
+    key = random_bits(np.random.default_rng(4), 12)
+    t = toeplitz_matrix(key, 8, 5)
     for i in range(4):
         for j in range(7):
             assert t[i, j] == t[i + 1, j + 1]
-    assert np.array_equal(t[:, 0][::-1], spec.key_bits[:5])  # first column, bottom-up
-    assert np.array_equal(t[0, :], spec.key_bits[4:])  # first row
+    assert np.array_equal(t[:, 0][::-1], key[:5])  # first column, bottom-up
+    assert np.array_equal(t[0, :], key[4:])  # first row
 
 
 def test_zero_input_gives_mask():
     rng = np.random.default_rng(8)
-    spec = spec_of(random_bits(rng, 10), random_bits(rng, 4), in_len=7, out_len=4)
-    assert np.array_equal(toeplitz_hash(spec, np.zeros(7, np.uint8)), spec.mask_bits)
+    key, mask = random_bits(rng, 10), random_bits(rng, 4)
+    assert np.array_equal(digest(key, mask, np.zeros(7, np.uint8)), mask)
 
 
 def test_output_length():
     rng = np.random.default_rng(9)
     for out_len in (1, 3, 16):
-        spec = spec_of(random_bits(rng, 6 + out_len - 1), random_bits(rng, out_len), 6, out_len)
-        assert len(toeplitz_hash(spec, random_bits(rng, 6))) == out_len
+        key = random_bits(rng, 6 + out_len - 1).astype(np.float64)
+        assert len(_toeplitz_product(key, random_bits(rng, 6))) == out_len
 
 
 @given(st.integers(0, 2**60))
 def test_linearity_of_matrix_part(seed):
     rng = np.random.default_rng(seed)
     in_len, out_len = int(rng.integers(1, 24)), int(rng.integers(1, 24))
-    spec = spec_of(
-        random_bits(rng, in_len + out_len - 1), random_bits(rng, out_len), in_len, out_len
-    )
+    key, mask = random_bits(rng, in_len + out_len - 1), random_bits(rng, out_len)
     x, y = random_bits(rng, in_len), random_bits(rng, in_len)
-    lhs = toeplitz_hash(spec, x) ^ toeplitz_hash(spec, y) ^ spec.mask_bits
-    assert np.array_equal(lhs, toeplitz_hash(spec, x ^ y))
-
-
-def test_input_length_mismatch_rejected():
-    spec = spec_of("1011", "00", 3, 2)
-    with pytest.raises(ValueError, match="bits"):
-        toeplitz_hash(spec, "1101")
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError, match="key"):
-        spec_of("10", "00", 3, 2)
-    with pytest.raises(ValueError, match="mask"):
-        spec_of("1011", "0", 3, 2)
-    with pytest.raises(ValueError, match="out_len"):
-        spec_of("", "", 1, 0)
+    lhs = digest(key, mask, x) ^ digest(key, mask, y) ^ mask
+    assert np.array_equal(lhs, digest(key, mask, x ^ y))
 
 
 def test_exhaustive_universality_4x4():
@@ -95,8 +72,7 @@ def test_exhaustive_universality_4x4():
     collisions = np.zeros((len(inputs), len(inputs)), dtype=int)
     for key_value in range(2**key_len):
         key = as_bits([(key_value >> i) & 1 for i in range(key_len)])
-        spec = spec_of(key, np.zeros(out_len, np.uint8), in_len, out_len)
-        digests = [toeplitz_hash(spec, x) for x in inputs]
+        digests = [digest(key, np.zeros(out_len, np.uint8), x) for x in inputs]
         for i, j in itertools.combinations(range(len(inputs)), 2):
             collisions[i, j] += np.array_equal(digests[i], digests[j])
     for i, j in itertools.combinations(range(len(inputs)), 2):
@@ -110,11 +86,11 @@ def test_flipped_digest_rarely_matches_complemented_input():
     key_len = in_len + out_len - 1
     x = as_bits("011")  # direction bit 0 plus two check bits
     x_complement = np.concatenate([x[:1], 1 - x[1:]])  # direction kept, half flipped
+    mask = np.zeros(out_len, np.uint8)
     hits = 0
     for key_value in range(2**key_len):
         key = as_bits([(key_value >> i) & 1 for i in range(key_len)])
-        spec = spec_of(key, np.zeros(out_len, np.uint8), in_len, out_len)
-        hits += np.array_equal(flip(toeplitz_hash(spec, x)), toeplitz_hash(spec, x_complement))
+        hits += np.array_equal(flip(digest(key, mask, x)), digest(key, mask, x_complement))
     assert hits == 2**key_len * 2**-out_len
 
 
@@ -123,22 +99,25 @@ def test_flipped_digest_rarely_matches_complemented_input():
 
 def test_expand_deterministic_and_sized():
     seed = random_bits(np.random.default_rng(1), 128)
-    a = expand_key_bits(seed, 300)
-    b = expand_key_bits(seed, 300)
+    a = _expand(seed, 300)
+    b = _expand(seed, 300)
     assert np.array_equal(a, b)
     assert a.shape == (300,)
     assert set(np.unique(a)) <= {0, 1}
 
 
 def test_expand_differs_across_seeds():
-    a = expand_key_bits(random_bits(np.random.default_rng(1), 128), 256)
-    b = expand_key_bits(random_bits(np.random.default_rng(2), 128), 256)
+    a = _expand(random_bits(np.random.default_rng(1), 128), 256)
+    b = _expand(random_bits(np.random.default_rng(2), 128), 256)
     assert not np.array_equal(a, b)
 
 
 def test_expand_rejects_empty_seed():
-    with pytest.raises(ValueError, match="empty"):
-        expand_key_bits([], 10)
+    # privacy_amplify is the one checked entry to the expansion: a public
+    # seed handed to it must not be empty.
+    raw = random_bits(np.random.default_rng(15), 16)
+    with pytest.raises(ValueError, match="empty seed"):
+        privacy_amplify(raw, [], 8)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,31 +127,21 @@ def test_expansion_is_prefix_stable(seed_len, a, b, seed):
     # slices shorter streams from it; that relies on this property.
     a, b = min(a, b), max(a, b)
     seed_bits = random_bits(np.random.default_rng(seed), seed_len)
-    assert np.array_equal(expand_key_bits(seed_bits, a), expand_key_bits(seed_bits, b)[:a])
+    assert np.array_equal(_expand(seed_bits, a), _expand(seed_bits, b)[:a])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 200), st.integers(0, 200), st.integers(1, 100), st.integers(0, 2**32 - 1))
-def test_single_stream_specs_equal_derive_hash_spec(in_even, in_odd, out_len, seed):
+def test_single_stream_specs_equal_per_length_expansion(in_even, in_odd, out_len, seed):
+    # Each input length's (matrix key, mask) is its own expansion of the
+    # hash key, split after in_len + out_len - 1 bits.
     hash_key = random_bits(np.random.default_rng(seed), MIN_HASH_KEY_BITS + seed % 64)
     derived = _digest_keys(hash_key, (in_even, in_odd), out_len)
     for in_len, (key, mask) in zip((in_even, in_odd), derived):
-        spec = derive_hash_spec(hash_key, in_len, out_len)
+        stream = _expand(hash_key, in_len + 2 * out_len - 1)
         assert key.dtype == np.float64
-        assert np.array_equal(key, spec.key_bits)
-        assert np.array_equal(mask, spec.mask_bits)
-
-
-def test_derive_hash_spec_contract():
-    kh = random_bits(np.random.default_rng(3), 128)
-    spec1 = derive_hash_spec(kh, 10, 8)
-    spec2 = derive_hash_spec(kh, 10, 8)
-    assert np.array_equal(spec1.key_bits, spec2.key_bits)
-    assert np.array_equal(spec1.mask_bits, spec2.mask_bits)
-    assert len(spec1.key_bits) == 10 + 8 - 1
-    assert len(derive_hash_spec(kh, 11, 8).key_bits) == 11 + 8 - 1
-    with pytest.raises(ValueError, match=str(MIN_HASH_KEY_BITS)):
-        derive_hash_spec(random_bits(np.random.default_rng(4), 64), 10, 8)
+        assert np.array_equal(key, stream[: in_len + out_len - 1])
+        assert np.array_equal(mask, stream[in_len + out_len - 1 :])
 
 
 def test_derived_specs_behave_universally():
@@ -183,12 +152,27 @@ def test_derived_specs_behave_universally():
     pairs = list(itertools.combinations(range(len(inputs)), 2))
     collisions = trials = 0
     for _ in range(200):
-        spec = derive_hash_spec(random_bits(rng, 128), 4, 4)
-        digests = [toeplitz_hash(spec, x) for x in inputs]
+        ((key, mask),) = _digest_keys(random_bits(rng, 128), (4,), 4)
+        digests = [_toeplitz_product(key, x) ^ mask for x in inputs]
         for i, j in pairs:
             collisions += np.array_equal(digests[i], digests[j])
             trials += 1
     assert collisions / trials <= 2**-4 + 0.02
+
+
+# -- public surface --------------------------------------------------------------
+
+
+def test_package_exports_resolve_and_leave_out_the_unchecked_hash_forms():
+    # The digests are computed only by the cores a session runs;
+    # privacy_amplify is the one public hashing entry point.
+    for name in sqkdlab.__all__:
+        assert hasattr(sqkdlab, name), name
+    assert "privacy_amplify" in sqkdlab.__all__
+    for removed in ("ToeplitzSpec", "toeplitz_hash", "derive_hash_spec", "expand_key_bits"):
+        assert removed not in sqkdlab.__all__
+        assert not hasattr(sqkdlab, removed)
+        assert not hasattr(sqkdlab.hashing, removed)
 
 
 # -- privacy amplification -------------------------------------------------------
@@ -219,10 +203,14 @@ def test_privacy_amplify_contract():
     raw = random_bits(np.random.default_rng(13), 16)
     seed = random_bits(np.random.default_rng(14), 128)
     assert len(privacy_amplify(raw, seed, 16)) == 16
-    with pytest.raises(ValueError, match="out_len"):
-        privacy_amplify(raw, seed, 0)
-    with pytest.raises(ValueError, match="out_len"):
-        privacy_amplify(raw, seed, 17)
+    for out_len, message in (
+        (0, "^out_len: must be >= 1, got 0$"),
+        (17, "^out_len: must be <= 16, got 17$"),
+        (True, "^out_len: must be an integer, got True$"),
+        (2.5, "^out_len: must be an integer, got 2.5$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            privacy_amplify(raw, seed, out_len)
     with pytest.raises(ValueError, match="empty"):
         privacy_amplify([], seed, 1)
 
@@ -231,16 +219,16 @@ def test_privacy_amplify_contract():
 @given(st.integers(0, 1100), st.integers(1, 600), st.integers(0, 2**32 - 1))
 def test_hash_equals_matrix_product(in_len, out_len, seed):
     rng = np.random.default_rng(seed)
-    spec = spec_of(random_bits(rng, in_len + out_len - 1), random_bits(rng, out_len), in_len, out_len)
+    key, mask = random_bits(rng, in_len + out_len - 1), random_bits(rng, out_len)
     x = random_bits(rng, in_len)
-    expected = (toeplitz_matrix(spec).astype(np.int64) @ x.astype(np.int64)) % 2 ^ spec.mask_bits
-    got = toeplitz_hash(spec, x)
+    expected = (toeplitz_matrix(key, in_len, out_len).astype(np.int64) @ x.astype(np.int64)) % 2 ^ mask
+    got = digest(key, mask, x)
     assert got.dtype == np.uint8
     assert np.array_equal(got, expected)
 
 
 def test_empty_input_hashes_to_a_copy_of_the_mask():
-    spec = spec_of("101", "1101", in_len=0, out_len=4)
-    out = toeplitz_hash(spec, "")
-    assert np.array_equal(out, spec.mask_bits)
-    assert not np.shares_memory(out, spec.mask_bits)
+    mask = as_bits("1101")
+    out = digest(as_bits("101"), mask, as_bits(""))
+    assert np.array_equal(out, mask)
+    assert not np.shares_memory(out, mask)

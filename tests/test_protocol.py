@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack, search_attacks
 from sqkdlab.bits import as_bits, flip, random_bits, to01
-from sqkdlab.hashing import MIN_HASH_KEY_BITS, derive_hash_spec, privacy_amplify, toeplitz_hash
+from sqkdlab.hashing import _expand, privacy_amplify
 from sqkdlab.protocol import (
     DONE_NOTICE,
     MAX_HASH_BITS,
     MAX_N,
+    MIN_HASH_KEY_BITS,
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
     MasterKeys,
@@ -32,13 +33,23 @@ from sqkdlab.protocol import (
 )
 from sqkdlab.qsim import bell_phi_plus
 
-from oracles import measure_session, prepare
+from oracles import measure_session, prepare, toeplitz_matrix
 
 SQRT_HALF = 1 / np.sqrt(2)
 
 
 def keys_for(op_key, partition_key, hash_bits=128):
     return MasterKeys(op_key, partition_key, np.zeros(hash_bits, dtype=np.uint8))
+
+
+def reference_digest(hash_key, tagged, digest_len: int) -> np.ndarray:
+    """The keyed digest of ``tagged``: the hash key expanded for this one input
+    length, split into matrix key and mask, and the materialized matrix."""
+    tagged = as_bits(tagged)
+    split = len(tagged) + digest_len - 1
+    stream = _expand(as_bits(hash_key), split + digest_len)
+    matrix = toeplitz_matrix(stream[:split], len(tagged), digest_len).astype(np.int64)
+    return ((matrix @ tagged.astype(np.int64)) % 2).astype(np.uint8) ^ stream[split:]
 
 
 # -- master keys ----------------------------------------------------------------
@@ -107,6 +118,9 @@ def test_master_keys_reject_a_short_hash_key():
     keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS)
     with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127"):
         keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
+    part = partition_measurements("0011", "1100")
+    with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127$"):
+        exchange_and_check_improved(part, part, np.zeros(MIN_HASH_KEY_BITS - 1, np.uint8), digest_len=8)
     with pytest.raises(ValueError, match=rf"^l_key: must be >= {MIN_HASH_KEY_BITS}, got 127$"):
         generate_master_keys(2, l_key=MIN_HASH_KEY_BITS - 1, rng=np.random.default_rng(0))
 
@@ -348,6 +362,16 @@ def test_improved_rejects_wrong_digest_length():
     part = partition_measurements("0011", "1100")
     with pytest.raises(ProtocolError, match="digest"):
         exchange_and_check_improved(part, part, kh, digest_len=8, channel=lambda bits: bits[:4])
+    # A digest length that is not a positive integer, or is above
+    # MAX_HASH_BITS, is rejected before the hash key is expanded.
+    for digest_len, message in (
+        (0, "^digest_len: must be >= 1, got 0$"),
+        (MAX_HASH_BITS + 1, f"^digest_len: must be <= {MAX_HASH_BITS}, got {MAX_HASH_BITS + 1}$"),
+        (True, "^digest_len: must be an integer, got True$"),
+        (2.5, "^digest_len: must be an integer, got 2.5$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            exchange_and_check_improved(part, part, kh, digest_len=digest_len)
 
 
 @given(
@@ -361,21 +385,20 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     # Random check records under one shared partition key, honest or
     # flipping classical channel: the original variant's counters and
     # verdicts are a plain bit comparison, and the improved variant's
-    # digests are the public keyed hash of the direction-tagged half.
+    # digests are the reference keyed digest of the direction-tagged half.
     key = as_bits([k for _, _, k in records])
     alice = partition_measurements(as_bits([a for a, _, _ in records]), key)
     bob = partition_measurements(as_bits([b for _, b, _ in records]), key)
     channel = flip if tampered else None
     deliver = flip if tampered else as_bits
 
-    def public_digest(direction, half):
-        spec = derive_hash_spec(hash_key, len(half) + 1, digest_len)
-        return toeplitz_hash(spec, [direction, *half])
+    def digest(direction, half):
+        return reference_digest(hash_key, [direction, *half], digest_len)
 
     original = exchange_and_check_original(alice, bob, tau, channel)
     improved = exchange_and_check_improved(alice, bob, hash_key, digest_len, channel)
-    assert np.array_equal(improved.announced_by_alice, public_digest(0, alice.check_even))
-    assert np.array_equal(improved.announced_by_bob, public_digest(1, bob.check_odd))
+    assert np.array_equal(improved.announced_by_alice, digest(0, alice.check_even))
+    assert np.array_equal(improved.announced_by_bob, digest(1, bob.check_odd))
     # (side, what the other side announced, the side's own half, its direction)
     sides = (("alice", bob.check_odd, alice.check_odd, 1), ("bob", alice.check_even, bob.check_even, 0))
     for side, sent, own, direction in sides:
@@ -386,8 +409,8 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
         assert getattr(original, f"compared_bits_{side}") == len(own)
         assert getattr(original, f"{side}_pass") == (len(own) == 0 or mismatches / len(own) <= tau)
 
-        received = deliver(public_digest(direction, sent))
-        mismatches = int(np.count_nonzero(received != public_digest(direction, own)))
+        received = deliver(digest(direction, sent))
+        mismatches = int(np.count_nonzero(received != digest(direction, own)))
         assert np.array_equal(getattr(improved, f"received_by_{side}"), received)
         assert getattr(improved, f"check_mismatches_{side}") == mismatches
         assert getattr(improved, f"compared_bits_{side}") == digest_len
@@ -585,6 +608,8 @@ def test_params_validation():
 def test_master_key_count_error_names_the_field():
     with pytest.raises(ValueError, match=r"^n: must be >= 1, got 0$"):
         generate_master_keys(0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^rng: required$"):
+        generate_master_keys(2)
 
 
 PARAM_TYPE_CASES = [
@@ -635,8 +660,8 @@ def test_params_accept_numpy_integers():
 @pytest.mark.parametrize("variant", [VARIANT_ORIGINAL, VARIANT_IMPROVED])
 def test_session_keys_and_digests_equal_the_public_helpers(variant):
     # run_session calls the trusted hashing cores once per session; its
-    # session keys and announced digests must be what the checked public
-    # helpers give for the same inputs.
+    # session keys must be what the checked privacy_amplify gives, and its
+    # announced digests what the reference digest gives, for the same inputs.
     params = ProtocolParams(n=12, variant=variant, hash_bits=20)
     reached_pa = 0
     for seed in range(30):
@@ -653,6 +678,5 @@ def test_session_keys_and_digests_equal_the_public_helpers(variant):
             announced = (out.check.announced_by_alice, out.check.announced_by_bob)
             announcements = ((0, alice.check_even, announced[0]), (1, bob.check_odd, announced[1]))
             for direction, half, announced in announcements:
-                spec = derive_hash_spec(keys.hash_key, len(half) + 1, 20)
-                assert np.array_equal(announced, toeplitz_hash(spec, np.concatenate([[direction], half])))
+                assert np.array_equal(announced, reference_digest(keys.hash_key, [direction, *half], 20))
     assert reached_pa >= 20
