@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import as_bits, flip
 from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
-from .qsim import BOB, apply_gate_batch, measure_z_batch, standard_gate
+from .qsim import BOB, GATE_NAMES, apply_gate_batch, measure_z_batch, standard_gate
 
 QUANTUM_NONE = "none"
 QUANTUM_GATE_ALL = "gate_all"
@@ -50,18 +50,19 @@ class AdversaryStrategy:
 
     def __post_init__(self):
         if self.quantum not in QUANTUM_POLICIES:
-            raise ValueError(f"quantum policy must be one of {QUANTUM_POLICIES}, got {self.quantum!r}")
+            raise ValueError(f"quantum: must be one of {QUANTUM_POLICIES}, got {self.quantum!r}")
         if self.classical not in CLASSICAL_POLICIES:
-            raise ValueError(f"classical policy must be one of {CLASSICAL_POLICIES}, got {self.classical!r}")
+            raise ValueError(f"classical: must be one of {CLASSICAL_POLICIES}, got {self.classical!r}")
         if self.quantum == QUANTUM_GATE_ALL:
             if self.gate is None:
-                raise ValueError("gate_all needs a gate name")
+                raise ValueError(f"gate: required for {QUANTUM_GATE_ALL}")
             if not isinstance(self.gate, str):
                 raise ValueError(f"gate: must be a string, got {self.gate!r}")
             object.__setattr__(self, "gate", self.gate.upper())
-            standard_gate(self.gate)  # validates the name
+            if self.gate not in GATE_NAMES:
+                raise ValueError(f"gate: must be one of {GATE_NAMES}, got {self.gate!r}")
         elif self.gate is not None:
-            raise ValueError(f"gate only applies to the {QUANTUM_GATE_ALL!r} policy")
+            raise ValueError(f"gate: only applies to the {QUANTUM_GATE_ALL!r} quantum policy, got {self.gate!r}")
 
     # -- quantum channel -------------------------------------------------
 
@@ -94,12 +95,16 @@ class AdversaryStrategy:
 
     @classmethod
     def from_description(cls, description: dict) -> "AdversaryStrategy":
-        """Parse the JSON wire form produced by describe()."""
+        """Parse the JSON wire form produced by describe().
+
+        A description is what RunConfig.custom_strategy holds, so errors
+        about the description as a whole name that field.
+        """
         if not isinstance(description, dict):
-            raise ValueError("strategy description must be a mapping")
+            raise ValueError(f"custom_strategy: must be a mapping, got {description!r}")
         unknown = set(description) - {"quantum", "classical"}
         if unknown:
-            raise ValueError(f"unknown strategy fields: {sorted(unknown)}")
+            raise ValueError(f"custom_strategy: unknown fields {sorted(unknown)}")
         policies = {"quantum": QUANTUM_NONE, "classical": CLASSICAL_NONE, **description}
         for name, value in policies.items():
             if not isinstance(value, str):

@@ -59,11 +59,33 @@ def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     words are the same bits and consume the same words.  Any other count or
     bit generator goes through ``integers``.
     """
+    return _random_bit_runs(rng, (n,))[0]
+
+
+def _random_bit_runs(rng: np.random.Generator, sizes) -> list:
+    """``[random_bits(rng, n) for n in sizes]``, bit for bit, and leaving the
+    stream where those calls leave it.
+
+    Each raw-word draw of random_bits consumes whole words and buffers no
+    half-word, so when every size is a multiple of 8 one state check and one
+    raw read of all the words, sliced in order, give the same runs.  Any
+    other size, a buffered half-word or another bit generator draws each
+    run through ``integers``.
+    """
     bit_generator = rng.bit_generator
-    if n % 8 == 0 and type(bit_generator) is np.random.PCG64 and not bit_generator.state["has_uint32"]:
-        raw_bytes = bit_generator.random_raw(n // 8).astype("<u8", copy=False).view(np.uint8)
-        return np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    if (
+        all(n % 8 == 0 for n in sizes)
+        and type(bit_generator) is np.random.PCG64
+        and not bit_generator.state["has_uint32"]
+    ):
+        raw_bytes = bit_generator.random_raw(sum(sizes) // 8).astype("<u8", copy=False).view(np.uint8)
+        bits = np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
+        runs, start = [], 0
+        for n in sizes:
+            runs.append(bits[start : start + n])
+            start += n
+        return runs
+    return [rng.integers(0, 2, size=n, dtype=np.uint8) for n in sizes]
 
 
 def flip(bits) -> np.ndarray:

@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError("custom_strategy: required when attack is 'custom'")
         if self.attack != ATTACK_CUSTOM and self.custom_strategy is not None:
             raise ValueError(f"custom_strategy: only applies when attack is 'custom', got attack {self.attack!r}")
+        if self.attack == ATTACK_CUSTOM:
+            AdversaryStrategy.from_description(self.custom_strategy)  # its errors name the field at fault
         _check_trials_and_seed(self.trials, self.seed)
         self.to_params()
         if self.output_format not in OUTPUT_FORMATS:

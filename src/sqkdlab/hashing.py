@@ -11,24 +11,33 @@ at most ``2**-out_len`` over a uniform key.
 The same construction doubles as the privacy-amplification compressor
 (mask zero, matrix bits expanded from a public seed).
 
-The matrix is never materialized: row i of ``T·x`` is the sliding
-correlation of the key with ``x`` at offset ``out_len - 1 - i``, computed in
-float64 with O(in_len + out_len) memory and reduced mod 2.  The float form
-is exact: every partial sum is an integer count of at most in_len, far
-below 2**53, so no addition rounds.  The test suite keeps the materialized
-matrix as the reference form.
+The product runs over the key's sliding-window matrix ``W`` (row r is
+``key_bits[r : r + in_len]``, so ``T`` is ``W`` with its rows reversed), a
+strided view of the key with no copy.  It multiplies in blocks of ``W`` of
+at most ``_BLOCK_ITEMS`` float64 entries (256 KiB), each copied to
+contiguous memory so that the product is a BLAS matrix product, and
+accumulates the blocks' sums.  Memory therefore stays O(256 KiB + in_len
++ out_len) for any size; without the cap, ``protocol.MAX_N`` ×
+``protocol.MAX_HASH_BITS`` would need a 512 GiB matrix.  The float form is
+exact: every sum is an integer count of at most in_len, far below 2**53,
+so no addition rounds.  The test suite keeps the materialized matrix as
+the reference form.
 
 Three cores do the work: ``_expand`` stretches a seed into a key stream,
-``_toeplitz_product`` computes ``T·x``, and ``_digest_keys`` lays out the
-(matrix key, mask) of each digest input length from one stream of a hash
-key.  They trust their arguments: uint8 0/1 arrays of consistent lengths,
+``_toeplitz_product`` computes ``T·x`` for one input or a stack of inputs
+of one length, and ``_digest_keys`` lays out the matrix key and the masks
+of the keyed digests of several input lengths from one stream of a hash
+key.  They trust their arguments: 0/1 arrays of consistent lengths,
 a non-empty seed and counts >= 0.  A session (``protocol.run_session``)
 checks its inputs where they enter and calls the cores on arrays it built.
 ``privacy_amplify`` is the one checked entry point, the public form of the
 session's privacy amplification.  Because the expanded stream is
 prefix-stable, one expansion of a hash key, to the longer direction's
-length, yields both directions' digest keys, and one expansion of the
-public seed serves both parties' privacy amplification.
+length, yields both directions' digest keys, and every matrix key is a
+prefix of the longest one: ``T_in = T_max[:, :in_len]``, so one product
+against the longest key hashes inputs of several lengths, each
+zero-padded to the longest.  One expansion of the public seed serves both
+parties' privacy amplification.
 """
 
 import hashlib
@@ -51,12 +60,12 @@ def privacy_amplify(raw, pa_seed, out_len: int) -> np.ndarray:
     seed = as_bits(pa_seed)
     if len(seed) == 0:
         raise ValueError("cannot expand an empty seed")
-    return _toeplitz_product(_expand(seed, len(raw) + out_len - 1).astype(np.float64), raw)
+    return _toeplitz_product(_expand(seed, len(raw) + out_len - 1), raw)
 
 
 # -- trusted cores ----------------------------------------------------------
 #
-# The functions below skip every check: callers pass uint8 0/1 arrays of
+# The functions below skip every check: callers pass 0/1 arrays of
 # consistent lengths, a non-empty seed and counts >= 0.
 
 
@@ -74,30 +83,54 @@ def _expand(seed: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(blocks, dtype=np.uint8), count=count)
 
 
+# Largest block of the sliding-window matrix one step of _toeplitz_product
+# copies and multiplies: 256 KiB of float64.
+_BLOCK_ITEMS = 32 * 1024
+
+
 def _toeplitz_product(key: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T·x over GF(2) as uint8, for a float64 0/1 matrix key of len(x) + out_len - 1 bits.
+    """T·x over GF(2) as uint8, for a 0/1 matrix key of in_len + out_len - 1 bits.
 
-    numpy correlates float64 through its BLAS dot product and int64 with a
-    plain loop, so the float form is several times faster at
-    privacy-amplification sizes.  It is exact: each sum counts at most
-    len(x) ones, an integer far below 2**53.
+    ``x`` is one input of in_len bits or a ``(count, in_len)`` stack of
+    them; the result holds out_len bits per input.  Both are multiplied as
+    float64, which numpy hands to BLAS.  The product runs over blocks of
+    the key's sliding-window matrix of at most _BLOCK_ITEMS entries, each
+    copied to contiguous memory first: a matrix product on the
+    overlapping-stride view itself does not reach BLAS and is several
+    times slower.  The float64 sums are exact: each counts at most in_len
+    ones, an integer far below 2**53.
     """
-    if len(x) == 0:  # empty sum; np.correlate rejects empty input
-        return np.zeros(len(key) + 1, dtype=np.uint8)
-    return (np.correlate(key, x, "valid")[::-1].astype(np.int64) & 1).astype(np.uint8)
+    key = np.ascontiguousarray(key, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    in_len = x.shape[-1]
+    out_len = len(key) - in_len + 1
+    cols = min(max(in_len, 1), _BLOCK_ITEMS)  # an empty input runs no block: its sums stay 0
+    rows = _BLOCK_ITEMS // cols
+    sums = np.zeros(x.shape[:-1] + (out_len,))
+    for col in range(0, in_len, cols):
+        part = x[..., col : col + cols]
+        width = part.shape[-1]
+        for row in range(0, out_len, rows):
+            height = min(rows, out_len - row)
+            # Window rows row.. of columns col..: entry (r, c) is key[row + r + col + c].
+            view = np.ndarray((height, width), np.float64, key, (row + col) * key.itemsize, (key.itemsize,) * 2)
+            sums[..., row : row + height] += np.dot(part, np.ascontiguousarray(view).T)
+    # Window row r is T's row out_len - 1 - r.
+    return (sums[..., ::-1].astype(np.int64) & 1).astype(np.uint8)
 
 
-def _digest_keys(hash_key: np.ndarray, in_lens, out_len: int) -> list:
-    """``(float64 matrix key, mask)`` of the keyed digest of each input length in ``in_lens``.
+def _digest_keys(hash_key: np.ndarray, in_lens, out_len: int):
+    """``(matrix key, masks)`` of the keyed digests of the input lengths in ``in_lens``.
 
     For input length in_len, the first in_len + out_len - 1 bits of the
     hash key's stream are the matrix key and the next out_len bits the
-    mask.  One stream, expanded to the longest in_len, serves every in_len:
-    each reads a prefix of it, and the stream is prefix-stable.  The key
-    is float64 for ``_toeplitz_product``, whose 0/1 sums are exact in it.
+    mask; ``masks`` lists the mask of each in_len.  One stream, expanded
+    to the longest in_len, serves every in_len: each reads a prefix of it,
+    and the stream is prefix-stable.  Every matrix key is thus a prefix of
+    the longest one, whose matrix hashes any of the inputs zero-padded to
+    the longest in_len, so only that key is returned.
     """
-    stream = _expand(hash_key, max(in_lens) + 2 * out_len - 1)
-    return [
-        (stream[: in_len + out_len - 1].astype(np.float64), stream[in_len + out_len - 1 : in_len + 2 * out_len - 1])
-        for in_len in in_lens
-    ]
+    longest = max(in_lens)
+    stream = _expand(hash_key, longest + 2 * out_len - 1)
+    masks = [stream[in_len + out_len - 1 : in_len + 2 * out_len - 1] for in_len in in_lens]
+    return stream[: longest + out_len - 1], masks

@@ -18,19 +18,29 @@ only the encoding and how much mismatch passes:
 * improved variant: a keyed Toeplitz digest of each half; a side passes
   only on exact digest equality.
 
+Each variant is one entry of ``_EXCHANGES``: its encoder, which maps the
+four check halves to what is announced and expected for each, and its
+tau.  The improved variant's encoder hashes all four halves in one
+Toeplitz product.
+
 Announcements and flying qubits pass through adversary-tappable channels.
 After a passing check both sides compress their raw keys into session keys
-with the same publicly seeded privacy-amplification map.  A session is a
-sequential state machine; distinct sessions share nothing and may run in
-parallel with independent rng streams.
+with the same publicly seeded privacy-amplification map.  A session draws
+the map's seed and decides whether the map can run; the keys themselves
+are derived when a reader first asks for them (``SessionOutcome``), so a
+batch, which counts outcomes and never reads session keys, runs no
+privacy amplification.  A session is a sequential state machine; distinct
+sessions share nothing and may run in parallel with independent rng
+streams.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import _check_size, as_bits, random_bits, to01
+from .bits import _check_size, _random_bit_runs, as_bits, random_bits, to01
 from .hashing import _digest_keys, _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_qubits_z, measure_z_split, standard_gate
 
@@ -212,6 +222,12 @@ class SessionOutcome:
     exchange; a session that aborted before it holds an empty one.
     vacuous_check flags sessions where some announced check half was
     empty, making that direction's comparison pass vacuously.
+
+    The session keys are derived from the raw keys, pa_seed and the
+    session's resolved output length (``_pa_bits``, kept out of the
+    rendering) on their first read, both in one Toeplitz product, and
+    cached; reading them again, or reading them before ``to_dict()``,
+    changes nothing.
     """
 
     aborted: bool
@@ -222,11 +238,50 @@ class SessionOutcome:
     bob_bits: np.ndarray
     alice_raw_key: np.ndarray
     bob_raw_key: np.ndarray
-    alice_session_key: np.ndarray | None
-    bob_session_key: np.ndarray | None
     vacuous_check: bool
     check: CheckResult
     pa_seed: np.ndarray | None
+    _pa_bits: int = 0
+
+    # Transcript fields in rendering order, the derived session keys included.
+    _RENDERED = (
+        "aborted",
+        "detected_by_alice",
+        "detected_by_bob",
+        "abort_reason",
+        "alice_bits",
+        "bob_bits",
+        "alice_raw_key",
+        "bob_raw_key",
+        "alice_session_key",
+        "bob_session_key",
+        "vacuous_check",
+        "pa_seed",
+    )
+
+    @functools.cached_property
+    def _session_keys(self) -> tuple:
+        """(Alice's, Bob's) privacy-amplified keys, or (None, None) for an aborted session.
+
+        Both raw keys have the same length (one partition key), so one
+        expansion of pa_seed and one product over the stacked raw keys
+        serve both parties, as privacy_amplify would for each.
+        """
+        if self.pa_seed is None:
+            return None, None
+        if self._pa_bits < 1:
+            return _empty_bits(), _empty_bits()
+        pa_key = _expand(self.pa_seed, len(self.alice_raw_key) + self._pa_bits - 1)
+        alice, bob = _toeplitz_product(pa_key, np.stack((self.alice_raw_key, self.bob_raw_key)))
+        return alice, bob
+
+    @property
+    def alice_session_key(self) -> np.ndarray | None:
+        return self._session_keys[0]
+
+    @property
+    def bob_session_key(self) -> np.ndarray | None:
+        return self._session_keys[1]
 
     def to_dict(self) -> dict:
         """Flat JSON-able rendering: the session's fields and the check's
@@ -238,8 +293,9 @@ class SessionOutcome:
                 return to01(value)
             return value
 
-        fields = {**vars(self), **vars(self.check)}
-        return {name: render(v) for name, v in fields.items() if name not in ("check", "alice_pass", "bob_pass")}
+        fields = {name: getattr(self, name) for name in self._RENDERED}
+        fields.update(vars(self.check))
+        return {name: render(v) for name, v in fields.items() if name not in ("alice_pass", "bob_pass")}
 
 
 @dataclass(frozen=True)
@@ -279,13 +335,14 @@ def generate_master_keys(
     l_key = _check_size("l_key", l_key, 2 * MAX_N, low=MIN_HASH_KEY_BITS)
     if rng is None:
         raise ValueError("rng: required")
-    op_key = random_bits(rng, 2 * n)
     if balanced_k2:
+        op_key = random_bits(rng, 2 * n)
         partition_key = np.zeros(2 * n, dtype=np.uint8)
         partition_key[rng.permutation(2 * n)[:n]] = 1
+        hash_key = random_bits(rng, l_key)
     else:
-        partition_key = random_bits(rng, 2 * n)
-    hash_key = random_bits(rng, l_key)
+        # Three successive random_bits draws, from one raw read where it can.
+        op_key, partition_key, hash_key = _random_bit_runs(rng, (2 * n, 2 * n, l_key))
     # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
     return MasterKeys._drawn(op_key, partition_key, hash_key)
 
@@ -365,26 +422,70 @@ def _split(m: np.ndarray, raw_indices: np.ndarray, check_indices: np.ndarray) ->
     )
 
 
-def _exchange(alice_part: Partition, bob_part: Partition, encode, tau: float, channel, what: str) -> CheckResult:
-    """The one announce-and-compare exchange; the variants differ only in ``encode`` and ``tau``.
+# Direction of each of the four check halves an encoder maps, in the order
+# (Alice's even, Bob's odd, Alice's odd, Bob's even): what Alice announces,
+# what Bob announces, what Alice expects, what Bob expects.
+_HALF_DIRECTIONS = (DIRECTION_EVEN, DIRECTION_ODD, DIRECTION_ODD, DIRECTION_EVEN)
 
-    ``encode(direction, half)`` is what a party announces for one check
-    half: Alice announces her even half, Bob his odd half, each through
-    ``channel`` (the classical tamper tap, identity when None).  Each side
-    compares what it receives against the encoding of its own retained half
-    of the same parity and passes when it compared nothing or its mismatch
-    fraction is <= tau.  A received ``what`` of the wrong length aborts.
+
+def _plain_halves(halves, hash_key, hash_bits) -> list:
+    """The original variant's encoding: each check half as itself."""
+    return [half.copy() for half in halves]
+
+
+def _digest_halves(halves, hash_key, hash_bits) -> list:
+    """The improved variant's encoding: the hash_bits-bit keyed Toeplitz
+    digest of each half with its direction bit prepended.
+
+    Both directions' matrix keys are prefixes of one key stream, so the
+    four tagged halves, zero-padded to the longer one, go through one
+    product against the longest key; only the masks differ by direction.
     """
+    even_len, odd_len = len(halves[0]), len(halves[1])
+    key, masks = _digest_keys(hash_key, (even_len + 1, odd_len + 1), hash_bits)
+    tagged = np.zeros((4, max(even_len, odd_len) + 1))
+    tagged[:, 0] = _HALF_DIRECTIONS
+    for row, half in enumerate(halves):
+        tagged[row, 1 : 1 + len(half)] = half
+    digests = _toeplitz_product(key, tagged)
+    # masks is indexed by direction: DIRECTION_EVEN (0) hashes even halves, DIRECTION_ODD (1) odd ones.
+    return [digest ^ masks[direction] for digest, direction in zip(digests, _HALF_DIRECTIONS)]
+
+
+# Each variant's exchange: its encoder, the mismatch fraction a side passes
+# at (None: the session's tau), and what an announcement is called in the
+# wrong-length error.  A digest of >= 1 bit passes at tau = 0 exactly when
+# every bit matches.
+_EXCHANGES = {
+    VARIANT_ORIGINAL: (_plain_halves, None, "check half"),
+    VARIANT_IMPROVED: (_digest_halves, 0.0, "digest"),
+}
+
+
+def _exchange(
+    alice_part: Partition, bob_part: Partition, variant: str, channel, tau: float = 0.0, hash_key=None, hash_bits=0
+) -> CheckResult:
+    """The one announce-and-compare exchange, without input checks; the
+    variants differ only in their ``_EXCHANGES`` entry.
+
+    Alice announces the encoding of her even half, Bob of his odd half,
+    each through ``channel`` (the classical tamper tap, identity when
+    None).  Each side compares what it receives against the encoding of
+    its own retained half of the same parity and passes when it compared
+    nothing or its mismatch fraction is <= tau (the variant's own tau when
+    it has one).  A received announcement of the wrong length aborts.
+    """
+    encode, fixed_tau, what = _EXCHANGES[variant]
+    if fixed_tau is not None:
+        tau = fixed_tau
     if alice_part.source_len != bob_part.source_len:
         raise ValueError("partitions do not come from the same partition key")
-    announced_by_alice = encode(DIRECTION_EVEN, alice_part.check_even)
-    announced_by_bob = encode(DIRECTION_ODD, bob_part.check_odd)
+    halves = (alice_part.check_even, bob_part.check_odd, alice_part.check_odd, bob_part.check_even)
+    announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encode(halves, hash_key, hash_bits)
     if channel is None:
         received_by_bob, received_by_alice = announced_by_alice.copy(), announced_by_bob.copy()
     else:
         received_by_bob, received_by_alice = as_bits(channel(announced_by_alice)), as_bits(channel(announced_by_bob))
-    expected_by_alice = encode(DIRECTION_ODD, alice_part.check_odd)
-    expected_by_bob = encode(DIRECTION_EVEN, bob_part.check_even)
     if len(received_by_alice) != len(expected_by_alice) or len(received_by_bob) != len(expected_by_bob):
         raise ProtocolError(f"received {what} has the wrong length")
 
@@ -409,7 +510,7 @@ def exchange_and_check_original(alice_part: Partition, bob_part: Partition, tau:
     """Plain-bit exchange: each check half is announced as itself, in the
     clear; a side passes when its mismatch fraction is <= tau.  ``channel``
     is the classical tamper tap (bits -> bits), identity when None."""
-    return _exchange(alice_part, bob_part, lambda direction, half: half.copy(), tau, channel, "check half")
+    return _exchange(alice_part, bob_part, VARIANT_ORIGINAL, channel, tau)
 
 
 def exchange_and_check_improved(
@@ -418,22 +519,11 @@ def exchange_and_check_improved(
     """Digest exchange: each check half is announced as its keyed Toeplitz
     digest, direction bit prepended for domain separation; a side passes only
     on exact digest equality, so the counters count digest bits.  Both
-    directions' digest keys come from one expansion of the hash key."""
+    directions' digest keys come from one expansion of the hash key, and
+    all four digests from one Toeplitz product."""
     hash_key = _checked_hash_key(hash_key)
     digest_len = _check_size("digest_len", digest_len, MAX_HASH_BITS)
-    # Indexed by direction: DIRECTION_EVEN (0) hashes even halves, DIRECTION_ODD (1) odd ones.
-    in_lens = (len(alice_part.check_even) + 1, len(alice_part.check_odd) + 1)
-    specs = _digest_keys(hash_key, in_lens, digest_len)
-
-    def digest(direction, half):
-        key, mask = specs[direction]
-        tagged = np.empty(len(half) + 1, dtype=np.uint8)
-        tagged[0] = direction
-        tagged[1:] = half
-        return _toeplitz_product(key, tagged) ^ mask
-
-    # A digest of >= 1 bit passes at tau = 0 exactly when every bit matches.
-    return _exchange(alice_part, bob_part, digest, 0.0, channel, "digest")
+    return _exchange(alice_part, bob_part, VARIANT_IMPROVED, channel, hash_key=hash_key, hash_bits=digest_len)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -465,8 +555,10 @@ def run_session(
     Inputs are checked where they enter: ``params`` and ``keys`` on
     construction, the adversary's deliveries on receipt.  Everything else
     is an array the session built, so it calls the unchecked cores behind
-    partition_measurements and privacy_amplify, partitions once for both
-    parties and expands each key once.
+    partition_measurements and the exchanges, partitions once for both
+    parties and expands the hash key once.  The session draws pa_seed last
+    and decides whether privacy amplification can run; the session keys
+    are derived on their first read (``SessionOutcome``).
     """
     rng = _as_rng(seed)
     if keys is None:
@@ -490,8 +582,6 @@ def run_session(
             bob_bits=empty,
             alice_raw_key=empty,
             bob_raw_key=empty,
-            alice_session_key=None,
-            bob_session_key=None,
             vacuous_check=True,
             check=CheckResult(True, True, 0, 0, 0, 0, empty, empty, empty, empty),
             pa_seed=None,
@@ -507,35 +597,24 @@ def run_session(
     vacuous = len(part_alice.check_odd) == 0 or len(part_alice.check_even) == 0
 
     tap = adversary.tap_classical if adversary is not None else None
-    if params.variant == VARIANT_ORIGINAL:
-        chk = exchange_and_check_original(part_alice, part_bob, params.tau, tap)
-    else:
-        chk = exchange_and_check_improved(part_alice, part_bob, keys.hash_key, params.hash_bits, tap)
+    chk = _exchange(part_alice, part_bob, params.variant, tap, params.tau, keys.hash_key, params.hash_bits)
 
     detected_alice = not chk.alice_pass
     detected_bob = not chk.bob_pass
     aborted = detected_alice or detected_bob
     abort_reason = "check-mismatch" if aborted else None
 
-    session_key_alice = session_key_bob = pa_seed = None
+    pa_seed = None
+    pa_bits = 0
     if not aborted:
         pa_seed = random_bits(rng, PA_SEED_BITS)
         raw_len = len(part_alice.raw)
-        out_len = raw_len // 2 if params.pa_bits is None else params.pa_bits
-        if out_len > raw_len:
+        pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
+        if pa_bits > raw_len:
             # Both parties see the impossible compression request.
             aborted = detected_alice = detected_bob = True
             abort_reason = "pa-output-exceeds-raw-key"
             pa_seed = None
-        elif out_len < 1:
-            session_key_alice = _empty_bits()
-            session_key_bob = _empty_bits()
-        else:
-            # privacy_amplify for both parties from one key expansion:
-            # their raw keys have equal length (same partition key).
-            pa_key = _expand(pa_seed, raw_len + out_len - 1).astype(np.float64)
-            session_key_alice = _toeplitz_product(pa_key, part_alice.raw)
-            session_key_bob = _toeplitz_product(pa_key, part_bob.raw)
 
     return SessionOutcome(
         aborted=aborted,
@@ -546,11 +625,10 @@ def run_session(
         bob_bits=bob_bits,
         alice_raw_key=part_alice.raw,
         bob_raw_key=part_bob.raw,
-        alice_session_key=session_key_alice,
-        bob_session_key=session_key_bob,
         vacuous_check=vacuous,
         check=chk,
         pa_seed=pa_seed,
+        _pa_bits=pa_bits,
     )
 
 

@@ -30,17 +30,18 @@ SQRT_HALF = 1 / np.sqrt(2)
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError, match="quantum"):
+    # Every error names the field it is about, as the rest of the package does.
+    with pytest.raises(ValueError, match=r"^quantum: must be one of \('none', 'gate_all', 'intercept_resend_z'\), got 'noisy'$"):
         AdversaryStrategy(quantum="noisy")
-    with pytest.raises(ValueError, match="classical"):
+    with pytest.raises(ValueError, match=r"^classical: must be one of \('none', 'flip_all'\), got 'drop'$"):
         AdversaryStrategy(classical="drop")
-    with pytest.raises(ValueError, match="gate"):
+    with pytest.raises(ValueError, match="^gate: required for gate_all$"):
         AdversaryStrategy(quantum="gate_all")
-    with pytest.raises(ValueError, match="unknown gate"):
+    with pytest.raises(ValueError, match=r"^gate: must be one of \(.*'SPIN_FLIP'\), got 'CNOT'$"):
         AdversaryStrategy(quantum="gate_all", gate="CNOT")
     with pytest.raises(ValueError, match="^gate: must be a string, got 5$"):
         AdversaryStrategy(quantum="gate_all", gate=5)
-    with pytest.raises(ValueError, match="gate only"):
+    with pytest.raises(ValueError, match="^gate: only applies to the 'gate_all' quantum policy, got 'X'$"):
         AdversaryStrategy(quantum="none", gate="X")
 
 
@@ -59,10 +60,14 @@ def test_description_parsing():
         {"quantum": "gate_all:spin_flip", "classical": "flip_all"}
     )
     assert strategy == modification_attack()
-    with pytest.raises(ValueError, match="unknown strategy fields"):
+    with pytest.raises(ValueError, match=r"^custom_strategy: unknown fields \['extra'\]$"):
         AdversaryStrategy.from_description({"quantum": "none", "extra": 1})
-    with pytest.raises(ValueError, match="mapping"):
+    with pytest.raises(ValueError, match="^custom_strategy: must be a mapping, got 'flip_all'$"):
         AdversaryStrategy.from_description("flip_all")
+    with pytest.raises(ValueError, match="^quantum: must be one of "):
+        AdversaryStrategy.from_description({"quantum": "gate_some:x"})
+    with pytest.raises(ValueError, match="^gate: must be one of "):
+        AdversaryStrategy.from_description({"quantum": "gate_all:cnot"})
     # str(None) would read as the "none" policy; a policy must be a string.
     with pytest.raises(ValueError, match="^quantum: must be a string, got None$"):
         AdversaryStrategy.from_description({"quantum": None, "classical": None})

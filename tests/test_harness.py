@@ -73,6 +73,10 @@ def drop_wall_time(report: AggregateReport) -> dict:
         ({"n": MAX_N + 1}, "n"),
         ({"n": 10**9}, "n"),
         ({"hash_bits": MAX_HASH_BITS + 1}, "hash_bits"),
+        ({"attack": "custom", "custom_strategy": {"quantum": "noisy"}}, "quantum"),
+        ({"attack": "custom", "custom_strategy": {"quantum": "gate_all:cnot"}}, "gate"),
+        ({"attack": "custom", "custom_strategy": {"classical": "drop"}}, "classical"),
+        ({"attack": "custom", "custom_strategy": ["flip_all"]}, "custom_strategy"),
     ],
 )
 def test_config_validation_names_the_field(overrides, field):
@@ -346,6 +350,20 @@ def test_cli_custom_strategy_file(tmp_path, capsys):
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["strategy"]["quantum"] == "intercept_resend_z"
+
+
+@pytest.mark.parametrize(
+    "description, field",
+    [({"quantum": "noisy"}, "quantum"), ({"quantum": "gate_all"}, "gate"), (["flip_all"], "custom_strategy")],
+)
+def test_cli_bad_strategy_file_names_the_field(tmp_path, capsys, description, field):
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps(description))
+    rc = main(["run", "--attack", "custom", "--strategy-file", str(strategy), "--n", "4", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"sqkdlab: error: {field}: ")
 
 
 def test_cli_search(capsys):

@@ -1,6 +1,7 @@
 """Toeplitz hashing tests: frozen example, linearity, universality, PA."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import sqkdlab
 from sqkdlab.bits import as_bits, flip, random_bits
+from sqkdlab import hashing
 from sqkdlab.hashing import _digest_keys, _expand, _toeplitz_product, privacy_amplify
 from sqkdlab.protocol import MIN_HASH_KEY_BITS
 
@@ -134,13 +136,14 @@ def test_expansion_is_prefix_stable(seed_len, a, b, seed):
 @given(st.integers(0, 200), st.integers(0, 200), st.integers(1, 100), st.integers(0, 2**32 - 1))
 def test_single_stream_specs_equal_per_length_expansion(in_even, in_odd, out_len, seed):
     # Each input length's (matrix key, mask) is its own expansion of the
-    # hash key, split after in_len + out_len - 1 bits.
+    # hash key, split after in_len + out_len - 1 bits; its matrix key is a
+    # prefix of the one matrix key returned, the longest length's.
     hash_key = random_bits(np.random.default_rng(seed), MIN_HASH_KEY_BITS + seed % 64)
-    derived = _digest_keys(hash_key, (in_even, in_odd), out_len)
-    for in_len, (key, mask) in zip((in_even, in_odd), derived):
+    key, masks = _digest_keys(hash_key, (in_even, in_odd), out_len)
+    assert len(key) == max(in_even, in_odd) + out_len - 1
+    for in_len, mask in zip((in_even, in_odd), masks):
         stream = _expand(hash_key, in_len + 2 * out_len - 1)
-        assert key.dtype == np.float64
-        assert np.array_equal(key, stream[: in_len + out_len - 1])
+        assert np.array_equal(key[: in_len + out_len - 1], stream[: in_len + out_len - 1])
         assert np.array_equal(mask, stream[in_len + out_len - 1 :])
 
 
@@ -152,7 +155,7 @@ def test_derived_specs_behave_universally():
     pairs = list(itertools.combinations(range(len(inputs)), 2))
     collisions = trials = 0
     for _ in range(200):
-        ((key, mask),) = _digest_keys(random_bits(rng, 128), (4,), 4)
+        key, (mask,) = _digest_keys(random_bits(rng, 128), (4,), 4)
         digests = [_toeplitz_product(key, x) ^ mask for x in inputs]
         for i, j in pairs:
             collisions += np.array_equal(digests[i], digests[j])
@@ -225,6 +228,56 @@ def test_hash_equals_matrix_product(in_len, out_len, seed):
     got = digest(key, mask, x)
     assert got.dtype == np.uint8
     assert np.array_equal(got, expected)
+
+
+def padded_stack(rng, lengths):
+    """Random inputs of the given lengths and their zero-padded (count, longest) stack."""
+    inputs = [random_bits(rng, length) for length in lengths]
+    stack = np.zeros((len(inputs), max(lengths)), np.uint8)
+    for row, x in zip(stack, inputs):
+        row[: len(x)] = x
+    return inputs, stack
+
+
+def assert_rows_equal_matrix_products(got, key, inputs, out_len):
+    # Row k is input k times the matrix of its own prefix of the key.
+    assert got.dtype == np.uint8 and got.shape == (len(inputs), out_len)
+    for row, x in zip(got, inputs):
+        matrix = toeplitz_matrix(key[: len(x) + out_len - 1], len(x), out_len).astype(np.int64)
+        assert np.array_equal(row, (matrix @ x.astype(np.int64)) % 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=5),
+    st.integers(1, 40),
+    st.integers(1, 80),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_product_equals_the_matrix_product_of_each_padded_input(lengths, out_len, block_items, seed):
+    # One product over inputs zero-padded to the longest, against the
+    # longest key, equals each input's own matrix product, whatever the
+    # block cap (small caps split the window into many row and column
+    # blocks); empty inputs give zero rows.
+    rng = np.random.default_rng(seed)
+    inputs, stack = padded_stack(rng, lengths)
+    key = random_bits(rng, stack.shape[1] + out_len - 1)
+    with mock.patch.object(hashing, "_BLOCK_ITEMS", block_items):
+        got = _toeplitz_product(key, stack)
+        single = _toeplitz_product(key, stack[0])
+    assert_rows_equal_matrix_products(got, key, inputs, out_len)
+    assert np.array_equal(single, got[0])
+
+
+@pytest.mark.parametrize("in_len, out_len", [(hashing._BLOCK_ITEMS + 7000, 3), (300, 200)])
+def test_product_spans_several_blocks_at_the_default_cap(in_len, out_len):
+    # Longer rows than the cap holds (column blocks), and more entries than
+    # it holds (row blocks).
+    assert in_len * out_len > hashing._BLOCK_ITEMS
+    rng = np.random.default_rng(in_len)
+    inputs, stack = padded_stack(rng, [in_len, in_len - 5])
+    key = random_bits(rng, in_len + out_len - 1)
+    assert_rows_equal_matrix_products(_toeplitz_product(key, stack), key, inputs, out_len)
 
 
 def test_empty_input_hashes_to_a_copy_of_the_mask():

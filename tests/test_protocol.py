@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqkdlab import harness, protocol
 from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack, search_attacks
 from sqkdlab.bits import as_bits, flip, random_bits, to01
 from sqkdlab.hashing import _expand, privacy_amplify
@@ -67,6 +68,30 @@ def test_generate_master_keys_lengths():
     keys = generate_master_keys(2, l_key=130, rng=np.random.default_rng(0))
     assert len(keys.op_key) == len(keys.partition_key) == 4
     assert len(keys.hash_key) == 130
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(MIN_HASH_KEY_BITS, MIN_HASH_KEY_BITS + 70),
+    st.integers(0, 9),
+    st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
+    st.integers(0, 2**32 - 1),
+)
+def test_master_keys_equal_three_successive_random_bits_draws(n, l_key, bits_before, bit_generator, seed):
+    # The keys come from one raw read when every length is a multiple of 8
+    # and no PCG64 half-word is buffered (an odd count of bits drawn before
+    # leaves one), and from per-key draws otherwise: the same bits either
+    # way, and the stream left in the same place.
+    ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for rng in (ours, reference):
+        rng.integers(0, 2, size=bits_before, dtype=np.uint8)
+    keys = generate_master_keys(n, l_key, rng=ours)
+    for drawn in (keys.op_key, keys.partition_key, keys.hash_key):
+        assert drawn.dtype == np.uint8
+        assert np.array_equal(drawn, random_bits(reference, len(drawn)))
+    assert (len(keys.op_key), len(keys.hash_key)) == (2 * n, l_key)
+    assert np.array_equal(ours.random(3), reference.random(3))
 
 
 def test_generate_master_keys_balanced():
@@ -548,6 +573,64 @@ class DropLastQubit:
 
     def tap_classical(self, bits):
         return bits
+
+
+def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
+    # count_sessions, under run_batch and search_attacks, reads counters and
+    # raw keys only; the session keys are derived on their first read.
+    run_session_unpatched = protocol.run_session
+    outcomes = []
+
+    def recorded(*args, **kwargs):
+        outcomes.append(run_session_unpatched(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(protocol, "run_session", recorded)
+    harness.run_batch(harness.RunConfig(protocol="improved", n=6, trials=20, seed=3))
+    search_attacks("original", trials=2, n=4, seed=1)
+    assert len(outcomes) == 20 + 2 * 12
+    assert any(not out.aborted for out in outcomes)
+    assert all("_session_keys" not in vars(out) for out in outcomes)
+    for out in outcomes:
+        assert (out.alice_session_key is None) == out.aborted
+    assert all("_session_keys" in vars(out) for out in outcomes)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_ORIGINAL, VARIANT_IMPROVED])
+def test_reading_the_session_keys_leaves_the_transcript_unchanged(variant):
+    params = ProtocolParams(n=8, variant=variant, hash_bits=12)
+    for seed in range(12):
+        read_first, untouched = (run_session(params, None, seed=seed) for _ in range(2))
+        alice_key = read_first.alice_session_key
+        assert read_first.alice_session_key is alice_key  # derived once, then cached
+        assert read_first.bob_session_key is not None
+        assert read_first.to_dict() == untouched.to_dict()
+        rendered = list(untouched.to_dict())
+        assert rendered == list(read_first.to_dict()) == TRANSCRIPT_FIELDS
+
+
+TRANSCRIPT_FIELDS = [
+    "aborted",
+    "detected_by_alice",
+    "detected_by_bob",
+    "abort_reason",
+    "alice_bits",
+    "bob_bits",
+    "alice_raw_key",
+    "bob_raw_key",
+    "alice_session_key",
+    "bob_session_key",
+    "vacuous_check",
+    "pa_seed",
+    "check_mismatches_alice",
+    "check_mismatches_bob",
+    "compared_bits_alice",
+    "compared_bits_bob",
+    "announced_by_alice",
+    "announced_by_bob",
+    "received_by_alice",
+    "received_by_bob",
+]
 
 
 def test_malformed_delivery_aborts_with_an_empty_transcript():
