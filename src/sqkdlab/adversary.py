@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import as_bits, flip
 from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
-from .qsim import BOB, GATE_NAMES, apply_gate_batch, measure_z_batch, standard_gate
+from .qsim import BOB, GATE_NAMES, apply_gate_batch, standard_gate, z_branches
 
 QUANTUM_NONE = "none"
 QUANTUM_GATE_ALL = "gate_all"
@@ -66,15 +66,29 @@ class AdversaryStrategy:
 
     # -- quantum channel -------------------------------------------------
 
-    def tap_quantum_batch(self, states, rng: np.random.Generator) -> np.ndarray:
-        """Tamper with every flying qubit (the Bob half of each pair) of a (n, 4) batch, in order."""
+    def _tap_classes(self, rows):
+        """The quantum tap on a few class rows instead of on every pair.
+
+        Every policy treats each flying qubit (the Bob half of a pair) alike,
+        so it maps the k distinct pair states a session prepares to at most
+        2k states Bob can receive.  Returns ``(p_eve, tapped)``: a gate acts
+        on each row and p_eve is None; intercept-resend Z-measures each row
+        without drawing, ``p_eve[i]`` is the probability Eve reads 0 on row
+        i, and ``tapped[2 * i + e]`` is the pair she forwards after reading
+        e: the collapsed state, since the observed basis state is exactly
+        the fresh qubit she sends.
+        """
         if self.quantum == QUANTUM_GATE_ALL:
-            return apply_gate_batch(states, standard_gate(self.gate), BOB)
+            return None, apply_gate_batch(rows, standard_gate(self.gate), BOB)
         if self.quantum == QUANTUM_INTERCEPT_RESEND_Z:
-            # Measuring a flying qubit collapses it to the observed basis
-            # state, which is exactly the fresh qubit Eve forwards.
-            return measure_z_batch(states, BOB, rng)[1]
-        return np.asarray(states, dtype=complex)
+            # Both of Eve's outcomes have probability 1/2 on a prepared pair,
+            # so every branch is drawable.
+            p_eve, rest, _ = z_branches(rows, BOB)
+            collapsed = np.zeros((len(rows), 2, 2, 2), dtype=complex)  # [row, Eve's bit, Alice's bit, Bob's bit]
+            collapsed[:, 0, :, 0] = rest[:, 0]
+            collapsed[:, 1, :, 1] = rest[:, 1]
+            return p_eve, collapsed.reshape(-1, 4)
+        return None, rows
 
     # -- classical channel -----------------------------------------------
 

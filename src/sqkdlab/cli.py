@@ -36,7 +36,11 @@ class _Parser(argparse.ArgumentParser):
 def _pa_bits(text: str):
     if text.lower() == "auto":
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        # argparse prefixes "argument --pa-bits: ".
+        raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +84,10 @@ def _config_from_args(args) -> RunConfig:
     custom = None
     if getattr(args, "strategy_file", None) is not None:
         with open(args.strategy_file) as fh:
-            custom = json.load(fh)
+            try:
+                custom = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"custom_strategy: {args.strategy_file} is not valid JSON ({err})") from None
     return RunConfig(
         protocol=args.protocol,
         attack=getattr(args, "attack", "none"),
@@ -122,7 +129,7 @@ def main(argv=None) -> int:
                 else render_search_csv(results, config)
             )
         _emit(text, config.output_path)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"sqkdlab: error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -24,6 +24,12 @@ tau.  The improved variant's encoder hashes all four halves in one
 Toeplitz product.
 
 Announcements and flying qubits pass through adversary-tappable channels.
+A strategy's tap treats each flying qubit alike, so a session's pairs are
+copies of at most four distinct states: the channel's class rows are
+measured once (``_compile``), and each session draws its pairs' bits from
+the resulting per-class tables.  A duck-typed tap's delivery is measured
+the same way with one class per pair.
+
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
 the map's seed and decides whether the map can run; the keys themselves
@@ -37,25 +43,26 @@ streams.
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bits import _check_size, _random_bit_runs, as_bits, random_bits, to01
 from .hashing import _digest_keys, _expand, _toeplitz_product
-from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_qubits_z, measure_z_split, standard_gate
+from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
 VARIANT_ORIGINAL = "original"
 VARIANT_IMPROVED = "improved"
 VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 
-DONE_NOTICE = "measurements-complete"
-
 MIN_HASH_KEY_BITS = 128
 DEFAULT_HASH_KEY_BITS = MIN_HASH_KEY_BITS
 PA_SEED_BITS = 128
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
-# Size caps, checked before anything is allocated.  A session holds 2n pair
-# states of 64 bytes each, so MAX_N = 2**20 caps that array at 128 MiB.  The
+# Size caps, checked before anything is allocated.  A session's quantum
+# stage holds a few arrays of 2n draws or labels, at most 8 bytes an entry,
+# so MAX_N = 2**20 caps each at 16 MiB; a duck-typed tap is handed 2n pair
+# states of 64 bytes each, 128 MiB at MAX_N, and returns as many.  The
 # improved variant expands the hash key to about n + 2 * hash_bits bits,
 # one byte each, so MAX_HASH_BITS = 2**16 adds at most 128 KiB to it.  A
 # run's trial count and the PA output length allocate nothing that grows
@@ -70,7 +77,9 @@ _HADAMARD.flags.writeable = False
 # Every pair starts as the same Bell row, so a prepared pair is one of two
 # constant rows, indexed by its op bit: that row as it is (0) or with H on
 # Alice's qubit (1).  The batch gate computes both, so every prepared row
-# has the bytes that gating a fresh Bell batch gives it.
+# has the bytes that gating a fresh Bell batch gives it.  They are the
+# class rows a tap starts from; a duck-typed tap is handed them gathered by
+# op bit, the (2n, 4) states of every pair Alice sends.
 _PREPARED_ROWS = apply_gate_batch(bell_batch(2), _HADAMARD, ALICE, where=np.array([False, True]))
 _PREPARED_ROWS.flags.writeable = False
 
@@ -347,52 +356,111 @@ def generate_master_keys(
     return MasterKeys._drawn(op_key, partition_key, hash_key)
 
 
-def alice_prepare(keys: MasterKeys, n: int) -> np.ndarray:
-    """Create 2n Bell pairs and apply I/H to Alice's qubit per the op key.
+def _tables(rows, ops):
+    """Bob's and Alice's Born tables for pairs Bob receives in one of ``rows``.
 
-    Every pair starts alike, so row i is a copy of the constant prepared
-    row for op bit i.  Returns the (2n, 4) pair states; Bob's halves are
-    queued for transmission in row order.  Preparation is deterministic
-    given keys.
+    ``ops`` holds each row's op bit.  Bob applies H to a row whose op bit
+    is 1, Z-measures his qubit, and Alice then Z-measures hers; the numbers
+    are those ``qsim.z_branches`` gives.  Bob's gate is one product over
+    every row, so each gated row has the bytes a many-row product gives it
+    (numpy rounds a lone row differently).  Returns ``(p_bob, p_alice,
+    drawable)``: ``p_bob[c]`` is the probability Bob reads 0 on class c,
+    ``p_alice[2 * c + b]`` the probability Alice reads 0 once Bob read b,
+    and ``drawable[2 * c + b]`` whether Bob's outcome b on class c has a
+    nonzero probability, or None when every outcome does.  After a
+    drawable outcome Alice's qubit is normalized, so her draw needs no
+    check.  A row that is not normalized raises ValueError.
     """
-    if len(keys.op_key) != 2 * n:
-        raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={n}")
-    return _PREPARED_ROWS.take(keys.op_key, axis=0)
+    gated = np.where((ops == 1)[:, None], apply_gate_batch(rows, _HADAMARD, BOB), rows)
+    p_bob, rest, drawable = z_branches(gated, BOB)
+    p_alice = np.abs(rest[..., 0]) ** 2
+    return p_bob, p_alice.ravel(), None if drawable.all() else drawable.ravel()
 
 
-def bob_receive_measure(keys: MasterKeys, delivered, rng: np.random.Generator):
-    """Bob's turn: mirror Alice's I/H choice on each received qubit, Z-measure
-    them all, and emit a done notice on the classical channel.
+class _Channel(NamedTuple):
+    """An adversary compiled for the quantum stage.
 
-    Returns ``(bob_bits, alice_qubits, DONE_NOTICE)``.  Bob's measurement
-    leaves every pair a product state, so ``alice_qubits`` is the (2n, 2)
-    stack of Alice's retained qubits (``qsim.measure_z_split``).
+    A strategy's tap maps the two prepared rows to at most four rows Bob
+    can receive, so its ``tables`` (``_tables``) serve every session, and
+    ``p_eve`` is the probability Eve reads 0 per op bit when she measures
+    (None otherwise).  A duck-typed tap exposes only ``tap_quantum_batch``,
+    which is kept as ``tap_quantum`` and measured anew on every delivery
+    (``tables`` None).  ``tap_classical`` is the classical tap, None for
+    the honest channel.
+    """
 
-    A delivery is decided here, once.  A wrong qubit count is something an
-    adversary can cause (by dropping qubits), so it is a ProtocolError and
-    the session aborts, detected by Bob.  A NaN or infinite amplitude is not
-    a state any channel can deliver, only a fault in the tap that produced
-    it, so it raises ValueError (``state is not normalized``) before Bob's
-    gate and before any draw, as an unnormalized delivery does at the
-    measurement.
+    tap_quantum: object
+    p_eve: np.ndarray | None
+    tables: tuple | None
+    tap_classical: object
+
+
+_HONEST = _Channel(None, None, _tables(_PREPARED_ROWS, np.array([0, 1])), None)
+
+
+def _compile(adversary) -> _Channel:
+    """The channel of ``adversary``: None is the honest channel, a compiled
+    channel is itself, a strategy (which has ``_tap_classes``) is compiled
+    from its tap on the prepared rows, and any other object is a duck-typed
+    tap."""
+    if isinstance(adversary, _Channel):
+        return adversary
+    if adversary is None:
+        return _HONEST
+    tap_classes = getattr(adversary, "_tap_classes", None)
+    if tap_classes is None:
+        return _Channel(adversary.tap_quantum_batch, None, None, adversary.tap_classical)
+    p_eve, rows = tap_classes(_PREPARED_ROWS)
+    # Rows come op bit first: (op 0, op 1), or (op, Eve's bit) in order.
+    ops = np.repeat(np.array([0, 1]), len(rows) // 2)
+    return _Channel(None, p_eve, _tables(rows, ops), adversary.tap_classical)
+
+
+def _received(delivered, expected: int) -> np.ndarray:
+    """A duck-typed tap's delivery, decided once.
+
+    A wrong qubit count is something an adversary can cause (by dropping
+    qubits), so it is a ProtocolError and the session aborts, detected by
+    Bob.  A NaN or infinite amplitude is not a state any channel can
+    deliver, only a fault in the tap that produced it, so it raises
+    ValueError (``state is not normalized``) before Bob's gate and before
+    any draw, as an unnormalized delivery does when its tables are built.
     """
     delivered = np.asarray(delivered, dtype=complex)
-    expected = len(keys.op_key)
     if delivered.ndim != 2 or delivered.shape != (expected, 4):
         got = delivered.shape[0] if delivered.ndim == 2 else "malformed"
         raise ProtocolError(f"expected {expected} delivered qubits, got {got}")
     if not np.isfinite(delivered).all():
         raise ValueError("delivered state is not normalized: it holds a NaN or infinite amplitude")
-    states = apply_gate_batch(delivered, _HADAMARD, BOB, where=keys.op_key == 1)
-    outcomes, alice_qubits = measure_z_split(states, BOB, rng)
-    return outcomes, alice_qubits, DONE_NOTICE
+    return delivered
 
 
-def alice_measure(alice_qubits, rng: np.random.Generator) -> np.ndarray:
-    """Alice's turn (after Bob's done notice): Z-measure her retained qubits,
-    the (2n, 2) stack ``bob_receive_measure`` returns, and return her bits.
-    Nothing reads her post-measurement states, so none are built."""
-    return measure_qubits_z(alice_qubits, rng)
+def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generator):
+    """Bob's and then Alice's Z measurements of one session: ``(bob_bits, alice_bits)``.
+
+    Each pair gets a class label: its op bit, ``2 * op + e`` once Eve read e
+    (intercept-resend), or its own row of what a duck-typed tap delivers
+    when handed every prepared pair.
+    Bob's bits are then one uniform draw per pair against his class's
+    probability of reading 0, and Alice's one more against hers given
+    Bob's bit: the draws, in the order and with the numbers of measuring
+    every pair state, so the bits are the same.  A drawn outcome of zero
+    probability raises RuntimeError.
+    """
+    if channel.tap_quantum is None:
+        tables, labels = channel.tables, op_key
+        if channel.p_eve is not None:
+            labels = 2 * op_key + (rng.random(len(op_key)) >= channel.p_eve[op_key])
+    else:
+        delivered = _received(channel.tap_quantum(_PREPARED_ROWS.take(op_key, axis=0), rng), len(op_key))
+        tables, labels = _tables(delivered, op_key), np.arange(len(op_key))
+    p_bob, p_alice, drawable = tables
+    bob = rng.random(len(labels)) >= p_bob[labels]
+    picked = 2 * labels + bob
+    if drawable is not None and not drawable[picked].all():
+        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
+    alice = rng.random(len(labels)) >= p_alice[picked]
+    return bob.view(np.uint8), alice.view(np.uint8)
 
 
 def partition_measurements(measured, partition_key) -> Partition:
@@ -545,30 +613,33 @@ def run_session(
 ) -> SessionOutcome:
     """Execute one full session through adversary-tappable channels.
 
-    ``adversary`` is any object exposing ``tap_quantum_batch(states, rng)``
-    and ``tap_classical(bits)`` (see adversary.AdversaryStrategy), or None
-    for an honest channel.  ``seed`` may be an int, a SeedSequence, or a
-    Generator; identical (params, adversary, seed, keys) inputs give a
+    ``adversary`` is None for an honest channel, an
+    adversary.AdversaryStrategy, any object exposing
+    ``tap_quantum_batch(states, rng)`` and ``tap_classical(bits)``, or a
+    channel ``count_sessions`` compiled from one of these.  ``seed`` may be an int, a SeedSequence, or
+    a Generator; identical (params, adversary, seed, keys) inputs give a
     bit-identical SessionOutcome.  ``keys`` forces the master keys instead
     of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
-    construction, the adversary's deliveries on receipt.  Everything else
-    is an array the session built, so it calls the unchecked cores behind
-    partition_measurements and the exchanges, partitions once for both
-    parties and expands the hash key once.  The session draws pa_seed last
-    and decides whether privacy amplification can run; the session keys
-    are derived on their first read (``SessionOutcome``).
+    construction (and the keys' size here), the adversary's deliveries on
+    receipt.  Everything else is an array the session built, so it calls
+    the unchecked cores behind partition_measurements and the exchanges,
+    partitions once for both parties and expands the hash key once.  The
+    quantum stage draws each pair's bits from the channel's class tables
+    (``_quantum_stage``).  The session draws pa_seed last and decides
+    whether privacy amplification can run; the session keys are derived on
+    their first read (``SessionOutcome``).
     """
     rng = _as_rng(seed)
+    channel = _compile(adversary)
     if keys is None:
         keys = generate_master_keys(params.n, rng=rng, balanced_k2=params.balanced_k2)
-
-    pairs = alice_prepare(keys, params.n)
-    if adversary is not None:
-        pairs = adversary.tap_quantum_batch(pairs, rng)
+    elif len(keys.op_key) != 2 * params.n:
+        raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
     try:
-        bob_bits, alice_qubits, notice = bob_receive_measure(keys, pairs, rng)
+        # Bob measures first; Alice measures once he is done.
+        bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng)
     except ProtocolError as err:
         # Bob is the party that notices a malformed delivery; nothing was
         # measured, announced or compared.
@@ -586,8 +657,6 @@ def run_session(
             check=CheckResult(True, True, 0, 0, 0, 0, empty, empty, empty, empty),
             pa_seed=None,
         )
-    assert notice == DONE_NOTICE  # Alice waits for Bob before measuring
-    alice_bits = alice_measure(alice_qubits, rng)
 
     # Both parties hold the same partition key, so one pass finds the indices.
     raw_indices = np.flatnonzero(keys.partition_key == 0)
@@ -596,8 +665,9 @@ def run_session(
     part_bob = _split(bob_bits, raw_indices, check_indices)
     vacuous = len(part_alice.check_odd) == 0 or len(part_alice.check_even) == 0
 
-    tap = adversary.tap_classical if adversary is not None else None
-    chk = _exchange(part_alice, part_bob, params.variant, tap, params.tau, keys.hash_key, params.hash_bits)
+    chk = _exchange(
+        part_alice, part_bob, params.variant, channel.tap_classical, params.tau, keys.hash_key, params.hash_bits
+    )
 
     detected_alice = not chk.alice_pass
     detected_bob = not chk.bob_pass
@@ -647,11 +717,13 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
     """Run one session per seed in ``seeds`` and count what happened.
 
     This is the package's one trial loop: run_batch and search_attacks
-    differ only in the seeds they pass, so each keeps its own streams.
+    differ only in the seeds they pass, so each keeps its own streams.  The
+    adversary is compiled once, and every session draws from its tables.
     """
+    channel = _compile(adversary)
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
     for seed in seeds:
-        outcome = run_session(params, adversary, seed=seed)
+        outcome = run_session(params, channel, seed=seed)
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted

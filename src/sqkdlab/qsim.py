@@ -13,14 +13,15 @@ Gates are plain 2x2 complex unitaries and measurement follows the Born rule
 with explicit collapse: the components the outcome rules out are set to
 zero and the rest are scaled by the reciprocal of their norm.  A measured
 pair is a product state, the measured basis state times one qubit, so
-``measure_z_split`` returns only that qubit as an (n, 2) stack and
-``measure_qubits_z`` measures such a stack.  This is exact: the dropped
-components add exact zeros to every sum that reads them, and
-``measure_z_batch`` writes the same qubit back into a zeroed (n, 4) array.
-All arithmetic is double precision with 1e-12 tolerances: the gate set used
-here only has entries in {0, ±1, ±1/√2}, so rounding error stays near
-machine epsilon.  Global phase is never normalized away; comparisons that
-need it are made up to phase by callers.
+``z_branches`` returns each row's probability of outcome 0 and, for both
+outcomes, only that qubit, without drawing.  A session's pairs are copies
+of a few distinct rows, so the protocol measures those rows once and
+draws each pair's bits from the resulting tables; ``measure_z_batch``
+draws and collapses a whole stack from the same numbers.  All arithmetic
+is double precision with 1e-12 tolerances: the gate set used here only
+has entries in {0, ±1, ±1/√2}, so rounding error stays near machine
+epsilon.  Global phase is never normalized away; comparisons that need it
+are made up to phase by callers.
 """
 
 import math
@@ -137,35 +138,33 @@ def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
     return product
 
 
-def measure_z_split(states, target: str, rng: np.random.Generator):
-    """Z-measure the chosen qubit of every pair and return the other qubit.
+def z_branches(states, target: str):
+    """Both outcomes of a Z measurement of the chosen qubit of every pair, without a draw.
 
-    Draws each outcome by the Born rule and collapses: after the
-    measurement a pair is the product of the measured basis state and one
-    qubit, so the collapse is that qubit's two amplitudes (those the
-    outcome keeps, ordered by the other qubit's bit) scaled by the
-    reciprocal of their norm.  Returns ``(outcomes, rest)`` with outcomes
-    uint8 of shape (n,) and ``rest`` the (n, 2) states of the unmeasured
-    qubits.  Consumes exactly n uniform draws, one per pair in row order,
-    so the outcomes are a fixed function of the rng stream state.  A state
-    that is not normalized, or holds a NaN or infinite amplitude, is
-    rejected before any draw.
+    Returns ``(p_zero, rest, drawable)``:
 
-    The norm is ``sqrt(sq[k0] + sq[k1])`` over the kept indices k0 < k1,
-    with ``sq = (x.conj() * x).real``: the norm of the zero-padded
-    projection with its two exact +0.0 terms left out, so bit for bit the
-    same number.  The scaling multiplies the real and imaginary parts by
-    ``1 / norm``, which is how numpy divides a complex number by
-    ``norm + 0j``; the two agree bit for bit, except that complex division
-    can turn a kept ``-0.0`` part into ``+0.0``, depending on the sign of
-    the amplitude's other part.  No probability or outcome reads the sign
-    of a zero.
+    * ``p_zero``, shape (k,): each row's Born probability of outcome 0;
+    * ``rest``, shape (k, 2, 2), indexed [row, outcome, other qubit's bit]:
+      after the outcome a pair is the measured basis state times one qubit,
+      and this is that qubit, its two amplitudes scaled by 1 / their norm;
+    * ``drawable``, shape (k, 2): the outcome's norm exceeds ATOL.  Drawing
+      an outcome that is not drawable is an error; its ``rest`` is left
+      unscaled, so no undrawable branch divides by zero.
+
+    A state that is not normalized, or holds a NaN or infinite amplitude,
+    raises ValueError.  The probabilities add the four weights in the order
+    ``sum(axis=1)`` adds a length-4 row, and the norm is
+    ``sqrt(sq[k0] + sq[k1])`` over the kept indices k0 < k1: the four-term
+    norm of the zero-padded projection with its two exact +0.0 terms left
+    out, so bit for bit the same number.  The scaling multiplies the real
+    and imaginary parts by ``1 / norm``, which is how numpy divides a
+    complex number by ``norm + 0j``; only the sign of a kept zero part can
+    differ from complex division, and no probability reads it.  Every step
+    is elementwise, so a row's numbers do not depend on the other rows.
     """
     _require_target(target)
     states = np.asarray(states, dtype=complex)
     count = states.shape[0]
-    # Explicit column sums, added in the order sum(axis=1) adds a length-4
-    # row, so every probability is bit-identical to that reduction.
     weights = (np.abs(states) ** 2).T
     total = weights[0] + weights[1] + weights[2] + weights[3]
     # Written so that a NaN total fails the check too.
@@ -173,24 +172,16 @@ def measure_z_split(states, target: str, rng: np.random.Generator):
         raise ValueError("state is not normalized")
     zero_a, zero_b = _ZERO_COMPONENTS[target]
     p_zero = weights[zero_a] + weights[zero_b]
-    outcomes = (rng.random(count) >= p_zero).astype(np.uint8)
-    # Indexed [row, Alice's bit, Bob's bit]: the outcome picks one column
-    # (Bob measured) or one row (Alice measured) of each pair's 2x2 block.
-    # The 0/1 outcomes viewed as booleans are the condition, with no compare.
+    # The pairs as [row, Alice's bit, Bob's bit]; the outcome picks one
+    # column (Bob measured) or one row (Alice measured) of each 2x2 block.
     blocks = states.reshape(count, 2, 2)
-    read_one = outcomes.view(bool)[:, None]
-    if target == BOB:
-        rest = np.where(read_one, blocks[:, :, 1], blocks[:, :, 0])
-    else:
-        rest = np.where(read_one, blocks[:, 1, :], blocks[:, 0, :])
+    rest = np.array(blocks.transpose(0, 2, 1) if target == BOB else blocks, order="C")
     squares = (rest.conj() * rest).real
-    norms = np.sqrt(squares[:, 0] + squares[:, 1])
-    if (norms <= ATOL).any():
-        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    # rest /= norms[:, None], without the complex division loop.
-    parts = rest.view(np.float64).reshape(count, 4)
-    parts *= (1.0 / norms)[:, None]
-    return outcomes, rest
+    norms = np.sqrt(squares[..., 0] + squares[..., 1])
+    drawable = norms > ATOL
+    parts = rest.view(np.float64).reshape(count, 2, 4)
+    parts *= (1.0 / np.where(drawable, norms, 1.0))[..., None]
+    return p_zero, rest, drawable
 
 
 def measure_z_batch(states, target: str, rng: np.random.Generator):
@@ -199,38 +190,21 @@ def measure_z_batch(states, target: str, rng: np.random.Generator):
 
     Returns ``(outcomes, collapsed)`` with outcomes uint8 of shape (n,) and
     collapsed states (n, 4); components inconsistent with an outcome are
-    exactly zero.  This is ``measure_z_split`` with the unmeasured qubit
-    written back into the kept components, so it draws, checks and rounds
-    exactly as that does.
+    exactly zero.  Consumes exactly n uniform draws, one per pair in row
+    order, so the outcomes are a fixed function of the rng stream state.
+    The numbers are those of ``z_branches``: a state it rejects is rejected
+    before any draw, and a drawn outcome it marks undrawable raises
+    RuntimeError.
     """
-    outcomes, rest = measure_z_split(states, target, rng)
-    count = len(outcomes)
-    collapsed = np.zeros((count, 2, 2), dtype=complex)
+    p_zero, rest, drawable = z_branches(states, target)
+    count = len(p_zero)
+    outcomes = (rng.random(count) >= p_zero).astype(np.uint8)
     rows = np.arange(count)
+    if not drawable[rows, outcomes].all():
+        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
+    collapsed = np.zeros((count, 2, 2), dtype=complex)
     if target == BOB:
-        collapsed[rows, :, outcomes] = rest
+        collapsed[rows, :, outcomes] = rest[rows, outcomes]
     else:
-        collapsed[rows, outcomes, :] = rest
+        collapsed[rows, outcomes, :] = rest[rows, outcomes]
     return outcomes, collapsed.reshape(count, 4)
-
-
-def measure_qubits_z(qubits, rng: np.random.Generator) -> np.ndarray:
-    """Z-measure a stack of single qubits, one Born draw per row.
-
-    ``qubits`` is an (m, 2) array of amplitudes (|0>, |1>).  Returns the
-    uint8 outcomes; the post-measurement states are the basis states the
-    outcomes name, so none are built.  Consumes exactly m uniform draws in
-    row order.  A qubit that is not normalized, or holds a NaN or infinite
-    amplitude, is rejected before any draw.
-
-    On the ``rest`` of ``measure_z_split`` this draws what measuring the
-    collapsed pair would: the pair's probability of outcome 0 adds one
-    kept weight and one exact +0.0, so it equals ``abs(q0) ** 2``.
-    """
-    qubits = np.asarray(qubits, dtype=complex)
-    if qubits.ndim != 2 or qubits.shape[1] != 2:
-        raise ValueError(f"qubits must be an (m, 2) array, got shape {qubits.shape}")
-    weights = (np.abs(qubits) ** 2).T
-    if not (np.abs(weights[0] + weights[1] - 1.0) <= 1e-9).all():
-        raise ValueError("state is not normalized")
-    return (rng.random(qubits.shape[0]) >= weights[0]).astype(np.uint8)

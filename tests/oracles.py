@@ -1,10 +1,12 @@
 """Reference forms the engine is tested against.
 
-The package works on whole batches: every pair of a session in one
-``(n, 4)`` array, every Toeplitz product as a sliding correlation with no
-matrix.  The forms here do the same work the slow, obvious way (one pair
-state, one explicit 4x4 product, one Born draw, one materialized matrix at
-a time) and the equivalence tests assert that the engine equals them.
+The package works on whole batches and on the few distinct states a
+session holds: a session's pairs are measured as class rows and drawn
+from per-class tables, every Toeplitz product is one blocked product with
+no full matrix.  The forms here do the same work the slow, obvious way
+(every pair state of a session in one ``(2n, 4)`` array, one pair state,
+one explicit 4x4 product, one Born draw, one materialized matrix at a
+time) and the equivalence tests assert that the engine equals them.
 """
 
 from typing import NamedTuple
@@ -88,6 +90,22 @@ def measure_z_collapse(states, target: str, rng: np.random.Generator):
     return outcomes, post
 
 
+def measure_qubits_z(qubits, rng: np.random.Generator) -> np.ndarray:
+    """Z-measure a stack of single qubits, one Born draw per row on ``abs(q0) ** 2``.
+
+    ``qubits`` is an (m, 2) array of amplitudes (|0>, |1>).  Returns the
+    uint8 outcomes.  A qubit that is not normalized, or holds a NaN or
+    infinite amplitude, is rejected before any draw.
+    """
+    qubits = np.asarray(qubits, dtype=complex)
+    if qubits.ndim != 2 or qubits.shape[1] != 2:
+        raise ValueError(f"qubits must be an (m, 2) array, got shape {qubits.shape}")
+    weights = (np.abs(qubits) ** 2).T
+    if not (np.abs(weights[0] + weights[1] - 1.0) <= 1e-9).all():
+        raise ValueError("state is not normalized")
+    return (rng.random(qubits.shape[0]) >= weights[0]).astype(np.uint8)
+
+
 def measure_session(op_key, delivered, rng: np.random.Generator):
     """Bob's and then Alice's measurement of a session, on whole pair states:
     Bob's H where the op bit is 1, a four-term collapse of Bob's qubit, then
@@ -104,8 +122,18 @@ def prepare(op_key) -> np.ndarray:
     return apply_gate_batch(bell_batch(len(op_key)), standard_gate("H"), ALICE, where=op_key == 1)
 
 
+def tap_quantum_batch(strategy: AdversaryStrategy, states, rng: np.random.Generator) -> np.ndarray:
+    """The strategy's quantum tap on every pair state of a session, in row order:
+    one batch gate, or a four-term collapse of every flying qubit."""
+    if strategy.quantum == QUANTUM_GATE_ALL:
+        return apply_gate_batch(states, standard_gate(strategy.gate), BOB)
+    if strategy.quantum == QUANTUM_INTERCEPT_RESEND_Z:
+        return measure_z_collapse(states, BOB, rng)[1]
+    return np.asarray(states, dtype=complex)
+
+
 def tap_quantum(strategy: AdversaryStrategy, state, rng: np.random.Generator) -> np.ndarray:
-    """``strategy.tap_quantum_batch`` for one flying qubit (the Bob half of one pair state)."""
+    """``tap_quantum_batch`` for one flying qubit (the Bob half of one pair state)."""
     if strategy.quantum == QUANTUM_GATE_ALL:
         return apply_gate(state, standard_gate(strategy.gate), BOB)
     if strategy.quantum == QUANTUM_INTERCEPT_RESEND_Z:

@@ -120,12 +120,14 @@ def test_tap_quantum_intercept_collapses_to_product_state():
 
 
 def test_tap_quantum_batch_matches_single():
+    # The class-row tap, drawn once per pair, against the one-pair tap.
     rng_batch = np.random.default_rng(9)
     rng_single = np.random.default_rng(9)
-    states = np.tile(bell_phi_plus(), (32, 1))
     strategy = intercept_resend_attack()
-    batched = strategy.tap_quantum_batch(states, rng_batch)
-    singles = np.array([tap_quantum(strategy, s, rng_single) for s in states])
+    p_eve, tapped = strategy._tap_classes(bell_phi_plus()[None, :])
+    assert tapped.shape == (2, 4)
+    batched = tapped[(rng_batch.random(32) >= p_eve[0]).astype(int)]
+    singles = np.array([tap_quantum(strategy, bell_phi_plus(), rng_single) for _ in range(32)])
     assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
 

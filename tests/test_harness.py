@@ -366,6 +366,26 @@ def test_cli_bad_strategy_file_names_the_field(tmp_path, capsys, description, fi
     assert captured.err.startswith(f"sqkdlab: error: {field}: ")
 
 
+@pytest.mark.parametrize("text", ["", "{oops", "quantum: none"])
+def test_cli_malformed_strategy_file_names_the_field(tmp_path, capsys, text):
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(text)
+    rc = main(["run", "--attack", "custom", "--strategy-file", str(strategy), "--n", "4", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"sqkdlab: error: custom_strategy: {strategy} is not valid JSON (")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_bad_pa_bits_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--pa-bits", "x"])
+    assert err.value.code == 1
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message == "sqkdlab run: error: argument --pa-bits: must be an integer or 'auto', got 'x'"
+
+
 def test_cli_search(capsys):
     rc = main(["search", "--protocol", "original", "--n", "4", "--trials", "10", "--seed", "2"])
     assert rc == 0

@@ -12,7 +12,6 @@ from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modifi
 from sqkdlab.bits import as_bits, flip, random_bits, to01
 from sqkdlab.hashing import _expand, privacy_amplify
 from sqkdlab.protocol import (
-    DONE_NOTICE,
     MAX_HASH_BITS,
     MAX_N,
     MIN_HASH_KEY_BITS,
@@ -22,9 +21,6 @@ from sqkdlab.protocol import (
     ProtocolError,
     ProtocolParams,
     SessionCounts,
-    alice_measure,
-    alice_prepare,
-    bob_receive_measure,
     count_sessions,
     exchange_and_check_improved,
     exchange_and_check_original,
@@ -32,9 +28,9 @@ from sqkdlab.protocol import (
     partition_measurements,
     run_session,
 )
-from sqkdlab.qsim import bell_phi_plus
+from sqkdlab.qsim import GATE_NAMES, bell_phi_plus
 
-from oracles import measure_session, prepare, toeplitz_matrix
+from oracles import measure_session, prepare, tap_quantum_batch, toeplitz_matrix
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -170,9 +166,15 @@ def test_l_key_is_checked_before_any_draw(l_key, message):
 # -- preparation and measurement --------------------------------------------------
 
 
+def prepared(keys, n):
+    """What a duck-typed tap is handed: the prepared row of each pair's op bit."""
+    assert len(keys.op_key) == 2 * n
+    return protocol._PREPARED_ROWS.take(keys.op_key, axis=0)
+
+
 def test_alice_prepare_states():
     keys = keys_for("0110", "0000")
-    states = alice_prepare(keys, 2)
+    states = prepared(keys, 2)
     assert states.shape == (4, 4)
     assert np.allclose(states[0], bell_phi_plus(), rtol=0, atol=1e-12)
     assert np.allclose(states[3], bell_phi_plus(), rtol=0, atol=1e-12)
@@ -191,7 +193,7 @@ def test_alice_prepare_is_byte_equal_to_the_batch_gate(n, pattern, seed):
         "one": (np.arange(2 * n) == rng.integers(2 * n)).astype(np.uint8),
     }[pattern]
     keys = MasterKeys(op_key, random_bits(rng, 2 * n), random_bits(rng, MIN_HASH_KEY_BITS))
-    states = alice_prepare(keys, n)
+    states = prepared(keys, n)
     expected = prepare(op_key)
     assert states.dtype == expected.dtype and states.shape == expected.shape
     assert states.tobytes() == expected.tobytes()
@@ -199,62 +201,153 @@ def test_alice_prepare_is_byte_equal_to_the_batch_gate(n, pattern, seed):
 
 
 def test_alice_prepare_requires_matching_sizes():
-    with pytest.raises(ValueError, match="sized"):
-        alice_prepare(keys_for("00", "00"), 3)
+    with pytest.raises(ValueError, match=r"^keys are sized for 1 pairs, not n=3$"):
+        run_session(ProtocolParams(n=3), None, seed=0, keys=keys_for("00", "00"))
+
+
+class Deliver:
+    """A duck-typed tap that delivers fixed pair states, whatever Alice sent."""
+
+    def __init__(self, states):
+        self.states = states
+
+    def tap_quantum_batch(self, states, rng):
+        return self.states
+
+    def tap_classical(self, bits):
+        return bits
 
 
 def test_bob_rejects_wrong_qubit_count():
     keys = keys_for("0000", "0000")
-    states = alice_prepare(keys, 2)
-    with pytest.raises(ProtocolError, match="expected 4"):
-        bob_receive_measure(keys, states[:3], np.random.default_rng(0))
+    out = run_session(ProtocolParams(n=2), Deliver(prepared(keys, 2)[:3]), seed=0, keys=keys)
+    assert out.aborted and out.detected_by_bob and not out.detected_by_alice
+    assert out.abort_reason == "expected 4 delivered qubits, got 3"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 0)])
 def test_non_finite_delivery_raises_before_any_draw(bad):
     keys = keys_for("0110", "0000")
-    delivered = alice_prepare(keys, 2)
+    delivered = prepared(keys, 2)
     delivered[1, 3] = bad
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     # Rejected before Bob's gate, which would turn an infinite amplitude
     # into NaNs (inf * 0) with a RuntimeWarning (an error in this suite).
     with pytest.raises(ValueError, match="not normalized"):
-        bob_receive_measure(keys, delivered, rng)
+        run_session(ProtocolParams(n=2), Deliver(delivered), seed=rng, keys=keys)
     assert rng.bit_generator.state == before
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 350), st.integers(0, 2**32 - 1), st.booleans())
 def test_measurements_equal_collapsing_whole_pairs(n, seed, session_like):
-    # Bob's then Alice's measurement give the bytes that collapsing all four
-    # amplitudes of each pair twice gives, on random normalized deliveries
-    # and on what a tapped session delivers.
+    # A session's bits are those that collapsing all four amplitudes of
+    # each pair twice gives, on random normalized deliveries and on what a
+    # tapped session delivers.
     rng = np.random.default_rng(seed)
     keys = MasterKeys(random_bits(rng, 2 * n), random_bits(rng, 2 * n), random_bits(rng, MIN_HASH_KEY_BITS))
     if session_like:
         gate = AdversaryStrategy("gate_all", str(rng.choice(["I", "X", "Y", "Z", "H", "SPIN_FLIP"])))
-        delivered = gate.tap_quantum_batch(alice_prepare(keys, n), rng)
+        delivered = tap_quantum_batch(gate, prepare(keys.op_key), rng)
     else:
         delivered = rng.normal(size=(2 * n, 4)) + 1j * rng.normal(size=(2 * n, 4))
         delivered /= np.linalg.norm(delivered, axis=1)[:, None]
     draw = int(rng.integers(2**32))
     expected_bob, expected_alice = measure_session(keys.op_key, delivered, np.random.default_rng(draw))
-    session_rng = np.random.default_rng(draw)
-    bob_bits, alice_qubits, _ = bob_receive_measure(keys, delivered, session_rng)
-    alice_bits = alice_measure(alice_qubits, session_rng)
-    assert bob_bits.tobytes() == expected_bob.tobytes()
-    assert alice_bits.tobytes() == expected_alice.tobytes()
+    out = run_session(ProtocolParams(n=n), Deliver(delivered), seed=np.random.default_rng(draw), keys=keys)
+    assert out.bob_bits.tobytes() == expected_bob.tobytes()
+    assert out.alice_bits.tobytes() == expected_alice.tobytes()
 
 
 def test_bob_emits_done_notice_and_alice_agrees():
+    # Bob measures first, then Alice; on an honest channel they agree.
     keys = keys_for("0101", "0000")
-    states = alice_prepare(keys, 2)
-    bob_bits, alice_qubits, notice = bob_receive_measure(keys, states, np.random.default_rng(1))
-    assert notice == DONE_NOTICE
-    assert alice_qubits.shape == (4, 2)
-    alice_bits = alice_measure(alice_qubits, np.random.default_rng(2))
-    assert np.array_equal(alice_bits, bob_bits)
+    rng = np.random.default_rng(1)
+    out = run_session(ProtocolParams(n=2), None, seed=rng, keys=keys)
+    assert out.bob_bits.shape == (4,) and np.array_equal(out.alice_bits, out.bob_bits)
+    # Bob's 4 draws come first and Alice's 4 next, then the 128-bit PA seed.
+    expected = np.random.default_rng(1)
+    expected.random(8)
+    assert np.array_equal(out.pa_seed, random_bits(expected, 128))
+
+
+class RandomDelivery:
+    """A duck-typed tap that delivers random normalized pair states, drawn from the session rng."""
+
+    def tap_quantum_batch(self, states, rng):
+        delivered = rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape)
+        return delivered / np.linalg.norm(delivered, axis=1)[:, None]
+
+    def tap_classical(self, bits):
+        return bits
+
+
+ENGINE_TAPS = [None, *(AdversaryStrategy("gate_all", name) for name in GATE_NAMES), intercept_resend_attack()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.sampled_from([*ENGINE_TAPS, RandomDelivery()]),
+    st.sampled_from(["random", "zeros", "ones", "one"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_quantum_stage_is_byte_equal_to_the_whole_pair_oracle(n, tap, pattern, seed):
+    # The class-table engine against every pair state of the session:
+    # prepare, tap and measure (2n, 4) arrays, collapsing all four
+    # amplitudes.  Same bits, and the stream ends in the same place.
+    rng = np.random.default_rng(seed)
+    op_key = {
+        "random": random_bits(rng, 2 * n),
+        "zeros": np.zeros(2 * n, dtype=np.uint8),
+        "ones": np.ones(2 * n, dtype=np.uint8),
+        "one": (np.arange(2 * n) == rng.integers(2 * n)).astype(np.uint8),
+    }[pattern]
+    draw = int(rng.integers(2**32))
+
+    reference = np.random.default_rng(draw)
+    delivered = prepare(op_key)
+    if isinstance(tap, RandomDelivery):
+        delivered = tap.tap_quantum_batch(delivered, reference)
+    elif tap is not None:
+        delivered = tap_quantum_batch(tap, delivered, reference)
+    expected_bob, expected_alice = measure_session(op_key, delivered, reference)
+
+    engine = np.random.default_rng(draw)
+    bob, alice = protocol._quantum_stage(protocol._compile(tap), op_key, engine)
+    assert bob.dtype == alice.dtype == np.uint8
+    assert bob.tobytes() == expected_bob.tobytes()
+    assert alice.tobytes() == expected_alice.tobytes()
+    assert engine.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("tap", ENGINE_TAPS, ids=lambda tap: "none" if tap is None else tap.describe()["quantum"])
+def test_compiling_a_strategy_warns_of_nothing(tap, recwarn):
+    channel = protocol._compile(tap)
+    assert not recwarn.list
+    p_bob, p_alice, drawable = channel.tables
+    assert len(p_bob) <= 4 and len(p_alice) == 2 * len(p_bob)
+    if tap is not None and tap.quantum == "intercept_resend_z":
+        # After Eve reads 0 on an op-0 pair, Bob reads 1 with probability
+        # exactly 0: compiling that branch divides by nothing.
+        assert np.allclose(channel.p_eve, 0.5) and p_bob[0] == 1.0 and not drawable[1]
+    else:
+        assert channel.p_eve is None and drawable is None
+
+
+def test_a_drawn_zero_probability_outcome_raises():
+    # Normalized within the 1e-9 tolerance, Bob reads 0 with probability
+    # 1 - 5e-10, and reading 1 leaves a qubit of norm 1e-13 <= ATOL.
+    pair = [np.sqrt(1 - 5e-10), 1e-13, 0, 0]
+    channel = protocol._compile(Deliver(np.array([pair, pair], dtype=complex)))
+
+    class Ones:
+        def random(self, size):
+            return np.full(size, 1.0 - 2**-53)
+
+    with pytest.raises(RuntimeError, match="zero probability"):
+        protocol._quantum_stage(channel, np.zeros(2, dtype=np.uint8), Ones())
 
 
 # -- partition -------------------------------------------------------------------

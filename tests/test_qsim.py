@@ -14,13 +14,12 @@ from sqkdlab.qsim import (
     bell_batch,
     bell_phi_plus,
     is_unitary,
-    measure_qubits_z,
     measure_z_batch,
-    measure_z_split,
     standard_gate,
+    z_branches,
 )
 
-from oracles import apply_gate, born_probability_zero, measure_z, measure_z_collapse, prepare
+from oracles import apply_gate, born_probability_zero, measure_qubits_z, measure_z, measure_z_collapse, prepare
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -388,15 +387,16 @@ def test_split_collapse_is_byte_equal_to_the_four_term_collapse(seed, target, co
     assert outcomes.dtype == np.uint8 and np.array_equal(outcomes, expected_outcomes)
     assert collapsed.shape == (count, 4) and collapsed.tobytes() == expected_post.tobytes()
 
-    split_rng = np.random.default_rng(draw)
-    outcomes, rest = measure_z_split(states, target, split_rng)
-    assert np.array_equal(outcomes, expected_outcomes)
-    # rest is the kept pair of components, ordered by the other qubit's bit.
+    # z_branches draws nothing; drawing on its p_zero gives the outcomes,
+    # and its rest of each drawn outcome is the kept pair of components,
+    # ordered by the other qubit's bit.
+    p_zero, rest, drawable = z_branches(states, target)
+    assert np.array_equal(np.random.default_rng(draw).random(count) >= p_zero, expected_outcomes)
     kept = expected_post.reshape(count, 2, 2)
     rows = np.arange(count)
     kept = kept[rows, :, outcomes] if target == BOB else kept[rows, outcomes, :]
-    assert rest.shape == (count, 2) and rest.tobytes() == kept.tobytes()
-    assert split_rng.random() == np.random.default_rng(draw).random(count + 1)[-1]
+    assert drawable[rows, outcomes].all()
+    assert rest.shape == (count, 2, 2) and rest[rows, outcomes].tobytes() == kept.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -405,12 +405,14 @@ def test_measuring_the_rest_equals_measuring_the_collapsed_pair(seed, target, co
     rng = np.random.default_rng(seed)
     states = mixed_states(rng, count)
     first, second = int(rng.integers(2**32)), int(rng.integers(2**32))
-    _, collapsed = measure_z_collapse(states, target, np.random.default_rng(first))
-    _, rest = measure_z_split(states, target, np.random.default_rng(first))
+    outcomes, collapsed = measure_z_collapse(states, target, np.random.default_rng(first))
+    rest = z_branches(states, target)[1][np.arange(count), outcomes]
     other = BOB if target == ALICE else ALICE
     expected, _ = measure_z_collapse(collapsed, other, np.random.default_rng(second))
     got = measure_qubits_z(rest, np.random.default_rng(second))
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
+    # The session's table for the second measurement is abs(q0) ** 2.
+    assert np.array_equal(np.random.default_rng(second).random(count) >= np.abs(rest[:, 0]) ** 2, expected)
 
 
 def test_measure_qubits_z_follows_the_born_rule():
