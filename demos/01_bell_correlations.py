@@ -8,15 +8,20 @@ That sign change is the engine of the modification attack.
 
 import numpy as np
 
-from sqkdlab.qsim import ALICE, BOB, apply_gate_batch, bell_batch, measure_z_batch, standard_gate
+from sqkdlab.qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
 SHOTS = 20_000
 rng = np.random.default_rng(1)
 
 
 def agreement(states) -> float:
-    bob, states = measure_z_batch(states, BOB, rng)
-    alice, _ = measure_z_batch(states, ALICE, rng)
+    # Bob measures first.  After his outcome b a pair is |b> on his side
+    # times one qubit on Alice's, rest[row, b], and she reads 0 with
+    # probability abs(rest[row, b, 0]) ** 2.
+    p_zero, rest, _ = z_branches(states, BOB)
+    rows = np.arange(len(p_zero))
+    bob = (rng.random(len(rows)) >= p_zero).astype(np.uint8)
+    alice = rng.random(len(rows)) >= np.abs(rest[rows, bob, 0]) ** 2
     return float(np.mean(alice == bob))
 
 

@@ -19,15 +19,13 @@ from .protocol import (
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
     MasterKeys,
-    Partition,
     ProtocolError,
     ProtocolParams,
     SessionOutcome,
     generate_master_keys,
-    partition_measurements,
     run_session,
 )
-from .qsim import bell_phi_plus, standard_gate
+from .qsim import standard_gate
 
 __version__ = "0.1.0"
 
@@ -36,18 +34,15 @@ __all__ = [
     "AggregateReport",
     "AttackSearchResult",
     "MasterKeys",
-    "Partition",
     "ProtocolError",
     "ProtocolParams",
     "RunConfig",
     "SessionOutcome",
     "VARIANT_IMPROVED",
     "VARIANT_ORIGINAL",
-    "bell_phi_plus",
     "generate_master_keys",
     "intercept_resend_attack",
     "modification_attack",
-    "partition_measurements",
     "privacy_amplify",
     "replay_paper_example",
     "run_batch",

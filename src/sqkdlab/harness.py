@@ -24,7 +24,7 @@ from .adversary import (
     modification_attack,
     search_attacks,
 )
-from .bits import to01
+from .bits import as_bits, to01
 from .protocol import (
     VARIANT_ORIGINAL,
     VARIANTS,
@@ -33,7 +33,6 @@ from .protocol import (
     SessionOutcome,
     _check_trials_and_seed,
     count_sessions,
-    partition_measurements,
     run_session,
 )
 
@@ -295,17 +294,18 @@ def replay_paper_example(stream=None) -> dict:
     stream = stream if stream is not None else sys.stdout
     outcome = _find_walkthrough_outcome()
 
-    part_alice = partition_measurements(outcome.alice_bits, WALKTHROUGH_PARTITION_KEY)
-    part_bob = partition_measurements(outcome.bob_bits, WALKTHROUGH_PARTITION_KEY)
+    is_check = as_bits(WALKTHROUGH_PARTITION_KEY) == 1
+    alice_check, bob_check = outcome.alice_bits[is_check], outcome.bob_bits[is_check]
     observed = {
         "alice_bits": to01(outcome.alice_bits),
         "bob_bits": to01(outcome.bob_bits),
-        "alice_check": to01(part_alice.check),
-        "bob_check": to01(part_bob.check),
-        "alice_check_odd": to01(part_alice.check_odd),
-        "alice_check_even": to01(part_alice.check_even),
-        "bob_check_odd": to01(part_bob.check_odd),
-        "bob_check_even": to01(part_bob.check_even),
+        "alice_check": to01(alice_check),
+        "bob_check": to01(bob_check),
+        # Odd and even are 1-based positions in the check sequence.
+        "alice_check_odd": to01(alice_check[0::2]),
+        "alice_check_even": to01(alice_check[1::2]),
+        "bob_check_odd": to01(bob_check[0::2]),
+        "bob_check_even": to01(bob_check[1::2]),
         "announced_by_alice": to01(outcome.check.announced_by_alice),
         "announced_by_bob": to01(outcome.check.announced_by_bob),
         "received_by_alice": to01(outcome.check.received_by_alice),

@@ -52,6 +52,11 @@ def privacy_amplify(raw, pa_seed, out_len: int) -> np.ndarray:
 
     No mask: equal raw keys under the same public seed give equal outputs.
     Requires 1 <= out_len <= len(raw) and a non-empty seed.
+
+    No session calls it (``SessionOutcome`` derives both parties' keys in
+    one product), but it stays public: the benchmark's tracer
+    (``perfbench/tracer.py``) looks its span up by name, and the tests
+    check session keys against it.
     """
     raw = as_bits(raw)
     if len(raw) < 1:

@@ -116,7 +116,10 @@ class MasterKeys:
         if len(self.partition_key) != size:
             got = len(self.partition_key)
             raise ValueError(f"partition_key: must have equal length to op_key ({size} bits), got {got}")
-        object.__setattr__(self, "hash_key", _checked_hash_key(self.hash_key))
+        hash_key = as_bits(self.hash_key)
+        if len(hash_key) < MIN_HASH_KEY_BITS:
+            raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(hash_key)}")
+        object.__setattr__(self, "hash_key", hash_key)
 
     @classmethod
     def _drawn(cls, op_key: np.ndarray, partition_key: np.ndarray, hash_key: np.ndarray) -> "MasterKeys":
@@ -126,14 +129,6 @@ class MasterKeys:
         object.__setattr__(keys, "partition_key", partition_key)
         object.__setattr__(keys, "hash_key", hash_key)
         return keys
-
-
-def _checked_hash_key(hash_key) -> np.ndarray:
-    """The hash key as a fresh bit array; rejects keys shorter than MIN_HASH_KEY_BITS."""
-    hash_key = as_bits(hash_key)
-    if len(hash_key) < MIN_HASH_KEY_BITS:
-        raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(hash_key)}")
-    return hash_key
 
 
 @dataclass(frozen=True)
@@ -170,34 +165,6 @@ class ProtocolParams:
         if not isinstance(self.balanced_k2, (bool, np.bool_)):
             raise ValueError(f"balanced_k2: must be a bool, got {self.balanced_k2!r}")
         object.__setattr__(self, "balanced_k2", bool(self.balanced_k2))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A measurement record split by the partition key, source order kept.
-
-    check_odd / check_even hold the check bits at odd / even positions
-    (1-based) of the check sequence; the index arrays record where each
-    part came from so the split can be inverted exactly.
-    """
-
-    raw: np.ndarray
-    check: np.ndarray
-    check_odd: np.ndarray
-    check_even: np.ndarray
-    raw_indices: np.ndarray
-    check_indices: np.ndarray
-
-    @property
-    def source_len(self) -> int:
-        return len(self.raw) + len(self.check)
-
-    def reassemble(self) -> np.ndarray:
-        """Place raw and check bits back at their source indices."""
-        out = np.zeros(self.source_len, dtype=np.uint8)
-        out[self.raw_indices] = self.raw
-        out[self.check_indices] = self.check
-        return out
 
 
 @dataclass(frozen=True)
@@ -463,33 +430,6 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
     return bob.view(np.uint8), alice.view(np.uint8)
 
 
-def partition_measurements(measured, partition_key) -> Partition:
-    """Split a measurement record into raw-key and check parts by the key.
-
-    Position i goes to the raw key when the key bit is 0, to the check set
-    when it is 1; the check set is then halved into 1-based odd and even
-    positions.
-    """
-    m = as_bits(measured)
-    k = as_bits(partition_key)
-    if len(m) != len(k):
-        raise ValueError(f"record has {len(m)} bits but partition key has {len(k)}")
-    return _split(m, np.flatnonzero(k == 0), np.flatnonzero(k == 1))
-
-
-def _split(m: np.ndarray, raw_indices: np.ndarray, check_indices: np.ndarray) -> Partition:
-    """partition_measurements without the checks, for indices already taken from the key."""
-    check = m[check_indices]
-    return Partition(
-        raw=m[raw_indices],
-        check=check,
-        check_odd=check[0::2],
-        check_even=check[1::2],
-        raw_indices=raw_indices,
-        check_indices=check_indices,
-    )
-
-
 # Direction of each of the four check halves an encoder maps, in the order
 # (Alice's even, Bob's odd, Alice's odd, Bob's even): what Alice announces,
 # what Bob announces, what Alice expects, what Bob expects.
@@ -530,25 +470,24 @@ _EXCHANGES = {
 }
 
 
-def _exchange(
-    alice_part: Partition, bob_part: Partition, variant: str, channel, tau: float = 0.0, hash_key=None, hash_bits=0
-) -> CheckResult:
+def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_key, hash_bits: int) -> CheckResult:
     """The one announce-and-compare exchange, without input checks; the
     variants differ only in their ``_EXCHANGES`` entry.
 
-    Alice announces the encoding of her even half, Bob of his odd half,
-    each through ``channel`` (the classical tamper tap, identity when
-    None).  Each side compares what it receives against the encoding of
-    its own retained half of the same parity and passes when it compared
-    nothing or its mismatch fraction is <= tau (the variant's own tau when
-    it has one).  A received announcement of the wrong length aborts.
+    ``alice_check`` and ``bob_check`` are the two check sequences, cut with
+    one partition key.  Each splits into its odd half (1-based positions,
+    ``[0::2]``) and even half (``[1::2]``).  Alice announces the encoding of
+    her even half, Bob of his odd half, each through ``channel`` (the
+    classical tamper tap, identity when None).  Each side compares what it
+    receives against the encoding of its own retained half of the same
+    parity and passes when it compared nothing or its mismatch fraction is
+    <= tau (the variant's own tau when it has one).  A received
+    announcement of the wrong length aborts.
     """
     encode, fixed_tau, what = _EXCHANGES[variant]
     if fixed_tau is not None:
         tau = fixed_tau
-    if alice_part.source_len != bob_part.source_len:
-        raise ValueError("partitions do not come from the same partition key")
-    halves = (alice_part.check_even, bob_part.check_odd, alice_part.check_odd, bob_part.check_even)
+    halves = (alice_check[1::2], bob_check[0::2], alice_check[0::2], bob_check[1::2])
     announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encode(halves, hash_key, hash_bits)
     if channel is None:
         received_by_bob, received_by_alice = announced_by_alice.copy(), announced_by_bob.copy()
@@ -572,26 +511,6 @@ def _exchange(
         received_by_alice=received_by_alice,
         received_by_bob=received_by_bob,
     )
-
-
-def exchange_and_check_original(alice_part: Partition, bob_part: Partition, tau: float, channel=None) -> CheckResult:
-    """Plain-bit exchange: each check half is announced as itself, in the
-    clear; a side passes when its mismatch fraction is <= tau.  ``channel``
-    is the classical tamper tap (bits -> bits), identity when None."""
-    return _exchange(alice_part, bob_part, VARIANT_ORIGINAL, channel, tau)
-
-
-def exchange_and_check_improved(
-    alice_part: Partition, bob_part: Partition, hash_key, digest_len: int, channel=None
-) -> CheckResult:
-    """Digest exchange: each check half is announced as its keyed Toeplitz
-    digest, direction bit prepended for domain separation; a side passes only
-    on exact digest equality, so the counters count digest bits.  Both
-    directions' digest keys come from one expansion of the hash key, and
-    all four digests from one Toeplitz product."""
-    hash_key = _checked_hash_key(hash_key)
-    digest_len = _check_size("digest_len", digest_len, MAX_HASH_BITS)
-    return _exchange(alice_part, bob_part, VARIANT_IMPROVED, channel, hash_key=hash_key, hash_bits=digest_len)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -624,10 +543,12 @@ def run_session(
     Inputs are checked where they enter: ``params`` and ``keys`` on
     construction (and the keys' size here), the adversary's deliveries on
     receipt.  Everything else is an array the session built, so it calls
-    the unchecked cores behind partition_measurements and the exchanges,
-    partitions once for both parties and expands the hash key once.  The
-    quantum stage draws each pair's bits from the channel's class tables
-    (``_quantum_stage``).  The session draws pa_seed last and decides
+    the unchecked cores.  The quantum stage draws each pair's bits from
+    the channel's class tables (``_quantum_stage``).  The session finds the
+    partition key's raw and check positions once for both parties, cuts
+    both records with them, and runs the variant's exchange (``_exchange``)
+    on the two check sequences, expanding the hash key once.  The session
+    draws pa_seed last and decides
     whether privacy amplification can run; the session keys are derived on
     their first read (``SessionOutcome``).
     """
@@ -661,12 +582,13 @@ def run_session(
     # Both parties hold the same partition key, so one pass finds the indices.
     raw_indices = np.flatnonzero(keys.partition_key == 0)
     check_indices = np.flatnonzero(keys.partition_key == 1)
-    part_alice = _split(alice_bits, raw_indices, check_indices)
-    part_bob = _split(bob_bits, raw_indices, check_indices)
-    vacuous = len(part_alice.check_odd) == 0 or len(part_alice.check_even) == 0
+    alice_raw_key, bob_raw_key = alice_bits[raw_indices], bob_bits[raw_indices]
+    alice_check, bob_check = alice_bits[check_indices], bob_bits[check_indices]
+    # Fewer than two check bits leave the even half empty, and none the odd half too.
+    vacuous = len(alice_check) < 2
 
     chk = _exchange(
-        part_alice, part_bob, params.variant, channel.tap_classical, params.tau, keys.hash_key, params.hash_bits
+        alice_check, bob_check, params.variant, channel.tap_classical, params.tau, keys.hash_key, params.hash_bits
     )
 
     detected_alice = not chk.alice_pass
@@ -678,7 +600,7 @@ def run_session(
     pa_bits = 0
     if not aborted:
         pa_seed = random_bits(rng, PA_SEED_BITS)
-        raw_len = len(part_alice.raw)
+        raw_len = len(alice_raw_key)
         pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
         if pa_bits > raw_len:
             # Both parties see the impossible compression request.
@@ -693,8 +615,8 @@ def run_session(
         abort_reason=abort_reason,
         alice_bits=alice_bits,
         bob_bits=bob_bits,
-        alice_raw_key=part_alice.raw,
-        bob_raw_key=part_bob.raw,
+        alice_raw_key=alice_raw_key,
+        bob_raw_key=bob_raw_key,
         vacuous_check=vacuous,
         check=chk,
         pa_seed=pa_seed,
@@ -703,10 +625,13 @@ def run_session(
 
 
 def _check_trials_and_seed(trials, seed) -> None:
-    """Reject a run's trial count or master seed with an error naming the field."""
+    """Reject a run's trial count or master seed with an error naming the field.
+
+    Both must be Python ints, not numpy integers: a report echoes them to JSON as they are.
+    """
     for name, value in (("trials", trials), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name}: must be an integer, got {value!r}")
+            raise ValueError(f"{name}: must be a Python int, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials: must be >= 1, got {trials}")
     if not 0 <= seed <= MAX_SEED:

@@ -16,8 +16,8 @@ pair is a product state, the measured basis state times one qubit, so
 ``z_branches`` returns each row's probability of outcome 0 and, for both
 outcomes, only that qubit, without drawing.  A session's pairs are copies
 of a few distinct rows, so the protocol measures those rows once and
-draws each pair's bits from the resulting tables; ``measure_z_batch``
-draws and collapses a whole stack from the same numbers.  All arithmetic
+draws each pair's bits from the resulting tables.  The test suite's
+whole-stack draw-and-collapse is built on the same numbers.  All arithmetic
 is double precision with 1e-12 tolerances: the gate set used here only
 has entries in {0, ±1, ±1/√2}, so rounding error stays near machine
 epsilon.  Global phase is never normalized away; comparisons that need it
@@ -67,20 +67,15 @@ def standard_gate(name: str) -> np.ndarray:
     """Return one of the named 2x2 unitaries (I, H, X, Y, Z, SPIN_FLIP)."""
     try:
         return _GATES[name.upper()].copy()
-    except KeyError:
+    except (AttributeError, KeyError):
         raise ValueError(
             f"unknown gate name {name!r}; expected one of {', '.join(GATE_NAMES)}"
         ) from None
 
 
-def bell_phi_plus() -> np.ndarray:
-    """The maximally entangled pair (|00> + |11>)/√2."""
-    return np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex)
-
-
 def bell_batch(count: int) -> np.ndarray:
     """``count`` independent (|00> + |11>)/√2 pairs as a (count, 4) array."""
-    return np.full((count, 4), bell_phi_plus())
+    return np.full((count, 4), [_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex)
 
 
 def is_unitary(gate) -> bool:
@@ -182,29 +177,3 @@ def z_branches(states, target: str):
     parts = rest.view(np.float64).reshape(count, 2, 4)
     parts *= (1.0 / np.where(drawable, norms, 1.0))[..., None]
     return p_zero, rest, drawable
-
-
-def measure_z_batch(states, target: str, rng: np.random.Generator):
-    """Z-measure the chosen qubit of every pair: draw each outcome by the
-    Born rule and collapse to the renormalized projection.
-
-    Returns ``(outcomes, collapsed)`` with outcomes uint8 of shape (n,) and
-    collapsed states (n, 4); components inconsistent with an outcome are
-    exactly zero.  Consumes exactly n uniform draws, one per pair in row
-    order, so the outcomes are a fixed function of the rng stream state.
-    The numbers are those of ``z_branches``: a state it rejects is rejected
-    before any draw, and a drawn outcome it marks undrawable raises
-    RuntimeError.
-    """
-    p_zero, rest, drawable = z_branches(states, target)
-    count = len(p_zero)
-    outcomes = (rng.random(count) >= p_zero).astype(np.uint8)
-    rows = np.arange(count)
-    if not drawable[rows, outcomes].all():
-        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    collapsed = np.zeros((count, 2, 2), dtype=complex)
-    if target == BOB:
-        collapsed[rows, :, outcomes] = rest[rows, outcomes]
-    else:
-        collapsed[rows, outcomes, :] = rest[rows, outcomes]
-    return outcomes, collapsed.reshape(count, 4)

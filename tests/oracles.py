@@ -7,6 +7,9 @@ no full matrix.  The forms here do the same work the slow, obvious way
 (every pair state of a session in one ``(2n, 4)`` array, one pair state,
 one explicit 4x4 product, one Born draw, one materialized matrix at a
 time) and the equivalence tests assert that the engine equals them.
+``measure_z_batch`` is not a slow form: it draws and collapses a whole
+stack on ``qsim.z_branches`` numbers, so the tests that measure a stack
+through it check the engine's arithmetic.
 """
 
 from typing import NamedTuple
@@ -14,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sqkdlab.adversary import QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
-from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate
+from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate, z_branches
 
 # Value of the measured qubit in each of the four basis components.
 _COMPONENT_BIT = {
@@ -69,8 +72,34 @@ def measure_z(state, target: str, rng: np.random.Generator) -> MeasurementRecord
     return MeasurementRecord(outcome, post / norm)
 
 
+def measure_z_batch(states, target: str, rng: np.random.Generator):
+    """Z-measure the chosen qubit of every pair: draw each outcome by the
+    Born rule and collapse to the renormalized projection.
+
+    Returns ``(outcomes, collapsed)`` with outcomes uint8 of shape (n,) and
+    collapsed states (n, 4); components inconsistent with an outcome are
+    exactly zero.  Consumes exactly n uniform draws, one per pair in row
+    order, so the outcomes are a fixed function of the rng stream state.
+    The numbers are those of ``z_branches``: a state it rejects is rejected
+    before any draw, and a drawn outcome it marks undrawable raises
+    RuntimeError.
+    """
+    p_zero, rest, drawable = z_branches(states, target)
+    count = len(p_zero)
+    outcomes = (rng.random(count) >= p_zero).astype(np.uint8)
+    rows = np.arange(count)
+    if not drawable[rows, outcomes].all():
+        raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
+    collapsed = np.zeros((count, 2, 2), dtype=complex)
+    if target == BOB:
+        collapsed[rows, :, outcomes] = rest[rows, outcomes]
+    else:
+        collapsed[rows, outcomes, :] = rest[rows, outcomes]
+    return outcomes, collapsed.reshape(count, 4)
+
+
 def measure_z_collapse(states, target: str, rng: np.random.Generator):
-    """``qsim.measure_z_batch`` over all four amplitudes: zero the components
+    """``measure_z_batch`` over all four amplitudes: zero the components
     the outcome rules out, then scale the whole row by 1 / its four-term norm."""
     _require_target(target)
     states = np.asarray(states, dtype=complex)

@@ -22,9 +22,10 @@ from sqkdlab.qsim import (
     GATE_NAMES,
     apply_gate_batch,
     bell_batch,
-    measure_z_batch,
     standard_gate,
 )
+
+from oracles import measure_z_batch
 
 
 def report(line: str) -> None:

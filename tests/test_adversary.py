@@ -19,7 +19,7 @@ from sqkdlab.protocol import (
     generate_master_keys,
     run_session,
 )
-from sqkdlab.qsim import ALICE, BOB, bell_phi_plus, standard_gate
+from sqkdlab.qsim import ALICE, BOB, bell_batch, standard_gate
 
 from oracles import apply_gate, measure_z, tap_quantum
 
@@ -97,13 +97,13 @@ def test_tap_classical_policies():
 
 
 def test_tap_quantum_none_is_identity():
-    state = bell_phi_plus()
+    state = bell_batch(1)[0]
     tapped = tap_quantum(AdversaryStrategy(), state, np.random.default_rng(0))
     assert np.array_equal(tapped, state)
 
 
 def test_tap_quantum_spin_flip_gives_singlet():
-    tapped = tap_quantum(modification_attack(), bell_phi_plus(), np.random.default_rng(0))
+    tapped = tap_quantum(modification_attack(), bell_batch(1)[0], np.random.default_rng(0))
     singlet = np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex)
     ratio = tapped[np.abs(singlet) > 0] / singlet[np.abs(singlet) > 0]
     assert np.allclose(ratio, ratio[0], rtol=0, atol=1e-12)  # equal up to global phase
@@ -113,7 +113,7 @@ def test_tap_quantum_spin_flip_gives_singlet():
 def test_tap_quantum_intercept_collapses_to_product_state():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        tapped = tap_quantum(intercept_resend_attack(), bell_phi_plus(), rng)
+        tapped = tap_quantum(intercept_resend_attack(), bell_batch(1)[0], rng)
         assert np.allclose(tapped, [1, 0, 0, 0], rtol=0, atol=1e-12) or np.allclose(
             tapped, [0, 0, 0, 1], rtol=0, atol=1e-12
         )
@@ -124,10 +124,10 @@ def test_tap_quantum_batch_matches_single():
     rng_batch = np.random.default_rng(9)
     rng_single = np.random.default_rng(9)
     strategy = intercept_resend_attack()
-    p_eve, tapped = strategy._tap_classes(bell_phi_plus()[None, :])
+    p_eve, tapped = strategy._tap_classes(bell_batch(1))
     assert tapped.shape == (2, 4)
     batched = tapped[(rng_batch.random(32) >= p_eve[0]).astype(int)]
-    singles = np.array([tap_quantum(strategy, bell_phi_plus(), rng_single) for _ in range(32)])
+    singles = np.array([tap_quantum(strategy, bell_batch(1)[0], rng_single) for _ in range(32)])
     assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_intercept_resend_breaks_hadamard_basis_agreement():
     agree = 0
     trials = 4000
     for _ in range(trials):
-        state = apply_gate(bell_phi_plus(), standard_gate("H"), ALICE)
+        state = apply_gate(bell_batch(1)[0], standard_gate("H"), ALICE)
         state = tap_quantum(intercept_resend_attack(), state, rng)
         state = apply_gate(state, standard_gate("H"), BOB)
         bob = measure_z(state, BOB, rng)
@@ -229,6 +229,7 @@ def test_search_smoke():
         ("seed", -1),
         ("seed", 2**64),
         ("seed", True),
+        ("trials", np.int64(3)),
     ],
 )
 def test_search_rejects_bad_trials(field, value, monkeypatch):
@@ -238,6 +239,14 @@ def test_search_rejects_bad_trials(field, value, monkeypatch):
     monkeypatch.setattr("sqkdlab.adversary.count_sessions", no_sessions)
     with pytest.raises(ValueError, match=rf"^{field}:"):
         search_attacks(VARIANT_ORIGINAL, n=2, **{field: value})
+
+
+def test_numpy_trials_and_seed_are_refused_as_not_python_ints():
+    # The report echoes trials and seed to JSON as they are, so a numpy
+    # integer is refused, and the message says which kind of int is meant.
+    for field in ("trials", "seed"):
+        with pytest.raises(ValueError, match=rf"^{field}: must be a Python int, got np.int64\(3\)$"):
+            search_attacks(VARIANT_ORIGINAL, n=2, **{field: np.int64(3)})
 
 
 def test_search_result_wire_format():

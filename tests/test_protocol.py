@@ -22,13 +22,10 @@ from sqkdlab.protocol import (
     ProtocolParams,
     SessionCounts,
     count_sessions,
-    exchange_and_check_improved,
-    exchange_and_check_original,
     generate_master_keys,
-    partition_measurements,
     run_session,
 )
-from sqkdlab.qsim import GATE_NAMES, bell_phi_plus
+from sqkdlab.qsim import GATE_NAMES, bell_batch
 
 from oracles import measure_session, prepare, tap_quantum_batch, toeplitz_matrix
 
@@ -134,14 +131,11 @@ def test_size_caps_name_the_field_before_anything_is_drawn():
 
 
 def test_master_keys_reject_a_short_hash_key():
-    # Checked where the key enters, for both variants: a session never
-    # meets a hash key shorter than the digests' minimum.
+    # Checked where the key enters: a session never meets a hash key
+    # shorter than the digests' minimum.
     keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS)
-    with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127"):
-        keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
-    part = partition_measurements("0011", "1100")
     with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127$"):
-        exchange_and_check_improved(part, part, np.zeros(MIN_HASH_KEY_BITS - 1, np.uint8), digest_len=8)
+        keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
     with pytest.raises(ValueError, match=rf"^l_key: must be >= {MIN_HASH_KEY_BITS}, got 127$"):
         generate_master_keys(2, l_key=MIN_HASH_KEY_BITS - 1, rng=np.random.default_rng(0))
 
@@ -176,8 +170,8 @@ def test_alice_prepare_states():
     keys = keys_for("0110", "0000")
     states = prepared(keys, 2)
     assert states.shape == (4, 4)
-    assert np.allclose(states[0], bell_phi_plus(), rtol=0, atol=1e-12)
-    assert np.allclose(states[3], bell_phi_plus(), rtol=0, atol=1e-12)
+    assert np.allclose(states[0], bell_batch(1)[0], rtol=0, atol=1e-12)
+    assert np.allclose(states[3], bell_batch(1)[0], rtol=0, atol=1e-12)
     assert np.allclose(states[1], [0.5, 0.5, 0.5, -0.5], rtol=0, atol=1e-12)
     assert np.allclose(states[2], [0.5, 0.5, 0.5, -0.5], rtol=0, atol=1e-12)
 
@@ -353,64 +347,79 @@ def test_a_drawn_zero_probability_outcome_raises():
 # -- partition -------------------------------------------------------------------
 
 
+def halves(check):
+    """(odd, even): the bits at 1-based odd and at 1-based even positions of a check sequence."""
+    odd = [bit for position, bit in enumerate(check, start=1) if position % 2 == 1]
+    even = [bit for position, bit in enumerate(check, start=1) if position % 2 == 0]
+    return as_bits(odd), as_bits(even)
+
+
+def session_measuring(record, partition_key):
+    """An original-variant session on forced keys (op key all I) whose tap
+    delivers |b b> for each bit b of ``record``, so both parties measure
+    ``record``.  On the identity classical channel Alice announces her
+    check sequence's even half and Bob his odd half."""
+    bits = as_bits(record)
+    delivered = np.zeros((len(bits), 4), dtype=complex)
+    delivered[np.arange(len(bits)), 3 * bits] = 1  # |00> or |11>
+    keys = keys_for("0" * len(bits), partition_key)
+    return run_session(ProtocolParams(n=len(bits) // 2), Deliver(delivered), seed=0, keys=keys)
+
+
 def test_partition_walkthrough_alice():
-    part = partition_measurements("0011", "1100")
-    assert to01(part.raw) == "11"
-    assert to01(part.check) == "00"
-    assert to01(part.check_odd) == "0"
-    assert to01(part.check_even) == "0"
+    out = session_measuring("0011", "1100")
+    assert to01(out.alice_bits) == "0011"
+    assert to01(out.alice_raw_key) == "11"
+    # the check sequence "00": odd half "0", even half "0"
+    assert to01(out.check.announced_by_bob) == "0"
+    assert to01(out.check.announced_by_alice) == "0"
 
 
 def test_partition_walkthrough_bob():
-    part = partition_measurements("1100", "1100")
-    assert to01(part.raw) == "00"
-    assert to01(part.check) == "11"
-    assert to01(part.check_odd) == "1"
-    assert to01(part.check_even) == "1"
+    out = session_measuring("1100", "1100")
+    assert to01(out.bob_bits) == "1100"
+    assert to01(out.bob_raw_key) == "00"
+    # the check sequence "11": odd half "1", even half "1"
+    assert to01(out.check.announced_by_bob) == "1"
+    assert to01(out.check.announced_by_alice) == "1"
 
 
 def test_partition_all_raw_when_key_zero():
-    part = partition_measurements("10110", "00000")
-    assert to01(part.raw) == "10110"
-    assert len(part.check) == 0
+    out = session_measuring("101101", "000000")
+    assert to01(out.alice_raw_key) == to01(out.bob_raw_key) == "101101"
+    assert out.check.compared_bits_alice == out.check.compared_bits_bob == 0
+    assert len(out.check.announced_by_alice) == len(out.check.announced_by_bob) == 0
 
 
 def test_partition_odd_even_sizes():
-    part = partition_measurements("1010101", "1111111")
-    assert len(part.check_odd) == 4 and len(part.check_even) == 3
-    assert to01(part.check_odd) == "1111"
-    assert to01(part.check_even) == "000"
-
-
-def test_partition_length_mismatch():
-    with pytest.raises(ValueError, match="partition key"):
-        partition_measurements("00", "000")
-
-
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=64))
-def test_partition_reassembles_exactly(pairs):
-    m = as_bits([a for a, _ in pairs])
-    k = as_bits([b for _, b in pairs])
-    part = partition_measurements(m, k)
-    assert len(part.raw) + len(part.check) == len(m)
-    assert abs(len(part.check_odd) - len(part.check_even)) <= 1
-    assert np.array_equal(part.reassemble(), m)
+    # check sequence "1010101" (the last position is raw)
+    out = session_measuring("10101010", "11111110")
+    assert to01(out.alice_raw_key) == "0"
+    assert to01(out.check.announced_by_bob) == "1111"
+    assert to01(out.check.announced_by_alice) == "000"
+    assert out.check.compared_bits_alice == 4 and out.check.compared_bits_bob == 3
 
 
 # -- announce-and-check exchanges --------------------------------------------------
 
 
+def exchange_original(alice_check, bob_check, tau=0.0, channel=None):
+    return protocol._exchange(as_bits(alice_check), as_bits(bob_check), VARIANT_ORIGINAL, channel, tau, None, 0)
+
+
+def exchange_improved(alice_check, bob_check, hash_key, hash_bits, channel=None):
+    alice_check, bob_check = as_bits(alice_check), as_bits(bob_check)
+    return protocol._exchange(alice_check, bob_check, VARIANT_IMPROVED, channel, 0.0, as_bits(hash_key), hash_bits)
+
+
 def test_original_honest_exchange_passes():
-    part = partition_measurements("011010", "110110")
-    result = exchange_and_check_original(part, part, tau=0.0)
+    result = exchange_original("0101", "0101")
     assert result.alice_pass and result.bob_pass
     assert result.check_mismatches_alice == result.check_mismatches_bob == 0
 
 
 def test_original_walkthrough_flipped_announcements_fool_both():
-    alice = partition_measurements("0011", "1100")
-    bob = partition_measurements("1100", "1100")
-    result = exchange_and_check_original(alice, bob, tau=0.0, channel=flip)
+    result = exchange_original("00", "11", channel=flip)
     assert result.alice_pass and result.bob_pass
     assert to01(result.received_by_alice) == "0"
     assert to01(result.received_by_bob) == "1"
@@ -419,77 +428,55 @@ def test_original_walkthrough_flipped_announcements_fool_both():
 def test_original_spin_flip_without_classical_flip_detected():
     # complementary measurement records, untampered announcements: every
     # compared bit mismatches
-    alice = partition_measurements("00110101", "11111111")
-    bob = partition_measurements(flip("00110101"), "11111111")
-    result = exchange_and_check_original(alice, bob, tau=0.0)
+    result = exchange_original("00110101", flip("00110101"))
     assert not result.alice_pass and not result.bob_pass
     assert result.check_mismatches_alice == result.compared_bits_alice
     assert result.check_mismatches_bob == result.compared_bits_bob
 
 
 def test_original_vacuous_pass_with_no_check_bits():
-    part = partition_measurements("0101", "0000")
-    result = exchange_and_check_original(part, part, tau=0.0, channel=flip)
+    result = exchange_original("", "", channel=flip)
     assert result.alice_pass and result.bob_pass
     assert result.compared_bits_alice == result.compared_bits_bob == 0
 
 
 def test_original_threshold_tolerates_fraction():
-    alice = partition_measurements("0000" + "0000", "11111111")
-    bob_bits = as_bits("0000" + "0000")
-    bob_bits[0] ^= 1  # one corrupted check bit, at an odd (announced-by-bob) position
-    bob = partition_measurements(bob_bits, "11111111")
-    tight = exchange_and_check_original(alice, bob, tau=0.0)
-    loose = exchange_and_check_original(alice, bob, tau=0.5)
+    bob_check = as_bits("0000" + "0000")
+    bob_check[0] ^= 1  # one corrupted check bit, at an odd (announced-by-bob) position
+    tight = exchange_original("0000" + "0000", bob_check, tau=0.0)
+    loose = exchange_original("0000" + "0000", bob_check, tau=0.5)
     assert not tight.alice_pass and tight.bob_pass
     assert loose.alice_pass and loose.bob_pass
 
 
 def test_original_rejects_wrong_announcement_length():
-    alice = partition_measurements("0011", "1100")
-    bob = partition_measurements("1100", "1100")
     with pytest.raises(ProtocolError, match="length"):
-        exchange_and_check_original(alice, bob, tau=0.0, channel=lambda bits: bits[:0])
+        exchange_original("00", "11", channel=lambda bits: bits[:0])
 
 
 def test_improved_honest_exchange_passes():
     kh = random_bits(np.random.default_rng(3), 128)
-    part = partition_measurements("011010", "110110")
-    result = exchange_and_check_improved(part, part, kh, digest_len=16)
+    result = exchange_improved("0101", "0101", kh, 16)
     assert result.alice_pass and result.bob_pass
     assert len(result.announced_by_alice) == 16
 
 
 def test_improved_detects_flipped_digests():
     kh = random_bits(np.random.default_rng(4), 128)
-    part = partition_measurements("011010", "110110")
-    result = exchange_and_check_improved(part, part, kh, digest_len=16, channel=flip)
+    result = exchange_improved("0101", "0101", kh, 16, channel=flip)
     assert not result.alice_pass and not result.bob_pass
 
 
 def test_improved_detects_complementary_records():
     kh = random_bits(np.random.default_rng(5), 128)
-    alice = partition_measurements("00110101", "11111111")
-    bob = partition_measurements(flip("00110101"), "11111111")
-    result = exchange_and_check_improved(alice, bob, kh, digest_len=64)
+    result = exchange_improved("00110101", flip("00110101"), kh, 64)
     assert not result.alice_pass and not result.bob_pass
 
 
 def test_improved_rejects_wrong_digest_length():
     kh = random_bits(np.random.default_rng(6), 128)
-    part = partition_measurements("0011", "1100")
     with pytest.raises(ProtocolError, match="digest"):
-        exchange_and_check_improved(part, part, kh, digest_len=8, channel=lambda bits: bits[:4])
-    # A digest length that is not a positive integer, or is above
-    # MAX_HASH_BITS, is rejected before the hash key is expanded.
-    for digest_len, message in (
-        (0, "^digest_len: must be >= 1, got 0$"),
-        (MAX_HASH_BITS + 1, f"^digest_len: must be <= {MAX_HASH_BITS}, got {MAX_HASH_BITS + 1}$"),
-        (True, "^digest_len: must be an integer, got True$"),
-        (2.5, "^digest_len: must be an integer, got 2.5$"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            exchange_and_check_improved(part, part, kh, digest_len=digest_len)
+        exchange_improved("00", "00", kh, 8, channel=lambda bits: bits[:4])
 
 
 @given(
@@ -500,25 +487,26 @@ def test_improved_rejects_wrong_digest_length():
     st.integers(1, 24),
 )
 def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, digest_len):
-    # Random check records under one shared partition key, honest or
+    # Random check sequences cut with one shared partition key, honest or
     # flipping classical channel: the original variant's counters and
     # verdicts are a plain bit comparison, and the improved variant's
     # digests are the reference keyed digest of the direction-tagged half.
-    key = as_bits([k for _, _, k in records])
-    alice = partition_measurements(as_bits([a for a, _, _ in records]), key)
-    bob = partition_measurements(as_bits([b for _, b, _ in records]), key)
+    is_check = as_bits([k for _, _, k in records]) == 1
+    alice_check = as_bits([a for a, _, _ in records])[is_check]
+    bob_check = as_bits([b for _, b, _ in records])[is_check]
+    (alice_odd, alice_even), (bob_odd, bob_even) = halves(alice_check), halves(bob_check)
     channel = flip if tampered else None
     deliver = flip if tampered else as_bits
 
     def digest(direction, half):
         return reference_digest(hash_key, [direction, *half], digest_len)
 
-    original = exchange_and_check_original(alice, bob, tau, channel)
-    improved = exchange_and_check_improved(alice, bob, hash_key, digest_len, channel)
-    assert np.array_equal(improved.announced_by_alice, digest(0, alice.check_even))
-    assert np.array_equal(improved.announced_by_bob, digest(1, bob.check_odd))
+    original = exchange_original(alice_check, bob_check, tau, channel)
+    improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, channel)
+    assert np.array_equal(improved.announced_by_alice, digest(0, alice_even))
+    assert np.array_equal(improved.announced_by_bob, digest(1, bob_odd))
     # (side, what the other side announced, the side's own half, its direction)
-    sides = (("alice", bob.check_odd, alice.check_odd, 1), ("bob", alice.check_even, bob.check_even, 0))
+    sides = (("alice", bob_odd, alice_odd, 1), ("bob", alice_even, bob_even, 0))
     for side, sent, own, direction in sides:
         received = deliver(sent)
         mismatches = int(np.count_nonzero(received != own))
@@ -849,10 +837,11 @@ def test_session_keys_and_digests_equal_the_public_helpers(variant):
             assert np.array_equal(out.alice_session_key, privacy_amplify(out.alice_raw_key, out.pa_seed, out_len))
             assert np.array_equal(out.bob_session_key, privacy_amplify(out.bob_raw_key, out.pa_seed, out_len))
         if variant == VARIANT_IMPROVED:
-            alice = partition_measurements(out.alice_bits, keys.partition_key)
-            bob = partition_measurements(out.bob_bits, keys.partition_key)
+            is_check = keys.partition_key == 1
+            _, alice_even = halves(out.alice_bits[is_check])
+            bob_odd, _ = halves(out.bob_bits[is_check])
             announced = (out.check.announced_by_alice, out.check.announced_by_bob)
-            announcements = ((0, alice.check_even, announced[0]), (1, bob.check_odd, announced[1]))
+            announcements = ((0, alice_even, announced[0]), (1, bob_odd, announced[1]))
             for direction, half, announced in announcements:
                 assert np.array_equal(announced, reference_digest(keys.hash_key, [direction, *half], 20))
     assert reached_pa >= 20

@@ -12,14 +12,20 @@ from sqkdlab.qsim import (
     GATE_NAMES,
     apply_gate_batch,
     bell_batch,
-    bell_phi_plus,
     is_unitary,
-    measure_z_batch,
     standard_gate,
     z_branches,
 )
 
-from oracles import apply_gate, born_probability_zero, measure_qubits_z, measure_z, measure_z_collapse, prepare
+from oracles import (
+    apply_gate,
+    born_probability_zero,
+    measure_qubits_z,
+    measure_z,
+    measure_z_batch,
+    measure_z_collapse,
+    prepare,
+)
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -59,6 +65,8 @@ def test_gate_names_case_insensitive():
 def test_unknown_gate_rejected():
     with pytest.raises(ValueError, match="unknown gate"):
         standard_gate("CNOT")
+    with pytest.raises(ValueError, match="^unknown gate name 5;"):
+        standard_gate(5)
 
 
 def test_all_gates_unitary():
@@ -77,11 +85,11 @@ def test_spin_flip_action_on_basis():
 
 
 def test_bell_amplitudes():
-    assert np.allclose(bell_phi_plus(), [SQRT_HALF, 0, 0, SQRT_HALF], rtol=0, atol=ATOL)
+    assert np.allclose(bell_batch(3), [SQRT_HALF, 0, 0, SQRT_HALF], rtol=0, atol=ATOL)
 
 
 def test_bell_normalized():
-    assert abs(np.sum(np.abs(bell_phi_plus()) ** 2) - 1.0) <= ATOL
+    assert np.all(np.abs(np.sum(np.abs(bell_batch(3)) ** 2, axis=1) - 1.0) <= ATOL)
 
 
 def test_bell_measurement_statistics():
@@ -99,7 +107,7 @@ def test_bell_measurement_statistics():
 
 
 def test_apply_hadamard_to_alice():
-    state = apply_gate(bell_phi_plus(), standard_gate("H"), ALICE)
+    state = apply_gate(bell_batch(1)[0], standard_gate("H"), ALICE)
     assert np.allclose(state, [0.5, 0.5, 0.5, -0.5], rtol=0, atol=ATOL)
 
 
@@ -109,13 +117,13 @@ def test_apply_identity_is_noop():
 
 
 def test_hadamard_both_qubits_restores_bell():
-    state = apply_gate(bell_phi_plus(), standard_gate("H"), ALICE)
+    state = apply_gate(bell_batch(1)[0], standard_gate("H"), ALICE)
     state = apply_gate(state, standard_gate("H"), BOB)
-    assert np.allclose(state, bell_phi_plus(), rtol=0, atol=ATOL)
+    assert np.allclose(state, bell_batch(1)[0], rtol=0, atol=ATOL)
 
 
 def test_spin_flip_on_bob_gives_singlet():
-    state = apply_gate(bell_phi_plus(), standard_gate("SPIN_FLIP"), BOB)
+    state = apply_gate(bell_batch(1)[0], standard_gate("SPIN_FLIP"), BOB)
     singlet = np.array([0, SQRT_HALF, -SQRT_HALF, 0], dtype=complex)
     assert phase_equal(state, singlet)
 
@@ -147,15 +155,15 @@ def test_norm_preserved_for_random_states_and_gates():
 
 
 def test_born_probability_zero():
-    assert born_probability_zero(bell_phi_plus(), ALICE) == pytest.approx(0.5, abs=ATOL)
-    plus_zero = apply_gate(bell_phi_plus(), standard_gate("H"), ALICE)
+    assert born_probability_zero(bell_batch(1)[0], ALICE) == pytest.approx(0.5, abs=ATOL)
+    plus_zero = apply_gate(bell_batch(1)[0], standard_gate("H"), ALICE)
     assert born_probability_zero(plus_zero, BOB) == pytest.approx(0.5, abs=ATOL)
 
 
 def test_measure_collapse_invariants():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        rec = measure_z(bell_phi_plus(), BOB, rng)
+        rec = measure_z(bell_batch(1)[0], BOB, rng)
         assert rec.outcome in (0, 1)
         assert abs(np.linalg.norm(rec.post_state) - 1.0) <= 1e-12
         # components inconsistent with the outcome on qubit B are exactly zero
@@ -165,7 +173,7 @@ def test_measure_collapse_invariants():
 
 
 def test_measure_rejects_unnormalized_state():
-    states = np.array([bell_phi_plus(), [1.0, 1.0, 0, 0]], dtype=complex)
+    states = np.array([bell_batch(1)[0], [1.0, 1.0, 0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="normalized"):
         measure_z_batch(states, ALICE, np.random.default_rng(0))
 
@@ -212,7 +220,7 @@ def test_measurement_deterministic_given_seed():
     outcomes = []
     for _ in range(2):
         rng = np.random.default_rng(123)
-        outcomes.append([measure_z(bell_phi_plus(), ALICE, rng).outcome for _ in range(50)])
+        outcomes.append([measure_z(bell_batch(1)[0], ALICE, rng).outcome for _ in range(50)])
     assert outcomes[0] == outcomes[1]
 
 
