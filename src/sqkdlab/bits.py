@@ -30,14 +30,14 @@ def as_bits(value) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def _check_size(name: str, value, cap: int | None = None, low: int = 1) -> int:
+def _check_size(name: str, value, cap: int | None = None) -> int:
     """``value`` as an int, after rejecting a bool (it would pass as 0/1), a
-    non-integer (it would fail deep inside numpy), or a value below ``low``
-    or above ``cap``, with an error naming the field."""
+    non-integer (it would fail deep inside numpy), or a value below 1 or
+    above ``cap``, with an error naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}: must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name}: must be >= {low}, got {value}")
+    if value < 1:
+        raise ValueError(f"{name}: must be >= 1, got {value}")
     if cap is not None and value > cap:
         raise ValueError(f"{name}: must be <= {cap}, got {value}")
     return int(value)

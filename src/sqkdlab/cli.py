@@ -82,12 +82,17 @@ def _emit(text: str, path: str | None) -> None:
 
 def _config_from_args(args) -> RunConfig:
     custom = None
-    if getattr(args, "strategy_file", None) is not None:
-        with open(args.strategy_file) as fh:
-            try:
-                custom = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"custom_strategy: {args.strategy_file} is not valid JSON ({err})") from None
+    path = getattr(args, "strategy_file", None)
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ValueError(f"custom_strategy: cannot read {path} ({err})") from None
+        try:
+            custom = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"custom_strategy: {path} is not valid JSON ({err})") from None
     return RunConfig(
         protocol=args.protocol,
         attack=getattr(args, "attack", "none"),

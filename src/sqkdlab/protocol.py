@@ -56,7 +56,6 @@ VARIANT_IMPROVED = "improved"
 VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 
 MIN_HASH_KEY_BITS = 128
-DEFAULT_HASH_KEY_BITS = MIN_HASH_KEY_BITS
 PA_SEED_BITS = 128
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # Size caps, checked before anything is allocated.  A session's quantum
@@ -76,11 +75,11 @@ _HADAMARD.flags.writeable = False
 
 # Every pair starts as the same Bell row, so a prepared pair is one of two
 # constant rows, indexed by its op bit: that row as it is (0) or with H on
-# Alice's qubit (1).  The batch gate computes both, so every prepared row
-# has the bytes that gating a fresh Bell batch gives it.  They are the
-# class rows a tap starts from; a duck-typed tap is handed them gathered by
-# op bit, the (2n, 4) states of every pair Alice sends.
-_PREPARED_ROWS = apply_gate_batch(bell_batch(2), _HADAMARD, ALICE, where=np.array([False, True]))
+# Alice's qubit (1).  Row 1 comes from the batch gate on two Bell rows, so
+# it has the bytes that gating a fresh Bell batch gives every gated row.
+# They are the class rows a tap starts from; a duck-typed tap is handed
+# them gathered by op bit, the (2n, 4) states of every pair Alice sends.
+_PREPARED_ROWS = np.where(np.array([[False], [True]]), apply_gate_batch(bell_batch(2), _HADAMARD, ALICE), bell_batch(2))
 _PREPARED_ROWS.flags.writeable = False
 
 # Domain-separation bit prepended to hashed inputs: one pre-shared hash key
@@ -90,7 +89,12 @@ DIRECTION_ODD = 1  # Bob -> Alice announcements (odd halves)
 
 
 class ProtocolError(Exception):
-    """A party observed a malformed protocol step (wrong counts or lengths)."""
+    """A malformed protocol step (wrong counts or lengths), observed by the
+    parties ``by_alice`` and ``by_bob`` name; the session aborts, detected by them."""
+
+    def __init__(self, message: str, *, by_alice: bool = False, by_bob: bool = False):
+        super().__init__(message)
+        self.by_alice, self.by_bob = by_alice, by_bob
 
 
 @dataclass(frozen=True)
@@ -293,32 +297,21 @@ class SessionCounts:
     compared_bits: int
 
 
-def generate_master_keys(
-    n: int,
-    l_key: int = DEFAULT_HASH_KEY_BITS,
-    rng: np.random.Generator | None = None,
-    *,
-    balanced_k2: bool = False,
-) -> MasterKeys:
-    """Sample fresh 2n-bit master keys plus an l_key-bit hash key.
+def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool = False) -> MasterKeys:
+    """Sample fresh 2n-bit master keys plus a MIN_HASH_KEY_BITS-bit hash key.
 
     balanced_k2 forces exactly n raw and n check positions instead of
-    sampling the partition key uniformly.  n and l_key are checked before
-    any draw; l_key is capped at 2 * MAX_N, the longest op key a session
-    holds.
+    sampling the partition key uniformly.  n is checked before any draw.
     """
     n = _check_size("n", n, MAX_N)
-    l_key = _check_size("l_key", l_key, 2 * MAX_N, low=MIN_HASH_KEY_BITS)
-    if rng is None:
-        raise ValueError("rng: required")
     if balanced_k2:
         op_key = random_bits(rng, 2 * n)
         partition_key = np.zeros(2 * n, dtype=np.uint8)
         partition_key[rng.permutation(2 * n)[:n]] = 1
-        hash_key = random_bits(rng, l_key)
+        hash_key = random_bits(rng, MIN_HASH_KEY_BITS)
     else:
         # Three successive random_bits draws, from one raw read where it can.
-        op_key, partition_key, hash_key = _random_bit_runs(rng, (2 * n, 2 * n, l_key))
+        op_key, partition_key, hash_key = _random_bit_runs(rng, (2 * n, 2 * n, MIN_HASH_KEY_BITS))
     # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
     return MasterKeys._drawn(op_key, partition_key, hash_key)
 
@@ -329,8 +322,8 @@ def _tables(rows, ops):
     ``ops`` holds each row's op bit.  Bob applies H to a row whose op bit
     is 1, Z-measures his qubit, and Alice then Z-measures hers; the numbers
     are those ``qsim.z_branches`` gives.  Bob's gate is one product over
-    every row, so each gated row has the bytes a many-row product gives it
-    (numpy rounds a lone row differently).  Returns ``(p_bob, p_alice,
+    every row, and ``np.where`` keeps the rows whose op bit is 0, as the
+    test oracle gates a session's pairs.  Returns ``(p_bob, p_alice,
     drawable)``: ``p_bob[c]`` is the probability Bob reads 0 on class c,
     ``p_alice[2 * c + b]`` the probability Alice reads 0 once Bob read b,
     and ``drawable[2 * c + b]`` whether Bob's outcome b on class c has a
@@ -388,15 +381,17 @@ def _received(delivered, expected: int) -> np.ndarray:
 
     A wrong qubit count is something an adversary can cause (by dropping
     qubits), so it is a ProtocolError and the session aborts, detected by
-    Bob.  A NaN or infinite amplitude is not a state any channel can
-    deliver, only a fault in the tap that produced it, so it raises
-    ValueError (``state is not normalized``) before Bob's gate and before
-    any draw, as an unnormalized delivery does when its tables are built.
+    Bob.  An array that is not ``(k, 4)`` holds no pair states, and a NaN
+    or infinite amplitude is not a state any channel can deliver: both are
+    faults in the tap that produced them, so they raise ValueError before
+    Bob's gate and before any draw, as an unnormalized delivery does when
+    its tables are built.
     """
     delivered = np.asarray(delivered, dtype=complex)
-    if delivered.ndim != 2 or delivered.shape != (expected, 4):
-        got = delivered.shape[0] if delivered.ndim == 2 else "malformed"
-        raise ProtocolError(f"expected {expected} delivered qubits, got {got}")
+    if delivered.ndim != 2 or delivered.shape[1] != 4:
+        raise ValueError(f"delivered states must be a (k, 4) array of pair states, got shape {delivered.shape}")
+    if len(delivered) != expected:
+        raise ProtocolError(f"expected {expected} delivered qubits, got {len(delivered)}", by_bob=True)
     if not np.isfinite(delivered).all():
         raise ValueError("delivered state is not normalized: it holds a NaN or infinite amplitude")
     return delivered
@@ -482,7 +477,8 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
     receives against the encoding of its own retained half of the same
     parity and passes when it compared nothing or its mismatch fraction is
     <= tau (the variant's own tau when it has one).  A received
-    announcement of the wrong length aborts.
+    announcement of the wrong length raises ProtocolError naming the party
+    that received it, and the session aborts.
     """
     encode, fixed_tau, what = _EXCHANGES[variant]
     if fixed_tau is not None:
@@ -493,8 +489,10 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
         received_by_bob, received_by_alice = announced_by_alice.copy(), announced_by_bob.copy()
     else:
         received_by_bob, received_by_alice = as_bits(channel(announced_by_alice)), as_bits(channel(announced_by_bob))
-    if len(received_by_alice) != len(expected_by_alice) or len(received_by_bob) != len(expected_by_bob):
-        raise ProtocolError(f"received {what} has the wrong length")
+    bad_alice = len(received_by_alice) != len(expected_by_alice)
+    bad_bob = len(received_by_bob) != len(expected_by_bob)
+    if bad_alice or bad_bob:
+        raise ProtocolError(f"received {what} has the wrong length", by_alice=bad_alice, by_bob=bad_bob)
 
     mism_alice = int(np.count_nonzero(received_by_alice != expected_by_alice))
     mism_bob = int(np.count_nonzero(received_by_bob != expected_by_bob))
@@ -547,54 +545,42 @@ def run_session(
     the channel's class tables (``_quantum_stage``).  The session finds the
     partition key's raw and check positions once for both parties, cuts
     both records with them, and runs the variant's exchange (``_exchange``)
-    on the two check sequences, expanding the hash key once.  The session
-    draws pa_seed last and decides
+    on the two check sequences, expanding the hash key once.  A delivery
+    or announcement of the wrong size aborts the session, detected by the
+    party that received it.  The session draws pa_seed last and decides
     whether privacy amplification can run; the session keys are derived on
     their first read (``SessionOutcome``).
     """
     rng = _as_rng(seed)
     channel = _compile(adversary)
     if keys is None:
-        keys = generate_master_keys(params.n, rng=rng, balanced_k2=params.balanced_k2)
+        keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
     elif len(keys.op_key) != 2 * params.n:
         raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
+    # A session that aborts on a malformed step keeps what was measured
+    # before it, with an empty check record.
+    alice_bits = bob_bits = alice_raw_key = bob_raw_key = empty = _empty_bits()
+    vacuous = True
     try:
         # Bob measures first; Alice measures once he is done.
         bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng)
-    except ProtocolError as err:
-        # Bob is the party that notices a malformed delivery; nothing was
-        # measured, announced or compared.
-        empty = _empty_bits()
-        return SessionOutcome(
-            aborted=True,
-            detected_by_alice=False,
-            detected_by_bob=True,
-            abort_reason=str(err),
-            alice_bits=empty,
-            bob_bits=empty,
-            alice_raw_key=empty,
-            bob_raw_key=empty,
-            vacuous_check=True,
-            check=CheckResult(True, True, 0, 0, 0, 0, empty, empty, empty, empty),
-            pa_seed=None,
+        # Both parties hold the same partition key, so one pass finds the indices.
+        raw_indices = np.flatnonzero(keys.partition_key == 0)
+        check_indices = np.flatnonzero(keys.partition_key == 1)
+        alice_raw_key, bob_raw_key = alice_bits[raw_indices], bob_bits[raw_indices]
+        alice_check, bob_check = alice_bits[check_indices], bob_bits[check_indices]
+        # Fewer than two check bits leave the even half empty, and none the odd half too.
+        vacuous = len(alice_check) < 2
+        chk = _exchange(
+            alice_check, bob_check, params.variant, channel.tap_classical, params.tau, keys.hash_key, params.hash_bits
         )
-
-    # Both parties hold the same partition key, so one pass finds the indices.
-    raw_indices = np.flatnonzero(keys.partition_key == 0)
-    check_indices = np.flatnonzero(keys.partition_key == 1)
-    alice_raw_key, bob_raw_key = alice_bits[raw_indices], bob_bits[raw_indices]
-    alice_check, bob_check = alice_bits[check_indices], bob_bits[check_indices]
-    # Fewer than two check bits leave the even half empty, and none the odd half too.
-    vacuous = len(alice_check) < 2
-
-    chk = _exchange(
-        alice_check, bob_check, params.variant, channel.tap_classical, params.tau, keys.hash_key, params.hash_bits
-    )
-
-    detected_alice = not chk.alice_pass
-    detected_bob = not chk.bob_pass
-    aborted = detected_alice or detected_bob
-    abort_reason = "check-mismatch" if aborted else None
+    except ProtocolError as err:
+        chk = CheckResult(True, True, 0, 0, 0, 0, empty, empty, empty, empty)
+        aborted, detected_alice, detected_bob, abort_reason = True, err.by_alice, err.by_bob, str(err)
+    else:
+        detected_alice, detected_bob = not chk.alice_pass, not chk.bob_pass
+        aborted = detected_alice or detected_bob
+        abort_reason = "check-mismatch" if aborted else None
 
     pa_seed = None
     pa_bits = 0
@@ -603,8 +589,9 @@ def run_session(
         raw_len = len(alice_raw_key)
         pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
         if pa_bits > raw_len:
-            # Both parties see the impossible compression request.
-            aborted = detected_alice = detected_bob = True
+            # An impossible compression request: the session aborts, but
+            # no party's check failed, so neither detected anything.
+            aborted = True
             abort_reason = "pa-output-exceeds-raw-key"
             pa_seed = None
 

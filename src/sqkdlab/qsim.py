@@ -9,12 +9,13 @@ array at once.  Single-pair forms (one 4-vector, one explicit 4x4 product
 or one Born draw at a time) live in the test suite as reference oracles,
 and the batch forms are asserted equal to looping them.
 
-Gates are plain 2x2 complex unitaries and measurement follows the Born rule
-with explicit collapse: the components the outcome rules out are set to
-zero and the rest are scaled by the reciprocal of their norm.  A measured
-pair is a product state, the measured basis state times one qubit, so
-``z_branches`` returns each row's probability of outcome 0 and, for both
-outcomes, only that qubit, without drawing.  A session's pairs are copies
+Gates are plain 2x2 complex unitaries, applied to every row of a stack in
+one product, and measurement follows the Born rule with explicit collapse:
+the components the outcome rules out are set to zero and the rest are
+scaled by the reciprocal of their norm.  A measured pair is a product
+state, the measured basis state times one qubit, so ``z_branches``
+returns each row's probability of outcome 0 and, for both outcomes, only
+that qubit, without drawing.  A session's pairs are copies
 of a few distinct rows, so the protocol measures those rows once and
 draws each pair's bits from the resulting tables.  The test suite's
 whole-stack draw-and-collapse is built on the same numbers.  All arithmetic
@@ -56,12 +57,6 @@ _COMPONENT_BIT = {
 # The two components where the measured qubit reads 0.
 _ZERO_COMPONENTS = {target: tuple(np.flatnonzero(bits == 0).tolist()) for target, bits in _COMPONENT_BIT.items()}
 
-# Lifted, transposed 4x4 operators of gates already checked for unitarity,
-# keyed by (target, shape, gate bytes).  Only unitary gates are stored, so a
-# bad gate is re-checked and rejected on every call.
-_LIFTED_CACHE: dict = {}
-_LIFTED_CACHE_MAX = 64
-
 
 def standard_gate(name: str) -> np.ndarray:
     """Return one of the named 2x2 unitaries (I, H, X, Y, Z, SPIN_FLIP)."""
@@ -90,47 +85,38 @@ def _require_target(target: str) -> None:
         raise ValueError(f"qubit selector must be {ALICE!r} or {BOB!r}, got {target!r}")
 
 
-def _lifted_transpose(gate, target: str) -> np.ndarray:
-    """The gate lifted to the pair space on the chosen qubit (a 4x4 Kronecker
-    product with the identity), transposed and memoized per (gate, target)."""
+def _lift_transpose(gate: np.ndarray, target: str) -> np.ndarray:
+    """The 2x2 gate lifted to the pair space on the chosen qubit (a 4x4
+    Kronecker product with the identity), transposed for ``states @ op``."""
+    eye = np.eye(2, dtype=complex)
+    return (np.kron(gate, eye) if target == ALICE else np.kron(eye, gate)).T
+
+
+# The standard gates lifted to each qubit, keyed by (target, shape, gate
+# bytes): a gate equal to one of them skips the unitarity check and the
+# lift.  Any other gate is checked and lifted on every call.
+_LIFTED = {
+    (target, gate.shape, gate.tobytes()): _lift_transpose(gate, target)
+    for gate in _GATES.values()
+    for target in (ALICE, BOB)
+}
+
+
+def apply_gate_batch(states, gate, target: str) -> np.ndarray:
+    """Apply one gate to the same qubit of many independent pairs.
+
+    Every row goes through one product.  A caller that gates only some rows
+    picks them from the full product with ``np.where``, so a gated row has
+    the same bytes however many rows are gated.  Returns a new (n, 4) array.
+    """
+    _require_target(target)
     g = np.asarray(gate, dtype=complex)
-    key = (target, g.shape, g.tobytes())
-    op_t = _LIFTED_CACHE.get(key)
+    op_t = _LIFTED.get((target, g.shape, g.tobytes()))
     if op_t is None:
         if not is_unitary(g):
             raise ValueError("gate is not unitary (within 1e-12)")
-        if len(_LIFTED_CACHE) >= _LIFTED_CACHE_MAX:
-            _LIFTED_CACHE.clear()
-        eye = np.eye(2, dtype=complex)
-        op_t = (np.kron(g, eye) if target == ALICE else np.kron(eye, g)).T
-        op_t.flags.writeable = False
-        _LIFTED_CACHE[key] = op_t
-    return op_t
-
-
-def apply_gate_batch(states, gate, target: str, where=None) -> np.ndarray:
-    """Apply one gate to the same qubit of many independent pairs.
-
-    ``where`` optionally restricts the update to a boolean row mask (used to
-    gate per-position on a key bit).  Returns a new (n, 4) array.
-    """
-    _require_target(target)
-    op_t = _lifted_transpose(gate, target)
-    states = np.asarray(states, dtype=complex)
-    if where is None:
-        return states @ op_t
-    where = np.asarray(where)
-    if where.dtype != bool or where.shape != states.shape[:1]:
-        raise ValueError(f"where must be a boolean mask of {states.shape[0]} rows")
-    # Every row goes through one product and the mask picks.  matmul rounds
-    # each row of a many-row product alike, so the picked rows equal the
-    # product of the gathered rows exactly; a single gathered row goes
-    # through numpy's vector routine instead, which rounds differently.
-    product = states @ op_t
-    if np.count_nonzero(where) == 1:
-        product[where] = states[where] @ op_t
-    np.copyto(product, states, where=~where[:, None])
-    return product
+        op_t = _lift_transpose(g, target)
+    return np.asarray(states, dtype=complex) @ op_t
 
 
 def z_branches(states, target: str):

@@ -135,20 +135,30 @@ def measure_qubits_z(qubits, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(qubits.shape[0]) >= weights[0]).astype(np.uint8)
 
 
+def gate_where(states, gate, target: str, op_key) -> np.ndarray:
+    """The gate on the chosen qubit of every pair whose op bit is 1, the rest
+    as they are: one product over every row, picked with ``np.where``."""
+    states = np.asarray(states, dtype=complex)
+    return np.where((np.asarray(op_key) == 1)[:, None], apply_gate_batch(states, gate, target), states)
+
+
+def bob_gated(op_key, delivered) -> np.ndarray:
+    """What Bob measures: the delivered pairs with his H where the op bit is 1."""
+    return gate_where(delivered, standard_gate("H"), BOB, op_key)
+
+
 def measure_session(op_key, delivered, rng: np.random.Generator):
     """Bob's and then Alice's measurement of a session, on whole pair states:
     Bob's H where the op bit is 1, a four-term collapse of Bob's qubit, then
     one of Alice's.  Returns ``(bob_bits, alice_bits)``."""
-    states = apply_gate_batch(delivered, standard_gate("H"), BOB, where=np.asarray(op_key) == 1)
-    bob_bits, states = measure_z_collapse(states, BOB, rng)
+    bob_bits, states = measure_z_collapse(bob_gated(op_key, delivered), BOB, rng)
     alice_bits, _ = measure_z_collapse(states, ALICE, rng)
     return bob_bits, alice_bits
 
 
 def prepare(op_key) -> np.ndarray:
-    """``protocol.alice_prepare`` the direct way: a fresh Bell batch, H on Alice's qubit where the op bit is 1."""
-    op_key = np.asarray(op_key)
-    return apply_gate_batch(bell_batch(len(op_key)), standard_gate("H"), ALICE, where=op_key == 1)
+    """The prepared pairs the direct way: a fresh Bell batch, H on Alice's qubit where the op bit is 1."""
+    return gate_where(bell_batch(len(op_key)), standard_gate("H"), ALICE, op_key)
 
 
 def tap_quantum_batch(strategy: AdversaryStrategy, states, rng: np.random.Generator) -> np.ndarray:

@@ -179,6 +179,16 @@ def test_improved_batch_detects_modification():
     assert report.abort_rate == 1.0
 
 
+def test_oversized_pa_request_aborts_every_session_undetected():
+    # The raw key of n=4 has at most 8 bits: every honest session passes its
+    # check, then aborts on the PA length, and no party detected anything.
+    report = run_batch(RunConfig(protocol="original", attack="none", n=4, trials=10, seed=0, pa_bits=100))
+    assert report.detection_rate == 0.0
+    assert report.abort_rate == 1.0
+    assert report.key_match_rate == 1.0
+    assert report.mean_check_error_rate == 0.0
+
+
 def test_rates_are_exact_trial_frequencies():
     report = run_batch(
         RunConfig(protocol="original", attack="intercept-resend", n=8, trials=157, seed=3)
@@ -413,10 +423,17 @@ def test_cli_invalid_config_exits_1(capsys):
     assert "trials" in capsys.readouterr().err
 
 
-def test_cli_missing_strategy_file_exits_1(capsys):
+def test_cli_missing_strategy_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--attack", "custom", "--strategy-file", "/nonexistent.json"])
     assert rc == 1
-    assert capsys.readouterr().err != ""
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith("sqkdlab: error: custom_strategy: cannot read /nonexistent.json (")
+    # A file that is not UTF-8 cannot be read either.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"quantum": "none", "classical": "\xe9"}')
+    assert main(["run", "--attack", "custom", "--strategy-file", str(path)]) == 1
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith(f"sqkdlab: error: custom_strategy: cannot read {path} (")
 
 
 def test_cli_rejects_custom_without_strategy_file(capsys):
@@ -523,9 +540,8 @@ def test_report_invariants_over_random_configs(config):
     # Empty raw keys both match and complement; any other session does at most one.
     assert empty_raw <= min(matched, complemented)
     assert matched + complemented <= config.trials + empty_raw
-    # Every detection aborts; only a PA abort can be counted apart from the check.
+    # Every detection aborts, and every abort but a PA abort is a detection.
     assert report.detection_rate <= report.abort_rate
-    if pa_aborts == 0:
-        assert report.detection_rate == report.abort_rate
+    assert round(report.detection_rate * config.trials) == round(report.abort_rate * config.trials) - pa_aborts
 
     assert drop_wall_time(run_batch(config)) == drop_wall_time(report)

@@ -1,5 +1,6 @@
 """Protocol engine tests: keys, partition, exchanges, full sessions."""
 
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from sqkdlab.protocol import (
     MIN_HASH_KEY_BITS,
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
+    VARIANTS,
     MasterKeys,
     ProtocolError,
     ProtocolParams,
@@ -27,7 +29,7 @@ from sqkdlab.protocol import (
 )
 from sqkdlab.qsim import GATE_NAMES, bell_batch
 
-from oracles import measure_session, prepare, tap_quantum_batch, toeplitz_matrix
+from oracles import bob_gated, measure_session, prepare, tap_quantum_batch, toeplitz_matrix
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -58,32 +60,30 @@ def test_generate_master_keys_reproducible():
 
 
 def test_generate_master_keys_lengths():
-    keys = generate_master_keys(2, l_key=130, rng=np.random.default_rng(0))
+    keys = generate_master_keys(2, np.random.default_rng(0))
     assert len(keys.op_key) == len(keys.partition_key) == 4
-    assert len(keys.hash_key) == 130
+    assert len(keys.hash_key) == MIN_HASH_KEY_BITS
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 40),
-    st.integers(MIN_HASH_KEY_BITS, MIN_HASH_KEY_BITS + 70),
     st.integers(0, 9),
     st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
     st.integers(0, 2**32 - 1),
 )
-def test_master_keys_equal_three_successive_random_bits_draws(n, l_key, bits_before, bit_generator, seed):
-    # The keys come from one raw read when every length is a multiple of 8
-    # and no PCG64 half-word is buffered (an odd count of bits drawn before
-    # leaves one), and from per-key draws otherwise: the same bits either
-    # way, and the stream left in the same place.
+def test_master_keys_equal_three_successive_random_bits_draws(n, bits_before, bit_generator, seed):
+    # The three keys are bits._random_bit_runs of (2n, 2n, MIN_HASH_KEY_BITS):
+    # one raw read or per-key draws, the same bits as three random_bits
+    # calls either way, and the stream left in the same place.
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (ours, reference):
         rng.integers(0, 2, size=bits_before, dtype=np.uint8)
-    keys = generate_master_keys(n, l_key, rng=ours)
+    keys = generate_master_keys(n, ours)
     for drawn in (keys.op_key, keys.partition_key, keys.hash_key):
         assert drawn.dtype == np.uint8
         assert np.array_equal(drawn, random_bits(reference, len(drawn)))
-    assert (len(keys.op_key), len(keys.hash_key)) == (2 * n, l_key)
+    assert (len(keys.op_key), len(keys.hash_key)) == (2 * n, MIN_HASH_KEY_BITS)
     assert np.array_equal(ours.random(3), reference.random(3))
 
 
@@ -136,25 +136,6 @@ def test_master_keys_reject_a_short_hash_key():
     keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS)
     with pytest.raises(ValueError, match=rf"^hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got 127$"):
         keys_for("0000", "0110", hash_bits=MIN_HASH_KEY_BITS - 1)
-    with pytest.raises(ValueError, match=rf"^l_key: must be >= {MIN_HASH_KEY_BITS}, got 127$"):
-        generate_master_keys(2, l_key=MIN_HASH_KEY_BITS - 1, rng=np.random.default_rng(0))
-
-
-@pytest.mark.parametrize(
-    "l_key, message",
-    [
-        (200.5, "must be an integer, got 200.5"),
-        (True, "must be an integer, got True"),
-        (2 * MAX_N + 1, f"must be <= {2 * MAX_N}, got {2 * MAX_N + 1}"),
-    ],
-    ids=["float", "bool", "over-cap"],
-)
-def test_l_key_is_checked_before_any_draw(l_key, message):
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=rf"^l_key: {message}$"):
-        generate_master_keys(4, l_key=l_key, rng=rng)
-    assert rng.bit_generator.state == before
 
 
 # -- preparation and measurement --------------------------------------------------
@@ -217,6 +198,59 @@ def test_bob_rejects_wrong_qubit_count():
     out = run_session(ProtocolParams(n=2), Deliver(prepared(keys, 2)[:3]), seed=0, keys=keys)
     assert out.aborted and out.detected_by_bob and not out.detected_by_alice
     assert out.abort_reason == "expected 4 delivered qubits, got 3"
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 5), (16,), (2, 2, 4)], ids=lambda shape: "x".join(map(str, shape)))
+def test_a_delivery_of_no_pair_states_raises_before_any_draw(shape):
+    # An array that is not (k, 4) holds no pair states: a fault in the tap,
+    # not a dropped qubit, so it raises instead of aborting the session.
+    keys = keys_for("0110", "0000")
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^delivered states must be a \(k, 4\) array of pair states") as err:
+        run_session(ProtocolParams(n=2), Deliver(np.zeros(shape, dtype=complex)), seed=rng, keys=keys)
+    assert str(err.value).endswith(f"got shape {shape}")
+    assert rng.bit_generator.state == before
+
+
+class Lengthen:
+    """A duck-typed tap that passes the qubits through and appends a bit to
+    the chosen announcements: per session, Alice's comes first (Bob
+    receives it) and Bob's second (Alice receives it)."""
+
+    def __init__(self, alices: bool, bobs: bool):
+        self.choices = itertools.cycle((alices, bobs))
+
+    def tap_quantum_batch(self, states, rng):
+        return states
+
+    def tap_classical(self, bits):
+        return np.append(bits, 0) if next(self.choices) else bits
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "lengthened, detected",
+    [((True, False), (False, True)), ((False, True), (True, False)), ((True, True), (True, True))],
+    ids=["alices", "bobs", "both"],
+)
+def test_an_announcement_of_the_wrong_length_aborts_detected_by_its_receiver(variant, lengthened, detected):
+    params = ProtocolParams(n=4, variant=variant)
+    honest = run_session(params, None, seed=7)
+    out = run_session(params, Lengthen(*lengthened), seed=7)
+    what = "digest" if variant == VARIANT_IMPROVED else "check half"
+    assert out.aborted and out.abort_reason == f"received {what} has the wrong length"
+    assert (out.detected_by_alice, out.detected_by_bob) == detected
+    # What was measured stays; nothing counts as compared.
+    for name in ("alice_bits", "bob_bits", "alice_raw_key", "bob_raw_key", "vacuous_check"):
+        assert np.array_equal(getattr(out, name), getattr(honest, name)), name
+    assert out.pa_seed is None and out.alice_session_key is None
+    record = out.to_dict()
+    for side in ("announced", "received"):
+        assert record[f"{side}_by_alice"] == record[f"{side}_by_bob"] == ""
+    assert out.check.compared_bits_alice == out.check.compared_bits_bob == 0
+    counts = count_sessions(params, Lengthen(*lengthened), range(3))
+    assert (counts.sessions, counts.detected, counts.aborted, counts.compared_bits) == (3, 3, 3, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 0)])
@@ -314,6 +348,30 @@ def test_quantum_stage_is_byte_equal_to_the_whole_pair_oracle(n, tap, pattern, s
     assert bob.tobytes() == expected_bob.tobytes()
     assert alice.tobytes() == expected_alice.tobytes()
     assert engine.bit_generator.state == reference.bit_generator.state
+
+
+def test_bob_gates_a_lone_h_row_as_the_oracle_does(monkeypatch):
+    # An op key with a single 1 bit gates one delivered row.  The engine's
+    # gated rows, as Bob's measurement receives them, are the oracle's
+    # bytes: both pick the row from a product over every row.
+    z_branches_unpatched = protocol.z_branches
+    measured = []
+
+    def recorded(states, target):
+        measured.append(np.array(states))
+        return z_branches_unpatched(states, target)
+
+    monkeypatch.setattr(protocol, "z_branches", recorded)
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 8, 33):
+        for position in sorted({0, n, 2 * n - 1}):
+            op_key = (np.arange(2 * n) == position).astype(np.uint8)
+            delivered = rng.normal(size=(2 * n, 4)) + 1j * rng.normal(size=(2 * n, 4))
+            delivered /= np.linalg.norm(delivered, axis=1)[:, None]
+            measured.clear()
+            protocol._quantum_stage(protocol._compile(Deliver(delivered)), op_key, np.random.default_rng(0))
+            (gated,) = measured
+            assert gated.tobytes() == bob_gated(op_key, delivered).tobytes(), (n, position)
 
 
 @pytest.mark.parametrize("tap", ENGINE_TAPS, ids=lambda tap: "none" if tap is None else tap.describe()["quantum"])
@@ -450,8 +508,9 @@ def test_original_threshold_tolerates_fraction():
 
 
 def test_original_rejects_wrong_announcement_length():
-    with pytest.raises(ProtocolError, match="length"):
+    with pytest.raises(ProtocolError, match="length") as err:
         exchange_original("00", "11", channel=lambda bits: bits[:0])
+    assert err.value.by_alice and err.value.by_bob
 
 
 def test_improved_honest_exchange_passes():
@@ -597,7 +656,9 @@ def test_oversized_pa_request_aborts():
     out = run_session(params, None, seed=5, keys=keys)
     assert out.aborted
     assert out.abort_reason == "pa-output-exceeds-raw-key"
-    assert out.detected_by_alice and out.detected_by_bob
+    # No party's check failed, so neither detected anything.
+    assert not out.detected_by_alice and not out.detected_by_bob
+    assert out.check.alice_pass and out.check.bob_pass
     assert out.alice_session_key is None
 
 
@@ -771,9 +832,7 @@ def test_params_validation():
 
 def test_master_key_count_error_names_the_field():
     with pytest.raises(ValueError, match=r"^n: must be >= 1, got 0$"):
-        generate_master_keys(0, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"^rng: required$"):
-        generate_master_keys(2)
+        generate_master_keys(0, np.random.default_rng(0))
 
 
 PARAM_TYPE_CASES = [
