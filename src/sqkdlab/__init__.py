@@ -19,7 +19,6 @@ from .protocol import (
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
     MasterKeys,
-    ProtocolError,
     ProtocolParams,
     SessionOutcome,
     generate_master_keys,
@@ -34,7 +33,6 @@ __all__ = [
     "AggregateReport",
     "AttackSearchResult",
     "MasterKeys",
-    "ProtocolError",
     "ProtocolParams",
     "RunConfig",
     "SessionOutcome",

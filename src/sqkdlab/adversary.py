@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, flip
+from .bits import as_bits
 from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
 from .qsim import BOB, GATE_NAMES, apply_gate_batch, standard_gate, z_branches
 
@@ -94,9 +94,14 @@ class AdversaryStrategy:
 
     def tap_classical(self, bits) -> np.ndarray:
         """Tamper with one classical announcement."""
+        return self._tap_announcement(as_bits(bits))
+
+    def _tap_announcement(self, bits: np.ndarray) -> np.ndarray:
+        """``tap_classical`` on a uint8 0/1 array: flipped into a new array,
+        or passed on as it is, without a check or a copy."""
         if self.classical == CLASSICAL_FLIP_ALL:
-            return flip(bits)
-        return as_bits(bits)
+            return np.bitwise_xor(bits, 1)
+        return bits
 
     # -- wire format -----------------------------------------------------
 

@@ -59,33 +59,55 @@ def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     words are the same bits and consume the same words.  Any other count or
     bit generator goes through ``integers``.
     """
-    return _random_bit_runs(rng, (n,))[0]
+    return _random_runs(rng, ((np.uint8, n),))[0]
 
 
-def _random_bit_runs(rng: np.random.Generator, sizes) -> list:
-    """``[random_bits(rng, n) for n in sizes]``, bit for bit, and leaving the
-    stream where those calls leave it.
+def _random_runs(rng: np.random.Generator, runs, *, fresh: bool = False) -> list:
+    """The draws of ``runs`` in order, bit for bit, and leaving the stream
+    where successive calls leave it: a run ``(np.uint8, n)`` is
+    ``random_bits(rng, n)`` and a run ``(np.float64, n)`` is ``rng.random(n)``.
 
     Each raw-word draw of random_bits consumes whole words and buffers no
-    half-word, so when every size is a multiple of 8 one state check and one
-    raw read of all the words, sliced in order, give the same runs.  Any
-    other size, a buffered half-word or another bit generator draws each
-    run through ``integers``.
+    half-word, and ``random`` consumes whole words and leaves a buffered
+    half-word alone.  So when every bit count is a multiple of 8 and no
+    half-word is buffered, each stretch of successive bit runs is one raw
+    read, sliced in order, and each run of uniforms one ``random`` call.
+    ``fresh`` says the generator was just seeded, so nothing is buffered
+    and the state need not be read.  Any other bit count, a buffered
+    half-word or another bit generator draws each bit run through
+    ``integers``.
     """
     bit_generator = rng.bit_generator
-    if (
-        all(n % 8 == 0 for n in sizes)
-        and type(bit_generator) is np.random.PCG64
-        and not bit_generator.state["has_uint32"]
+    if not (
+        type(bit_generator) is np.random.PCG64
+        and not any([n % 8 for kind, n in runs if kind is np.uint8])
+        and (fresh or not bit_generator.state["has_uint32"])
     ):
-        raw_bytes = bit_generator.random_raw(sum(sizes) // 8).astype("<u8", copy=False).view(np.uint8)
-        bits = np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
-        runs, start = [], 0
-        for n in sizes:
-            runs.append(bits[start : start + n])
-            start += n
-        return runs
-    return [rng.integers(0, 2, size=n, dtype=np.uint8) for n in sizes]
+        return [rng.integers(0, 2, size=n, dtype=np.uint8) if kind is np.uint8 else rng.random(n) for kind, n in runs]
+    drawn, stretch = [], []
+    for kind, n in runs:
+        if kind is np.uint8:
+            stretch.append(n)
+            continue
+        if stretch:
+            drawn += _raw_bit_runs(bit_generator, stretch)
+            stretch = []
+        drawn.append(rng.random(n))
+    if stretch:
+        drawn += _raw_bit_runs(bit_generator, stretch)
+    return drawn
+
+
+def _raw_bit_runs(bit_generator: np.random.PCG64, sizes: list) -> list:
+    """Bit runs of ``sizes`` (each a multiple of 8) from one raw read: the
+    top bit of each byte of the little-endian words, sliced in order."""
+    raw_bytes = bit_generator.random_raw(sum(sizes) // 8).astype("<u8", copy=False).view(np.uint8)
+    bits = np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
+    runs, start = [], 0
+    for n in sizes:
+        runs.append(bits[start : start + n])
+        start += n
+    return runs
 
 
 def flip(bits) -> np.ndarray:

@@ -30,6 +30,11 @@ measured once (``_compile``), and each session draws its pairs' bits from
 the resulting per-class tables.  A duck-typed tap's delivery is measured
 the same way with one class per pair.
 
+A session that seeds its own generator makes its draws (master keys,
+uniforms, privacy-amplification seed) in one call where it can
+(``run_session``), and checks only what comes from outside: its inputs
+and a duck-typed tap's deliveries and announcements.
+
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
 the map's seed and decides whether the map can run; the keys themselves
@@ -47,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bits import _check_size, _random_bit_runs, as_bits, random_bits, to01
+from .bits import _check_size, _random_runs, as_bits, random_bits, to01
 from .hashing import _digest_keys, _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
@@ -58,9 +63,11 @@ VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 MIN_HASH_KEY_BITS = 128
 PA_SEED_BITS = 128
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
-# Size caps, checked before anything is allocated.  A session's quantum
-# stage holds a few arrays of 2n draws or labels, at most 8 bytes an entry,
-# so MAX_N = 2**20 caps each at 16 MiB; a duck-typed tap is handed 2n pair
+# Size caps, checked before anything is allocated.  A session's uniform
+# block is k arrays of 2n doubles end to end (k = 3 when Eve measures, else
+# 2), and its quantum stage holds a few more arrays of 2n labels or bits,
+# at most 8 bytes an entry, so MAX_N = 2**20 caps each array at 16 MiB and
+# the block at 48 MiB; a duck-typed tap is handed 2n pair
 # states of 64 bytes each, 128 MiB at MAX_N, and returns as many.  The
 # improved variant expands the hash key to about n + 2 * hash_bits bits,
 # one byte each, so MAX_HASH_BITS = 2**16 adds at most 128 KiB to it.  A
@@ -311,9 +318,14 @@ def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool 
         hash_key = random_bits(rng, MIN_HASH_KEY_BITS)
     else:
         # Three successive random_bits draws, from one raw read where it can.
-        op_key, partition_key, hash_key = _random_bit_runs(rng, (2 * n, 2 * n, MIN_HASH_KEY_BITS))
+        op_key, partition_key, hash_key = _random_runs(rng, _key_runs(n))
     # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
     return MasterKeys._drawn(op_key, partition_key, hash_key)
+
+
+def _key_runs(n: int) -> tuple:
+    """The bit runs of the three master keys, in draw order (``bits._random_runs``)."""
+    return (np.uint8, 2 * n), (np.uint8, 2 * n), (np.uint8, MIN_HASH_KEY_BITS)
 
 
 def _tables(rows, ops):
@@ -346,7 +358,8 @@ class _Channel(NamedTuple):
     (None otherwise).  A duck-typed tap exposes only ``tap_quantum_batch``,
     which is kept as ``tap_quantum`` and measured anew on every delivery
     (``tables`` None).  ``tap_classical`` is the classical tap, None for
-    the honest channel.
+    the honest channel; it maps an announcement the session built to a
+    checked uint8 0/1 array.
     """
 
     tap_quantum: object
@@ -362,18 +375,24 @@ def _compile(adversary) -> _Channel:
     """The channel of ``adversary``: None is the honest channel, a compiled
     channel is itself, a strategy (which has ``_tap_classes``) is compiled
     from its tap on the prepared rows, and any other object is a duck-typed
-    tap."""
+    tap.
+
+    A strategy's classical tap is its unchecked form, which flips or passes
+    on the arrays the session built; a duck-typed classical tap's output is
+    checked once, as it leaves the tap.
+    """
     if isinstance(adversary, _Channel):
         return adversary
     if adversary is None:
         return _HONEST
     tap_classes = getattr(adversary, "_tap_classes", None)
     if tap_classes is None:
-        return _Channel(adversary.tap_quantum_batch, None, None, adversary.tap_classical)
+        tap_classical = adversary.tap_classical
+        return _Channel(adversary.tap_quantum_batch, None, None, lambda bits: as_bits(tap_classical(bits)))
     p_eve, rows = tap_classes(_PREPARED_ROWS)
     # Rows come op bit first: (op 0, op 1), or (op, Eve's bit) in order.
     ops = np.repeat(np.array([0, 1]), len(rows) // 2)
-    return _Channel(None, p_eve, _tables(rows, ops), adversary.tap_classical)
+    return _Channel(None, p_eve, _tables(rows, ops), adversary._tap_announcement)
 
 
 def _received(delivered, expected: int) -> np.ndarray:
@@ -397,31 +416,42 @@ def _received(delivered, expected: int) -> np.ndarray:
     return delivered
 
 
-def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generator):
+def _uniform_rows(channel: _Channel) -> int:
+    """Rows of 2n uniforms a session draws: Eve's when she measures, Bob's, Alice's."""
+    return 2 if channel.p_eve is None else 3
+
+
+def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generator, uniforms=None):
     """Bob's and then Alice's Z measurements of one session: ``(bob_bits, alice_bits)``.
 
-    Each pair gets a class label: its op bit, ``2 * op + e`` once Eve read e
-    (intercept-resend), or its own row of what a duck-typed tap delivers
-    when handed every prepared pair.
-    Bob's bits are then one uniform draw per pair against his class's
-    probability of reading 0, and Alice's one more against hers given
-    Bob's bit: the draws, in the order and with the numbers of measuring
-    every pair state, so the bits are the same.  A drawn outcome of zero
-    probability raises RuntimeError.
+    ``uniforms`` holds the session's ``_uniform_rows(channel)`` rows of
+    ``len(op_key)`` uniforms end to end; when it is None they are one
+    ``rng.random`` call, made after a duck-typed tap has drawn what it
+    draws.  Each pair gets a class label: its op bit, ``2 * op + e`` once
+    Eve read e (intercept-resend, from the first row), or its own row of
+    what a duck-typed tap delivers when handed every prepared pair.  Bob's
+    bits are then one uniform per pair against his class's probability of
+    reading 0, and Alice's one more against hers given Bob's bit: the
+    draws, in the order and with the numbers of measuring every pair state,
+    so the bits are the same.  A drawn outcome of zero probability raises
+    RuntimeError.
     """
+    size = len(op_key)
     if channel.tap_quantum is None:
         tables, labels = channel.tables, op_key
-        if channel.p_eve is not None:
-            labels = 2 * op_key + (rng.random(len(op_key)) >= channel.p_eve[op_key])
     else:
-        delivered = _received(channel.tap_quantum(_PREPARED_ROWS.take(op_key, axis=0), rng), len(op_key))
-        tables, labels = _tables(delivered, op_key), np.arange(len(op_key))
+        delivered = _received(channel.tap_quantum(_PREPARED_ROWS.take(op_key, axis=0), rng), size)
+        tables, labels = _tables(delivered, op_key), np.arange(size)
+    if uniforms is None:
+        uniforms = rng.random(_uniform_rows(channel) * size)
+    if channel.p_eve is not None:
+        labels = 2 * op_key + (uniforms[:size] >= channel.p_eve[op_key])
     p_bob, p_alice, drawable = tables
-    bob = rng.random(len(labels)) >= p_bob[labels]
+    bob = uniforms[-2 * size : -size] >= p_bob[labels]
     picked = 2 * labels + bob
     if drawable is not None and not drawable[picked].all():
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    alice = rng.random(len(labels)) >= p_alice[picked]
+    alice = uniforms[-size:] >= p_alice[picked]
     return bob.view(np.uint8), alice.view(np.uint8)
 
 
@@ -431,9 +461,10 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
 _HALF_DIRECTIONS = (DIRECTION_EVEN, DIRECTION_ODD, DIRECTION_ODD, DIRECTION_EVEN)
 
 
-def _plain_halves(halves, hash_key, hash_bits) -> list:
-    """The original variant's encoding: each check half as itself."""
-    return [half.copy() for half in halves]
+def _plain_halves(halves, hash_key, hash_bits):
+    """The original variant's encoding: each check half as itself (a view
+    of the check sequence the session cut)."""
+    return halves
 
 
 def _digest_halves(halves, hash_key, hash_bits) -> list:
@@ -472,11 +503,12 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
     ``alice_check`` and ``bob_check`` are the two check sequences, cut with
     one partition key.  Each splits into its odd half (1-based positions,
     ``[0::2]``) and even half (``[1::2]``).  Alice announces the encoding of
-    her even half, Bob of his odd half, each through ``channel`` (the
-    classical tamper tap, identity when None).  Each side compares what it
-    receives against the encoding of its own retained half of the same
-    parity and passes when it compared nothing or its mismatch fraction is
-    <= tau (the variant's own tau when it has one).  A received
+    her even half, Bob of his odd half, each through ``channel`` (a compiled
+    channel's classical tap, whose output is checked bits; identity when
+    None).  Each side compares what it receives against the encoding of its
+    own retained half of the same parity and passes when it compared
+    nothing or its mismatch fraction is <= tau (the variant's own tau when
+    it has one).  A received
     announcement of the wrong length raises ProtocolError naming the party
     that received it, and the session aborts.
     """
@@ -486,9 +518,9 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
     halves = (alice_check[1::2], bob_check[0::2], alice_check[0::2], bob_check[1::2])
     announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encode(halves, hash_key, hash_bits)
     if channel is None:
-        received_by_bob, received_by_alice = announced_by_alice.copy(), announced_by_bob.copy()
+        received_by_bob, received_by_alice = announced_by_alice, announced_by_bob
     else:
-        received_by_bob, received_by_alice = as_bits(channel(announced_by_alice)), as_bits(channel(announced_by_bob))
+        received_by_bob, received_by_alice = channel(announced_by_alice), channel(announced_by_bob)
     bad_alice = len(received_by_alice) != len(expected_by_alice)
     bad_bob = len(received_by_bob) != len(expected_by_bob)
     if bad_alice or bad_bob:
@@ -509,12 +541,6 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
         received_by_alice=received_by_alice,
         received_by_bob=received_by_bob,
     )
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _empty_bits() -> np.ndarray:
@@ -539,36 +565,56 @@ def run_session(
     of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
-    construction (and the keys' size here), the adversary's deliveries on
-    receipt.  Everything else is an array the session built, so it calls
-    the unchecked cores.  The quantum stage draws each pair's bits from
-    the channel's class tables (``_quantum_stage``).  The session finds the
-    partition key's raw and check positions once for both parties, cuts
-    both records with them, and runs the variant's exchange (``_exchange``)
-    on the two check sequences, expanding the hash key once.  A delivery
-    or announcement of the wrong size aborts the session, detected by the
-    party that received it.  The session draws pa_seed last and decides
-    whether privacy amplification can run; the session keys are derived on
-    their first read (``SessionOutcome``).
+    construction (and the keys' size here), the adversary's deliveries and
+    a duck-typed tap's announcements on receipt.  Everything else is an
+    array the session built, so it calls the unchecked cores.
+
+    A session draws its master keys, the tap's draws (a duck-typed tap's,
+    or Eve's row of uniforms), Bob's and Alice's rows of uniforms and, if
+    it was not aborted, pa_seed, in that order.  When the session builds
+    its generator from ``seed`` (anything but a Generator or a bit
+    generator) the stream is its own, so with sampled keys, no
+    ``balanced_k2`` permutation and a compiled channel it draws everything
+    in one ``bits._random_runs`` call, pa_seed included: reading pa_seed
+    when the session then aborts changes nothing anyone sees.  Otherwise it
+    makes the same draws one at a time, so a caller's Generator ends where
+    those calls leave it.
+
+    The quantum stage draws each pair's bits from the channel's class
+    tables (``_quantum_stage``).  The partition key, viewed as a boolean
+    mask, cuts both records into raw key and check sequence, and the
+    session runs the variant's exchange (``_exchange``) on the two check
+    sequences, expanding the hash key once.  A delivery or announcement of
+    the wrong size aborts the session, detected by the party that received
+    it.  Privacy amplification runs only if its output fits the raw key;
+    the session keys are derived on their first read (``SessionOutcome``).
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
+    own_stream = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     channel = _compile(adversary)
-    if keys is None:
+    size = 2 * params.n
+    uniforms = pa_seed = None
+    if keys is not None:
+        if len(keys.op_key) != size:
+            raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
+    elif own_stream and not params.balanced_k2 and channel.tap_quantum is None:
+        runs = (*_key_runs(params.n), (np.float64, _uniform_rows(channel) * size), (np.uint8, PA_SEED_BITS))
+        op_key, partition_key, hash_key, uniforms, pa_seed = _random_runs(rng, runs, fresh=True)
+        keys = MasterKeys._drawn(op_key, partition_key, hash_key)
+    else:
         keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
-    elif len(keys.op_key) != 2 * params.n:
-        raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
     # A session that aborts on a malformed step keeps what was measured
-    # before it, with an empty check record.
+    # before it, with an empty check record and nothing announced.
     alice_bits = bob_bits = alice_raw_key = bob_raw_key = empty = _empty_bits()
-    vacuous = True
+    vacuous = False
     try:
         # Bob measures first; Alice measures once he is done.
-        bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng)
-        # Both parties hold the same partition key, so one pass finds the indices.
-        raw_indices = np.flatnonzero(keys.partition_key == 0)
-        check_indices = np.flatnonzero(keys.partition_key == 1)
-        alice_raw_key, bob_raw_key = alice_bits[raw_indices], bob_bits[raw_indices]
-        alice_check, bob_check = alice_bits[check_indices], bob_bits[check_indices]
+        bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng, uniforms)
+        # Both parties hold the same partition key: 1 marks a check position.
+        check = keys.partition_key.view(bool)
+        raw = ~check
+        alice_raw_key, bob_raw_key = alice_bits[raw], bob_bits[raw]
+        alice_check, bob_check = alice_bits[check], bob_bits[check]
         # Fewer than two check bits leave the even half empty, and none the odd half too.
         vacuous = len(alice_check) < 2
         chk = _exchange(
@@ -582,10 +628,12 @@ def run_session(
         aborted = detected_alice or detected_bob
         abort_reason = "check-mismatch" if aborted else None
 
-    pa_seed = None
     pa_bits = 0
-    if not aborted:
-        pa_seed = random_bits(rng, PA_SEED_BITS)
+    if aborted:
+        pa_seed = None
+    else:
+        if pa_seed is None:
+            pa_seed = random_bits(rng, PA_SEED_BITS)
         raw_len = len(alice_raw_key)
         pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
         if pa_bits > raw_len:

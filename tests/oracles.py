@@ -5,8 +5,9 @@ session holds: a session's pairs are measured as class rows and drawn
 from per-class tables, every Toeplitz product is one blocked product with
 no full matrix.  The forms here do the same work the slow, obvious way
 (every pair state of a session in one ``(2n, 4)`` array, one pair state,
-one explicit 4x4 product, one Born draw, one materialized matrix at a
-time) and the equivalence tests assert that the engine equals them.
+one explicit 4x4 product, one Born draw, one materialized matrix, one
+session's draws one call at a time) and the equivalence tests assert that
+the engine equals them.
 ``measure_z_batch`` is not a slow form: it draws and collapses a whole
 stack on ``qsim.z_branches`` numbers, so the tests that measure a stack
 through it check the engine's arithmetic.
@@ -17,6 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from sqkdlab.adversary import QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
+from sqkdlab.bits import as_bits, random_bits, to01
+from sqkdlab.hashing import _expand, privacy_amplify
+from sqkdlab.protocol import MIN_HASH_KEY_BITS, PA_SEED_BITS, VARIANT_ORIGINAL
 from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate, z_branches
 
 # Value of the measured qubit in each of the four basis components.
@@ -185,3 +189,120 @@ def toeplitz_matrix(key_bits, in_len: int, out_len: int) -> np.ndarray:
     rows = np.arange(out_len)[:, None]
     cols = np.arange(in_len)[None, :]
     return np.asarray(key_bits)[out_len - 1 + cols - rows]
+
+
+def reference_digest(hash_key, tagged, digest_len: int) -> np.ndarray:
+    """The keyed digest of ``tagged``: the hash key expanded for this one input
+    length, split into matrix key and mask, and the materialized matrix."""
+    tagged = as_bits(tagged)
+    split = len(tagged) + digest_len - 1
+    stream = _expand(as_bits(hash_key), split + digest_len)
+    matrix = toeplitz_matrix(stream[:split], len(tagged), digest_len).astype(np.int64)
+    return ((matrix @ tagged.astype(np.int64)) % 2).astype(np.uint8) ^ stream[split:]
+
+
+def session_transcript(params, tap, seed, keys=None) -> dict:
+    """One session's transcript (``SessionOutcome.to_dict()`` with the
+    session keys), each draw its own call: the master keys (three
+    random_bits draws, or balanced_k2's draw, permutation and draw), then
+    the tap's draws, then Bob's and Alice's uniforms, then the PA seed, only
+    if the session was not aborted.
+
+    ``tap`` is None, an AdversaryStrategy or a duck-typed tap; ``seed`` is
+    whatever run_session takes, and a Generator ends where these calls
+    leave it.  The pairs are whole ``(2n, 4)`` states, the partition a list
+    of positions, and each digest a materialized matrix.
+    """
+    rng = np.random.default_rng(seed)
+    size = 2 * params.n
+    if keys is not None:
+        op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
+    elif params.balanced_k2:
+        op_key = random_bits(rng, size)
+        partition_key = np.zeros(size, dtype=np.uint8)
+        partition_key[rng.permutation(size)[: params.n]] = 1
+        hash_key = random_bits(rng, MIN_HASH_KEY_BITS)
+    else:
+        op_key, partition_key, hash_key = (random_bits(rng, bits) for bits in (size, size, MIN_HASH_KEY_BITS))
+    empty = np.zeros(0, dtype=np.uint8)
+    record = dict(
+        aborted=True, detected_by_alice=False, detected_by_bob=False, abort_reason=None,
+        alice_bits=empty, bob_bits=empty, alice_raw_key=empty, bob_raw_key=empty,
+        alice_session_key=None, bob_session_key=None, vacuous_check=False, pa_seed=None,
+        check_mismatches_alice=0, check_mismatches_bob=0, compared_bits_alice=0, compared_bits_bob=0,
+        announced_by_alice=empty, announced_by_bob=empty, received_by_alice=empty, received_by_bob=empty,
+    )  # fmt: skip
+
+    def rendered():
+        return {name: to01(value) if isinstance(value, np.ndarray) else value for name, value in record.items()}
+
+    delivered = prepare(op_key)
+    if isinstance(tap, AdversaryStrategy):
+        delivered = tap_quantum_batch(tap, delivered, rng)
+    elif tap is not None:
+        delivered = np.asarray(tap.tap_quantum_batch(delivered, rng), dtype=complex)
+    if len(delivered) != size:
+        record.update(detected_by_bob=True, abort_reason=f"expected {size} delivered qubits, got {len(delivered)}")
+        return rendered()
+    bob_bits, alice_bits = measure_session(op_key, delivered, rng)
+    raw = [i for i in range(size) if partition_key[i] == 0]
+    check = [i for i in range(size) if partition_key[i] == 1]
+    record.update(
+        alice_bits=alice_bits, bob_bits=bob_bits, alice_raw_key=alice_bits[raw], bob_raw_key=bob_bits[raw]
+    )
+    record["vacuous_check"] = len(check) < 2
+    alice_check, bob_check = alice_bits[check], bob_bits[check]
+
+    # Alice announces her even half (1-based), Bob his odd half.
+    if params.variant == VARIANT_ORIGINAL:
+        what, tau = "check half", params.tau
+
+        def encode(half, direction):
+            return half
+    else:
+        what, tau = "digest", 0.0
+
+        def encode(half, direction):
+            return reference_digest(hash_key, [direction, *half], params.hash_bits)
+
+    announced_by_alice, announced_by_bob = encode(alice_check[1::2], 0), encode(bob_check[0::2], 1)
+    expected_by_alice, expected_by_bob = encode(alice_check[0::2], 1), encode(bob_check[1::2], 0)
+    classical = (lambda bits: bits) if tap is None else tap.tap_classical
+    received_by_bob = as_bits(classical(announced_by_alice))
+    received_by_alice = as_bits(classical(announced_by_bob))
+    bad_alice, bad_bob = len(received_by_alice) != len(expected_by_alice), len(received_by_bob) != len(expected_by_bob)
+    if bad_alice or bad_bob:
+        record.update(
+            detected_by_alice=bad_alice, detected_by_bob=bad_bob, abort_reason=f"received {what} has the wrong length"
+        )
+        return rendered()
+    mismatches_alice = sum(int(a != b) for a, b in zip(received_by_alice, expected_by_alice))
+    mismatches_bob = sum(int(a != b) for a, b in zip(received_by_bob, expected_by_bob))
+    detected_alice = len(expected_by_alice) > 0 and mismatches_alice / len(expected_by_alice) > tau
+    detected_bob = len(expected_by_bob) > 0 and mismatches_bob / len(expected_by_bob) > tau
+    record.update(
+        aborted=detected_alice or detected_bob,
+        detected_by_alice=detected_alice,
+        detected_by_bob=detected_bob,
+        abort_reason="check-mismatch" if detected_alice or detected_bob else None,
+        check_mismatches_alice=mismatches_alice,
+        check_mismatches_bob=mismatches_bob,
+        compared_bits_alice=len(expected_by_alice),
+        compared_bits_bob=len(expected_by_bob),
+        announced_by_alice=announced_by_alice,
+        announced_by_bob=announced_by_bob,
+        received_by_alice=received_by_alice,
+        received_by_bob=received_by_bob,
+    )
+    if record["aborted"]:
+        return rendered()
+    pa_seed = random_bits(rng, PA_SEED_BITS)
+    pa_bits = len(raw) // 2 if params.pa_bits is None else params.pa_bits
+    if pa_bits > len(raw):
+        record.update(aborted=True, abort_reason="pa-output-exceeds-raw-key")
+        return rendered()
+    keys_out = [empty, empty]
+    if pa_bits:
+        keys_out = [privacy_amplify(record[name], pa_seed, pa_bits) for name in ("alice_raw_key", "bob_raw_key")]
+    record.update(aborted=False, pa_seed=pa_seed, alice_session_key=keys_out[0], bob_session_key=keys_out[1])
+    return rendered()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkdlab.bits import _random_bit_runs, as_bits, flip, random_bits, to01
+from sqkdlab.bits import _random_runs, as_bits, flip, random_bits, to01
 
 
 def test_as_bits_from_string():
@@ -55,27 +55,30 @@ def test_random_bits_equals_integers(count, bits_before, doubles_before, bit_gen
     assert np.array_equal(random_bits(ours, 64), reference.integers(0, 2, size=64, dtype=np.uint8))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(0, 200), min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from([np.uint8, np.float64]), st.integers(0, 200)), min_size=1, max_size=5),
     st.integers(0, 9),
     st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
     st.integers(0, 2**32 - 1),
 )
-def test_random_bit_runs_equal_successive_random_bits_draws(sizes, bits_before, bit_generator, seed):
-    # The runs come from one raw read when every size is a multiple of 8
-    # and no PCG64 half-word is buffered (an odd count of bits drawn before
-    # leaves one), and from per-run draws otherwise: the same bits either
-    # way, and the stream left in the same place.
+def test_random_bit_runs_equal_successive_random_bits_draws(runs, bits_before, bit_generator, seed):
+    # Each stretch of bit runs comes from one raw read, and each run of
+    # uniforms from one random call, when every bit count is a multiple of
+    # 8 and no PCG64 half-word is buffered (an odd count of bits drawn
+    # before leaves one), and every run is its own draw otherwise: the same
+    # numbers as random_bits and random calls either way, and the stream
+    # left in the same place.  A generator with nothing drawn yet is fresh.
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (ours, reference):
         rng.integers(0, 2, size=bits_before, dtype=np.uint8)
-    runs = _random_bit_runs(ours, sizes)
-    assert [len(run) for run in runs] == sizes
-    for run in runs:
-        assert run.dtype == np.uint8
-        assert np.array_equal(run, random_bits(reference, len(run)))
+    drawn = _random_runs(ours, runs, fresh=bits_before == 0)
+    assert [(got.dtype, len(got)) for got in drawn] == [(np.dtype(kind), n) for kind, n in runs]
+    for (kind, n), got in zip(runs, drawn):
+        expected = random_bits(reference, n) if kind is np.uint8 else reference.random(n)
+        assert got.tobytes() == expected.tobytes()
     assert np.array_equal(ours.random(3), reference.random(3))
+    assert np.array_equal(random_bits(ours, 24), random_bits(reference, 24))
 
 
 @given(st.lists(st.integers(0, 1), max_size=100))

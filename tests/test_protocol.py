@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sqkdlab import harness, protocol
 from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack, search_attacks
 from sqkdlab.bits import as_bits, flip, random_bits, to01
-from sqkdlab.hashing import _expand, privacy_amplify
+from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import (
     MAX_HASH_BITS,
     MAX_N,
@@ -29,23 +29,13 @@ from sqkdlab.protocol import (
 )
 from sqkdlab.qsim import GATE_NAMES, bell_batch
 
-from oracles import bob_gated, measure_session, prepare, tap_quantum_batch, toeplitz_matrix
+from oracles import bob_gated, measure_session, prepare, reference_digest, session_transcript, tap_quantum_batch
 
 SQRT_HALF = 1 / np.sqrt(2)
 
 
 def keys_for(op_key, partition_key, hash_bits=128):
     return MasterKeys(op_key, partition_key, np.zeros(hash_bits, dtype=np.uint8))
-
-
-def reference_digest(hash_key, tagged, digest_len: int) -> np.ndarray:
-    """The keyed digest of ``tagged``: the hash key expanded for this one input
-    length, split into matrix key and mask, and the materialized matrix."""
-    tagged = as_bits(tagged)
-    split = len(tagged) + digest_len - 1
-    stream = _expand(as_bits(hash_key), split + digest_len)
-    matrix = toeplitz_matrix(stream[:split], len(tagged), digest_len).astype(np.int64)
-    return ((matrix @ tagged.astype(np.int64)) % 2).astype(np.uint8) ^ stream[split:]
 
 
 # -- master keys ----------------------------------------------------------------
@@ -73,7 +63,7 @@ def test_generate_master_keys_lengths():
     st.integers(0, 2**32 - 1),
 )
 def test_master_keys_equal_three_successive_random_bits_draws(n, bits_before, bit_generator, seed):
-    # The three keys are bits._random_bit_runs of (2n, 2n, MIN_HASH_KEY_BITS):
+    # The three keys are bits._random_runs of (2n, 2n, MIN_HASH_KEY_BITS) bits:
     # one raw read or per-key draws, the same bits as three random_bits
     # calls either way, and the stream left in the same place.
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -787,21 +777,20 @@ def test_malformed_delivery_aborts_with_an_empty_transcript():
         "abort_reason": "expected 8 delivered qubits, got 7",
         "alice_session_key": None,
         "bob_session_key": None,
-        "vacuous_check": True,
+        # Nothing was announced, so no announced check half passed vacuously.
+        "vacuous_check": False,
         "pa_seed": None,
         **empty,
         **dict.fromkeys(counters, 0),
     }
     counts = count_sessions(ProtocolParams(n=4), DropLastQubit(), range(3))
-    assert (counts.sessions, counts.detected, counts.aborted, counts.vacuous) == (3, 3, 3, 3)
+    assert (counts.sessions, counts.detected, counts.aborted, counts.vacuous) == (3, 3, 3, 0)
     assert counts.compared_bits == counts.mismatched_bits == 0
 
 
-def test_count_sessions_equals_a_loop_over_run_session():
-    params = ProtocolParams(n=8, variant=VARIANT_ORIGINAL, tau=0.1)
-    seeds = [np.random.SeedSequence((3, trial)) for trial in range(120)]
-    outcomes = [run_session(params, intercept_resend_attack(), seed=seed) for seed in seeds]
-    expected = SessionCounts(
+def counted(outcomes) -> SessionCounts:
+    """What count_sessions should report for ``outcomes``, counted one field at a time."""
+    return SessionCounts(
         sessions=len(outcomes),
         detected=sum(out.detected_by_alice or out.detected_by_bob for out in outcomes),
         aborted=sum(out.aborted for out in outcomes),
@@ -811,10 +800,94 @@ def test_count_sessions_equals_a_loop_over_run_session():
         mismatched_bits=sum(out.check.check_mismatches_alice + out.check.check_mismatches_bob for out in outcomes),
         compared_bits=sum(out.check.compared_bits_alice + out.check.compared_bits_bob for out in outcomes),
     )
+
+
+def test_count_sessions_equals_a_loop_over_run_session():
+    params = ProtocolParams(n=8, variant=VARIANT_ORIGINAL, tau=0.1)
+    seeds = [np.random.SeedSequence((3, trial)) for trial in range(120)]
+    expected = counted([run_session(params, intercept_resend_attack(), seed=seed) for seed in seeds])
     assert count_sessions(params, intercept_resend_attack(), iter(seeds)) == expected
     # a mixed case: at tau=0.1 some sessions abort and some end with matching raw keys
     assert 0 < expected.detected < expected.sessions
     assert 0 < expected.matched < expected.sessions
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tap", ENGINE_TAPS, ids=lambda tap: "none" if tap is None else tap.describe()["quantum"])
+@pytest.mark.parametrize("n, balanced_k2", [(6, False), (8, False), (5, True)], ids=["n6", "n8", "n5-balanced"])
+def test_count_sessions_equals_a_loop_on_every_channel(variant, tap, n, balanced_k2):
+    # Every channel and both variants, where each session draws in one
+    # call (n = 8) and where it draws call by call (n % 4 != 0, balanced_k2).
+    params = ProtocolParams(n=n, variant=variant, tau=0.1, balanced_k2=balanced_k2)
+    seeds = [np.random.SeedSequence((5, trial)) for trial in range(30)]
+    expected = counted([run_session(params, tap, seed=seed) for seed in seeds])
+    assert count_sessions(params, tap, iter(seeds)) == expected
+
+
+class RandomTap(RandomDelivery):
+    """A duck-typed tap that delivers random pair states drawn from the
+    session rng and complements each announcement, returned as a list."""
+
+    def tap_classical(self, bits):
+        return [1 - int(bit) for bit in bits]
+
+
+SEED_FORMS = ("int", "seed-sequence", "generator")
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.sampled_from(VARIANTS),
+    st.sampled_from(
+        [
+            *ENGINE_TAPS,
+            *(AdversaryStrategy("gate_all", name, "flip_all") for name in GATE_NAMES),
+            AdversaryStrategy("intercept_resend_z", classical="flip_all"),
+            RandomTap(),
+        ]
+    ),
+    st.sampled_from(SEED_FORMS),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 9),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.25]),
+    st.sampled_from([None, 1, 3, 40]),
+)
+def test_session_draws_equal_the_call_by_call_oracle(
+    n, variant, tap, seed_form, seed, bits_before, forced_keys, balanced_k2, tau, pa_bits
+):
+    # Whether the session makes its draws in one call or call by call, its
+    # transcript (session keys read) is the oracle's, byte for byte, and a
+    # caller's Generator ends where the oracle's calls leave it; an odd
+    # count of bits drawn before leaves a PCG64 half-word buffered.
+    params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=8, pa_bits=pa_bits, balanced_k2=balanced_k2)
+    keys = None
+    if forced_keys:
+        draw = np.random.default_rng(seed + 1)
+        keys = MasterKeys(random_bits(draw, 2 * n), random_bits(draw, 2 * n), random_bits(draw, MIN_HASH_KEY_BITS))
+    if seed_form == "generator":
+        ours, reference = (np.random.default_rng(seed) for _ in range(2))
+        for rng in (ours, reference):
+            rng.integers(0, 2, size=bits_before, dtype=np.uint8)
+    else:
+        ours = reference = seed if seed_form == "int" else np.random.SeedSequence(seed)
+    out = run_session(params, tap, seed=ours, keys=keys)
+    out.alice_session_key  # derive the session keys before rendering
+    expected = session_transcript(params, tap, reference, keys=keys)
+    assert json.dumps(out.to_dict()) == json.dumps(expected)
+    if seed_form == "generator":
+        assert stream_position(ours) == stream_position(reference)
+
+
+def stream_position(rng: np.random.Generator) -> dict:
+    """A PCG64 generator's state, without the stale half-word that its state
+    still lists when none is buffered (a raw read leaves it as it was)."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
 
 
 def test_params_validation():
