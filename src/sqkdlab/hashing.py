@@ -11,10 +11,10 @@ at most ``2**-out_len`` over a uniform key.
 The same construction doubles as the privacy-amplification compressor
 (mask zero, matrix bits expanded from a public seed).
 
-The product runs over the key's sliding-window matrix ``W`` (row r is
-``key_bits[r : r + in_len]``, so ``T`` is ``W`` with its rows reversed), a
-strided view of the key with no copy.  It multiplies in blocks of ``W`` of
-at most ``_BLOCK_ITEMS`` float64 entries (256 KiB), each copied to
+The product runs over ``T``'s transpose, a strided view of the key with
+negative column stride and no copy (entry (c, r) is
+``key_bits[out_len - 1 + c - r]``).  It multiplies in blocks of it of at
+most ``_BLOCK_ITEMS`` float64 entries (256 KiB), each copied to
 contiguous memory so that the product is a BLAS matrix product, and
 accumulates the blocks' sums.  Memory therefore stays O(256 KiB + in_len
 + out_len) for any size; without the cap, ``protocol.MAX_N`` ×
@@ -24,11 +24,12 @@ so no addition rounds.  The test suite keeps the materialized matrix as
 the reference form.
 
 Three cores do the work: ``_expand`` stretches a seed into a key stream,
-``_toeplitz_product`` computes ``T·x`` for one input or a stack of inputs
-of one length, and ``_digest_keys`` lays out the matrix key and the masks
-of the keyed digests of several input lengths from one stream of a hash
-key.  They trust their arguments: 0/1 arrays of consistent lengths,
-a non-empty seed and counts >= 0.  A session (``protocol.run_session``)
+``_toeplitz_product`` computes ``T·x`` for inputs of one length along the
+last axis of an array with any leading axes, and ``_digest_keys`` lays
+out the matrix key and the masks (one view, a row per length) of the
+keyed digests of several input lengths from one stream of a hash key.
+They trust their arguments: 0/1 arrays of consistent lengths, a
+non-empty seed and counts >= 0.  A session (``protocol.run_session``)
 checks its inputs where they enter and calls the cores on arrays it built.
 ``privacy_amplify`` is the one checked entry point, the public form of the
 session's privacy amplification.  Because the expanded stream is
@@ -88,40 +89,49 @@ def _expand(seed: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(blocks, dtype=np.uint8), count=count)
 
 
-# Largest block of the sliding-window matrix one step of _toeplitz_product
-# copies and multiplies: 256 KiB of float64.
+# Largest block of T's transpose that one step of _toeplitz_product copies
+# and multiplies: 256 KiB of float64.
 _BLOCK_ITEMS = 32 * 1024
 
 
 def _toeplitz_product(key: np.ndarray, x: np.ndarray) -> np.ndarray:
     """T·x over GF(2) as uint8, for a 0/1 matrix key of in_len + out_len - 1 bits.
 
-    ``x`` is one input of in_len bits or a ``(count, in_len)`` stack of
-    them; the result holds out_len bits per input.  Both are multiplied as
-    float64, which numpy hands to BLAS.  The product runs over blocks of
-    the key's sliding-window matrix of at most _BLOCK_ITEMS entries, each
-    copied to contiguous memory first: a matrix product on the
-    overlapping-stride view itself does not reach BLAS and is several
-    times slower.  The float64 sums are exact: each counts at most in_len
-    ones, an integer far below 2**53.
+    ``x`` holds inputs of in_len bits along its last axis, with any leading
+    axes (a strided view is taken as it is); the result holds out_len bits
+    per input in their place.  Both are multiplied as float64 with
+    ``np.matmul``, which numpy hands to BLAS, against ``T``'s transpose in
+    blocks of at most _BLOCK_ITEMS entries.  Each block is a
+    negative-stride view of the key (entry (c, r) of ``Tᵀ`` is
+    ``key[out_len - 1 + c - r]``), so the sums come out in T's row order
+    with no reversal.  The block is copied to contiguous memory first: a
+    matrix product on the overlapping-stride view itself does not reach
+    BLAS and is several times slower.  A row block's sums start as the
+    product of its first column block, and the later column blocks add to
+    them.  The float64 sums are exact: each counts at most in_len ones, an
+    integer far below 2**53.
     """
     key = np.ascontiguousarray(key, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     in_len = x.shape[-1]
     out_len = len(key) - in_len + 1
-    cols = min(max(in_len, 1), _BLOCK_ITEMS)  # an empty input runs no block: its sums stay 0
+    cols = min(max(in_len, 1), _BLOCK_ITEMS)  # an empty input runs one empty block: its sums are 0
     rows = _BLOCK_ITEMS // cols
-    sums = np.zeros(x.shape[:-1] + (out_len,))
-    for col in range(0, in_len, cols):
-        part = x[..., col : col + cols]
-        width = part.shape[-1]
-        for row in range(0, out_len, rows):
-            height = min(rows, out_len - row)
-            # Window rows row.. of columns col..: entry (r, c) is key[row + r + col + c].
-            view = np.ndarray((height, width), np.float64, key, (row + col) * key.itemsize, (key.itemsize,) * 2)
-            sums[..., row : row + height] += np.dot(part, np.ascontiguousarray(view).T)
-    # Window row r is T's row out_len - 1 - r.
-    return (sums[..., ::-1].astype(np.int64) & 1).astype(np.uint8)
+    step = key.itemsize
+    sums = np.empty(x.shape[:-1] + (out_len,))
+    for row in range(0, out_len, rows):
+        height = min(rows, out_len - row)
+        target = sums[..., row : row + height]
+        for col in range(0, max(in_len, 1), cols):
+            part = x[..., col : col + cols]
+            # Rows col.. and columns row.. of Tᵀ: entry (c, r) is key[out_len - 1 + col + c - row - r].
+            offset = (out_len - 1 + col - row) * step
+            block = np.ascontiguousarray(np.ndarray((part.shape[-1], height), np.float64, key, offset, (step, -step)))
+            if col == 0:
+                np.matmul(part, block, out=target)
+            else:
+                target += np.matmul(part, block)
+    return (sums.astype(np.int64) & 1).astype(np.uint8)
 
 
 def _digest_keys(hash_key: np.ndarray, in_lens, out_len: int):
@@ -129,13 +139,17 @@ def _digest_keys(hash_key: np.ndarray, in_lens, out_len: int):
 
     For input length in_len, the first in_len + out_len - 1 bits of the
     hash key's stream are the matrix key and the next out_len bits the
-    mask; ``masks`` lists the mask of each in_len.  One stream, expanded
-    to the longest in_len, serves every in_len: each reads a prefix of it,
-    and the stream is prefix-stable.  Every matrix key is thus a prefix of
-    the longest one, whose matrix hashes any of the inputs zero-padded to
-    the longest in_len, so only that key is returned.
+    mask.  One stream, expanded to the longest in_len, serves every
+    in_len: each reads a prefix of it, and the stream is prefix-stable.
+    Every matrix key is thus a prefix of the longest one, whose matrix
+    hashes any of the inputs zero-padded to the longest in_len, so only
+    that key is returned.  ``masks`` is one ``(len(in_lens), out_len)``
+    strided view of the stream, row k the mask of ``in_lens[k]``; a view
+    steps evenly, so ``in_lens`` must be evenly spaced, as one or two
+    lengths always are.
     """
     longest = max(in_lens)
     stream = _expand(hash_key, longest + 2 * out_len - 1)
-    masks = [stream[in_len + out_len - 1 : in_len + 2 * out_len - 1] for in_len in in_lens]
+    spacing = in_lens[1] - in_lens[0] if len(in_lens) > 1 else 0
+    masks = np.ndarray((len(in_lens), out_len), np.uint8, stream, in_lens[0] + out_len - 1, (spacing, 1))
     return stream[: longest + out_len - 1], masks

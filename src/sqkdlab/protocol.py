@@ -19,9 +19,10 @@ only the encoding and how much mismatch passes:
   only on exact digest equality.
 
 Each variant is one entry of ``_EXCHANGES``: its encoder, which maps the
-four check halves to what is announced and expected for each, and its
-tau.  The improved variant's encoder hashes all four halves in one
-Toeplitz product.
+two check sequences to the encodings of their four halves (what is
+announced and what is expected), and its tau.  The improved variant's
+encoder lays both sequences out in one buffer, a view of which is the
+four direction-tagged halves, and hashes them in one Toeplitz product.
 
 Announcements and flying qubits pass through adversary-tappable channels.
 A strategy's tap treats each flying qubit alike, so a session's pairs are
@@ -70,10 +71,13 @@ MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # the block at 48 MiB; a duck-typed tap is handed 2n pair
 # states of 64 bytes each, 128 MiB at MAX_N, and returns as many.  The
 # improved variant expands the hash key to about n + 2 * hash_bits bits,
-# one byte each, so MAX_HASH_BITS = 2**16 adds at most 128 KiB to it.  A
-# run's trial count and the PA output length allocate nothing that grows
-# with them (sessions run one at a time; a PA output longer than the raw
-# key aborts), so they have no cap.
+# one byte each, so MAX_HASH_BITS = 2**16 adds at most 128 KiB to it.  Its
+# digest then holds two float64 buffers: the tagged input, both check
+# sequences laid out in about 32(n + 1) bytes (32 MiB at MAX_N), and the
+# float copy of the matrix key, 8 bytes a key bit (about 9 MiB at MAX_N
+# and MAX_HASH_BITS).  A run's trial count and the PA output length
+# allocate nothing that grows with them (sessions run one at a time; a PA
+# output longer than the raw key aborts), so they have no cap.
 MAX_N = 2**20
 MAX_HASH_BITS = 2**16
 
@@ -178,7 +182,7 @@ class ProtocolParams:
         object.__setattr__(self, "balanced_k2", bool(self.balanced_k2))
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckResult:
     """Outcome of one announce-and-compare exchange.
 
@@ -455,35 +459,42 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
     return bob.view(np.uint8), alice.view(np.uint8)
 
 
-# Direction of each of the four check halves an encoder maps, in the order
-# (Alice's even, Bob's odd, Alice's odd, Bob's even): what Alice announces,
-# what Bob announces, what Alice expects, what Bob expects.
-_HALF_DIRECTIONS = (DIRECTION_EVEN, DIRECTION_ODD, DIRECTION_ODD, DIRECTION_EVEN)
+def _plain_halves(alice_check, bob_check, hash_key, hash_bits):
+    """The original variant's encoding: each check half as itself, a view
+    of the check sequence the session cut, in the order (Alice's even,
+    Bob's odd, Alice's odd, Bob's even): what Alice announces, what Bob
+    announces, what Alice expects, what Bob expects."""
+    return alice_check[1::2], bob_check[0::2], alice_check[0::2], bob_check[1::2]
 
 
-def _plain_halves(halves, hash_key, hash_bits):
-    """The original variant's encoding: each check half as itself (a view
-    of the check sequence the session cut)."""
-    return halves
-
-
-def _digest_halves(halves, hash_key, hash_bits) -> list:
+def _digest_halves(alice_check, bob_check, hash_key, hash_bits) -> tuple:
     """The improved variant's encoding: the hash_bits-bit keyed Toeplitz
-    digest of each half with its direction bit prepended.
+    digest of each half with its direction bit prepended, in
+    ``_plain_halves``'s order.
 
-    Both directions' matrix keys are prefixes of one key stream, so the
-    four tagged halves, zero-padded to the longer one, go through one
-    product against the longest key; only the masks differ by direction.
+    Both sequences are laid out in one zero buffer of two rows of
+    ``2 * width`` slots, width = odd half + 1: slot 0 holds the
+    DIRECTION_ODD tag, slot 1 a 0 (DIRECTION_EVEN), and the sequence
+    starts at slot 2.  Read as ``(2, width, 2)``, slot pair 0 holds the
+    two tags and slot pair w >= 1 the w-th bit of the odd half and of the
+    even half, so the buffer's last two axes swapped are the four tagged
+    halves, each zero-padded to width, with no per-half copy.  Both
+    directions' matrix keys are prefixes of one key stream, so the four go
+    through one product against the longest key; only the masks differ by
+    direction, and one broadcast XOR applies both.
     """
-    even_len, odd_len = len(halves[0]), len(halves[1])
-    key, masks = _digest_keys(hash_key, (even_len + 1, odd_len + 1), hash_bits)
-    tagged = np.zeros((4, max(even_len, odd_len) + 1))
-    tagged[:, 0] = _HALF_DIRECTIONS
-    for row, half in enumerate(halves):
-        tagged[row, 1 : 1 + len(half)] = half
-    digests = _toeplitz_product(key, tagged)
-    # masks is indexed by direction: DIRECTION_EVEN (0) hashes even halves, DIRECTION_ODD (1) odd ones.
-    return [digest ^ masks[direction] for digest, direction in zip(digests, _HALF_DIRECTIONS)]
+    size = len(alice_check)
+    width = (size + 1) // 2 + 1
+    key, masks = _digest_keys(hash_key, (size // 2 + 1, width), hash_bits)
+    tagged = np.zeros((2, 2 * width))
+    tagged[:, 0] = DIRECTION_ODD
+    tagged[0, 2 : 2 + size] = alice_check
+    tagged[1, 2 : 2 + size] = bob_check
+    # digests[s, 0] is sequence s's odd half and digests[s, 1] its even
+    # half; masks is indexed by direction, so it applies in reverse.
+    digests = _toeplitz_product(key, tagged.reshape(2, width, 2).transpose(0, 2, 1))
+    digests ^= masks[::-1]
+    return digests[0, 1], digests[1, 0], digests[0, 0], digests[1, 1]
 
 
 # Each variant's exchange: its encoder, the mismatch fraction a side passes
@@ -515,8 +526,8 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
     encode, fixed_tau, what = _EXCHANGES[variant]
     if fixed_tau is not None:
         tau = fixed_tau
-    halves = (alice_check[1::2], bob_check[0::2], alice_check[0::2], bob_check[1::2])
-    announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encode(halves, hash_key, hash_bits)
+    encoded = encode(alice_check, bob_check, hash_key, hash_bits)
+    announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encoded
     if channel is None:
         received_by_bob, received_by_alice = announced_by_alice, announced_by_bob
     else:
@@ -687,10 +698,11 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted
-        # Both raw keys come from one partition (equal lengths): match = all agree, complement = none does.
-        agree = outcome.alice_raw_key == outcome.bob_raw_key
-        matched += bool(agree.all())
-        complemented += not agree.any()
+        # Both raw keys come from one partition (equal lengths): match = no bit
+        # differs, complement = every bit does.  int(): every count stays a Python int.
+        differ = int(np.count_nonzero(outcome.alice_raw_key != outcome.bob_raw_key))
+        matched += differ == 0
+        complemented += differ == len(outcome.alice_raw_key)
         vacuous += outcome.vacuous_check
         check = outcome.check
         mismatched += check.check_mismatches_alice + check.check_mismatches_bob

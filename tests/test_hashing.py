@@ -258,15 +258,23 @@ def test_stacked_product_equals_the_matrix_product_of_each_padded_input(lengths,
     # One product over inputs zero-padded to the longest, against the
     # longest key, equals each input's own matrix product, whatever the
     # block cap (small caps split the window into many row and column
-    # blocks); empty inputs give zero rows.
+    # blocks); empty inputs give zero rows.  The same stack handed over as
+    # the digest hands it, a 3-D non-contiguous view of one interleaved
+    # buffer, gives the same rows.
     rng = np.random.default_rng(seed)
     inputs, stack = padded_stack(rng, lengths)
     key = random_bits(rng, stack.shape[1] + out_len - 1)
+    laid = np.zeros(stack.shape + (2,))
+    laid[..., 0] = stack
+    interleaved = laid.transpose(0, 2, 1)  # [k, 0] is input k, [k, 1] zeros
     with mock.patch.object(hashing, "_BLOCK_ITEMS", block_items):
         got = _toeplitz_product(key, stack)
         single = _toeplitz_product(key, stack[0])
+        stacked = _toeplitz_product(key, interleaved)
     assert_rows_equal_matrix_products(got, key, inputs, out_len)
     assert np.array_equal(single, got[0])
+    assert stacked.dtype == np.uint8 and stacked.shape == (len(inputs), 2, out_len)
+    assert np.array_equal(stacked[:, 0], got) and not stacked[:, 1].any()
 
 
 @pytest.mark.parametrize("in_len, out_len", [(hashing._BLOCK_ITEMS + 7000, 3), (300, 200)])
