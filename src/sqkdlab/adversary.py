@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import TrialStreams, as_bits
 from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
 from .qsim import BOB, GATE_NAMES, apply_gate_batch, standard_gate, z_branches
 
@@ -189,7 +189,7 @@ def search_attacks(
     ]
     results = []
     for index, strategy in enumerate(strategies):
-        counts = count_sessions(params, strategy, (np.random.SeedSequence((seed, index, t)) for t in range(trials)))
+        counts = count_sessions(params, strategy, TrialStreams((seed, index), trials))
         results.append(
             AttackSearchResult(
                 strategy=strategy,

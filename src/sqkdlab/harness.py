@@ -24,7 +24,7 @@ from .adversary import (
     modification_attack,
     search_attacks,
 )
-from .bits import as_bits, to01
+from .bits import TrialStreams, as_bits, to01, trial_stream
 from .protocol import (
     VARIANT_ORIGINAL,
     VARIANTS,
@@ -144,8 +144,8 @@ class AggregateReport:
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
-    """Per-trial rng stream root: SeedSequence entropy (master seed, index)."""
-    return np.random.SeedSequence((master_seed, trial_index))
+    """Trial ``trial_index``'s rng stream in a batch: its prefix is (master seed,)."""
+    return trial_stream((master_seed,), trial_index)
 
 
 def run_batch(config: RunConfig) -> AggregateReport:
@@ -159,8 +159,7 @@ def run_batch(config: RunConfig) -> AggregateReport:
     strategy = config.resolve_strategy()
 
     started = time.perf_counter()
-    seeds = (trial_seed(config.seed, trial) for trial in range(config.trials))
-    counts = count_sessions(params, strategy, seeds)
+    counts = count_sessions(params, strategy, TrialStreams((config.seed,), config.trials))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     trials = config.trials

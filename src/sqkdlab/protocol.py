@@ -34,7 +34,9 @@ the same way with one class per pair.
 A session that seeds its own generator makes its draws (master keys,
 uniforms, privacy-amplification seed) in one call where it can
 (``run_session``), and checks only what comes from outside: its inputs
-and a duck-typed tap's deliveries and announcements.
+and a duck-typed tap's deliveries and announcements.  A batch's sessions
+run on one reused generator, set to each trial's stream in turn
+(``count_sessions``), and draw as if each had seeded its own.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -53,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bits import _check_size, _random_runs, as_bits, random_bits, to01
+from .bits import TrialStreams, _check_size, _random_runs, as_bits, random_bits, to01
 from .hashing import _digest_keys, _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
@@ -564,6 +566,7 @@ def run_session(
     seed=0,
     *,
     keys: MasterKeys | None = None,
+    _fresh: bool = False,
 ) -> SessionOutcome:
     """Execute one full session through adversary-tappable channels.
 
@@ -584,7 +587,9 @@ def run_session(
     or Eve's row of uniforms), Bob's and Alice's rows of uniforms and, if
     it was not aborted, pa_seed, in that order.  When the session builds
     its generator from ``seed`` (anything but a Generator or a bit
-    generator) the stream is its own, so with sampled keys, no
+    generator), or ``count_sessions`` hands it a Generator it has just
+    set to a trial's fresh stream (the private ``_fresh``), the stream is
+    its own, so with sampled keys, no
     ``balanced_k2`` permutation and a compiled channel it draws everything
     in one ``bits._random_runs`` call, pa_seed included: reading pa_seed
     when the session then aborts changes nothing anyone sees.  Otherwise it
@@ -601,7 +606,7 @@ def run_session(
     the session keys are derived on their first read (``SessionOutcome``).
     """
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
-    own_stream = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    own_stream = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     channel = _compile(adversary)
     size = 2 * params.n
     uniforms = pa_seed = None
@@ -688,13 +693,20 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
     """Run one session per seed in ``seeds`` and count what happened.
 
     This is the package's one trial loop: run_batch and search_attacks
-    differ only in the seeds they pass, so each keeps its own streams.  The
-    adversary is compiled once, and every session draws from its tables.
+    differ only in the ``bits.TrialStreams`` they pass, so each keeps its
+    own streams.  The adversary is compiled once, and every session draws
+    from its tables.  A TrialStreams' sessions run on the one reused
+    Generator of ``TrialStreams._generators``, set to each trial's fresh
+    stream and handed to run_session as the session's own, so each session
+    makes its one-call draw and gets, bit for bit, what seeding run_session
+    with ``bits.trial_stream(prefix, t)`` gives.  Any other iterable's
+    seeds go to run_session as they are.
     """
     channel = _compile(adversary)
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
-    for seed in seeds:
-        outcome = run_session(params, channel, seed=seed)
+    fresh = isinstance(seeds, TrialStreams)
+    for seed in seeds._generators() if fresh else seeds:
+        outcome = run_session(params, channel, seed=seed, _fresh=fresh)
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkdlab.bits import _random_runs, as_bits, flip, random_bits, to01
+from sqkdlab.bits import (
+    _SEED_CHUNK,
+    TrialStreams,
+    _pcg64_states,
+    _random_runs,
+    as_bits,
+    flip,
+    random_bits,
+    to01,
+    trial_stream,
+)
 
 
 def test_as_bits_from_string():
@@ -114,3 +124,59 @@ def test_as_bits_uint8_returns_fresh_copy():
     assert np.array_equal(as_bits(arr[:, 1]), [1, 0])  # strided view
     with pytest.raises(ValueError):
         as_bits(np.array([0, 2], dtype=np.uint8))
+
+
+# -- trial streams -------------------------------------------------------------
+
+U64_MAX = 2**64 - 1
+U32_MAX = 2**32 - 1
+
+
+def reference_state(prefix, t) -> dict:
+    return np.random.PCG64(trial_stream(prefix, t)).state["state"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(0, U64_MAX), st.sampled_from([0, U32_MAX, 2**32, U64_MAX])), min_size=1, max_size=3),
+    st.one_of(st.integers(0, U32_MAX), st.sampled_from([0, 1, 2**31, U32_MAX])),
+    st.integers(1, 40),
+)
+def test_pcg64_states_equal_pcg64_seeded_from_the_trial_stream(prefix, start, count):
+    # Entropy of 2 to 7 words: a pool filled from the prefix and t, or the
+    # words beyond the pool mixed in after it; the last trials of a run
+    # that starts near 2**32 - 1 cross to two-word t.
+    states = _pcg64_states(tuple(prefix), start, count)
+    assert len(states) == count
+    for t, (state, inc) in zip(range(start, start + count), states):
+        assert {"state": state, "inc": inc} == reference_state(tuple(prefix), t)
+
+
+@pytest.mark.parametrize("prefix", [(0,), (U64_MAX,), (0, 0), (U64_MAX, 11), (U64_MAX, U64_MAX, U64_MAX)])
+def test_pcg64_states_at_the_edges_of_t(prefix):
+    # t = 0 and t = 2**32 - 1 (the last one-word t), and a range across
+    # 2**32 that the helper cuts there, with two-word t up to 2**40.
+    for start, count in [(0, 3), (U32_MAX, 1), (2**32 - 2, 5), (2**40, 2)]:
+        expected = [reference_state(prefix, t) for t in range(start, start + count)]
+        assert [{"state": s, "inc": i} for s, i in _pcg64_states(prefix, start, count)] == expected
+
+
+def test_trial_streams_generators_draw_each_trial_stream():
+    # One Generator, reset to each trial's fresh stream: the half-word that
+    # three uint32 draws leave buffered in one trial is gone in the next,
+    # and the chunks join up.
+    def draws(rng):
+        return rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+
+    trials, generators = _SEED_CHUNK + 5, set()
+    for t, rng in enumerate(TrialStreams((3, 4), trials)._generators()):
+        generators.add(id(rng))
+        assert draws(rng) == draws(np.random.default_rng(trial_stream((3, 4), t)))
+    assert t == trials - 1 and len(generators) == 1
+    assert list(TrialStreams((7,), 0)._generators()) == []
+
+
+def test_trial_stream_is_the_seed_sequence_of_prefix_and_t():
+    assert trial_stream((7, 2), 5).entropy == (7, 2, 5)
+    with pytest.raises(ValueError):
+        _pcg64_states((-1,), 0, 1)

@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkdlab import harness, hashing, protocol
-from sqkdlab.adversary import AdversaryStrategy, intercept_resend_attack, modification_attack, search_attacks
-from sqkdlab.bits import as_bits, flip, random_bits, to01
+from sqkdlab.adversary import (
+    CLASSICAL_POLICIES,
+    SEARCH_GATE_NAMES,
+    AdversaryStrategy,
+    intercept_resend_attack,
+    modification_attack,
+    search_attacks,
+)
+from sqkdlab.bits import TrialStreams, as_bits, flip, random_bits, to01
 from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import (
     MAX_HASH_BITS,
@@ -840,6 +847,84 @@ class RandomTap(RandomDelivery):
 
     def tap_classical(self, bits):
         return [1 - int(bit) for bit in bits]
+
+
+TRIAL_CHANNELS = [
+    None,
+    *(AdversaryStrategy("gate_all", gate, classical) for gate in SEARCH_GATE_NAMES for classical in CLASSICAL_POLICIES),
+    intercept_resend_attack(),
+    RandomTap(),
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "n, balanced_k2, pa_bits, hash_bits, prefix",
+    [
+        (8, False, None, 64, (5,)),
+        (5, False, None, 64, (2**64 - 1, 11)),
+        (6, True, None, 64, (0,)),
+        (8, False, 9, 64, (7, 3)),
+        (8, False, None, 1, (2**64 - 1,)),
+    ],
+    ids=["n8", "n5", "n6-balanced", "pa-bits-over-raw-key", "hash-bits-1"],
+)
+def test_trial_streams_give_the_sessions_of_their_seed_sequences(
+    monkeypatch, variant, n, balanced_k2, pa_bits, hash_bits, prefix
+):
+    # count_sessions runs a TrialStreams on one reused generator, its state
+    # set per trial; the counts, and the full transcripts of a sample of
+    # trials, are those of a loop over SeedSequence((*prefix, t)).  n8 draws
+    # in one call, n5 and balanced_k2 call by call; pa_bits = 9 is longer
+    # than most raw keys at n = 8.
+    params = ProtocolParams(
+        n=n, variant=variant, tau=0.1, hash_bits=hash_bits, pa_bits=pa_bits, balanced_k2=balanced_k2
+    )
+    trials, sample = 40, 6
+    seeds = [np.random.SeedSequence((*prefix, t)) for t in range(trials)]
+    run_session_unpatched = protocol.run_session
+    transcripts = []
+
+    def recorded(*args, **kwargs):
+        outcome = run_session_unpatched(*args, **kwargs)
+        if len(transcripts) < sample:
+            transcripts.append(outcome.to_dict())
+        return outcome
+
+    for channel in TRIAL_CHANNELS:
+        expected = count_sessions(params, channel, iter(seeds))
+        transcripts.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(protocol, "run_session", recorded)
+            counts = count_sessions(params, channel, TrialStreams(prefix, trials))
+        assert counts == expected, channel
+        assert transcripts == [run_session(params, channel, seed=seed).to_dict() for seed in seeds[:sample]], channel
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_batches_and_sweeps_seed_trial_t_from_their_prefix_and_t(monkeypatch, seed):
+    # run_batch passes the prefix (seed,), search_attacks (seed, index);
+    # counted over each prefix's SeedSequences instead, every report is the
+    # same.  A two-word seed makes entropies of three and four words.
+    passed = []
+
+    def reference(params, adversary, seeds):
+        passed.append(seeds)
+        streams = [np.random.SeedSequence((*seeds.prefix, t)) for t in range(seeds.trials)]
+        return count_sessions(params, adversary, streams)
+
+    config = harness.RunConfig(protocol="improved", attack="modification", n=6, trials=30, seed=seed)
+
+    def reports():
+        report = harness.run_batch(config).to_dict()
+        report.pop("wall_time_ms")
+        return report, [r.to_dict() for r in search_attacks("original", trials=6, n=4, seed=seed)]
+
+    ours = reports()
+    monkeypatch.setattr(harness, "count_sessions", reference)
+    monkeypatch.setattr("sqkdlab.adversary.count_sessions", reference)
+    assert ours == reports()
+    assert passed == [TrialStreams((seed,), 30), *(TrialStreams((seed, index), 6) for index in range(12))]
 
 
 SEED_FORMS = ("int", "seed-sequence", "generator")
