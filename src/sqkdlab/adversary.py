@@ -92,14 +92,18 @@ class AdversaryStrategy:
 
     # -- classical channel -----------------------------------------------
 
-    def tap_classical(self, bits) -> np.ndarray:
-        """Tamper with one classical announcement."""
-        return self._tap_announcement(as_bits(bits))
+    @property
+    def _flip(self) -> int:
+        """The bit ``tap_classical`` XORs onto every announced bit: 1 for
+        flip_all, 0 for none.  A compiled channel keeps only this constant
+        (``protocol._compile``)."""
+        return int(self.classical == CLASSICAL_FLIP_ALL)
 
-    def _tap_announcement(self, bits: np.ndarray) -> np.ndarray:
-        """``tap_classical`` on a uint8 0/1 array: flipped into a new array,
-        or passed on as it is, without a check or a copy."""
-        if self.classical == CLASSICAL_FLIP_ALL:
+    def tap_classical(self, bits) -> np.ndarray:
+        """Tamper with one classical announcement: complement every bit
+        (flip_all) or pass it on (none)."""
+        bits = as_bits(bits)
+        if self._flip:
             return np.bitwise_xor(bits, 1)
         return bits
 

@@ -20,9 +20,10 @@ only the encoding and how much mismatch passes:
 
 Each variant is one entry of ``_EXCHANGES``: its encoder, which maps the
 two check sequences to the encodings of their four halves (what is
-announced and what is expected), and its tau.  The improved variant's
-encoder lays both sequences out in one buffer, a view of which is the
-four direction-tagged halves, and hashes them in one Toeplitz product.
+announced and what is expected), its difference encoder and its tau.  The
+improved variant's encoder lays both sequences out in one buffer, a view
+of which is the four direction-tagged halves, and hashes them in one
+Toeplitz product.
 
 Announcements and flying qubits pass through adversary-tappable channels.
 A strategy's tap treats each flying qubit alike, so a session's pairs are
@@ -30,6 +31,17 @@ copies of at most four distinct states: the channel's class rows are
 measured once (``_compile``), and each session draws its pairs' bits from
 the resulting per-class tables.  A duck-typed tap's delivery is measured
 the same way with one class per pair.
+
+A strategy's classical tap XORs one constant onto every announced bit, and
+both encodings are linear over GF(2), so on a compiled channel a side's
+mismatches are the set bits of the encoded difference of the two records,
+XOR that constant.  A session forms the difference once, cuts only it at
+the check positions, and counts the raw keys' disagreements and both
+sides' mismatches from it (``_difference_check``); the raw keys and the
+four announcements are cut and built when a reader first asks for them
+(``SessionOutcome``, ``CheckResult``).  A duck-typed tap, which may change
+an announcement's length or content, gets the announcements themselves
+(``_exchange``).
 
 A session that seeds its own generator makes its draws (master keys,
 uniforms, privacy-amplification seed) in one call where it can
@@ -42,10 +54,10 @@ After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
 the map's seed and decides whether the map can run; the keys themselves
 are derived when a reader first asks for them (``SessionOutcome``), so a
-batch, which counts outcomes and never reads session keys, runs no
-privacy amplification.  A session is a sequential state machine; distinct
-sessions share nothing and may run in parallel with independent rng
-streams.
+batch, which reads only counters, runs no privacy amplification, cuts no
+raw key and builds no announcement.  A session is a sequential state
+machine; distinct sessions share nothing and may run in parallel with
+independent rng streams.
 """
 
 import functools
@@ -70,14 +82,17 @@ MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # block is k arrays of 2n doubles end to end (k = 3 when Eve measures, else
 # 2), and its quantum stage holds a few more arrays of 2n labels or bits,
 # at most 8 bytes an entry, so MAX_N = 2**20 caps each array at 16 MiB and
-# the block at 48 MiB; a duck-typed tap is handed 2n pair
+# the block at 48 MiB; the records' difference and its check cut are two
+# more of 2n bytes.  A duck-typed tap is handed 2n pair
 # states of 64 bytes each, 128 MiB at MAX_N, and returns as many.  The
-# improved variant expands the hash key to about n + 2 * hash_bits bits,
-# one byte each, so MAX_HASH_BITS = 2**16 adds at most 128 KiB to it.  Its
-# digest then holds two float64 buffers: the tagged input, both check
-# sequences laid out in about 32(n + 1) bytes (32 MiB at MAX_N), and the
-# float copy of the matrix key, 8 bytes a key bit (about 9 MiB at MAX_N
-# and MAX_HASH_BITS).  A run's trial count and the PA output length
+# improved variant's check expands the hash key to about n + hash_bits
+# bits, one byte each, and multiplies two float64 buffers: the difference
+# laid out in about 16(n + 1) bytes (16 MiB at MAX_N), and the float copy
+# of the matrix key, 8 bytes a key bit (about 9 MiB at MAX_N and
+# MAX_HASH_BITS = 2**16).  Reading its announcements, or a duck-typed
+# tap's exchange, expands the key to about n + 2 * hash_bits bits and lays
+# both check sequences out in about 32(n + 1) bytes (32 MiB at MAX_N)
+# instead.  A run's trial count and the PA output length
 # allocate nothing that grows with them (sessions run one at a time; a PA
 # output longer than the raw key aborts), so they have no cap.
 MAX_N = 2**20
@@ -191,6 +206,13 @@ class CheckResult:
     The counters and arrays carry the names they have in a session
     transcript (SessionOutcome.to_dict).  For the original variant the
     counters count check bits, for the improved variant digest bits.
+
+    The four arrays (what each side announced and what it received) are
+    read-only attributes.  ``_exchanged`` holds them, in that order, when
+    the exchange built them (``_exchange``), or a callable that derives
+    them: a session on a compiled channel counts its mismatches without
+    building any announcement (``_difference_check``), and they are
+    derived on the first read of any of the four, once, and cached.
     """
 
     alice_pass: bool
@@ -199,10 +221,40 @@ class CheckResult:
     check_mismatches_bob: int
     compared_bits_alice: int
     compared_bits_bob: int
-    announced_by_alice: np.ndarray
-    announced_by_bob: np.ndarray
-    received_by_alice: np.ndarray
-    received_by_bob: np.ndarray
+    _exchanged: object
+
+    # Transcript fields in rendering order, the derived arrays included.
+    _RENDERED = (
+        "check_mismatches_alice",
+        "check_mismatches_bob",
+        "compared_bits_alice",
+        "compared_bits_bob",
+        "announced_by_alice",
+        "announced_by_bob",
+        "received_by_alice",
+        "received_by_bob",
+    )
+
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        exchanged = self._exchanged
+        return exchanged() if callable(exchanged) else exchanged
+
+    @property
+    def announced_by_alice(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def announced_by_bob(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @property
+    def received_by_alice(self) -> np.ndarray:
+        return self._arrays[2]
+
+    @property
+    def received_by_bob(self) -> np.ndarray:
+        return self._arrays[3]
 
 
 @dataclass
@@ -216,10 +268,15 @@ class SessionOutcome:
     vacuous_check flags sessions where some announced check half was
     empty, making that direction's comparison pass vacuously.
 
-    The session keys are derived from the raw keys, pa_seed and the
-    session's resolved output length (``_pa_bits``, kept out of the
-    rendering) on their first read, both in one Toeplitz product, and
-    cached; reading them again, or reading them before ``to_dict()``,
+    The raw keys are cut from the records with the partition
+    (``_check_positions``, the partition key as a boolean mask) on their
+    first read, and cached.  What a batch reads of them the session counted
+    from the records' difference: ``_raw_len`` raw positions, at
+    ``_raw_differ`` of which the two raw keys disagree.  The session keys
+    are derived from the raw keys, pa_seed and the session's resolved
+    output length (``_pa_bits``) on their first read, both in one Toeplitz
+    product, and cached.  The private fields stay out of the rendering;
+    reading any derived field again, in any order, or before ``to_dict()``,
     changes nothing.
     """
 
@@ -229,11 +286,12 @@ class SessionOutcome:
     abort_reason: str | None
     alice_bits: np.ndarray
     bob_bits: np.ndarray
-    alice_raw_key: np.ndarray
-    bob_raw_key: np.ndarray
     vacuous_check: bool
     check: CheckResult
     pa_seed: np.ndarray | None
+    _check_positions: np.ndarray
+    _raw_len: int
+    _raw_differ: int
     _pa_bits: int = 0
 
     # Transcript fields in rendering order, the derived session keys included.
@@ -253,6 +311,14 @@ class SessionOutcome:
     )
 
     @functools.cached_property
+    def alice_raw_key(self) -> np.ndarray:
+        return self.alice_bits[~self._check_positions]
+
+    @functools.cached_property
+    def bob_raw_key(self) -> np.ndarray:
+        return self.bob_bits[~self._check_positions]
+
+    @functools.cached_property
     def _session_keys(self) -> tuple:
         """(Alice's, Bob's) privacy-amplified keys, or (None, None) for an aborted session.
 
@@ -264,7 +330,7 @@ class SessionOutcome:
             return None, None
         if self._pa_bits < 1:
             return _empty_bits(), _empty_bits()
-        pa_key = _expand(self.pa_seed, len(self.alice_raw_key) + self._pa_bits - 1)
+        pa_key = _expand(self.pa_seed, self._raw_len + self._pa_bits - 1)
         alice, bob = _toeplitz_product(pa_key, np.stack((self.alice_raw_key, self.bob_raw_key)))
         return alice, bob
 
@@ -286,9 +352,8 @@ class SessionOutcome:
                 return to01(value)
             return value
 
-        fields = {name: getattr(self, name) for name in self._RENDERED}
-        fields.update(vars(self.check))
-        return {name: render(v) for name, v in fields.items() if name not in ("alice_pass", "bob_pass")}
+        fields = [(self, name) for name in self._RENDERED] + [(self.check, name) for name in CheckResult._RENDERED]
+        return {name: render(getattr(owner, name)) for owner, name in fields}
 
 
 @dataclass(frozen=True)
@@ -296,7 +361,8 @@ class SessionCounts:
     """What happened across a run of sessions, counted per session.
 
     matched / complemented compare the raw keys bit-wise (both hold when
-    the keys are empty); mismatched_bits / compared_bits sum the check's
+    the keys are empty), from each session's count of raw positions where
+    they disagree; mismatched_bits / compared_bits sum the check's
     counters over both parties.
     """
 
@@ -363,9 +429,11 @@ class _Channel(NamedTuple):
     ``p_eve`` is the probability Eve reads 0 per op bit when she measures
     (None otherwise).  A duck-typed tap exposes only ``tap_quantum_batch``,
     which is kept as ``tap_quantum`` and measured anew on every delivery
-    (``tables`` None).  ``tap_classical`` is the classical tap, None for
-    the honest channel; it maps an announcement the session built to a
-    checked uint8 0/1 array.
+    (``tables`` None).  ``tap_classical`` is the classical tap: on a
+    compiled channel (``tap_quantum`` None) the constant flip, 0 or 1, it
+    XORs onto every announced bit, and for a duck-typed tap a callable
+    that maps an announcement the session built to a checked uint8 0/1
+    array.
     """
 
     tap_quantum: object
@@ -374,18 +442,15 @@ class _Channel(NamedTuple):
     tap_classical: object
 
 
-_HONEST = _Channel(None, None, _tables(_PREPARED_ROWS, np.array([0, 1])), None)
+_HONEST = _Channel(None, None, _tables(_PREPARED_ROWS, np.array([0, 1])), 0)
 
 
 def _compile(adversary) -> _Channel:
     """The channel of ``adversary``: None is the honest channel, a compiled
     channel is itself, a strategy (which has ``_tap_classes``) is compiled
-    from its tap on the prepared rows, and any other object is a duck-typed
-    tap.
-
-    A strategy's classical tap is its unchecked form, which flips or passes
-    on the arrays the session built; a duck-typed classical tap's output is
-    checked once, as it leaves the tap.
+    from its tap on the prepared rows and its classical tap's constant
+    flip (``_flip``), and any other object is a duck-typed tap, whose
+    classical tap's output is checked once, as it leaves the tap.
     """
     if isinstance(adversary, _Channel):
         return adversary
@@ -398,7 +463,7 @@ def _compile(adversary) -> _Channel:
     p_eve, rows = tap_classes(_PREPARED_ROWS)
     # Rows come op bit first: (op 0, op 1), or (op, Eve's bit) in order.
     ops = np.repeat(np.array([0, 1]), len(rows) // 2)
-    return _Channel(None, p_eve, _tables(rows, ops), adversary._tap_announcement)
+    return _Channel(None, p_eve, _tables(rows, ops), adversary._flip)
 
 
 def _received(delivered, expected: int) -> np.ndarray:
@@ -451,13 +516,13 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
     if uniforms is None:
         uniforms = rng.random(_uniform_rows(channel) * size)
     if channel.p_eve is not None:
-        labels = 2 * op_key + (uniforms[:size] >= channel.p_eve[op_key])
+        labels = 2 * op_key + (uniforms[:size] >= channel.p_eve.take(op_key))
     p_bob, p_alice, drawable = tables
-    bob = uniforms[-2 * size : -size] >= p_bob[labels]
+    bob = uniforms[-2 * size : -size] >= p_bob.take(labels)
     picked = 2 * labels + bob
-    if drawable is not None and not drawable[picked].all():
+    if drawable is not None and not drawable.take(picked).all():
         raise RuntimeError("drew a measurement outcome of (numerically) zero probability")
-    alice = uniforms[-size:] >= p_alice[picked]
+    alice = uniforms[-size:] >= p_alice.take(picked)
     return bob.view(np.uint8), alice.view(np.uint8)
 
 
@@ -499,14 +564,55 @@ def _digest_halves(alice_check, bob_check, hash_key, hash_bits) -> tuple:
     return digests[0, 1], digests[1, 0], digests[0, 0], digests[1, 1]
 
 
-# Each variant's exchange: its encoder, the mismatch fraction a side passes
-# at (None: the session's tau), and what an announcement is called in the
-# wrong-length error.  A digest of >= 1 bit passes at tau = 0 exactly when
-# every bit matches.
+def _plain_differences(check_differ, hash_key, hash_bits):
+    """The original variant's encoding of the two records' difference at
+    the check positions: its odd half, where what Alice receives can differ
+    from what she retains, and its even half, Bob's side."""
+    return check_differ[0::2], check_differ[1::2]
+
+
+def _digest_differences(check_differ, hash_key, hash_bits) -> np.ndarray:
+    """The improved variant's encoding of the records' difference: the
+    digest matrix times each of its halves with a 0 tag, as the rows
+    (Alice's side, Bob's side) of one array.
+
+    What a side receives, before any tap, XOR what it expects is ``T·x ^
+    mask`` XOR ``T·y ^ mask`` for the two records' halves of one parity,
+    each with the same direction tag: by linearity ``T·(x ^ y)``, in which
+    the tags and the mask cancel.  As in ``_digest_halves``, a zero buffer
+    of ``2 * width`` slots holds the difference from slot 2, so its
+    ``(width, 2)`` view transposed is the two zero-tagged halves padded to
+    width, and one product against the longest matrix key hashes both.
+    """
+    size = len(check_differ)
+    width = (size + 1) // 2 + 1
+    laid_out = np.zeros(2 * width)
+    laid_out[2 : 2 + size] = check_differ
+    return _toeplitz_product(_expand(hash_key, width + hash_bits - 1), laid_out.reshape(width, 2).T)
+
+
+# Each variant's exchange: its encoder, its difference encoder, the
+# mismatch fraction a side passes at (None: the session's tau), and what an
+# announcement is called in the wrong-length error.  A digest of >= 1 bit
+# passes at tau = 0 exactly when every bit matches.
 _EXCHANGES = {
-    VARIANT_ORIGINAL: (_plain_halves, None, "check half"),
-    VARIANT_IMPROVED: (_digest_halves, 0.0, "digest"),
+    VARIANT_ORIGINAL: (_plain_halves, _plain_differences, None, "check half"),
+    VARIANT_IMPROVED: (_digest_halves, _digest_differences, 0.0, "digest"),
 }
+
+
+def _verdict(variant: str, tau: float, mismatches: tuple, compared: tuple, exchanged) -> CheckResult:
+    """The record of an exchange whose sides (Alice, Bob) counted
+    ``mismatches`` in ``compared`` bits: a side passes when it compared
+    nothing or its mismatch fraction is <= tau (the variant's own tau when
+    it has one)."""
+    fixed_tau = _EXCHANGES[variant][2]
+    if fixed_tau is not None:
+        tau = fixed_tau
+    (mism_alice, mism_bob), (compared_alice, compared_bob) = mismatches, compared
+    alice_pass = compared_alice == 0 or mism_alice / compared_alice <= tau
+    bob_pass = compared_bob == 0 or mism_bob / compared_bob <= tau
+    return CheckResult(alice_pass, bob_pass, mism_alice, mism_bob, compared_alice, compared_bob, exchanged)
 
 
 def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_key, hash_bits: int) -> CheckResult:
@@ -516,44 +622,58 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
     ``alice_check`` and ``bob_check`` are the two check sequences, cut with
     one partition key.  Each splits into its odd half (1-based positions,
     ``[0::2]``) and even half (``[1::2]``).  Alice announces the encoding of
-    her even half, Bob of his odd half, each through ``channel`` (a compiled
-    channel's classical tap, whose output is checked bits; identity when
-    None).  Each side compares what it receives against the encoding of its
-    own retained half of the same parity and passes when it compared
-    nothing or its mismatch fraction is <= tau (the variant's own tau when
-    it has one).  A received
+    her even half, Bob of his odd half, each through ``channel`` (a
+    duck-typed tap's classical tap, whose output is checked bits).  Each
+    side compares what it receives against the encoding
+    of its own retained half of the same parity (``_verdict``).  A received
     announcement of the wrong length raises ProtocolError naming the party
     that received it, and the session aborts.
     """
-    encode, fixed_tau, what = _EXCHANGES[variant]
-    if fixed_tau is not None:
-        tau = fixed_tau
+    encode, _, _, what = _EXCHANGES[variant]
     encoded = encode(alice_check, bob_check, hash_key, hash_bits)
     announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encoded
-    if channel is None:
-        received_by_bob, received_by_alice = announced_by_alice, announced_by_bob
-    else:
-        received_by_bob, received_by_alice = channel(announced_by_alice), channel(announced_by_bob)
+    received_by_bob, received_by_alice = channel(announced_by_alice), channel(announced_by_bob)
     bad_alice = len(received_by_alice) != len(expected_by_alice)
     bad_bob = len(received_by_bob) != len(expected_by_bob)
     if bad_alice or bad_bob:
         raise ProtocolError(f"received {what} has the wrong length", by_alice=bad_alice, by_bob=bad_bob)
 
-    mism_alice = int(np.count_nonzero(received_by_alice != expected_by_alice))
-    mism_bob = int(np.count_nonzero(received_by_bob != expected_by_bob))
-    compared_alice, compared_bob = len(expected_by_alice), len(expected_by_bob)
-    return CheckResult(
-        alice_pass=compared_alice == 0 or mism_alice / compared_alice <= tau,
-        bob_pass=compared_bob == 0 or mism_bob / compared_bob <= tau,
-        check_mismatches_alice=mism_alice,
-        check_mismatches_bob=mism_bob,
-        compared_bits_alice=compared_alice,
-        compared_bits_bob=compared_bob,
-        announced_by_alice=announced_by_alice,
-        announced_by_bob=announced_by_bob,
-        received_by_alice=received_by_alice,
-        received_by_bob=received_by_bob,
+    mismatches = (
+        int(np.count_nonzero(received_by_alice != expected_by_alice)),
+        int(np.count_nonzero(received_by_bob != expected_by_bob)),
     )
+    compared = (len(expected_by_alice), len(expected_by_bob))
+    exchanged = (announced_by_alice, announced_by_bob, received_by_alice, received_by_bob)
+    return _verdict(variant, tau, mismatches, compared, exchanged)
+
+
+def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int, exchanged):
+    """The exchange on a compiled channel, counted from ``check_differ``,
+    the two records' XOR at the check positions, with no announcement built.
+
+    Every encoding is linear and the channel XORs the constant ``flip`` onto
+    each announced bit, so a side's mismatches are the set bits of its side
+    of the variant's difference encoding, XOR flip: what ``_exchange``
+    counts on the announcements themselves.  ``exchanged`` derives the
+    record's arrays when they are read (``CheckResult``).
+    """
+    alice_side, bob_side = _EXCHANGES[variant][1](check_differ, hash_key, hash_bits)
+    compared = (len(alice_side), len(bob_side))
+    mismatches = (int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side)))
+    if flip:
+        mismatches = (compared[0] - mismatches[0], compared[1] - mismatches[1])
+    return _verdict(variant, tau, mismatches, compared, exchanged)
+
+
+def _announcements(alice_bits, bob_bits, check, variant: str, flip: int, hash_key, hash_bits: int) -> tuple:
+    """A compiled channel's exchange arrays, as ``_exchange`` builds them:
+    the records cut at the check positions ``check``, their halves encoded,
+    and what each side announces XOR ``flip`` as what the other receives."""
+    encode = _EXCHANGES[variant][0]
+    announced_by_alice, announced_by_bob, _, _ = encode(alice_bits[check], bob_bits[check], hash_key, hash_bits)
+    if flip:
+        return announced_by_alice, announced_by_bob, announced_by_bob ^ 1, announced_by_alice ^ 1
+    return announced_by_alice, announced_by_bob, announced_by_bob, announced_by_alice
 
 
 def _empty_bits() -> np.ndarray:
@@ -597,13 +717,17 @@ def run_session(
     those calls leave it.
 
     The quantum stage draws each pair's bits from the channel's class
-    tables (``_quantum_stage``).  The partition key, viewed as a boolean
-    mask, cuts both records into raw key and check sequence, and the
-    session runs the variant's exchange (``_exchange``) on the two check
-    sequences, expanding the hash key once.  A delivery or announcement of
-    the wrong size aborts the session, detected by the party that received
-    it.  Privacy amplification runs only if its output fits the raw key;
-    the session keys are derived on their first read (``SessionOutcome``).
+    tables (``_quantum_stage``).  The session XORs the two records once and
+    cuts only that difference with the partition key, viewed as a boolean
+    mask: its set bits outside the check positions count the raw keys'
+    disagreements, and on a compiled channel its check cut counts both
+    sides' mismatches (``_difference_check``, which expands the hash key
+    once); a duck-typed tap runs the exchange on the two check sequences
+    (``_exchange``).  A delivery or announcement of the wrong size aborts
+    the session, detected by the party that received it.  Privacy
+    amplification runs only if its output fits the raw key.  The raw keys,
+    a compiled channel's announcements and the session keys are derived on
+    their first read (``SessionOutcome``, ``CheckResult``).
     """
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
     own_stream = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
@@ -621,23 +745,31 @@ def run_session(
         keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
     # A session that aborts on a malformed step keeps what was measured
     # before it, with an empty check record and nothing announced.
-    alice_bits = bob_bits = alice_raw_key = bob_raw_key = empty = _empty_bits()
+    alice_bits = bob_bits = empty = _empty_bits()
+    check = empty.view(bool)
+    raw_len = raw_differ = 0
     vacuous = False
     try:
         # Bob measures first; Alice measures once he is done.
         bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng, uniforms)
         # Both parties hold the same partition key: 1 marks a check position.
         check = keys.partition_key.view(bool)
-        raw = ~check
-        alice_raw_key, bob_raw_key = alice_bits[raw], bob_bits[raw]
-        alice_check, bob_check = alice_bits[check], bob_bits[check]
+        differ = alice_bits ^ bob_bits
+        check_differ = differ[check]
+        raw_len = size - len(check_differ)
+        raw_differ = int(np.count_nonzero(differ)) - int(np.count_nonzero(check_differ))
         # Fewer than two check bits leave the even half empty, and none the odd half too.
-        vacuous = len(alice_check) < 2
-        chk = _exchange(
-            alice_check, bob_check, params.variant, channel.tap_classical, params.tau, keys.hash_key, params.hash_bits
-        )
+        vacuous = len(check_differ) < 2
+        variant, tap, hash_key, hash_bits = params.variant, channel.tap_classical, keys.hash_key, params.hash_bits
+        if channel.tap_quantum is None:
+            # A compiled channel's tap is a constant flip: count from the difference.
+            derive = functools.partial(_announcements, alice_bits, bob_bits, check, variant, tap, hash_key, hash_bits)
+            chk = _difference_check(check_differ, variant, tap, params.tau, hash_key, hash_bits, derive)
+        else:
+            # A duck-typed tap may change an announcement's length or content.
+            chk = _exchange(alice_bits[check], bob_bits[check], variant, tap, params.tau, hash_key, hash_bits)
     except ProtocolError as err:
-        chk = CheckResult(True, True, 0, 0, 0, 0, empty, empty, empty, empty)
+        chk = CheckResult(True, True, 0, 0, 0, 0, (empty, empty, empty, empty))
         aborted, detected_alice, detected_bob, abort_reason = True, err.by_alice, err.by_bob, str(err)
     else:
         detected_alice, detected_bob = not chk.alice_pass, not chk.bob_pass
@@ -650,7 +782,6 @@ def run_session(
     else:
         if pa_seed is None:
             pa_seed = random_bits(rng, PA_SEED_BITS)
-        raw_len = len(alice_raw_key)
         pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
         if pa_bits > raw_len:
             # An impossible compression request: the session aborts, but
@@ -666,11 +797,12 @@ def run_session(
         abort_reason=abort_reason,
         alice_bits=alice_bits,
         bob_bits=bob_bits,
-        alice_raw_key=alice_raw_key,
-        bob_raw_key=bob_raw_key,
         vacuous_check=vacuous,
         check=chk,
         pa_seed=pa_seed,
+        _check_positions=check,
+        _raw_len=raw_len,
+        _raw_differ=raw_differ,
         _pa_bits=pa_bits,
     )
 
@@ -700,7 +832,10 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
     stream and handed to run_session as the session's own, so each session
     makes its one-call draw and gets, bit for bit, what seeding run_session
     with ``bits.trial_stream(prefix, t)`` gives.  Any other iterable's
-    seeds go to run_session as they are.
+    seeds go to run_session as they are.  The loop reads only counters,
+    the raw keys' among them (``SessionOutcome._raw_len`` and
+    ``_raw_differ``), so no session cuts a raw key, builds an announcement
+    on a compiled channel or derives a session key.
     """
     channel = _compile(adversary)
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
@@ -710,11 +845,9 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted
-        # Both raw keys come from one partition (equal lengths): match = no bit
-        # differs, complement = every bit does.  int(): every count stays a Python int.
-        differ = int(np.count_nonzero(outcome.alice_raw_key != outcome.bob_raw_key))
-        matched += differ == 0
-        complemented += differ == len(outcome.alice_raw_key)
+        # Match = no raw-key bit differs, complement = every one does.
+        matched += outcome._raw_differ == 0
+        complemented += outcome._raw_differ == outcome._raw_len
         vacuous += outcome.vacuous_check
         check = outcome.check
         mismatched += check.check_mismatches_alice + check.check_mismatches_bob

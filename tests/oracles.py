@@ -13,13 +13,14 @@ stack on ``qsim.z_branches`` numbers, so the tests that measure a stack
 through it check the engine's arithmetic.
 """
 
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
 
 from sqkdlab.adversary import QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
 from sqkdlab.bits import as_bits, random_bits, to01
-from sqkdlab.hashing import _expand, privacy_amplify
+from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import MIN_HASH_KEY_BITS, PA_SEED_BITS, VARIANT_ORIGINAL
 from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate, z_branches
 
@@ -191,12 +192,27 @@ def toeplitz_matrix(key_bits, in_len: int, out_len: int) -> np.ndarray:
     return np.asarray(key_bits)[out_len - 1 + cols - rows]
 
 
+def expand(seed, count: int) -> np.ndarray:
+    """``hashing._expand`` from its definition, one Python bit at a time:
+    block i is SHA-256 of the seed's bit count (8 bytes, big-endian), the
+    seed's bits packed first bit highest and the last byte zero-padded, and
+    i (8 bytes, big-endian); the stream is the blocks' bits, highest bit of
+    each byte first, cut to ``count``."""
+    bits = "".join(str(int(bit)) for bit in seed)
+    packed = bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
+    stream = ""
+    for counter in range(-(-count // 256)):
+        block = hashlib.sha256(len(bits).to_bytes(8, "big") + packed + counter.to_bytes(8, "big")).digest()
+        stream += "".join(f"{byte:08b}" for byte in block)
+    return np.array([int(bit) for bit in stream[:count]], dtype=np.uint8)
+
+
 def reference_digest(hash_key, tagged, digest_len: int) -> np.ndarray:
     """The keyed digest of ``tagged``: the hash key expanded for this one input
     length, split into matrix key and mask, and the materialized matrix."""
     tagged = as_bits(tagged)
     split = len(tagged) + digest_len - 1
-    stream = _expand(as_bits(hash_key), split + digest_len)
+    stream = expand(hash_key, split + digest_len)
     matrix = toeplitz_matrix(stream[:split], len(tagged), digest_len).astype(np.int64)
     return ((matrix @ tagged.astype(np.int64)) % 2).astype(np.uint8) ^ stream[split:]
 

@@ -14,7 +14,7 @@ from sqkdlab import hashing
 from sqkdlab.hashing import _digest_keys, _expand, _toeplitz_product, privacy_amplify
 from sqkdlab.protocol import MIN_HASH_KEY_BITS
 
-from oracles import toeplitz_matrix
+from oracles import expand, toeplitz_matrix
 
 
 def digest(key: np.ndarray, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -106,6 +106,15 @@ def test_expand_deterministic_and_sized():
     assert np.array_equal(a, b)
     assert a.shape == (300,)
     assert set(np.unique(a)) <= {0, 1}
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+@pytest.mark.parametrize("seed_len", [1, 7, 13, 130])
+def test_expand_equals_the_plain_hashlib_reference(count, seed_len):
+    # Counts of no block, one short or full block and one bit into the
+    # second and third; seeds whose last packed byte is zero-padded.
+    seed = random_bits(np.random.default_rng(seed_len), seed_len)
+    assert np.array_equal(_expand(seed, count), expand(seed, count))
 
 
 def test_expand_differs_across_seeds():

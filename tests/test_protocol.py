@@ -27,6 +27,7 @@ from sqkdlab.protocol import (
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
     VARIANTS,
+    CheckResult,
     MasterKeys,
     ProtocolError,
     ProtocolParams,
@@ -459,11 +460,16 @@ def test_partition_odd_even_sizes():
 # -- announce-and-check exchanges --------------------------------------------------
 
 
-def exchange_original(alice_check, bob_check, tau=0.0, channel=None):
+def passed_on(bits):
+    """The untampered classical channel."""
+    return bits
+
+
+def exchange_original(alice_check, bob_check, tau=0.0, channel=passed_on):
     return protocol._exchange(as_bits(alice_check), as_bits(bob_check), VARIANT_ORIGINAL, channel, tau, None, 0)
 
 
-def exchange_improved(alice_check, bob_check, hash_key, hash_bits, channel=None):
+def exchange_improved(alice_check, bob_check, hash_key, hash_bits, channel=passed_on):
     alice_check, bob_check = as_bits(alice_check), as_bits(bob_check)
     return protocol._exchange(alice_check, bob_check, VARIANT_IMPROVED, channel, 0.0, as_bits(hash_key), hash_bits)
 
@@ -557,7 +563,7 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     alice_check = as_bits([a for a, _, _ in records])[is_check]
     bob_check = as_bits([b for _, b, _ in records])[is_check]
     (alice_odd, alice_even), (bob_odd, bob_even) = halves(alice_check), halves(bob_check)
-    channel = flip if tampered else None
+    channel = flip if tampered else passed_on
     deliver = flip if tampered else as_bits
 
     def digest(direction, half):
@@ -566,6 +572,16 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     original = exchange_original(alice_check, bob_check, tau, channel)
     with mock.patch.object(hashing, "_BLOCK_ITEMS", block_items):
         improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, channel)
+        # A compiled channel's exchange, with the channel's constant flip:
+        # counted from the records' difference, and its arrays derived.
+        alice_bits, bob_bits = as_bits([a for a, _, _ in records]), as_bits([b for _, b, _ in records])
+        flip_bit, key = int(tampered), as_bits(hash_key)
+        for exchanged, variant in ((original, VARIANT_ORIGINAL), (improved, VARIANT_IMPROVED)):
+            counted = protocol._difference_check(alice_check ^ bob_check, variant, flip_bit, tau, key, digest_len, None)
+            derived = protocol._announcements(alice_bits, bob_bits, is_check, variant, flip_bit, key, digest_len)
+            for name in ("alice_pass", "bob_pass", *CheckResult._RENDERED[:4]):
+                assert getattr(counted, name) == getattr(exchanged, name)
+            assert all(np.array_equal(a, b) for a, b in zip(derived, exchanged._arrays, strict=True))
     assert np.array_equal(improved.announced_by_alice, digest(0, alice_even))
     assert np.array_equal(improved.announced_by_bob, digest(1, bob_odd))
     # (side, what the other side announced, the side's own half, its direction)
@@ -722,8 +738,10 @@ class DropLastQubit:
 
 
 def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
-    # count_sessions, under run_batch and search_attacks, reads counters and
-    # raw keys only; the session keys are derived on their first read.
+    # count_sessions, under run_batch and search_attacks, reads counters
+    # only; the raw keys, the announcements and the session keys are
+    # derived on their first read, so a batch cuts no raw key, builds no
+    # announcement and runs no privacy amplification.
     run_session_unpatched = protocol.run_session
     outcomes = []
 
@@ -731,28 +749,54 @@ def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
         outcomes.append(run_session_unpatched(*args, **kwargs))
         return outcomes[-1]
 
+    derived = ("alice_raw_key", "bob_raw_key", "_session_keys")
     monkeypatch.setattr(protocol, "run_session", recorded)
     harness.run_batch(harness.RunConfig(protocol="improved", n=6, trials=20, seed=3))
+    harness.run_batch(harness.RunConfig(protocol="original", attack="modification", n=6, trials=10, seed=3))
     search_attacks("original", trials=2, n=4, seed=1)
-    assert len(outcomes) == 20 + 2 * 12
+    assert len(outcomes) == 20 + 10 + 2 * 12
     assert any(not out.aborted for out in outcomes)
-    assert all("_session_keys" not in vars(out) for out in outcomes)
+    assert not any(name in vars(out) for out in outcomes for name in derived)
+    assert not any("_arrays" in vars(out.check) for out in outcomes)
     for out in outcomes:
         assert (out.alice_session_key is None) == out.aborted
-    assert all("_session_keys" in vars(out) for out in outcomes)
+        assert len(out.alice_raw_key) == len(out.bob_raw_key) == out._raw_len
+        assert len(out.check.announced_by_alice) == out.check.compared_bits_bob
+    assert all(name in vars(out) for out in outcomes for name in derived)
+    assert all("_arrays" in vars(out.check) for out in outcomes)
+
+
+# What a reader can ask a session for that it derives on the first read.
+DERIVED_READERS = {
+    "raw keys": lambda out: (out.alice_raw_key, out.bob_raw_key),
+    "announcements": lambda out: tuple(
+        getattr(out.check, f"{side}_by_{party}") for side in ("announced", "received") for party in ("alice", "bob")
+    ),
+    "session keys": lambda out: (out.alice_session_key, out.bob_session_key),
+}
 
 
 @pytest.mark.parametrize("variant", [VARIANT_ORIGINAL, VARIANT_IMPROVED])
 def test_reading_the_session_keys_leaves_the_transcript_unchanged(variant):
-    params = ProtocolParams(n=8, variant=variant, hash_bits=12)
-    for seed in range(12):
-        read_first, untouched = (run_session(params, None, seed=seed) for _ in range(2))
-        alice_key = read_first.alice_session_key
-        assert read_first.alice_session_key is alice_key  # derived once, then cached
-        assert read_first.bob_session_key is not None
-        assert read_first.to_dict() == untouched.to_dict()
-        rendered = list(untouched.to_dict())
-        assert rendered == list(read_first.to_dict()) == TRANSCRIPT_FIELDS
+    # On every channel, a compiled one (derived raw keys and announcements)
+    # or a duck-typed one (announcements built by the exchange): read in any
+    # order, each derived field is derived once and then cached, and the
+    # transcript is that of a session nobody read.
+    params = ProtocolParams(n=8, variant=variant, hash_bits=12, tau=0.1)
+    reached_pa = 0
+    for channel, seed in itertools.product(TRIAL_CHANNELS, range(3)):
+        untouched = run_session(params, channel, seed=seed).to_dict()
+        assert list(untouched) == TRANSCRIPT_FIELDS
+        for order in itertools.permutations(DERIVED_READERS):
+            out = run_session(params, channel, seed=seed)
+            first = [DERIVED_READERS[name](out) for name in order]
+            again = [DERIVED_READERS[name](out) for name in order]
+            assert all(a is b for read, reread in zip(first, again) for a, b in zip(read, reread))
+            assert out.to_dict() == untouched
+            reached_pa += out.alice_session_key is not None
+    assert reached_pa > 0
+    with pytest.raises(AttributeError):
+        out.check.announced_by_alice = out.check.announced_by_bob
 
 
 TRANSCRIPT_FIELDS = [
