@@ -83,12 +83,9 @@ def _expand(seed: np.ndarray, count: int) -> np.ndarray:
     same seed.  Same seed, same stream; no other guarantees intended.
     """
     prefix = len(seed).to_bytes(8, "big") + np.packbits(seed).tobytes()
-    if count <= 256:  # one block (counter 0) covers it: no generator to join
-        blocks = hashlib.sha256(prefix + bytes(8)).digest()
-    else:
-        blocks = b"".join(
-            hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest() for counter in range((count + 255) // 256)
-        )
+    blocks = b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest() for counter in range((count + 255) // 256)
+    )
     return np.unpackbits(np.frombuffer(blocks, dtype=np.uint8), count=count)
 
 

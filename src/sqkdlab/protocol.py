@@ -133,6 +133,9 @@ class MasterKeys:
     position to the raw key (0) or the check set (1); hash_key feeds the
     improved variant's keyed digests and needs at least MIN_HASH_KEY_BITS
     bits.  Construction validates every key, so a session trusts them.
+    A session's outcome keeps its partition and hash keys to derive fields
+    on their first read (SessionOutcome), so do not write to keys a
+    session was given.
     """
 
     op_key: np.ndarray
@@ -277,7 +280,11 @@ class SessionOutcome:
     output length (``_pa_bits``) on their first read, both in one Toeplitz
     product, and cached.  The private fields stay out of the rendering;
     reading any derived field again, in any order, or before ``to_dict()``,
-    changes nothing.
+    changes nothing.  The derivations read ``alice_bits``, ``bob_bits``,
+    pa_seed and the session's partition and hash keys as they are at the
+    first read, without copying them: treat those arrays as read-only, as
+    a write to one before that read makes the derived fields disagree with
+    the counters.
     """
 
     aborted: bool
@@ -647,6 +654,10 @@ def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_ke
     return _verdict(variant, tau, mismatches, compared, exchanged)
 
 
+# What a compiled channel's constant flip, 0 or 1, makes of an announcement.
+_RELAYS = (lambda bits: bits, lambda bits: bits ^ 1)
+
+
 def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int, exchanged):
     """The exchange on a compiled channel, counted from ``check_differ``,
     the two records' XOR at the check positions, with no announcement built.
@@ -663,17 +674,6 @@ def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_ke
     if flip:
         mismatches = (compared[0] - mismatches[0], compared[1] - mismatches[1])
     return _verdict(variant, tau, mismatches, compared, exchanged)
-
-
-def _announcements(alice_bits, bob_bits, check, variant: str, flip: int, hash_key, hash_bits: int) -> tuple:
-    """A compiled channel's exchange arrays, as ``_exchange`` builds them:
-    the records cut at the check positions ``check``, their halves encoded,
-    and what each side announces XOR ``flip`` as what the other receives."""
-    encode = _EXCHANGES[variant][0]
-    announced_by_alice, announced_by_bob, _, _ = encode(alice_bits[check], bob_bits[check], hash_key, hash_bits)
-    if flip:
-        return announced_by_alice, announced_by_bob, announced_by_bob ^ 1, announced_by_alice ^ 1
-    return announced_by_alice, announced_by_bob, announced_by_bob, announced_by_alice
 
 
 def _empty_bits() -> np.ndarray:
@@ -762,8 +762,14 @@ def run_session(
         vacuous = len(check_differ) < 2
         variant, tap, hash_key, hash_bits = params.variant, channel.tap_classical, keys.hash_key, params.hash_bits
         if channel.tap_quantum is None:
-            # A compiled channel's tap is a constant flip: count from the difference.
-            derive = functools.partial(_announcements, alice_bits, bob_bits, check, variant, tap, hash_key, hash_bits)
+            # A compiled channel's tap is a constant flip: count from the
+            # difference, and run the exchange only when its arrays are read.
+            relay = _RELAYS[tap]
+
+            def derive():
+                checked = _exchange(alice_bits[check], bob_bits[check], variant, relay, params.tau, hash_key, hash_bits)
+                return checked._arrays
+
             chk = _difference_check(check_differ, variant, tap, params.tau, hash_key, hash_bits, derive)
         else:
             # A duck-typed tap may change an announcement's length or content.
