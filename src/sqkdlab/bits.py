@@ -118,8 +118,9 @@ def flip(bits) -> np.ndarray:
 
 
 def to01(bits) -> str:
-    """Render as a compact '0101' string."""
-    return "".join("1" if b else "0" for b in as_bits(bits))
+    """Render as a compact '0101' string: the checked bits shifted onto the
+    ASCII digits in one array step."""
+    return (as_bits(bits) + np.uint8(ord("0"))).tobytes().decode("ascii")
 
 
 # -- trial streams -------------------------------------------------------------

@@ -37,7 +37,9 @@ both encodings are linear over GF(2), so on a compiled channel a side's
 mismatches are the set bits of the encoded difference of the two records,
 XOR that constant.  A session forms the difference once, cuts only it at
 the check positions, and counts the raw keys' disagreements and both
-sides' mismatches from it (``_difference_check``); the raw keys and the
+sides' mismatches from it (``_difference_check``).  A difference that is
+zero at every check position, as in every honest session, encodes to zeros
+with no key expansion and no product.  The raw keys and the
 four announcements are cut and built when a reader first asks for them
 (``SessionOutcome``, ``CheckResult``).  A duck-typed tap, which may change
 an announcement's length or content, gets the announcements themselves
@@ -590,7 +592,13 @@ def _digest_differences(check_differ, hash_key, hash_bits) -> np.ndarray:
     of ``2 * width`` slots holds the difference from slot 2, so its
     ``(width, 2)`` view transposed is the two zero-tagged halves padded to
     width, and one product against the longest matrix key hashes both.
+
+    A difference with no set bit, which every honest session has (and an
+    empty check set too), encodes to ``T·0``: zeros, with no key expansion
+    and no product.
     """
+    if not np.count_nonzero(check_differ):
+        return np.zeros((2, hash_bits), dtype=np.uint8)
     size = len(check_differ)
     width = (size + 1) // 2 + 1
     laid_out = np.zeros(2 * width)
@@ -722,10 +730,11 @@ def run_session(
     mask: its set bits outside the check positions count the raw keys'
     disagreements, and on a compiled channel its check cut counts both
     sides' mismatches (``_difference_check``, which expands the hash key
-    once); a duck-typed tap runs the exchange on the two check sequences
-    (``_exchange``).  A delivery or announcement of the wrong size aborts
-    the session, detected by the party that received it.  Privacy
-    amplification runs only if its output fits the raw key.  The raw keys,
+    once, and not at all when the check difference is zero); a duck-typed
+    tap runs the exchange on the two check sequences (``_exchange``).  A
+    delivery or announcement of the wrong size aborts the session,
+    detected by the party that received it.  Privacy amplification runs
+    only if its output fits the raw key.  The raw keys,
     a compiled channel's announcements and the session keys are derived on
     their first read (``SessionOutcome``, ``CheckResult``).
     """

@@ -103,6 +103,19 @@ def test_to01_round_trip(bits):
     assert np.array_equal(as_bits(to01(arr)), arr)
 
 
+@given(st.lists(st.integers(0, 1), max_size=1000), st.sampled_from(["array", "list", "string"]))
+def test_to01_equals_the_per_bit_join(bits, form):
+    value = {"array": np.array(bits, dtype=np.uint8), "list": bits, "string": "".join(map(str, bits))}[form]
+    assert to01(value) == "".join("1" if bit else "0" for bit in bits)
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=20).filter(lambda values: max(values) > 1))
+def test_to01_rejects_a_non_bit_input(values):
+    for value in (values, np.array(values, dtype=np.uint8), "".join(map(str, values))):
+        with pytest.raises(ValueError, match="only contain 0 and 1"):
+            to01(value)
+
+
 @given(st.lists(st.integers(0, 255), max_size=64))
 def test_as_bits_uint8_fast_path(values):
     arr = np.array(values, dtype=np.uint8)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkdlab import harness, hashing, protocol
@@ -599,6 +599,51 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
         assert getattr(improved, f"{side}_pass") == (mismatches == 0)
 
 
+ONES_KEY = [1] * MIN_HASH_KEY_BITS
+
+
+def hashing_forbidden():
+    """A patch under which the session's hashing cores raise if called."""
+    hashed = mock.Mock(side_effect=AssertionError("hashed a zero check difference"))
+    return mock.patch.multiple(protocol, _expand=hashed, _toeplitz_product=hashed)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 1), max_size=120),
+    st.booleans(),
+    st.integers(1, 70),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.lists(st.integers(0, 1), min_size=MIN_HASH_KEY_BITS, max_size=MIN_HASH_KEY_BITS),
+)
+@example([], False, 1, 0.0, ONES_KEY)
+@example([], True, 70, 0.0, ONES_KEY)
+@example([1], True, 1, 0.0, ONES_KEY)
+@example([1, 0], False, 64, 0.5, ONES_KEY)
+@example([0, 1, 1], True, 8, 0.0, ONES_KEY)
+@example([0, 1] * 59 + [1], False, 70, 0.0, ONES_KEY)
+@example([1, 0, 0] * 40, True, 33, 0.0, ONES_KEY)
+@example([1] * 120, True, 2, 0.9, ONES_KEY)
+def test_a_zero_check_difference_counts_as_the_exchange_does(check, tampered, digest_len, tau, hash_key):
+    # Both check sequences equal, of lengths 0, 1, 2 and odd and even up to
+    # 120: the difference is zero, so the improved variant encodes it with
+    # no product, and on a flipping channel every digest bit mismatches and
+    # both sides detect.
+    alice_check, key, flip_bit = as_bits(check), as_bits(hash_key), int(tampered)
+    for variant, bits in ((VARIANT_ORIGINAL, 0), (VARIANT_IMPROVED, digest_len)):
+        relay = protocol._RELAYS[flip_bit]
+        exchanged = protocol._exchange(alice_check, alice_check.copy(), variant, relay, tau, key, bits)
+        with hashing_forbidden():
+            counted = protocol._difference_check(alice_check ^ alice_check, variant, flip_bit, tau, key, bits, None)
+        for name in ("alice_pass", "bob_pass", *CheckResult._RENDERED[:4]):
+            assert getattr(counted, name) == getattr(exchanged, name)
+    # counted is now the improved variant's check.
+    for side in ("alice", "bob"):
+        assert getattr(counted, f"compared_bits_{side}") == digest_len
+        assert getattr(counted, f"check_mismatches_{side}") == (digest_len if tampered else 0)
+        assert getattr(counted, f"{side}_pass") is not tampered
+
+
 # -- full sessions -----------------------------------------------------------------
 
 
@@ -761,6 +806,36 @@ def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
         assert len(out.check.announced_by_alice) == out.check.compared_bits_bob
     assert all(name in vars(out) for out in outcomes for name in derived)
     assert all("_arrays" in vars(out.check) for out in outcomes)
+
+
+def test_an_honest_improved_run_hashes_nothing():
+    # Every honest session's records agree, so its check difference is zero
+    # and counts with no key expansion and no product: a batch and a session
+    # count the same with both cores raising.  Reading the announcements
+    # afterwards still builds the keyed digests.
+    config = harness.RunConfig(protocol="improved", n=32, trials=200, seed=5)
+    params = config.to_params()
+
+    def counted():
+        report = harness.run_batch(config).to_dict()
+        del report["wall_time_ms"]
+        return report, count_sessions(params, None, TrialStreams((5,), 50)), run_session(params, None, seed=9)
+
+    with hashing_forbidden():
+        report, counts, out = counted()
+    expected_report, expected_counts, expected = counted()
+    assert report == expected_report and counts == expected_counts
+    assert counts.mismatched_bits == 0 and counts.compared_bits == 50 * 2 * params.hash_bits
+    assert out.check.compared_bits_alice == out.check.compared_bits_bob == params.hash_bits
+    # Unpatched now, so the reads below derive with the real cores.
+    keys = generate_master_keys(params.n, np.random.default_rng(9))
+    assert np.array_equal(out._check_positions, keys.partition_key.view(bool))
+    alice_check, bob_check = out.alice_bits[out._check_positions], out.bob_bits[out._check_positions]
+    assert np.array_equal(alice_check, bob_check)
+    announced = reference_digest(keys.hash_key, [0, *halves(alice_check)[1]], params.hash_bits)
+    assert np.array_equal(out.check.announced_by_alice, announced)
+    assert np.array_equal(out.check.received_by_bob, announced)
+    assert out.to_dict() == expected.to_dict()
 
 
 # What a reader can ask a session for that it derives on the first read.
