@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import TrialStreams, as_bits
+from .bits import TrialStreams
 from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
 from .qsim import BOB, GATE_NAMES, apply_gate_batch, standard_gate, z_branches
 
@@ -94,18 +94,10 @@ class AdversaryStrategy:
 
     @property
     def _flip(self) -> int:
-        """The bit ``tap_classical`` XORs onto every announced bit: 1 for
-        flip_all, 0 for none.  A compiled channel keeps only this constant
-        (``protocol._compile``)."""
+        """The bit the classical tap XORs onto every announced bit: 1 for
+        flip_all (complement every bit), 0 for none (pass it on).  A
+        compiled channel keeps only this constant (``protocol._compile``)."""
         return int(self.classical == CLASSICAL_FLIP_ALL)
-
-    def tap_classical(self, bits) -> np.ndarray:
-        """Tamper with one classical announcement: complement every bit
-        (flip_all) or pass it on (none)."""
-        bits = as_bits(bits)
-        if self._flip:
-            return np.bitwise_xor(bits, 1)
-        return bits
 
     # -- wire format -----------------------------------------------------
 

@@ -19,38 +19,33 @@ only the encoding and how much mismatch passes:
   only on exact digest equality.
 
 Each variant is one entry of ``_EXCHANGES``: its encoder, which maps the
-two check sequences to the encodings of their four halves (what is
-announced and what is expected), its difference encoder and its tau.  The
-improved variant's encoder lays both sequences out in one buffer, a view
-of which is the four direction-tagged halves, and hashes them in one
-Toeplitz product.
+two check sequences to the two announcements, its difference encoder and
+its tau.  The improved variant's encoder lays both announced halves out
+in one buffer and hashes them in one Toeplitz product.
 
-Announcements and flying qubits pass through adversary-tappable channels.
-A strategy's tap treats each flying qubit alike, so a session's pairs are
-copies of at most four distinct states: the channel's class rows are
-measured once (``_compile``), and each session draws its pairs' bits from
-the resulting per-class tables.  A duck-typed tap's delivery is measured
-the same way with one class per pair.
+Announcements and flying qubits pass through a channel compiled from an
+adversary strategy (``_compile``).  A strategy's tap treats each flying
+qubit alike, so a session's pairs are copies of at most four distinct
+states: the channel's class rows are measured once, and each session
+draws its pairs' bits from the resulting per-class tables.
 
 A strategy's classical tap XORs one constant onto every announced bit, and
-both encodings are linear over GF(2), so on a compiled channel a side's
-mismatches are the set bits of the encoded difference of the two records,
-XOR that constant.  A session forms the difference once, cuts only it at
-the check positions, and counts the raw keys' disagreements and both
-sides' mismatches from it (``_difference_check``).  A difference that is
-zero at every check position, as in every honest session, encodes to zeros
-with no key expansion and no product.  The raw keys and the
-four announcements are cut and built when a reader first asks for them
-(``SessionOutcome``, ``CheckResult``).  A duck-typed tap, which may change
-an announcement's length or content, gets the announcements themselves
-(``_exchange``).
+both encodings are linear over GF(2), so a side's mismatches are the set
+bits of the encoded difference of the two records, XOR that constant.  A
+session forms the difference once, cuts only it at the check positions,
+and counts the raw keys' disagreements and both sides' mismatches from it
+(``_difference_check``).  A difference that is zero at every check
+position, as in every honest session, encodes to zeros with no key
+expansion and no product.  The raw keys and the four announcements are
+cut and built when a reader first asks for them (``SessionOutcome``,
+``CheckResult``, ``_announcements``).
 
 A session that seeds its own generator makes its draws (master keys,
 uniforms, privacy-amplification seed) in one call where it can
-(``run_session``), and checks only what comes from outside: its inputs
-and a duck-typed tap's deliveries and announcements.  A batch's sessions
-run on one reused generator, set to each trial's stream in turn
-(``count_sessions``), and draw as if each had seeded its own.
+(``run_session``), and checks only what comes from outside: its inputs.
+A batch's sessions run on one reused generator, set to each trial's
+stream in turn (``count_sessions``), and draw as if each had seeded its
+own.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -69,6 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import adversary as _adversary  # which imports this module: read its names only at call time
 from .bits import TrialStreams, _check_size, _random_runs, as_bits, random_bits, to01
 from .hashing import _digest_keys, _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
@@ -85,18 +81,16 @@ MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # 2), and its quantum stage holds a few more arrays of 2n labels or bits,
 # at most 8 bytes an entry, so MAX_N = 2**20 caps each array at 16 MiB and
 # the block at 48 MiB; the records' difference and its check cut are two
-# more of 2n bytes.  A duck-typed tap is handed 2n pair
-# states of 64 bytes each, 128 MiB at MAX_N, and returns as many.  The
-# improved variant's check expands the hash key to about n + hash_bits
-# bits, one byte each, and multiplies two float64 buffers: the difference
-# laid out in about 16(n + 1) bytes (16 MiB at MAX_N), and the float copy
-# of the matrix key, 8 bytes a key bit (about 9 MiB at MAX_N and
-# MAX_HASH_BITS = 2**16).  Reading its announcements, or a duck-typed
-# tap's exchange, expands the key to about n + 2 * hash_bits bits and lays
-# both check sequences out in about 32(n + 1) bytes (32 MiB at MAX_N)
-# instead.  A run's trial count and the PA output length
-# allocate nothing that grows with them (sessions run one at a time; a PA
-# output longer than the raw key aborts), so they have no cap.
+# more of 2n bytes.  The improved variant's check expands the hash key to
+# about n + hash_bits bits, one byte each, and multiplies two float64
+# buffers: the difference laid out in about 16(n + 1) bytes (16 MiB at
+# MAX_N), and the float copy of the matrix key, 8 bytes a key bit (about
+# 9 MiB at MAX_N and MAX_HASH_BITS = 2**16).  Reading its announcements
+# expands the key to about n + 2 * hash_bits bits and lays both announced
+# halves out in about 16(n + 1) bytes instead.  A run's trial count and
+# the PA output length allocate nothing that grows with them (sessions run
+# one at a time; a PA output longer than the raw key aborts), so they have
+# no cap.
 MAX_N = 2**20
 MAX_HASH_BITS = 2**16
 
@@ -107,8 +101,7 @@ _HADAMARD.flags.writeable = False
 # constant rows, indexed by its op bit: that row as it is (0) or with H on
 # Alice's qubit (1).  Row 1 comes from the batch gate on two Bell rows, so
 # it has the bytes that gating a fresh Bell batch gives every gated row.
-# They are the class rows a tap starts from; a duck-typed tap is handed
-# them gathered by op bit, the (2n, 4) states of every pair Alice sends.
+# They are the class rows a strategy's tap starts from.
 _PREPARED_ROWS = np.where(np.array([[False], [True]]), apply_gate_batch(bell_batch(2), _HADAMARD, ALICE), bell_batch(2))
 _PREPARED_ROWS.flags.writeable = False
 
@@ -116,15 +109,6 @@ _PREPARED_ROWS.flags.writeable = False
 # serves both directions without letting a digest be replayed across them.
 DIRECTION_EVEN = 0  # Alice -> Bob announcements (even halves)
 DIRECTION_ODD = 1  # Bob -> Alice announcements (odd halves)
-
-
-class ProtocolError(Exception):
-    """A malformed protocol step (wrong counts or lengths), observed by the
-    parties ``by_alice`` and ``by_bob`` name; the session aborts, detected by them."""
-
-    def __init__(self, message: str, *, by_alice: bool = False, by_bob: bool = False):
-        super().__init__(message)
-        self.by_alice, self.by_bob = by_alice, by_bob
 
 
 @dataclass(frozen=True)
@@ -213,11 +197,10 @@ class CheckResult:
     counters count check bits, for the improved variant digest bits.
 
     The four arrays (what each side announced and what it received) are
-    read-only attributes.  ``_exchanged`` holds them, in that order, when
-    the exchange built them (``_exchange``), or a callable that derives
-    them: a session on a compiled channel counts its mismatches without
-    building any announcement (``_difference_check``), and they are
-    derived on the first read of any of the four, once, and cached.
+    read-only attributes.  A session counts its mismatches without building
+    any announcement (``_difference_check``); ``_derive`` returns the four,
+    in that order, and runs on the first read of any of them, once, and
+    its result is cached.
     """
 
     alice_pass: bool
@@ -226,7 +209,7 @@ class CheckResult:
     check_mismatches_bob: int
     compared_bits_alice: int
     compared_bits_bob: int
-    _exchanged: object
+    _derive: object
 
     # Transcript fields in rendering order, the derived arrays included.
     _RENDERED = (
@@ -242,8 +225,7 @@ class CheckResult:
 
     @functools.cached_property
     def _arrays(self) -> tuple:
-        exchanged = self._exchanged
-        return exchanged() if callable(exchanged) else exchanged
+        return self._derive()
 
     @property
     def announced_by_alice(self) -> np.ndarray:
@@ -266,11 +248,9 @@ class CheckResult:
 class SessionOutcome:
     """Full transcript of one session.
 
-    Raw keys are populated whenever Bob accepted the delivery (the
-    partition happens before the check); session keys and pa_seed are
-    present iff the session was not aborted.  ``check`` records the
-    exchange; a session that aborted before it holds an empty one.
-    vacuous_check flags sessions where some announced check half was
+    Raw keys are always populated (the partition happens before the
+    check); session keys and pa_seed are present iff the session was not
+    aborted.  ``check`` records the exchange.  vacuous_check flags sessions where some announced check half was
     empty, making that direction's comparison pass vacuously.
 
     The raw keys are cut from the records with the partition
@@ -431,69 +411,39 @@ def _tables(rows, ops):
 
 
 class _Channel(NamedTuple):
-    """An adversary compiled for the quantum stage.
+    """An adversary compiled for the session.
 
     A strategy's tap maps the two prepared rows to at most four rows Bob
     can receive, so its ``tables`` (``_tables``) serve every session, and
     ``p_eve`` is the probability Eve reads 0 per op bit when she measures
-    (None otherwise).  A duck-typed tap exposes only ``tap_quantum_batch``,
-    which is kept as ``tap_quantum`` and measured anew on every delivery
-    (``tables`` None).  ``tap_classical`` is the classical tap: on a
-    compiled channel (``tap_quantum`` None) the constant flip, 0 or 1, it
-    XORs onto every announced bit, and for a duck-typed tap a callable
-    that maps an announcement the session built to a checked uint8 0/1
-    array.
+    (None otherwise).  ``flip``, 0 or 1, is the constant its classical tap
+    XORs onto every announced bit.
     """
 
-    tap_quantum: object
     p_eve: np.ndarray | None
-    tables: tuple | None
-    tap_classical: object
+    tables: tuple
+    flip: int
 
 
-_HONEST = _Channel(None, None, _tables(_PREPARED_ROWS, np.array([0, 1])), 0)
+_HONEST = _Channel(None, _tables(_PREPARED_ROWS, np.array([0, 1])), 0)
 
 
 def _compile(adversary) -> _Channel:
     """The channel of ``adversary``: None is the honest channel, a compiled
-    channel is itself, a strategy (which has ``_tap_classes``) is compiled
-    from its tap on the prepared rows and its classical tap's constant
-    flip (``_flip``), and any other object is a duck-typed tap, whose
-    classical tap's output is checked once, as it leaves the tap.
+    channel is itself, and a strategy is compiled from its tap on the
+    prepared rows and its classical tap's constant flip (``_flip``).
+    Anything else raises ValueError, before the session draws anything.
     """
     if isinstance(adversary, _Channel):
         return adversary
     if adversary is None:
         return _HONEST
-    tap_classes = getattr(adversary, "_tap_classes", None)
-    if tap_classes is None:
-        tap_classical = adversary.tap_classical
-        return _Channel(adversary.tap_quantum_batch, None, None, lambda bits: as_bits(tap_classical(bits)))
-    p_eve, rows = tap_classes(_PREPARED_ROWS)
+    if not isinstance(adversary, _adversary.AdversaryStrategy):
+        raise ValueError(f"adversary: must be None or an AdversaryStrategy, got {adversary!r}")
+    p_eve, rows = adversary._tap_classes(_PREPARED_ROWS)
     # Rows come op bit first: (op 0, op 1), or (op, Eve's bit) in order.
     ops = np.repeat(np.array([0, 1]), len(rows) // 2)
-    return _Channel(None, p_eve, _tables(rows, ops), adversary._flip)
-
-
-def _received(delivered, expected: int) -> np.ndarray:
-    """A duck-typed tap's delivery, decided once.
-
-    A wrong qubit count is something an adversary can cause (by dropping
-    qubits), so it is a ProtocolError and the session aborts, detected by
-    Bob.  An array that is not ``(k, 4)`` holds no pair states, and a NaN
-    or infinite amplitude is not a state any channel can deliver: both are
-    faults in the tap that produced them, so they raise ValueError before
-    Bob's gate and before any draw, as an unnormalized delivery does when
-    its tables are built.
-    """
-    delivered = np.asarray(delivered, dtype=complex)
-    if delivered.ndim != 2 or delivered.shape[1] != 4:
-        raise ValueError(f"delivered states must be a (k, 4) array of pair states, got shape {delivered.shape}")
-    if len(delivered) != expected:
-        raise ProtocolError(f"expected {expected} delivered qubits, got {len(delivered)}", by_bob=True)
-    if not np.isfinite(delivered).all():
-        raise ValueError("delivered state is not normalized: it holds a NaN or infinite amplitude")
-    return delivered
+    return _Channel(p_eve, _tables(rows, ops), adversary._flip)
 
 
 def _uniform_rows(channel: _Channel) -> int:
@@ -506,27 +456,21 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
 
     ``uniforms`` holds the session's ``_uniform_rows(channel)`` rows of
     ``len(op_key)`` uniforms end to end; when it is None they are one
-    ``rng.random`` call, made after a duck-typed tap has drawn what it
-    draws.  Each pair gets a class label: its op bit, ``2 * op + e`` once
-    Eve read e (intercept-resend, from the first row), or its own row of
-    what a duck-typed tap delivers when handed every prepared pair.  Bob's
-    bits are then one uniform per pair against his class's probability of
-    reading 0, and Alice's one more against hers given Bob's bit: the
-    draws, in the order and with the numbers of measuring every pair state,
-    so the bits are the same.  A drawn outcome of zero probability raises
-    RuntimeError.
+    ``rng.random`` call.  Each pair gets a class label: its op bit, or
+    ``2 * op + e`` once Eve read e (intercept-resend, from the first row).
+    Bob's bits are then one uniform per pair against his class's
+    probability of reading 0, and Alice's one more against hers given
+    Bob's bit: the draws, in the order and with the numbers of measuring
+    every pair state, so the bits are the same.  A drawn outcome of zero
+    probability raises RuntimeError.
     """
     size = len(op_key)
-    if channel.tap_quantum is None:
-        tables, labels = channel.tables, op_key
-    else:
-        delivered = _received(channel.tap_quantum(_PREPARED_ROWS.take(op_key, axis=0), rng), size)
-        tables, labels = _tables(delivered, op_key), np.arange(size)
     if uniforms is None:
         uniforms = rng.random(_uniform_rows(channel) * size)
+    labels = op_key
     if channel.p_eve is not None:
         labels = 2 * op_key + (uniforms[:size] >= channel.p_eve.take(op_key))
-    p_bob, p_alice, drawable = tables
+    p_bob, p_alice, drawable = channel.tables
     bob = uniforms[-2 * size : -size] >= p_bob.take(labels)
     picked = 2 * labels + bob
     if drawable is not None and not drawable.take(picked).all():
@@ -536,41 +480,33 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
 
 
 def _plain_halves(alice_check, bob_check, hash_key, hash_bits):
-    """The original variant's encoding: each check half as itself, a view
-    of the check sequence the session cut, in the order (Alice's even,
-    Bob's odd, Alice's odd, Bob's even): what Alice announces, what Bob
-    announces, what Alice expects, what Bob expects."""
-    return alice_check[1::2], bob_check[0::2], alice_check[0::2], bob_check[1::2]
+    """The original variant's announcements: Alice's even half and Bob's
+    odd half, each as itself, a view of the check sequence the session cut."""
+    return alice_check[1::2], bob_check[0::2]
 
 
 def _digest_halves(alice_check, bob_check, hash_key, hash_bits) -> tuple:
-    """The improved variant's encoding: the hash_bits-bit keyed Toeplitz
-    digest of each half with its direction bit prepended, in
-    ``_plain_halves``'s order.
+    """The improved variant's announcements: the hash_bits-bit keyed
+    Toeplitz digests of Alice's even half and of Bob's odd half, each with
+    its direction bit prepended.
 
-    Both sequences are laid out in one zero buffer of two rows of
-    ``2 * width`` slots, width = odd half + 1: slot 0 holds the
-    DIRECTION_ODD tag, slot 1 a 0 (DIRECTION_EVEN), and the sequence
-    starts at slot 2.  Read as ``(2, width, 2)``, slot pair 0 holds the
-    two tags and slot pair w >= 1 the w-th bit of the odd half and of the
-    even half, so the buffer's last two axes swapped are the four tagged
-    halves, each zero-padded to width, with no per-half copy.  Both
-    directions' matrix keys are prefixes of one key stream, so the four go
-    through one product against the longest key; only the masks differ by
-    direction, and one broadcast XOR applies both.
+    Both tagged halves are laid out in one zero buffer of two rows of
+    ``width`` slots, width = odd half + 1: ``[DIRECTION_EVEN, even...]``
+    and ``[DIRECTION_ODD, odd...]``, the shorter even half zero-padded.
+    Both directions' matrix keys are prefixes of one key stream, so the
+    two go through one product against the longest key; only the masks
+    differ by direction, and one XOR applies both.
     """
     size = len(alice_check)
     width = (size + 1) // 2 + 1
     key, masks = _digest_keys(hash_key, (size // 2 + 1, width), hash_bits)
-    tagged = np.zeros((2, 2 * width))
-    tagged[:, 0] = DIRECTION_ODD
-    tagged[0, 2 : 2 + size] = alice_check
-    tagged[1, 2 : 2 + size] = bob_check
-    # digests[s, 0] is sequence s's odd half and digests[s, 1] its even
-    # half; masks is indexed by direction, so it applies in reverse.
-    digests = _toeplitz_product(key, tagged.reshape(2, width, 2).transpose(0, 2, 1))
-    digests ^= masks[::-1]
-    return digests[0, 1], digests[1, 0], digests[0, 0], digests[1, 1]
+    tagged = np.zeros((2, width))
+    tagged[:, 0] = DIRECTION_EVEN, DIRECTION_ODD
+    tagged[0, 1 : 1 + size // 2] = alice_check[1::2]
+    tagged[1, 1:] = bob_check[0::2]
+    digests = _toeplitz_product(key, tagged)
+    digests ^= masks
+    return digests[0], digests[1]
 
 
 def _plain_differences(check_differ, hash_key, hash_bits):
@@ -588,10 +524,10 @@ def _digest_differences(check_differ, hash_key, hash_bits) -> np.ndarray:
     What a side receives, before any tap, XOR what it expects is ``T·x ^
     mask`` XOR ``T·y ^ mask`` for the two records' halves of one parity,
     each with the same direction tag: by linearity ``T·(x ^ y)``, in which
-    the tags and the mask cancel.  As in ``_digest_halves``, a zero buffer
-    of ``2 * width`` slots holds the difference from slot 2, so its
-    ``(width, 2)`` view transposed is the two zero-tagged halves padded to
-    width, and one product against the longest matrix key hashes both.
+    the tags and the mask cancel.  A zero buffer of ``2 * width`` slots
+    holds the difference from slot 2, so its ``(width, 2)`` view
+    transposed is the two zero-tagged halves padded to width, and one
+    product against the longest matrix key hashes both.
 
     A difference with no set bit, which every honest session has (and an
     empty check set too), encodes to ``T·0``: zeros, with no key expansion
@@ -606,82 +542,48 @@ def _digest_differences(check_differ, hash_key, hash_bits) -> np.ndarray:
     return _toeplitz_product(_expand(hash_key, width + hash_bits - 1), laid_out.reshape(width, 2).T)
 
 
-# Each variant's exchange: its encoder, its difference encoder, the
-# mismatch fraction a side passes at (None: the session's tau), and what an
-# announcement is called in the wrong-length error.  A digest of >= 1 bit
-# passes at tau = 0 exactly when every bit matches.
+# Each variant's exchange: its encoder, its difference encoder and the
+# mismatch fraction a side passes at (None: the session's tau).  A digest
+# of >= 1 bit passes at tau = 0 exactly when every bit matches.
 _EXCHANGES = {
-    VARIANT_ORIGINAL: (_plain_halves, _plain_differences, None, "check half"),
-    VARIANT_IMPROVED: (_digest_halves, _digest_differences, 0.0, "digest"),
+    VARIANT_ORIGINAL: (_plain_halves, _plain_differences, None),
+    VARIANT_IMPROVED: (_digest_halves, _digest_differences, 0.0),
 }
 
 
-def _verdict(variant: str, tau: float, mismatches: tuple, compared: tuple, exchanged) -> CheckResult:
-    """The record of an exchange whose sides (Alice, Bob) counted
-    ``mismatches`` in ``compared`` bits: a side passes when it compared
-    nothing or its mismatch fraction is <= tau (the variant's own tau when
-    it has one)."""
-    fixed_tau = _EXCHANGES[variant][2]
-    if fixed_tau is not None:
-        tau = fixed_tau
-    (mism_alice, mism_bob), (compared_alice, compared_bob) = mismatches, compared
-    alice_pass = compared_alice == 0 or mism_alice / compared_alice <= tau
-    bob_pass = compared_bob == 0 or mism_bob / compared_bob <= tau
-    return CheckResult(alice_pass, bob_pass, mism_alice, mism_bob, compared_alice, compared_bob, exchanged)
+def _announcements(alice_check, bob_check, variant: str, flip: int, hash_key, hash_bits: int) -> tuple:
+    """What each side announced and what each received, in ``CheckResult``'s
+    order: the variant's encoding of Alice's even half and of Bob's odd half
+    of the two check sequences, each XOR the channel's ``flip`` on its way
+    to the other side."""
+    announced_by_alice, announced_by_bob = _EXCHANGES[variant][0](alice_check, bob_check, hash_key, hash_bits)
+    return announced_by_alice, announced_by_bob, announced_by_bob ^ flip, announced_by_alice ^ flip
 
 
-def _exchange(alice_check, bob_check, variant: str, channel, tau: float, hash_key, hash_bits: int) -> CheckResult:
-    """The one announce-and-compare exchange, without input checks; the
-    variants differ only in their ``_EXCHANGES`` entry.
-
-    ``alice_check`` and ``bob_check`` are the two check sequences, cut with
-    one partition key.  Each splits into its odd half (1-based positions,
-    ``[0::2]``) and even half (``[1::2]``).  Alice announces the encoding of
-    her even half, Bob of his odd half, each through ``channel`` (a
-    duck-typed tap's classical tap, whose output is checked bits).  Each
-    side compares what it receives against the encoding
-    of its own retained half of the same parity (``_verdict``).  A received
-    announcement of the wrong length raises ProtocolError naming the party
-    that received it, and the session aborts.
-    """
-    encode, _, _, what = _EXCHANGES[variant]
-    encoded = encode(alice_check, bob_check, hash_key, hash_bits)
-    announced_by_alice, announced_by_bob, expected_by_alice, expected_by_bob = encoded
-    received_by_bob, received_by_alice = channel(announced_by_alice), channel(announced_by_bob)
-    bad_alice = len(received_by_alice) != len(expected_by_alice)
-    bad_bob = len(received_by_bob) != len(expected_by_bob)
-    if bad_alice or bad_bob:
-        raise ProtocolError(f"received {what} has the wrong length", by_alice=bad_alice, by_bob=bad_bob)
-
-    mismatches = (
-        int(np.count_nonzero(received_by_alice != expected_by_alice)),
-        int(np.count_nonzero(received_by_bob != expected_by_bob)),
-    )
-    compared = (len(expected_by_alice), len(expected_by_bob))
-    exchanged = (announced_by_alice, announced_by_bob, received_by_alice, received_by_bob)
-    return _verdict(variant, tau, mismatches, compared, exchanged)
-
-
-# What a compiled channel's constant flip, 0 or 1, makes of an announcement.
-_RELAYS = (lambda bits: bits, lambda bits: bits ^ 1)
-
-
-def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int, exchanged):
-    """The exchange on a compiled channel, counted from ``check_differ``,
+def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int, derive):
+    """The one announce-and-compare exchange, counted from ``check_differ``,
     the two records' XOR at the check positions, with no announcement built.
 
-    Every encoding is linear and the channel XORs the constant ``flip`` onto
-    each announced bit, so a side's mismatches are the set bits of its side
-    of the variant's difference encoding, XOR flip: what ``_exchange``
-    counts on the announcements themselves.  ``exchanged`` derives the
-    record's arrays when they are read (``CheckResult``).
+    Each side compares what it receives against the encoding of its own
+    retained half of the same parity.  Every encoding is linear and the
+    channel XORs the constant ``flip`` onto each announced bit, so a side's
+    mismatches are the set bits of its side of the variant's difference
+    encoding, XOR flip.  A side passes when it compared nothing or its
+    mismatch fraction is <= tau (the variant's own tau when it has one).
+    ``derive`` returns the record's arrays when they are read
+    (``CheckResult``).
     """
-    alice_side, bob_side = _EXCHANGES[variant][1](check_differ, hash_key, hash_bits)
-    compared = (len(alice_side), len(bob_side))
-    mismatches = (int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side)))
+    _, encode_difference, fixed_tau = _EXCHANGES[variant]
+    alice_side, bob_side = encode_difference(check_differ, hash_key, hash_bits)
+    compared_alice, compared_bob = len(alice_side), len(bob_side)
+    mism_alice, mism_bob = int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side))
     if flip:
-        mismatches = (compared[0] - mismatches[0], compared[1] - mismatches[1])
-    return _verdict(variant, tau, mismatches, compared, exchanged)
+        mism_alice, mism_bob = compared_alice - mism_alice, compared_bob - mism_bob
+    if fixed_tau is not None:
+        tau = fixed_tau
+    alice_pass = compared_alice == 0 or mism_alice / compared_alice <= tau
+    bob_pass = compared_bob == 0 or mism_bob / compared_bob <= tau
+    return CheckResult(alice_pass, bob_pass, mism_alice, mism_bob, compared_alice, compared_bob, derive)
 
 
 def _empty_bits() -> np.ndarray:
@@ -699,44 +601,39 @@ def run_session(
     """Execute one full session through adversary-tappable channels.
 
     ``adversary`` is None for an honest channel, an
-    adversary.AdversaryStrategy, any object exposing
-    ``tap_quantum_batch(states, rng)`` and ``tap_classical(bits)``, or a
-    channel ``count_sessions`` compiled from one of these.  ``seed`` may be an int, a SeedSequence, or
-    a Generator; identical (params, adversary, seed, keys) inputs give a
+    adversary.AdversaryStrategy, or a channel ``count_sessions`` compiled
+    from one of these.  ``seed`` may be an int, a SeedSequence, or a
+    Generator; identical (params, adversary, seed, keys) inputs give a
     bit-identical SessionOutcome.  ``keys`` forces the master keys instead
     of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
-    construction (and the keys' size here), the adversary's deliveries and
-    a duck-typed tap's announcements on receipt.  Everything else is an
-    array the session built, so it calls the unchecked cores.
+    construction (and the keys' size here), the adversary before anything
+    is drawn.  Everything else is an array the session built, so it calls
+    the unchecked cores.
 
-    A session draws its master keys, the tap's draws (a duck-typed tap's,
-    or Eve's row of uniforms), Bob's and Alice's rows of uniforms and, if
-    it was not aborted, pa_seed, in that order.  When the session builds
-    its generator from ``seed`` (anything but a Generator or a bit
-    generator), or ``count_sessions`` hands it a Generator it has just
-    set to a trial's fresh stream (the private ``_fresh``), the stream is
-    its own, so with sampled keys, no
-    ``balanced_k2`` permutation and a compiled channel it draws everything
-    in one ``bits._random_runs`` call, pa_seed included: reading pa_seed
-    when the session then aborts changes nothing anyone sees.  Otherwise it
-    makes the same draws one at a time, so a caller's Generator ends where
-    those calls leave it.
+    A session draws its master keys, Eve's row of uniforms if she
+    measures, Bob's and Alice's rows of uniforms and, if it was not
+    aborted, pa_seed, in that order.  When the session builds its
+    generator from ``seed`` (anything but a Generator or a bit generator),
+    or ``count_sessions`` hands it a Generator it has just set to a
+    trial's fresh stream (the private ``_fresh``), the stream is its own,
+    so with sampled keys and no ``balanced_k2`` permutation it draws
+    everything in one ``bits._random_runs`` call, pa_seed included:
+    reading pa_seed when the session then aborts changes nothing anyone
+    sees.  Otherwise it makes the same draws one at a time, so a caller's
+    Generator ends where those calls leave it.
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
     cuts only that difference with the partition key, viewed as a boolean
     mask: its set bits outside the check positions count the raw keys'
-    disagreements, and on a compiled channel its check cut counts both
-    sides' mismatches (``_difference_check``, which expands the hash key
-    once, and not at all when the check difference is zero); a duck-typed
-    tap runs the exchange on the two check sequences (``_exchange``).  A
-    delivery or announcement of the wrong size aborts the session,
-    detected by the party that received it.  Privacy amplification runs
-    only if its output fits the raw key.  The raw keys,
-    a compiled channel's announcements and the session keys are derived on
-    their first read (``SessionOutcome``, ``CheckResult``).
+    disagreements, and its check cut counts both sides' mismatches
+    (``_difference_check``, which expands the hash key once, and not at
+    all when the check difference is zero).  Privacy amplification runs
+    only if its output fits the raw key.  The raw keys, the announcements
+    (``_announcements``) and the session keys are derived on their first
+    read (``SessionOutcome``, ``CheckResult``).
     """
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
     own_stream = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
@@ -746,50 +643,29 @@ def run_session(
     if keys is not None:
         if len(keys.op_key) != size:
             raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
-    elif own_stream and not params.balanced_k2 and channel.tap_quantum is None:
+    elif own_stream and not params.balanced_k2:
         runs = (*_key_runs(params.n), (np.float64, _uniform_rows(channel) * size), (np.uint8, PA_SEED_BITS))
         op_key, partition_key, hash_key, uniforms, pa_seed = _random_runs(rng, runs, fresh=True)
         keys = MasterKeys._drawn(op_key, partition_key, hash_key)
     else:
         keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
-    # A session that aborts on a malformed step keeps what was measured
-    # before it, with an empty check record and nothing announced.
-    alice_bits = bob_bits = empty = _empty_bits()
-    check = empty.view(bool)
-    raw_len = raw_differ = 0
-    vacuous = False
-    try:
-        # Bob measures first; Alice measures once he is done.
-        bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng, uniforms)
-        # Both parties hold the same partition key: 1 marks a check position.
-        check = keys.partition_key.view(bool)
-        differ = alice_bits ^ bob_bits
-        check_differ = differ[check]
-        raw_len = size - len(check_differ)
-        raw_differ = int(np.count_nonzero(differ)) - int(np.count_nonzero(check_differ))
-        # Fewer than two check bits leave the even half empty, and none the odd half too.
-        vacuous = len(check_differ) < 2
-        variant, tap, hash_key, hash_bits = params.variant, channel.tap_classical, keys.hash_key, params.hash_bits
-        if channel.tap_quantum is None:
-            # A compiled channel's tap is a constant flip: count from the
-            # difference, and run the exchange only when its arrays are read.
-            relay = _RELAYS[tap]
+    # Bob measures first; Alice measures once he is done.
+    bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng, uniforms)
+    # Both parties hold the same partition key: 1 marks a check position.
+    check = keys.partition_key.view(bool)
+    differ = alice_bits ^ bob_bits
+    check_differ = differ[check]
+    raw_len = size - len(check_differ)
+    raw_differ = int(np.count_nonzero(differ)) - int(np.count_nonzero(check_differ))
+    variant, flip, hash_key, hash_bits = params.variant, channel.flip, keys.hash_key, params.hash_bits
 
-            def derive():
-                checked = _exchange(alice_bits[check], bob_bits[check], variant, relay, params.tau, hash_key, hash_bits)
-                return checked._arrays
+    def derive():
+        return _announcements(alice_bits[check], bob_bits[check], variant, flip, hash_key, hash_bits)
 
-            chk = _difference_check(check_differ, variant, tap, params.tau, hash_key, hash_bits, derive)
-        else:
-            # A duck-typed tap may change an announcement's length or content.
-            chk = _exchange(alice_bits[check], bob_bits[check], variant, tap, params.tau, hash_key, hash_bits)
-    except ProtocolError as err:
-        chk = CheckResult(True, True, 0, 0, 0, 0, (empty, empty, empty, empty))
-        aborted, detected_alice, detected_bob, abort_reason = True, err.by_alice, err.by_bob, str(err)
-    else:
-        detected_alice, detected_bob = not chk.alice_pass, not chk.bob_pass
-        aborted = detected_alice or detected_bob
-        abort_reason = "check-mismatch" if aborted else None
+    chk = _difference_check(check_differ, variant, flip, params.tau, hash_key, hash_bits, derive)
+    detected_alice, detected_bob = not chk.alice_pass, not chk.bob_pass
+    aborted = detected_alice or detected_bob
+    abort_reason = "check-mismatch" if aborted else None
 
     pa_bits = 0
     if aborted:
@@ -812,7 +688,8 @@ def run_session(
         abort_reason=abort_reason,
         alice_bits=alice_bits,
         bob_bits=bob_bits,
-        vacuous_check=vacuous,
+        # Fewer than two check bits leave the even half empty, and none the odd half too.
+        vacuous_check=len(check_differ) < 2,
         check=chk,
         pa_seed=pa_seed,
         _check_positions=check,
@@ -850,7 +727,7 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
     seeds go to run_session as they are.  The loop reads only counters,
     the raw keys' among them (``SessionOutcome._raw_len`` and
     ``_raw_differ``), so no session cuts a raw key, builds an announcement
-    on a compiled channel or derives a session key.
+    or derives a session key.
     """
     channel = _compile(adversary)
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0

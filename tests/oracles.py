@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sqkdlab.adversary import QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
+from sqkdlab.adversary import CLASSICAL_FLIP_ALL, QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
 from sqkdlab.bits import as_bits, random_bits, to01
 from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import MIN_HASH_KEY_BITS, PA_SEED_BITS, VARIANT_ORIGINAL
@@ -224,8 +224,8 @@ def session_transcript(params, tap, seed, keys=None) -> dict:
     the tap's draws, then Bob's and Alice's uniforms, then the PA seed, only
     if the session was not aborted.
 
-    ``tap`` is None, an AdversaryStrategy or a duck-typed tap; ``seed`` is
-    whatever run_session takes, and a Generator ends where these calls
+    ``tap`` is None or an AdversaryStrategy; ``seed`` is whatever
+    run_session takes, and a Generator ends where these calls
     leave it.  The pairs are whole ``(2n, 4)`` states, the partition a list
     of positions, and each digest a materialized matrix.
     """
@@ -253,13 +253,8 @@ def session_transcript(params, tap, seed, keys=None) -> dict:
         return {name: to01(value) if isinstance(value, np.ndarray) else value for name, value in record.items()}
 
     delivered = prepare(op_key)
-    if isinstance(tap, AdversaryStrategy):
+    if tap is not None:
         delivered = tap_quantum_batch(tap, delivered, rng)
-    elif tap is not None:
-        delivered = np.asarray(tap.tap_quantum_batch(delivered, rng), dtype=complex)
-    if len(delivered) != size:
-        record.update(detected_by_bob=True, abort_reason=f"expected {size} delivered qubits, got {len(delivered)}")
-        return rendered()
     bob_bits, alice_bits = measure_session(op_key, delivered, rng)
     raw = [i for i in range(size) if partition_key[i] == 0]
     check = [i for i in range(size) if partition_key[i] == 1]
@@ -271,27 +266,22 @@ def session_transcript(params, tap, seed, keys=None) -> dict:
 
     # Alice announces her even half (1-based), Bob his odd half.
     if params.variant == VARIANT_ORIGINAL:
-        what, tau = "check half", params.tau
+        tau = params.tau
 
         def encode(half, direction):
             return half
     else:
-        what, tau = "digest", 0.0
+        tau = 0.0
 
         def encode(half, direction):
             return reference_digest(hash_key, [direction, *half], params.hash_bits)
 
     announced_by_alice, announced_by_bob = encode(alice_check[1::2], 0), encode(bob_check[0::2], 1)
     expected_by_alice, expected_by_bob = encode(alice_check[0::2], 1), encode(bob_check[1::2], 0)
-    classical = (lambda bits: bits) if tap is None else tap.tap_classical
-    received_by_bob = as_bits(classical(announced_by_alice))
-    received_by_alice = as_bits(classical(announced_by_bob))
-    bad_alice, bad_bob = len(received_by_alice) != len(expected_by_alice), len(received_by_bob) != len(expected_by_bob)
-    if bad_alice or bad_bob:
-        record.update(
-            detected_by_alice=bad_alice, detected_by_bob=bad_bob, abort_reason=f"received {what} has the wrong length"
-        )
-        return rendered()
+    # The classical tap complements every announced bit (flip_all) or passes it on.
+    flip = int(tap is not None and tap.classical == CLASSICAL_FLIP_ALL)
+    received_by_bob = as_bits([bit ^ flip for bit in announced_by_alice])
+    received_by_alice = as_bits([bit ^ flip for bit in announced_by_bob])
     mismatches_alice = sum(int(a != b) for a, b in zip(received_by_alice, expected_by_alice))
     mismatches_bob = sum(int(a != b) for a, b in zip(received_by_bob, expected_by_bob))
     detected_alice = len(expected_by_alice) > 0 and mismatches_alice / len(expected_by_alice) > tau

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sqkdlab import protocol
 from sqkdlab.adversary import (
     SEARCH_GATE_NAMES,
     AdversaryStrategy,
@@ -86,11 +87,21 @@ def test_modification_attack_composition():
 
 
 def test_tap_classical_policies():
-    none = AdversaryStrategy()
-    assert to01(none.tap_classical("0110")) == "0110"
-    attack = modification_attack()
-    assert to01(attack.tap_classical("0")) == "1"
-    assert to01(attack.tap_classical(attack.tap_classical("0110"))) == "0110"
+    # The classical tap XORs one constant onto every announced bit: 0 for
+    # none, 1 for flip_all.  The compiled channel keeps only that constant,
+    # and each side receives the other's announcement XOR it.
+    params = ProtocolParams(n=4, variant=VARIANT_ORIGINAL)
+    for strategy, flip in (
+        (AdversaryStrategy(), 0),
+        (intercept_resend_attack(), 0),
+        (modification_attack(), 1),
+        (AdversaryStrategy("intercept_resend_z", classical="flip_all"), 1),
+    ):
+        assert strategy._flip == flip
+        assert protocol._compile(strategy).flip == flip
+        check = run_session(params, strategy, seed=2).check
+        assert to01(check.received_by_bob) == to01(check.announced_by_alice ^ flip)
+        assert to01(check.received_by_alice) == to01(check.announced_by_bob ^ flip)
 
 
 # -- quantum tap ------------------------------------------------------------------

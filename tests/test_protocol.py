@@ -27,9 +27,7 @@ from sqkdlab.protocol import (
     VARIANT_IMPROVED,
     VARIANT_ORIGINAL,
     VARIANTS,
-    CheckResult,
     MasterKeys,
-    ProtocolError,
     ProtocolParams,
     SessionCounts,
     count_sessions,
@@ -125,8 +123,8 @@ def test_size_caps_name_the_field_before_anything_is_drawn():
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
         generate_master_keys(10**9, rng=rng)
     assert rng.bit_generator.state == before
-    # The cap's arithmetic: 2n pair states of four complex128 amplitudes.
-    assert 2 * MAX_N * 4 * np.dtype(complex).itemsize == 128 * 2**20
+    # The cap's arithmetic: one array of 2n float64 uniforms.
+    assert 2 * MAX_N * np.dtype(np.float64).itemsize == 16 * 2**20
 
 
 def test_master_keys_reject_a_short_hash_key():
@@ -141,7 +139,7 @@ def test_master_keys_reject_a_short_hash_key():
 
 
 def prepared(keys, n):
-    """What a duck-typed tap is handed: the prepared row of each pair's op bit."""
+    """The prepared pairs: the prepared row of each pair's op bit."""
     assert len(keys.op_key) == 2 * n
     return protocol._PREPARED_ROWS.take(keys.op_key, axis=0)
 
@@ -179,112 +177,42 @@ def test_alice_prepare_requires_matching_sizes():
         run_session(ProtocolParams(n=3), None, seed=0, keys=keys_for("00", "00"))
 
 
-class Deliver:
-    """A duck-typed tap that delivers fixed pair states, whatever Alice sent."""
-
-    def __init__(self, states):
-        self.states = states
-
-    def tap_quantum_batch(self, states, rng):
-        return self.states
-
-    def tap_classical(self, bits):
-        return bits
+def random_rows(rng, count):
+    """``count`` random normalized pair states."""
+    rows = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
-def test_bob_rejects_wrong_qubit_count():
-    keys = keys_for("0000", "0000")
-    out = run_session(ProtocolParams(n=2), Deliver(prepared(keys, 2)[:3]), seed=0, keys=keys)
-    assert out.aborted and out.detected_by_bob and not out.detected_by_alice
-    assert out.abort_reason == "expected 4 delivered qubits, got 3"
-
-
-@pytest.mark.parametrize("shape", [(4, 3), (4, 5), (16,), (2, 2, 4)], ids=lambda shape: "x".join(map(str, shape)))
-def test_a_delivery_of_no_pair_states_raises_before_any_draw(shape):
-    # An array that is not (k, 4) holds no pair states: a fault in the tap,
-    # not a dropped qubit, so it raises instead of aborting the session.
-    keys = keys_for("0110", "0000")
-    rng = np.random.default_rng(4)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"^delivered states must be a \(k, 4\) array of pair states") as err:
-        run_session(ProtocolParams(n=2), Deliver(np.zeros(shape, dtype=complex)), seed=rng, keys=keys)
-    assert str(err.value).endswith(f"got shape {shape}")
-    assert rng.bit_generator.state == before
-
-
-class Lengthen:
-    """A duck-typed tap that passes the qubits through and appends a bit to
-    the chosen announcements: per session, Alice's comes first (Bob
-    receives it) and Bob's second (Alice receives it)."""
-
-    def __init__(self, alices: bool, bobs: bool):
-        self.choices = itertools.cycle((alices, bobs))
-
-    def tap_quantum_batch(self, states, rng):
-        return states
-
-    def tap_classical(self, bits):
-        return np.append(bits, 0) if next(self.choices) else bits
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize(
-    "lengthened, detected",
-    [((True, False), (False, True)), ((False, True), (True, False)), ((True, True), (True, True))],
-    ids=["alices", "bobs", "both"],
-)
-def test_an_announcement_of_the_wrong_length_aborts_detected_by_its_receiver(variant, lengthened, detected):
-    params = ProtocolParams(n=4, variant=variant)
-    honest = run_session(params, None, seed=7)
-    out = run_session(params, Lengthen(*lengthened), seed=7)
-    what = "digest" if variant == VARIANT_IMPROVED else "check half"
-    assert out.aborted and out.abort_reason == f"received {what} has the wrong length"
-    assert (out.detected_by_alice, out.detected_by_bob) == detected
-    # What was measured stays; nothing counts as compared.
-    for name in ("alice_bits", "bob_bits", "alice_raw_key", "bob_raw_key", "vacuous_check"):
-        assert np.array_equal(getattr(out, name), getattr(honest, name)), name
-    assert out.pa_seed is None and out.alice_session_key is None
-    record = out.to_dict()
-    for side in ("announced", "received"):
-        assert record[f"{side}_by_alice"] == record[f"{side}_by_bob"] == ""
-    assert out.check.compared_bits_alice == out.check.compared_bits_bob == 0
-    counts = count_sessions(params, Lengthen(*lengthened), range(3))
-    assert (counts.sessions, counts.detected, counts.aborted, counts.compared_bits) == (3, 3, 3, 0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 0)])
-def test_non_finite_delivery_raises_before_any_draw(bad):
-    keys = keys_for("0110", "0000")
-    delivered = prepared(keys, 2)
-    delivered[1, 3] = bad
-    rng = np.random.default_rng(4)
-    before = rng.bit_generator.state
-    # Rejected before Bob's gate, which would turn an infinite amplitude
-    # into NaNs (inf * 0) with a RuntimeWarning (an error in this suite).
-    with pytest.raises(ValueError, match="not normalized"):
-        run_session(ProtocolParams(n=2), Deliver(delivered), seed=rng, keys=keys)
-    assert rng.bit_generator.state == before
+def measured_per_pair(rows, op_key, rng):
+    """The quantum stage's draws with one class per delivered row: the
+    class tables of ``rows`` (``protocol._tables``, each row with its op
+    bit), each pair labelled by its position."""
+    channel = protocol._Channel(None, protocol._tables(rows, op_key), 0)
+    return protocol._quantum_stage(channel, np.arange(len(rows)), rng)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 350), st.integers(0, 2**32 - 1), st.booleans())
 def test_measurements_equal_collapsing_whole_pairs(n, seed, session_like):
     # A session's bits are those that collapsing all four amplitudes of
-    # each pair twice gives, on random normalized deliveries and on what a
-    # tapped session delivers.
+    # each pair twice gives, on what a gate-tapped session delivers, and
+    # the class tables' draws are, on random normalized rows.
     rng = np.random.default_rng(seed)
     keys = MasterKeys(random_bits(rng, 2 * n), random_bits(rng, 2 * n), random_bits(rng, MIN_HASH_KEY_BITS))
     if session_like:
         gate = AdversaryStrategy("gate_all", str(rng.choice(["I", "X", "Y", "Z", "H", "SPIN_FLIP"])))
         delivered = tap_quantum_batch(gate, prepare(keys.op_key), rng)
     else:
-        delivered = rng.normal(size=(2 * n, 4)) + 1j * rng.normal(size=(2 * n, 4))
-        delivered /= np.linalg.norm(delivered, axis=1)[:, None]
+        delivered = random_rows(rng, 2 * n)
     draw = int(rng.integers(2**32))
     expected_bob, expected_alice = measure_session(keys.op_key, delivered, np.random.default_rng(draw))
-    out = run_session(ProtocolParams(n=n), Deliver(delivered), seed=np.random.default_rng(draw), keys=keys)
-    assert out.bob_bits.tobytes() == expected_bob.tobytes()
-    assert out.alice_bits.tobytes() == expected_alice.tobytes()
+    if session_like:
+        out = run_session(ProtocolParams(n=n), gate, seed=np.random.default_rng(draw), keys=keys)
+        bob, alice = out.bob_bits, out.alice_bits
+    else:
+        bob, alice = measured_per_pair(delivered, keys.op_key, np.random.default_rng(draw))
+    assert bob.tobytes() == expected_bob.tobytes()
+    assert alice.tobytes() == expected_alice.tobytes()
 
 
 def test_bob_emits_done_notice_and_alice_agrees():
@@ -299,31 +227,21 @@ def test_bob_emits_done_notice_and_alice_agrees():
     assert np.array_equal(out.pa_seed, random_bits(expected, 128))
 
 
-class RandomDelivery:
-    """A duck-typed tap that delivers random normalized pair states, drawn from the session rng."""
-
-    def tap_quantum_batch(self, states, rng):
-        delivered = rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape)
-        return delivered / np.linalg.norm(delivered, axis=1)[:, None]
-
-    def tap_classical(self, bits):
-        return bits
-
-
 ENGINE_TAPS = [None, *(AdversaryStrategy("gate_all", name) for name in GATE_NAMES), intercept_resend_attack()]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 600),
-    st.sampled_from([*ENGINE_TAPS, RandomDelivery()]),
+    st.sampled_from([*ENGINE_TAPS, "random rows"]),
     st.sampled_from(["random", "zeros", "ones", "one"]),
     st.integers(0, 2**32 - 1),
 )
 def test_quantum_stage_is_byte_equal_to_the_whole_pair_oracle(n, tap, pattern, seed):
     # The class-table engine against every pair state of the session:
     # prepare, tap and measure (2n, 4) arrays, collapsing all four
-    # amplitudes.  Same bits, and the stream ends in the same place.
+    # amplitudes.  Same bits, and the stream ends in the same place.  Random
+    # normalized rows, one class per pair, measure through the tables too.
     rng = np.random.default_rng(seed)
     op_key = {
         "random": random_bits(rng, 2 * n),
@@ -333,16 +251,16 @@ def test_quantum_stage_is_byte_equal_to_the_whole_pair_oracle(n, tap, pattern, s
     }[pattern]
     draw = int(rng.integers(2**32))
 
-    reference = np.random.default_rng(draw)
-    delivered = prepare(op_key)
-    if isinstance(tap, RandomDelivery):
-        delivered = tap.tap_quantum_batch(delivered, reference)
-    elif tap is not None:
-        delivered = tap_quantum_batch(tap, delivered, reference)
+    reference, engine = np.random.default_rng(draw), np.random.default_rng(draw)
+    if tap == "random rows":
+        delivered = random_rows(rng, 2 * n)
+        bob, alice = measured_per_pair(delivered, op_key, engine)
+    else:
+        delivered = prepare(op_key)
+        if tap is not None:
+            delivered = tap_quantum_batch(tap, delivered, reference)
+        bob, alice = protocol._quantum_stage(protocol._compile(tap), op_key, engine)
     expected_bob, expected_alice = measure_session(op_key, delivered, reference)
-
-    engine = np.random.default_rng(draw)
-    bob, alice = protocol._quantum_stage(protocol._compile(tap), op_key, engine)
     assert bob.dtype == alice.dtype == np.uint8
     assert bob.tobytes() == expected_bob.tobytes()
     assert alice.tobytes() == expected_alice.tobytes()
@@ -365,10 +283,9 @@ def test_bob_gates_a_lone_h_row_as_the_oracle_does(monkeypatch):
     for n in (1, 2, 3, 8, 33):
         for position in sorted({0, n, 2 * n - 1}):
             op_key = (np.arange(2 * n) == position).astype(np.uint8)
-            delivered = rng.normal(size=(2 * n, 4)) + 1j * rng.normal(size=(2 * n, 4))
-            delivered /= np.linalg.norm(delivered, axis=1)[:, None]
+            delivered = random_rows(rng, 2 * n)
             measured.clear()
-            protocol._quantum_stage(protocol._compile(Deliver(delivered)), op_key, np.random.default_rng(0))
+            protocol._tables(delivered, op_key)
             (gated,) = measured
             assert gated.tobytes() == bob_gated(op_key, delivered).tobytes(), (n, position)
 
@@ -391,7 +308,8 @@ def test_a_drawn_zero_probability_outcome_raises():
     # Normalized within the 1e-9 tolerance, Bob reads 0 with probability
     # 1 - 5e-10, and reading 1 leaves a qubit of norm 1e-13 <= ATOL.
     pair = [np.sqrt(1 - 5e-10), 1e-13, 0, 0]
-    channel = protocol._compile(Deliver(np.array([pair, pair], dtype=complex)))
+    rows = np.array([pair, pair], dtype=complex)
+    channel = protocol._Channel(None, protocol._tables(rows, np.array([0, 1])), 0)
 
     class Ones:
         def random(self, size):
@@ -412,15 +330,13 @@ def halves(check):
 
 
 def session_measuring(record, partition_key):
-    """An original-variant session on forced keys (op key all I) whose tap
-    delivers |b b> for each bit b of ``record``, so both parties measure
-    ``record``.  On the identity classical channel Alice announces her
-    check sequence's even half and Bob his odd half."""
+    """An honest original-variant session on forced keys whose quantum
+    stage is patched so that both parties measure ``record``.  Alice
+    announces her check sequence's even half and Bob his odd half."""
     bits = as_bits(record)
-    delivered = np.zeros((len(bits), 4), dtype=complex)
-    delivered[np.arange(len(bits)), 3 * bits] = 1  # |00> or |11>
     keys = keys_for("0" * len(bits), partition_key)
-    return run_session(ProtocolParams(n=len(bits) // 2), Deliver(delivered), seed=0, keys=keys)
+    with mock.patch.object(protocol, "_quantum_stage", return_value=(bits, bits)):
+        return run_session(ProtocolParams(n=len(bits) // 2), None, seed=0, keys=keys)
 
 
 def test_partition_walkthrough_alice():
@@ -460,18 +376,24 @@ def test_partition_odd_even_sizes():
 # -- announce-and-check exchanges --------------------------------------------------
 
 
-def passed_on(bits):
-    """The untampered classical channel."""
-    return bits
+def exchange(alice_check, bob_check, variant, tau, flipped, hash_key, hash_bits):
+    """The exchange of a session whose channel XORs ``flipped`` onto every
+    announced bit: counted from the check sequences' difference, with its
+    announcements derived on their first read."""
+
+    def derive():
+        return protocol._announcements(alice_check, bob_check, variant, flipped, hash_key, hash_bits)
+
+    return protocol._difference_check(alice_check ^ bob_check, variant, flipped, tau, hash_key, hash_bits, derive)
 
 
-def exchange_original(alice_check, bob_check, tau=0.0, channel=passed_on):
-    return protocol._exchange(as_bits(alice_check), as_bits(bob_check), VARIANT_ORIGINAL, channel, tau, None, 0)
+def exchange_original(alice_check, bob_check, tau=0.0, flipped=0):
+    return exchange(as_bits(alice_check), as_bits(bob_check), VARIANT_ORIGINAL, tau, flipped, None, 0)
 
 
-def exchange_improved(alice_check, bob_check, hash_key, hash_bits, channel=passed_on):
-    alice_check, bob_check = as_bits(alice_check), as_bits(bob_check)
-    return protocol._exchange(alice_check, bob_check, VARIANT_IMPROVED, channel, 0.0, as_bits(hash_key), hash_bits)
+def exchange_improved(alice_check, bob_check, hash_key, hash_bits, flipped=0):
+    alice_check, bob_check, hash_key = as_bits(alice_check), as_bits(bob_check), as_bits(hash_key)
+    return exchange(alice_check, bob_check, VARIANT_IMPROVED, 0.0, flipped, hash_key, hash_bits)
 
 
 def test_original_honest_exchange_passes():
@@ -481,7 +403,7 @@ def test_original_honest_exchange_passes():
 
 
 def test_original_walkthrough_flipped_announcements_fool_both():
-    result = exchange_original("00", "11", channel=flip)
+    result = exchange_original("00", "11", flipped=1)
     assert result.alice_pass and result.bob_pass
     assert to01(result.received_by_alice) == "0"
     assert to01(result.received_by_bob) == "1"
@@ -497,7 +419,7 @@ def test_original_spin_flip_without_classical_flip_detected():
 
 
 def test_original_vacuous_pass_with_no_check_bits():
-    result = exchange_original("", "", channel=flip)
+    result = exchange_original("", "", flipped=1)
     assert result.alice_pass and result.bob_pass
     assert result.compared_bits_alice == result.compared_bits_bob == 0
 
@@ -511,12 +433,6 @@ def test_original_threshold_tolerates_fraction():
     assert loose.alice_pass and loose.bob_pass
 
 
-def test_original_rejects_wrong_announcement_length():
-    with pytest.raises(ProtocolError, match="length") as err:
-        exchange_original("00", "11", channel=lambda bits: bits[:0])
-    assert err.value.by_alice and err.value.by_bob
-
-
 def test_improved_honest_exchange_passes():
     kh = random_bits(np.random.default_rng(3), 128)
     result = exchange_improved("0101", "0101", kh, 16)
@@ -526,7 +442,7 @@ def test_improved_honest_exchange_passes():
 
 def test_improved_detects_flipped_digests():
     kh = random_bits(np.random.default_rng(4), 128)
-    result = exchange_improved("0101", "0101", kh, 16, channel=flip)
+    result = exchange_improved("0101", "0101", kh, 16, flipped=1)
     assert not result.alice_pass and not result.bob_pass
 
 
@@ -534,12 +450,6 @@ def test_improved_detects_complementary_records():
     kh = random_bits(np.random.default_rng(5), 128)
     result = exchange_improved("00110101", flip("00110101"), kh, 64)
     assert not result.alice_pass and not result.bob_pass
-
-
-def test_improved_rejects_wrong_digest_length():
-    kh = random_bits(np.random.default_rng(6), 128)
-    with pytest.raises(ProtocolError, match="digest"):
-        exchange_improved("00", "00", kh, 8, channel=lambda bits: bits[:4])
 
 
 @settings(deadline=None)
@@ -563,22 +473,15 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     alice_check = as_bits([a for a, _, _ in records])[is_check]
     bob_check = as_bits([b for _, b, _ in records])[is_check]
     (alice_odd, alice_even), (bob_odd, bob_even) = halves(alice_check), halves(bob_check)
-    channel = flip if tampered else passed_on
     deliver = flip if tampered else as_bits
 
     def digest(direction, half):
         return reference_digest(hash_key, [direction, *half], digest_len)
 
-    original = exchange_original(alice_check, bob_check, tau, channel)
+    original = exchange_original(alice_check, bob_check, tau, int(tampered))
     with mock.patch.object(hashing, "_BLOCK_ITEMS", block_items):
-        improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, channel)
-        # A compiled channel's exchange, with the channel's constant flip:
-        # counted from the records' difference.
-        flip_bit, key = int(tampered), as_bits(hash_key)
-        for exchanged, variant in ((original, VARIANT_ORIGINAL), (improved, VARIANT_IMPROVED)):
-            counted = protocol._difference_check(alice_check ^ bob_check, variant, flip_bit, tau, key, digest_len, None)
-            for name in ("alice_pass", "bob_pass", *CheckResult._RENDERED[:4]):
-                assert getattr(counted, name) == getattr(exchanged, name)
+        improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, int(tampered))
+        improved.announced_by_alice  # derive the digests under the small block cap
     assert np.array_equal(improved.announced_by_alice, digest(0, alice_even))
     assert np.array_equal(improved.announced_by_bob, digest(1, bob_odd))
     # (side, what the other side announced, the side's own half, its direction)
@@ -628,15 +531,19 @@ def test_a_zero_check_difference_counts_as_the_exchange_does(check, tampered, di
     # Both check sequences equal, of lengths 0, 1, 2 and odd and even up to
     # 120: the difference is zero, so the improved variant encodes it with
     # no product, and on a flipping channel every digest bit mismatches and
-    # both sides detect.
+    # both sides detect.  The counters and verdicts are those of comparing
+    # the announcements, derived afterwards with the real cores: with equal
+    # sequences, each side expects what the other announced.
     alice_check, key, flip_bit = as_bits(check), as_bits(hash_key), int(tampered)
-    for variant, bits in ((VARIANT_ORIGINAL, 0), (VARIANT_IMPROVED, digest_len)):
-        relay = protocol._RELAYS[flip_bit]
-        exchanged = protocol._exchange(alice_check, alice_check.copy(), variant, relay, tau, key, bits)
+    for variant, bits, passing in ((VARIANT_ORIGINAL, 0, tau), (VARIANT_IMPROVED, digest_len, 0.0)):
         with hashing_forbidden():
-            counted = protocol._difference_check(alice_check ^ alice_check, variant, flip_bit, tau, key, bits, None)
-        for name in ("alice_pass", "bob_pass", *CheckResult._RENDERED[:4]):
-            assert getattr(counted, name) == getattr(exchanged, name)
+            counted = exchange(alice_check, alice_check.copy(), variant, tau, flip_bit, key, bits)
+        by_alice, by_bob, received_by_alice, received_by_bob = counted._arrays
+        for side, received, expected in (("alice", received_by_alice, by_bob), ("bob", received_by_bob, by_alice)):
+            mismatches = int(np.count_nonzero(received != expected))
+            assert getattr(counted, f"check_mismatches_{side}") == mismatches
+            assert getattr(counted, f"compared_bits_{side}") == len(expected)
+            assert getattr(counted, f"{side}_pass") == (len(expected) == 0 or mismatches / len(expected) <= passing)
     # counted is now the improved variant's check.
     for side in ("alice", "bob"):
         assert getattr(counted, f"compared_bits_{side}") == digest_len
@@ -754,29 +661,45 @@ def test_raising_tau_never_flips_pass_to_fail():
             assert higher or not lower
 
 
-def test_custom_strategy_duck_typing():
-    # run_session only needs the two tap methods
-    class Relabel:
-        def tap_quantum_batch(self, states, rng):
-            return states
+def test_an_identity_strategy_is_the_honest_channel():
+    # The identity gate on every flying qubit and no classical flip compile
+    # to the honest channel's tables: every transcript is the honest one,
+    # bit for bit, and a caller's Generator ends in the same place.
+    identity = AdversaryStrategy("gate_all", "I")
+    cases = itertools.product(VARIANTS, (1, 4, 32), (False, True), SEED_FORMS, range(3))
+    for variant, n, balanced_k2, seed_form, seed in cases:
+        params = ProtocolParams(n=n, variant=variant, balanced_k2=balanced_k2)
+        if seed_form == "generator":
+            ours, honest = np.random.default_rng(seed), np.random.default_rng(seed)
+        else:
+            ours = honest = seed if seed_form == "int" else np.random.SeedSequence(seed)
+        out, expected = run_session(params, identity, seed=ours), run_session(params, None, seed=honest)
+        assert out.to_dict() == expected.to_dict(), (variant, n, balanced_k2, seed_form, seed)
+        if seed_form == "generator":
+            assert ours.bit_generator.state == honest.bit_generator.state
 
-        def tap_classical(self, bits):
-            return bits
 
-    params = ProtocolParams(n=4, variant=VARIANT_ORIGINAL)
-    honest = run_session(params, None, seed=3)
-    tapped = run_session(params, Relabel(), seed=3)
-    assert honest.to_dict() == tapped.to_dict()
-
-
-class DropLastQubit:
-    """Delivers one flying qubit fewer than Alice sent."""
+class OldTap:
+    """An object with the tap methods of an adversary, but no strategy."""
 
     def tap_quantum_batch(self, states, rng):
-        return states[:-1]
+        return states
 
     def tap_classical(self, bits):
         return bits
+
+
+def test_any_other_adversary_is_rejected_by_field_name():
+    # Only None, a strategy or a compiled channel is an adversary; anything
+    # else is named before anything is drawn.
+    message = r"^adversary: must be None or an AdversaryStrategy, got <.*OldTap object"
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        run_session(ProtocolParams(n=2), OldTap(), seed=rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match=message):
+        count_sessions(ProtocolParams(n=2), OldTap(), TrialStreams((0,), 3))
 
 
 def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
@@ -850,9 +773,8 @@ DERIVED_READERS = {
 
 @pytest.mark.parametrize("variant", [VARIANT_ORIGINAL, VARIANT_IMPROVED])
 def test_reading_the_session_keys_leaves_the_transcript_unchanged(variant):
-    # On every channel, a compiled one (derived raw keys and announcements)
-    # or a duck-typed one (announcements built by the exchange): read in any
-    # order, each derived field is derived once and then cached, and the
+    # On every channel: read in any order, each derived field (raw keys,
+    # announcements, session keys) is derived once and then cached, and the
     # transcript, in its field order, is that of a session nobody read.
     # Every honest session reaches both session keys.
     params = ProtocolParams(n=8, variant=variant, hash_bits=12, tau=0.1)
@@ -899,29 +821,6 @@ TRANSCRIPT_FIELDS = [
 ]
 
 
-def test_malformed_delivery_aborts_with_an_empty_transcript():
-    out = run_session(ProtocolParams(n=4, variant=VARIANT_ORIGINAL), DropLastQubit(), seed=0)
-    empty = {name: "" for name in ("alice_bits", "bob_bits", "alice_raw_key", "bob_raw_key")}
-    empty.update({f"{side}_by_{party}": "" for side in ("announced", "received") for party in ("alice", "bob")})
-    counters = ("check_mismatches_alice", "check_mismatches_bob", "compared_bits_alice", "compared_bits_bob")
-    assert out.to_dict() == {
-        "aborted": True,
-        "detected_by_alice": False,
-        "detected_by_bob": True,
-        "abort_reason": "expected 8 delivered qubits, got 7",
-        "alice_session_key": None,
-        "bob_session_key": None,
-        # Nothing was announced, so no announced check half passed vacuously.
-        "vacuous_check": False,
-        "pa_seed": None,
-        **empty,
-        **dict.fromkeys(counters, 0),
-    }
-    counts = count_sessions(ProtocolParams(n=4), DropLastQubit(), range(3))
-    assert (counts.sessions, counts.detected, counts.aborted, counts.vacuous) == (3, 3, 3, 0)
-    assert counts.compared_bits == counts.mismatched_bits == 0
-
-
 def counted(outcomes) -> SessionCounts:
     """What count_sessions should report for ``outcomes``, counted one field at a time."""
     return SessionCounts(
@@ -961,19 +860,10 @@ def test_count_sessions_equals_a_loop_on_every_channel(variant, tap, n, balanced
     assert all(type(value) is int for value in vars(counts).values())
 
 
-class RandomTap(RandomDelivery):
-    """A duck-typed tap that delivers random pair states drawn from the
-    session rng and complements each announcement, returned as a list."""
-
-    def tap_classical(self, bits):
-        return [1 - int(bit) for bit in bits]
-
-
 TRIAL_CHANNELS = [
     None,
     *(AdversaryStrategy("gate_all", gate, classical) for gate in SEARCH_GATE_NAMES for classical in CLASSICAL_POLICIES),
     intercept_resend_attack(),
-    RandomTap(),
 ]
 
 
@@ -1059,7 +949,6 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
             *ENGINE_TAPS,
             *(AdversaryStrategy("gate_all", name, "flip_all") for name in GATE_NAMES),
             AdversaryStrategy("intercept_resend_z", classical="flip_all"),
-            RandomTap(),
         ]
     ),
     st.sampled_from(SEED_FORMS),
