@@ -23,22 +23,20 @@ exact: every sum is an integer count of at most in_len, far below 2**53,
 so no addition rounds.  The test suite keeps the materialized matrix as
 the reference form.
 
-Three cores do the work: ``_expand`` stretches a seed into a key stream,
-``_toeplitz_product`` computes ``T·x`` for inputs of one length along the
-last axis of an array with any leading axes, and ``_digest_keys`` lays
-out the matrix key and the masks (one view, a row per length) of the
-keyed digests of several input lengths from one stream of a hash key.
-They trust their arguments: 0/1 arrays of consistent lengths, a
-non-empty seed and counts >= 0.  A session (``protocol.run_session``)
-checks its inputs where they enter and calls the cores on arrays it built.
-``privacy_amplify`` is the one checked entry point, the public form of the
-session's privacy amplification.  Because the expanded stream is
-prefix-stable, one expansion of a hash key, to the longer direction's
-length, yields both directions' digest keys, and every matrix key is a
-prefix of the longest one: ``T_in = T_max[:, :in_len]``, so one product
-against the longest key hashes inputs of several lengths, each
-zero-padded to the longest.  One expansion of the public seed serves both
-parties' privacy amplification.
+Two cores do the work: ``_expand`` stretches a seed into a key stream,
+and ``_toeplitz_product`` computes ``T·x`` for inputs of one length along
+the last axis of an array with any leading axes.  They trust their
+arguments: 0/1 arrays of consistent lengths, a non-empty seed and counts
+>= 0.  A session (``protocol.run_session``) checks its inputs where they
+enter and calls the cores on arrays it built.  ``privacy_amplify`` is the
+one checked entry point, the public form of the session's privacy
+amplification.  Because the expanded stream is prefix-stable, one
+expansion of a hash key, to the longer input's length, yields the matrix
+keys and masks of inputs of two lengths, and every matrix key is a prefix
+of the longest one: ``T_in = T_max[:, :in_len]``, so one product against
+the longest key hashes inputs of several lengths, each zero-padded to the
+longest.  One expansion of the public seed serves both parties' privacy
+amplification.
 """
 
 import hashlib
@@ -133,23 +131,3 @@ def _toeplitz_product(key: np.ndarray, x: np.ndarray) -> np.ndarray:
                 target += np.matmul(part, block)
     return (sums.astype(np.int64) & 1).astype(np.uint8)
 
-
-def _digest_keys(hash_key: np.ndarray, in_lens, out_len: int):
-    """``(matrix key, masks)`` of the keyed digests of the input lengths in ``in_lens``.
-
-    For input length in_len, the first in_len + out_len - 1 bits of the
-    hash key's stream are the matrix key and the next out_len bits the
-    mask.  One stream, expanded to the longest in_len, serves every
-    in_len: each reads a prefix of it, and the stream is prefix-stable.
-    Every matrix key is thus a prefix of the longest one, whose matrix
-    hashes any of the inputs zero-padded to the longest in_len, so only
-    that key is returned.  ``masks`` is one ``(len(in_lens), out_len)``
-    strided view of the stream, row k the mask of ``in_lens[k]``; a view
-    steps evenly, so ``in_lens`` must be evenly spaced, as one or two
-    lengths always are.
-    """
-    longest = max(in_lens)
-    stream = _expand(hash_key, longest + 2 * out_len - 1)
-    spacing = in_lens[1] - in_lens[0] if len(in_lens) > 1 else 0
-    masks = np.ndarray((len(in_lens), out_len), np.uint8, stream, in_lens[0] + out_len - 1, (spacing, 1))
-    return stream[: longest + out_len - 1], masks

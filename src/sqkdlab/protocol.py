@@ -18,10 +18,9 @@ only the encoding and how much mismatch passes:
 * improved variant: a keyed Toeplitz digest of each half; a side passes
   only on exact digest equality.
 
-Each variant is one entry of ``_EXCHANGES``: its encoder, which maps the
-two check sequences to the two announcements, its difference encoder and
-its tau.  The improved variant's encoder lays both announced halves out
-in one buffer and hashes them in one Toeplitz product.
+Each variant is one entry of ``_EXCHANGES``: its tau and its one
+encoder, which maps a check sequence to its odd and even halves'
+encodings in one pass (the improved variant's, one Toeplitz product).
 
 Announcements and flying qubits pass through a channel compiled from an
 adversary strategy (``_compile``).  A strategy's tap treats each flying
@@ -30,15 +29,15 @@ states: the channel's class rows are measured once, and each session
 draws its pairs' bits from the resulting per-class tables.
 
 A strategy's classical tap XORs one constant onto every announced bit, and
-both encodings are linear over GF(2), so a side's mismatches are the set
-bits of the encoded difference of the two records, XOR that constant.  A
-session forms the difference once, cuts only it at the check positions,
-and counts the raw keys' disagreements and both sides' mismatches from it
-(``_difference_check``).  A difference that is zero at every check
-position, as in every honest session, encodes to zeros with no key
-expansion and no product.  The raw keys and the four announcements are
-cut and built when a reader first asks for them (``SessionOutcome``,
-``CheckResult``, ``_announcements``).
+two records' announced (tagged) encodings differ by the untagged encoding
+of their difference, so a side's mismatches are the set bits of that,
+XOR that constant.  A session forms the difference once, cuts only it at
+the check positions, and counts the raw keys' disagreements and both
+sides' mismatches from it (``_difference_check``).  A difference that is
+zero at every check position, as in every honest session, encodes to
+zeros with no key expansion and no product.  The raw keys are cut, and
+the announcements encoded from one tagged sequence, when a reader first
+asks for them (``SessionOutcome``, ``CheckResult``, ``_announcements``).
 
 A session that seeds its own generator makes its draws (master keys,
 uniforms, privacy-amplification seed) in one call where it can
@@ -66,7 +65,7 @@ import numpy as np
 
 from . import adversary as _adversary  # which imports this module: read its names only at call time
 from .bits import TrialStreams, _check_size, _random_runs, as_bits, random_bits, to01
-from .hashing import _digest_keys, _expand, _toeplitz_product
+from .hashing import _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
 VARIANT_ORIGINAL = "original"
@@ -81,13 +80,13 @@ MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # 2), and its quantum stage holds a few more arrays of 2n labels or bits,
 # at most 8 bytes an entry, so MAX_N = 2**20 caps each array at 16 MiB and
 # the block at 48 MiB; the records' difference and its check cut are two
-# more of 2n bytes.  The improved variant's check expands the hash key to
-# about n + hash_bits bits, one byte each, and multiplies two float64
-# buffers: the difference laid out in about 16(n + 1) bytes (16 MiB at
+# more of 2n bytes.  The improved variant's check, and a read of its
+# announcements, each expand the hash key to width + 2 * hash_bits - 1
+# bits (width = n + 1 at most), one byte each, and multiply two float64
+# buffers: a check sequence (the difference, or the announced wire
+# sequence) laid out in 2 * width slots, about 16(n + 1) bytes (16 MiB at
 # MAX_N), and the float copy of the matrix key, 8 bytes a key bit (about
-# 9 MiB at MAX_N and MAX_HASH_BITS = 2**16).  Reading its announcements
-# expands the key to about n + 2 * hash_bits bits and lays both announced
-# halves out in about 16(n + 1) bytes instead.  A run's trial count and
+# 9 MiB at MAX_N and MAX_HASH_BITS = 2**16).  A run's trial count and
 # the PA output length allocate nothing that grows with them (sessions run
 # one at a time; a PA output longer than the raw key aborts), so they have
 # no cap.
@@ -479,84 +478,62 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
     return bob.view(np.uint8), alice.view(np.uint8)
 
 
-def _plain_halves(alice_check, bob_check, hash_key, hash_bits):
-    """The original variant's announcements: Alice's even half and Bob's
-    odd half, each as itself, a view of the check sequence the session cut."""
-    return alice_check[1::2], bob_check[0::2]
+def _plain_sides(check, hash_key, hash_bits, tagged):
+    """The original variant's encoding of a check sequence: its odd
+    (1-based) half and its even half, each as itself."""
+    return check[0::2], check[1::2]
 
 
-def _digest_halves(alice_check, bob_check, hash_key, hash_bits) -> tuple:
-    """The improved variant's announcements: the hash_bits-bit keyed
-    Toeplitz digests of Alice's even half and of Bob's odd half, each with
-    its direction bit prepended.
+def _digest_sides(check, hash_key, hash_bits, tagged):
+    """The improved variant's encoding of a check sequence: the
+    hash_bits-bit keyed Toeplitz digests of its odd (1-based) half and of
+    its even half, as the rows of one array.
 
-    Both tagged halves are laid out in one zero buffer of two rows of
-    ``width`` slots, width = odd half + 1: ``[DIRECTION_EVEN, even...]``
-    and ``[DIRECTION_ODD, odd...]``, the shorter even half zero-padded.
-    Both directions' matrix keys are prefixes of one key stream, so the
-    two go through one product against the longest key; only the masks
-    differ by direction, and one XOR applies both.
+    A zero buffer of ``2 * width`` slots, width = odd half + 1, holds the
+    sequence from slot 2, so its ``(width, 2)`` view transposed is the two
+    halves, each after a tag slot, the even half zero-padded.  Both matrix
+    keys are prefixes of one stream of the hash key, so one expansion and
+    one product hash both.  ``tagged`` (as announced) writes the direction
+    bits into the tag slots and XORs each side's mask, the hash_bits stream
+    bits after its own matrix key.  Untagged, the encoding is ``T·x``, so
+    two sequences' tagged encodings XOR to their difference's untagged one,
+    and an untagged sequence with no set bit, as every honest session's
+    difference is, encodes to zeros with no expansion and no product.
     """
-    size = len(alice_check)
-    width = (size + 1) // 2 + 1
-    key, masks = _digest_keys(hash_key, (size // 2 + 1, width), hash_bits)
-    tagged = np.zeros((2, width))
-    tagged[:, 0] = DIRECTION_EVEN, DIRECTION_ODD
-    tagged[0, 1 : 1 + size // 2] = alice_check[1::2]
-    tagged[1, 1:] = bob_check[0::2]
-    digests = _toeplitz_product(key, tagged)
-    digests ^= masks
-    return digests[0], digests[1]
-
-
-def _plain_differences(check_differ, hash_key, hash_bits):
-    """The original variant's encoding of the two records' difference at
-    the check positions: its odd half, where what Alice receives can differ
-    from what she retains, and its even half, Bob's side."""
-    return check_differ[0::2], check_differ[1::2]
-
-
-def _digest_differences(check_differ, hash_key, hash_bits) -> np.ndarray:
-    """The improved variant's encoding of the records' difference: the
-    digest matrix times each of its halves with a 0 tag, as the rows
-    (Alice's side, Bob's side) of one array.
-
-    What a side receives, before any tap, XOR what it expects is ``T·x ^
-    mask`` XOR ``T·y ^ mask`` for the two records' halves of one parity,
-    each with the same direction tag: by linearity ``T·(x ^ y)``, in which
-    the tags and the mask cancel.  A zero buffer of ``2 * width`` slots
-    holds the difference from slot 2, so its ``(width, 2)`` view
-    transposed is the two zero-tagged halves padded to width, and one
-    product against the longest matrix key hashes both.
-
-    A difference with no set bit, which every honest session has (and an
-    empty check set too), encodes to ``T·0``: zeros, with no key expansion
-    and no product.
-    """
-    if not np.count_nonzero(check_differ):
+    if not tagged and not np.count_nonzero(check):
         return np.zeros((2, hash_bits), dtype=np.uint8)
-    size = len(check_differ)
+    size = len(check)
     width = (size + 1) // 2 + 1
     laid_out = np.zeros(2 * width)
-    laid_out[2 : 2 + size] = check_differ
-    return _toeplitz_product(_expand(hash_key, width + hash_bits - 1), laid_out.reshape(width, 2).T)
+    if tagged:
+        laid_out[:2] = DIRECTION_ODD, DIRECTION_EVEN
+    laid_out[2 : 2 + size] = check
+    stream = _expand(hash_key, width + 2 * hash_bits - 1)
+    sides = _toeplitz_product(stream[: width + hash_bits - 1], laid_out.reshape(width, 2).T)
+    if tagged:
+        sides[0] ^= stream[width + hash_bits - 1 :]
+        sides[1] ^= stream[size // 2 + hash_bits : size // 2 + 2 * hash_bits]
+    return sides
 
 
-# Each variant's exchange: its encoder, its difference encoder and the
-# mismatch fraction a side passes at (None: the session's tau).  A digest
-# of >= 1 bit passes at tau = 0 exactly when every bit matches.
+# Each variant's exchange: its encoder and the mismatch fraction a side
+# passes at (None: the session's tau).  A digest of >= 1 bit passes at
+# tau = 0 exactly when every bit matches.
 _EXCHANGES = {
-    VARIANT_ORIGINAL: (_plain_halves, _plain_differences, None),
-    VARIANT_IMPROVED: (_digest_halves, _digest_differences, 0.0),
+    VARIANT_ORIGINAL: (_plain_sides, None),
+    VARIANT_IMPROVED: (_digest_sides, 0.0),
 }
 
 
 def _announcements(alice_check, bob_check, variant: str, flip: int, hash_key, hash_bits: int) -> tuple:
     """What each side announced and what each received, in ``CheckResult``'s
-    order: the variant's encoding of Alice's even half and of Bob's odd half
-    of the two check sequences, each XOR the channel's ``flip`` on its way
-    to the other side."""
-    announced_by_alice, announced_by_bob = _EXCHANGES[variant][0](alice_check, bob_check, hash_key, hash_bits)
+    order: the variant's tagged encoding of Alice's even half and of Bob's
+    odd half of the two check sequences, each XOR the channel's ``flip`` on
+    its way to the other side.  Both come from one encoding of the wire
+    sequence, Alice's check sequence with Bob's odd half in its place."""
+    wire = alice_check.copy()
+    wire[0::2] = bob_check[0::2]
+    announced_by_bob, announced_by_alice = _EXCHANGES[variant][0](wire, hash_key, hash_bits, True)
     return announced_by_alice, announced_by_bob, announced_by_bob ^ flip, announced_by_alice ^ flip
 
 
@@ -565,16 +542,17 @@ def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_ke
     the two records' XOR at the check positions, with no announcement built.
 
     Each side compares what it receives against the encoding of its own
-    retained half of the same parity.  Every encoding is linear and the
-    channel XORs the constant ``flip`` onto each announced bit, so a side's
-    mismatches are the set bits of its side of the variant's difference
+    retained half of the same parity.  Two sequences' tagged encodings
+    differ by the untagged encoding of their difference, and the channel
+    XORs the constant ``flip`` onto each announced bit, so a side's
+    mismatches are the set bits of its side of ``check_differ``'s untagged
     encoding, XOR flip.  A side passes when it compared nothing or its
     mismatch fraction is <= tau (the variant's own tau when it has one).
     ``derive`` returns the record's arrays when they are read
     (``CheckResult``).
     """
-    _, encode_difference, fixed_tau = _EXCHANGES[variant]
-    alice_side, bob_side = encode_difference(check_differ, hash_key, hash_bits)
+    encode, fixed_tau = _EXCHANGES[variant]
+    alice_side, bob_side = encode(check_differ, hash_key, hash_bits, False)
     compared_alice, compared_bob = len(alice_side), len(bob_side)
     mism_alice, mism_bob = int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side))
     if flip:
@@ -602,15 +580,15 @@ def run_session(
 
     ``adversary`` is None for an honest channel, an
     adversary.AdversaryStrategy, or a channel ``count_sessions`` compiled
-    from one of these.  ``seed`` may be an int, a SeedSequence, or a
-    Generator; identical (params, adversary, seed, keys) inputs give a
-    bit-identical SessionOutcome.  ``keys`` forces the master keys instead
-    of sampling them from the session rng.
+    from one of these.  ``seed`` is a non-negative int, a SeedSequence, a
+    Generator or a bit generator; identical (params, adversary, seed,
+    keys) inputs give a bit-identical SessionOutcome.  ``keys`` forces the
+    master keys instead of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
-    construction (and the keys' size here), the adversary before anything
-    is drawn.  Everything else is an array the session built, so it calls
-    the unchecked cores.
+    construction (and the keys' size here), the seed and the adversary
+    before anything is drawn.  Everything else is an array the session
+    built, so it calls the unchecked cores.
 
     A session draws its master keys, Eve's row of uniforms if she
     measures, Bob's and Alice's rows of uniforms and, if it was not
@@ -635,6 +613,11 @@ def run_session(
     (``_announcements``) and the session keys are derived on their first
     read (``SessionOutcome``, ``CheckResult``).
     """
+    # A Generator first: count_sessions passes one per trial.
+    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)) and (
+        isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0
+    ):
+        raise ValueError(f"seed: must be a non-negative int, a SeedSequence or a Generator, got {seed!r}")
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
     own_stream = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     channel = _compile(adversary)

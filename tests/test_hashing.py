@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sqkdlab
 from sqkdlab.bits import as_bits, flip, random_bits
 from sqkdlab import hashing
-from sqkdlab.hashing import _digest_keys, _expand, _toeplitz_product, privacy_amplify
+from sqkdlab.hashing import _expand, _toeplitz_product, privacy_amplify
 from sqkdlab.protocol import MIN_HASH_KEY_BITS
 
 from oracles import expand, toeplitz_matrix
@@ -141,21 +141,6 @@ def test_expansion_is_prefix_stable(seed_len, a, b, seed):
     assert np.array_equal(_expand(seed_bits, a), _expand(seed_bits, b)[:a])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 200), st.integers(0, 200), st.integers(1, 100), st.integers(0, 2**32 - 1))
-def test_single_stream_specs_equal_per_length_expansion(in_even, in_odd, out_len, seed):
-    # Each input length's (matrix key, mask) is its own expansion of the
-    # hash key, split after in_len + out_len - 1 bits; its matrix key is a
-    # prefix of the one matrix key returned, the longest length's.
-    hash_key = random_bits(np.random.default_rng(seed), MIN_HASH_KEY_BITS + seed % 64)
-    key, masks = _digest_keys(hash_key, (in_even, in_odd), out_len)
-    assert len(key) == max(in_even, in_odd) + out_len - 1
-    for in_len, mask in zip((in_even, in_odd), masks):
-        stream = _expand(hash_key, in_len + 2 * out_len - 1)
-        assert np.array_equal(key[: in_len + out_len - 1], stream[: in_len + out_len - 1])
-        assert np.array_equal(mask, stream[in_len + out_len - 1 :])
-
-
 def test_derived_specs_behave_universally():
     # Pooled collision frequency over random hash keys stays near the 2**-4
     # pairwise bound for 4-bit inputs and outputs.
@@ -164,7 +149,9 @@ def test_derived_specs_behave_universally():
     pairs = list(itertools.combinations(range(len(inputs)), 2))
     collisions = trials = 0
     for _ in range(200):
-        key, (mask,) = _digest_keys(random_bits(rng, 128), (4,), 4)
+        # A session's layout: the matrix key is the stream's first 7 bits, the mask its next 4.
+        stream = _expand(random_bits(rng, 128), 11)
+        key, mask = stream[:7], stream[7:]
         digests = [_toeplitz_product(key, x) ^ mask for x in inputs]
         for i, j in pairs:
             collisions += np.array_equal(digests[i], digests[j])

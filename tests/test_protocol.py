@@ -482,6 +482,14 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     with mock.patch.object(hashing, "_BLOCK_ITEMS", block_items):
         improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, int(tampered))
         improved.announced_by_alice  # derive the digests under the small block cap
+        # The identity one encoder per variant rests on: side by side, two
+        # sequences' tagged encodings XOR to their difference's untagged one.
+        for variant in VARIANTS:
+            encode, key = protocol._EXCHANGES[variant][0], as_bits(hash_key)
+            alice_sides, bob_sides = (encode(check, key, digest_len, True) for check in (alice_check, bob_check))
+            differ_sides = encode(alice_check ^ bob_check, key, digest_len, False)
+            for side in range(2):
+                assert np.array_equal(alice_sides[side] ^ bob_sides[side], differ_sides[side])
     assert np.array_equal(improved.announced_by_alice, digest(0, alice_even))
     assert np.array_equal(improved.announced_by_bob, digest(1, bob_odd))
     # (side, what the other side announced, the side's own half, its direction)
@@ -700,6 +708,16 @@ def test_any_other_adversary_is_rejected_by_field_name():
     assert rng.bit_generator.state == before
     with pytest.raises(ValueError, match=message):
         count_sessions(ProtocolParams(n=2), OldTap(), TrialStreams((0,), 3))
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, "x", [1, 2]])
+def test_a_seed_outside_the_contract_is_rejected_by_field_name(seed):
+    # None would draw OS entropy and True would run as seed 1, breaking the
+    # promise that equal inputs give equal sessions; the others would fail
+    # inside numpy.  Each is named before the channel is compiled.
+    with mock.patch.object(protocol, "_compile", side_effect=AssertionError("compiled before the seed check")):
+        with pytest.raises(ValueError, match=r"^seed: must be a non-negative int, a SeedSequence or a Generator, got "):
+            run_session(ProtocolParams(n=2), None, seed=seed)
 
 
 def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
