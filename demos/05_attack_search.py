@@ -7,7 +7,7 @@ once, so only those gates survive the check when the announcements are
 flipped, and against the improved variant nothing does.
 """
 
-from sqkdlab.adversary import search_attacks
+from sqkdlab.harness import search_attacks
 
 for variant in ("original", "improved"):
     results = search_attacks(variant, trials=300, n=16, seed=3)

@@ -6,14 +6,8 @@ comparison, and demonstrates that announcing keyed universal-hash digests
 of the check bits detects it.
 """
 
-from .adversary import (
-    AdversaryStrategy,
-    AttackSearchResult,
-    intercept_resend_attack,
-    modification_attack,
-    search_attacks,
-)
-from .harness import AggregateReport, RunConfig, replay_paper_example, run_batch, run_search
+from .adversary import AdversaryStrategy, AttackSearchResult, intercept_resend_attack, modification_attack
+from .harness import AggregateReport, RunConfig, replay_paper_example, run_batch, run_search, search_attacks
 from .hashing import privacy_amplify
 from .protocol import (
     VARIANT_IMPROVED,

@@ -1,4 +1,4 @@
-"""Channel-interposition strategies and the attack-space sweep.
+"""Channel-interposition strategies and their wire form.
 
 An AdversaryStrategy pairs a quantum-channel policy (do nothing, apply one
 fixed gate to every flying qubit, or intercept-resend in the Z basis) with
@@ -12,16 +12,16 @@ variant undetected: spin-flip every flying qubit (making the halves of
 every pair disagree in both bases) and complement every announcement (so
 each received half again matches the receiver's retained half).
 
-``search_attacks`` brute-forces the (gate, classical) strategy space with
-fresh keys per trial and reports detection and key-corruption frequencies.
+``SEARCH_GATE_NAMES`` x ``CLASSICAL_POLICIES`` is the strategy space that
+``harness.search_attacks`` sweeps, and ``AttackSearchResult`` is one row of
+its report.  This module imports only ``qsim``: the protocol compiles a
+strategy into a channel, and the harness runs the sweep.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import TrialStreams
-from .protocol import ProtocolParams, _check_trials_and_seed, count_sessions
 from .qsim import BOB, GATE_NAMES, apply_gate_batch, standard_gate, z_branches
 
 QUANTUM_NONE = "none"
@@ -157,43 +157,3 @@ class AttackSearchResult:
             "key_corruption_rate": self.key_corruption_rate,
             "trials": self.trials,
         }
-
-
-def search_attacks(
-    variant: str,
-    trials: int = 1000,
-    n: int = 16,
-    seed: int = 0,
-    tau: float = 0.0,
-    hash_bits: int = 64,
-) -> list[AttackSearchResult]:
-    """Evaluate every (gate, classical) strategy over fresh keys per trial.
-
-    detection_rate counts trials where some party failed its check;
-    key_corruption_rate counts trials where the raw keys disagree.  Results
-    come back sorted by (detection_rate ascending, key_corruption_rate
-    descending, strategy label), most dangerous strategies first.  trials
-    and seed follow the rules of RunConfig and are checked before any
-    session runs.
-    """
-    _check_trials_and_seed(trials, seed)
-    params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=hash_bits)
-    strategies = [
-        AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
-        for g in SEARCH_GATE_NAMES
-        for c in CLASSICAL_POLICIES
-    ]
-    results = []
-    for index, strategy in enumerate(strategies):
-        counts = count_sessions(params, strategy, TrialStreams((seed, index), trials))
-        results.append(
-            AttackSearchResult(
-                strategy=strategy,
-                detection_rate=counts.detected / trials,
-                key_corruption_rate=(trials - counts.matched) / trials,
-                trials=trials,
-            )
-        )
-    # describe() lists the quantum label, then the classical one.
-    results.sort(key=lambda r: (r.detection_rate, -r.key_corruption_rate, *r.strategy.describe().values()))
-    return results

@@ -112,11 +112,6 @@ def _raw_bit_runs(bit_generator: np.random.PCG64, sizes: list) -> list:
     return runs
 
 
-def flip(bits) -> np.ndarray:
-    """Bitwise complement."""
-    return np.bitwise_xor(as_bits(bits), 1)
-
-
 def to01(bits) -> str:
     """Render as a compact '0101' string: the checked bits shifted onto the
     ASCII digits in one array step."""

@@ -1,11 +1,15 @@
-"""Monte-Carlo batches, aggregate reports, and the worked-example replay.
+"""Monte-Carlo batches, the attack-space sweep, reports, and the worked-example replay.
 
 run_batch executes ``trials`` independent sessions with per-trial rng
 streams derived from (seed, trial index), a splittable scheme under which
 serial and parallel execution aggregate identically, and reduces the
-outcomes to trial frequencies.  Reports render to JSON or CSV with the
-same numeric values; two runs of the same config produce byte-identical
-JSON apart from wall_time_ms.
+outcomes to trial frequencies.  search_attacks runs every (gate,
+classical) strategy of ``adversary``'s search space the same way, strategy
+``index`` on the streams of (seed, index), and reports detection and
+key-corruption frequencies.  Both check trials and seed once
+(``_check_trials_and_seed``) and count in ``protocol.count_sessions``.
+Reports render to JSON or CSV with the same numeric values; two runs of
+the same config produce byte-identical JSON apart from wall_time_ms.
 """
 
 import csv
@@ -18,20 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import (
+    CLASSICAL_POLICIES,
+    QUANTUM_GATE_ALL,
+    SEARCH_GATE_NAMES,
     AdversaryStrategy,
     AttackSearchResult,
     intercept_resend_attack,
     modification_attack,
-    search_attacks,
 )
-from .bits import TrialStreams, as_bits, to01, trial_stream
+from .bits import TrialStreams, as_bits, to01
 from .protocol import (
     VARIANT_ORIGINAL,
     VARIANTS,
     MasterKeys,
     ProtocolParams,
     SessionOutcome,
-    _check_trials_and_seed,
     count_sessions,
     run_session,
 )
@@ -43,6 +48,21 @@ ATTACK_CUSTOM = "custom"
 ATTACKS = (ATTACK_NONE, ATTACK_MODIFICATION, ATTACK_INTERCEPT_RESEND, ATTACK_CUSTOM)
 
 OUTPUT_FORMATS = ("json", "csv")
+MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
+
+
+def _check_trials_and_seed(trials, seed) -> None:
+    """Reject a run's trial count or master seed with an error naming the field.
+
+    Both must be Python ints, not numpy integers: a report echoes them to JSON as they are.
+    """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}: must be a Python int, got {value!r}")
+    if trials < 1:
+        raise ValueError(f"trials: must be >= 1, got {trials}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed}")
 
 
 @dataclass
@@ -143,11 +163,6 @@ class AggregateReport:
         return dict(vars(self))
 
 
-def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
-    """Trial ``trial_index``'s rng stream in a batch: its prefix is (master seed,)."""
-    return trial_stream((master_seed,), trial_index)
-
-
 def run_batch(config: RunConfig) -> AggregateReport:
     """Run ``config.trials`` independent sessions and aggregate them.
 
@@ -173,6 +188,46 @@ def run_batch(config: RunConfig) -> AggregateReport:
         vacuous_check_sessions=counts.vacuous,
         wall_time_ms=elapsed_ms,
     )
+
+
+def search_attacks(
+    variant: str,
+    trials: int = 1000,
+    n: int = 16,
+    seed: int = 0,
+    tau: float = 0.0,
+    hash_bits: int = 64,
+) -> list[AttackSearchResult]:
+    """Evaluate every (gate, classical) strategy over fresh keys per trial.
+
+    detection_rate counts trials where some party failed its check;
+    key_corruption_rate counts trials where the raw keys disagree.  Results
+    come back sorted by (detection_rate ascending, key_corruption_rate
+    descending, strategy label), most dangerous strategies first.  trials
+    and seed follow the rules of RunConfig and are checked before any
+    session runs.
+    """
+    _check_trials_and_seed(trials, seed)
+    params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=hash_bits)
+    strategies = [
+        AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
+        for g in SEARCH_GATE_NAMES
+        for c in CLASSICAL_POLICIES
+    ]
+    results = []
+    for index, strategy in enumerate(strategies):
+        counts = count_sessions(params, strategy, TrialStreams((seed, index), trials))
+        results.append(
+            AttackSearchResult(
+                strategy=strategy,
+                detection_rate=counts.detected / trials,
+                key_corruption_rate=(trials - counts.matched) / trials,
+                trials=trials,
+            )
+        )
+    # describe() lists the quantum label, then the classical one.
+    results.sort(key=lambda r: (r.detection_rate, -r.key_corruption_rate, *r.strategy.describe().values()))
+    return results
 
 
 def run_search(config: RunConfig) -> list[AttackSearchResult]:

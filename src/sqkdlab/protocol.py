@@ -23,7 +23,8 @@ encoder, which maps a check sequence to its odd and even halves'
 encodings in one pass (the improved variant's, one Toeplitz product).
 
 Announcements and flying qubits pass through a channel compiled from an
-adversary strategy (``_compile``).  A strategy's tap treats each flying
+``adversary.AdversaryStrategy`` (``_compile``); the strategies know
+nothing of this module.  A strategy's tap treats each flying
 qubit alike, so a session's pairs are copies of at most four distinct
 states: the channel's class rows are measured once, and each session
 draws its pairs' bits from the resulting per-class tables.
@@ -43,8 +44,9 @@ A session that seeds its own generator makes its draws (master keys,
 uniforms, privacy-amplification seed) in one call where it can
 (``run_session``), and checks only what comes from outside: its inputs.
 A batch's sessions run on one reused generator, set to each trial's
-stream in turn (``count_sessions``), and draw as if each had seeded its
-own.
+stream in turn (``count_sessions``, the trial loop of both
+``harness.run_batch`` and ``harness.search_attacks``), and draw as if
+each had seeded its own.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -63,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import adversary as _adversary  # which imports this module: read its names only at call time
+from .adversary import AdversaryStrategy
 from .bits import TrialStreams, _check_size, _random_runs, as_bits, random_bits, to01
 from .hashing import _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
@@ -74,7 +76,6 @@ VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 
 MIN_HASH_KEY_BITS = 128
 PA_SEED_BITS = 128
-MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 # Size caps, checked before anything is allocated.  A session's uniform
 # block is k arrays of 2n doubles end to end (k = 3 when Eve measures, else
 # 2), and its quantum stage holds a few more arrays of 2n labels or bits,
@@ -437,7 +438,7 @@ def _compile(adversary) -> _Channel:
         return adversary
     if adversary is None:
         return _HONEST
-    if not isinstance(adversary, _adversary.AdversaryStrategy):
+    if not isinstance(adversary, AdversaryStrategy):
         raise ValueError(f"adversary: must be None or an AdversaryStrategy, got {adversary!r}")
     p_eve, rows = adversary._tap_classes(_PREPARED_ROWS)
     # Rows come op bit first: (op 0, op 1), or (op, Eve's bit) in order.
@@ -680,20 +681,6 @@ def run_session(
         _raw_differ=raw_differ,
         _pa_bits=pa_bits,
     )
-
-
-def _check_trials_and_seed(trials, seed) -> None:
-    """Reject a run's trial count or master seed with an error naming the field.
-
-    Both must be Python ints, not numpy integers: a report echoes them to JSON as they are.
-    """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name}: must be a Python int, got {value!r}")
-    if trials < 1:
-        raise ValueError(f"trials: must be >= 1, got {trials}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed}")
 
 
 def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:

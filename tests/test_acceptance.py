@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
-from sqkdlab.bits import as_bits, random_bits
+from sqkdlab.bits import as_bits, random_bits, trial_stream
 from sqkdlab.cli import main
-from sqkdlab.harness import WALKTHROUGH_EXPECTED, RunConfig, replay_paper_example, run_batch, trial_seed
+from sqkdlab.harness import WALKTHROUGH_EXPECTED, RunConfig, replay_paper_example, run_batch, search_attacks
 from sqkdlab.hashing import _toeplitz_product
-from sqkdlab.adversary import intercept_resend_attack, search_attacks
+from sqkdlab.adversary import intercept_resend_attack
 from sqkdlab.protocol import ProtocolParams, run_session
 from sqkdlab.qsim import (
     ALICE,
@@ -85,7 +85,7 @@ def test_criterion_5_intercept_resend_baseline(capsys):
     strategy = intercept_resend_attack()
     mismatched = compared = 0
     for trial in range(1700):
-        out = run_session(params, strategy, seed=trial_seed(14, trial))
+        out = run_session(params, strategy, seed=trial_stream((14,), trial))
         mismatched += out.check.check_mismatches_alice + out.check.check_mismatches_bob
         compared += out.check.compared_bits_alice + out.check.compared_bits_bob
     assert compared >= 100_000

@@ -9,9 +9,9 @@ from sqkdlab.adversary import (
     AdversaryStrategy,
     intercept_resend_attack,
     modification_attack,
-    search_attacks,
 )
 from sqkdlab.bits import to01
+from sqkdlab.harness import search_attacks
 from sqkdlab.protocol import (
     VARIANT_ORIGINAL,
     MasterKeys,
@@ -247,7 +247,7 @@ def test_search_rejects_bad_trials(field, value, monkeypatch):
     def no_sessions(*args, **kwargs):
         raise AssertionError("a session ran before the inputs were checked")
 
-    monkeypatch.setattr("sqkdlab.adversary.count_sessions", no_sessions)
+    monkeypatch.setattr("sqkdlab.harness.count_sessions", no_sessions)
     with pytest.raises(ValueError, match=rf"^{field}:"):
         search_attacks(VARIANT_ORIGINAL, n=2, **{field: value})
 

@@ -9,7 +9,6 @@ from sqkdlab.bits import (
     _pcg64_states,
     _random_runs,
     as_bits,
-    flip,
     random_bits,
     to01,
     trial_stream,
@@ -89,12 +88,6 @@ def test_random_bit_runs_equal_successive_random_bits_draws(runs, bits_before, b
         assert got.tobytes() == expected.tobytes()
     assert np.array_equal(ours.random(3), reference.random(3))
     assert np.array_equal(random_bits(ours, 24), random_bits(reference, 24))
-
-
-@given(st.lists(st.integers(0, 1), max_size=100))
-def test_flip_is_involution(bits):
-    arr = as_bits(bits)
-    assert np.array_equal(flip(flip(arr)), arr)
 
 
 @given(st.lists(st.integers(0, 1), max_size=100))

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from sqkdlab.adversary import intercept_resend_attack, modification_attack
-from sqkdlab.harness import RunConfig, run_batch, run_search, trial_seed
+from sqkdlab.bits import trial_stream
+from sqkdlab.harness import RunConfig, run_batch, run_search
 from sqkdlab.protocol import ProtocolParams, run_session
 
 
@@ -77,5 +78,5 @@ TRANSCRIPT_CASES = {
 @pytest.mark.parametrize("case", sorted(TRANSCRIPT_CASES))
 def test_session_transcripts_pinned(case):
     params, adversary, pin = TRANSCRIPT_CASES[case]
-    transcripts = [run_session(params, adversary, seed=trial_seed(11, t)).to_dict() for t in range(24)]
+    transcripts = [run_session(params, adversary, seed=trial_stream((11,), t)).to_dict() for t in range(24)]
     assert digest(transcripts) == pin

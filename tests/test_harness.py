@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkdlab.adversary import search_attacks
+from sqkdlab.bits import trial_stream
 from sqkdlab.cli import main
 from sqkdlab.harness import (
     WALKTHROUGH_EXPECTED,
@@ -29,7 +29,7 @@ from sqkdlab.harness import (
     replay_paper_example,
     run_batch,
     run_search,
-    trial_seed,
+    search_attacks,
 )
 from sqkdlab.protocol import MAX_HASH_BITS, MAX_N, VARIANTS, ProtocolParams, run_session
 
@@ -148,9 +148,9 @@ def test_reports_from_numpy_and_fraction_inputs_render_like_plain_ones():
 
 
 def test_trial_seed_derivation_is_stable():
-    a = np.random.default_rng(trial_seed(7, 3)).integers(0, 2**32)
-    b = np.random.default_rng(trial_seed(7, 3)).integers(0, 2**32)
-    c = np.random.default_rng(trial_seed(7, 4)).integers(0, 2**32)
+    a = np.random.default_rng(trial_stream((7,), 3)).integers(0, 2**32)
+    b = np.random.default_rng(trial_stream((7,), 3)).integers(0, 2**32)
+    c = np.random.default_rng(trial_stream((7,), 4)).integers(0, 2**32)
     assert a == b
     assert a != c
 
@@ -532,7 +532,7 @@ def test_report_invariants_over_random_configs(config):
 
     # Replay the batch's sessions to see what the rates cannot show.
     params, strategy = config.to_params(), config.resolve_strategy()
-    outcomes = [run_session(params, strategy, seed=trial_seed(config.seed, t)) for t in range(config.trials)]
+    outcomes = [run_session(params, strategy, seed=trial_stream((config.seed,), t)) for t in range(config.trials)]
     empty_raw = sum(len(out.alice_raw_key) == 0 for out in outcomes)
     pa_aborts = sum(out.abort_reason == "pa-output-exceeds-raw-key" for out in outcomes)
     matched = round(report.key_match_rate * config.trials)

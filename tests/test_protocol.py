@@ -16,9 +16,9 @@ from sqkdlab.adversary import (
     AdversaryStrategy,
     intercept_resend_attack,
     modification_attack,
-    search_attacks,
 )
-from sqkdlab.bits import TrialStreams, as_bits, flip, random_bits, to01
+from sqkdlab.bits import TrialStreams, as_bits, random_bits, to01
+from sqkdlab.harness import search_attacks
 from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import (
     MAX_HASH_BITS,
@@ -412,7 +412,7 @@ def test_original_walkthrough_flipped_announcements_fool_both():
 def test_original_spin_flip_without_classical_flip_detected():
     # complementary measurement records, untampered announcements: every
     # compared bit mismatches
-    result = exchange_original("00110101", flip("00110101"))
+    result = exchange_original("00110101", "11001010")
     assert not result.alice_pass and not result.bob_pass
     assert result.check_mismatches_alice == result.compared_bits_alice
     assert result.check_mismatches_bob == result.compared_bits_bob
@@ -448,7 +448,7 @@ def test_improved_detects_flipped_digests():
 
 def test_improved_detects_complementary_records():
     kh = random_bits(np.random.default_rng(5), 128)
-    result = exchange_improved("00110101", flip("00110101"), kh, 64)
+    result = exchange_improved("00110101", "11001010", kh, 64)
     assert not result.alice_pass and not result.bob_pass
 
 
@@ -473,14 +473,14 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     alice_check = as_bits([a for a, _, _ in records])[is_check]
     bob_check = as_bits([b for _, b, _ in records])[is_check]
     (alice_odd, alice_even), (bob_odd, bob_even) = halves(alice_check), halves(bob_check)
-    deliver = flip if tampered else as_bits
+    flipped = int(tampered)
 
     def digest(direction, half):
         return reference_digest(hash_key, [direction, *half], digest_len)
 
-    original = exchange_original(alice_check, bob_check, tau, int(tampered))
+    original = exchange_original(alice_check, bob_check, tau, flipped)
     with mock.patch.object(hashing, "_BLOCK_ITEMS", block_items):
-        improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, int(tampered))
+        improved = exchange_improved(alice_check, bob_check, hash_key, digest_len, flipped)
         improved.announced_by_alice  # derive the digests under the small block cap
         # The identity one encoder per variant rests on: side by side, two
         # sequences' tagged encodings XOR to their difference's untagged one.
@@ -495,14 +495,14 @@ def test_exchanges_equal_a_direct_comparison(records, tau, tampered, hash_key, d
     # (side, what the other side announced, the side's own half, its direction)
     sides = (("alice", bob_odd, alice_odd, 1), ("bob", alice_even, bob_even, 0))
     for side, sent, own, direction in sides:
-        received = deliver(sent)
+        received = sent ^ flipped
         mismatches = int(np.count_nonzero(received != own))
         assert np.array_equal(getattr(original, f"received_by_{side}"), received)
         assert getattr(original, f"check_mismatches_{side}") == mismatches
         assert getattr(original, f"compared_bits_{side}") == len(own)
         assert getattr(original, f"{side}_pass") == (len(own) == 0 or mismatches / len(own) <= tau)
 
-        received = deliver(digest(direction, sent))
+        received = digest(direction, sent) ^ flipped
         mismatches = int(np.count_nonzero(received != digest(direction, own)))
         assert np.array_equal(getattr(improved, f"received_by_{side}"), received)
         assert getattr(improved, f"check_mismatches_{side}") == mismatches
@@ -949,8 +949,7 @@ def test_batches_and_sweeps_seed_trial_t_from_their_prefix_and_t(monkeypatch, se
         return report, [r.to_dict() for r in search_attacks("original", trials=6, n=4, seed=seed)]
 
     ours = reports()
-    monkeypatch.setattr(harness, "count_sessions", reference)
-    monkeypatch.setattr("sqkdlab.adversary.count_sessions", reference)
+    monkeypatch.setattr("sqkdlab.harness.count_sessions", reference)
     assert ours == reports()
     assert passed == [TrialStreams((seed,), 30), *(TrialStreams((seed, index), 6) for index in range(12))]
 
