@@ -7,10 +7,10 @@ once, so only those gates survive the check when the announcements are
 flipped, and against the improved variant nothing does.
 """
 
-from sqkdlab.harness import search_attacks
+from sqkdlab.harness import RunConfig, run_search
 
 for variant in ("original", "improved"):
-    results = search_attacks(variant, trials=300, n=16, seed=3)
+    results = run_search(RunConfig(protocol=variant, n=16, trials=300, seed=3))
     print(f"\n{variant} variant, 300 trials per strategy, n=16")
     print(f"  {'quantum':<22}{'classical':<11}{'detection':<11}key corruption")
     for r in results:

@@ -7,7 +7,7 @@ of the check bits detects it.
 """
 
 from .adversary import AdversaryStrategy, AttackSearchResult, intercept_resend_attack, modification_attack
-from .harness import AggregateReport, RunConfig, replay_paper_example, run_batch, run_search, search_attacks
+from .harness import AggregateReport, RunConfig, replay_paper_example, run_batch, run_search
 from .hashing import privacy_amplify
 from .protocol import (
     VARIANT_IMPROVED,
@@ -40,6 +40,5 @@ __all__ = [
     "run_batch",
     "run_search",
     "run_session",
-    "search_attacks",
     "standard_gate",
 ]

@@ -13,7 +13,7 @@ every pair disagree in both bases) and complement every announcement (so
 each received half again matches the receiver's retained half).
 
 ``SEARCH_GATE_NAMES`` x ``CLASSICAL_POLICIES`` is the strategy space that
-``harness.search_attacks`` sweeps, and ``AttackSearchResult`` is one row of
+``harness.run_search`` sweeps, and ``AttackSearchResult`` is one row of
 its report.  This module imports only ``qsim``: the protocol compiles a
 strategy into a channel, and the harness runs the sweep.
 """

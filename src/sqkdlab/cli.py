@@ -11,7 +11,6 @@ import sys
 
 from .harness import (
     ATTACKS,
-    OUTPUT_FORMATS,
     ReplayMismatch,
     RunConfig,
     render_report_csv,
@@ -23,6 +22,8 @@ from .harness import (
     run_search,
 )
 from .protocol import VARIANTS
+
+OUTPUT_FORMATS = ("json", "csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,8 +105,6 @@ def _config_from_args(args) -> RunConfig:
         hash_bits=args.hash_bits,
         pa_bits=getattr(args, "pa_bits", None),
         balanced_k2=getattr(args, "balanced_k2", False),
-        output_format=args.format,
-        output_path=args.out,
     )
 
 
@@ -125,15 +124,11 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if args.command == "run":
             report = run_batch(config)
-            text = render_report_json(report) if config.output_format == "json" else render_report_csv(report)
+            text = render_report_json(report) if args.format == "json" else render_report_csv(report)
         else:
             results = run_search(config)
-            text = (
-                render_search_json(results, config)
-                if config.output_format == "json"
-                else render_search_csv(results, config)
-            )
-        _emit(text, config.output_path)
+            text = render_search_json(results, config) if args.format == "json" else render_search_csv(results)
+        _emit(text, args.out)
     except (ValueError, OSError) as err:
         print(f"sqkdlab: error: {err}", file=sys.stderr)
         return 1

@@ -3,11 +3,11 @@
 run_batch executes ``trials`` independent sessions with per-trial rng
 streams derived from (seed, trial index), a splittable scheme under which
 serial and parallel execution aggregate identically, and reduces the
-outcomes to trial frequencies.  search_attacks runs every (gate,
-classical) strategy of ``adversary``'s search space the same way, strategy
-``index`` on the streams of (seed, index), and reports detection and
-key-corruption frequencies.  Both check trials and seed once
-(``_check_trials_and_seed``) and count in ``protocol.count_sessions``.
+outcomes to trial frequencies.  run_search runs every (gate, classical)
+strategy of ``adversary``'s search space the same way, strategy ``index``
+on the streams of (seed, index), and reports detection and key-corruption
+frequencies.  Both take a RunConfig, check it once (``validate``) and
+count in ``protocol.count_sessions``.
 Reports render to JSON or CSV with the same numeric values; two runs of
 the same config produce byte-identical JSON apart from wall_time_ms.
 """
@@ -47,29 +47,16 @@ ATTACK_INTERCEPT_RESEND = "intercept-resend"
 ATTACK_CUSTOM = "custom"
 ATTACKS = (ATTACK_NONE, ATTACK_MODIFICATION, ATTACK_INTERCEPT_RESEND, ATTACK_CUSTOM)
 
-OUTPUT_FORMATS = ("json", "csv")
 MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
-
-
-def _check_trials_and_seed(trials, seed) -> None:
-    """Reject a run's trial count or master seed with an error naming the field.
-
-    Both must be Python ints, not numpy integers: a report echoes them to JSON as they are.
-    """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name}: must be a Python int, got {value!r}")
-    if trials < 1:
-        raise ValueError(f"trials: must be >= 1, got {trials}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed}")
 
 
 @dataclass
 class RunConfig:
-    """Everything one batch needs; validate() reports the offending field.
+    """Everything one batch or sweep needs; validate() reports the offending field.
 
-    ProtocolParams (through to_params) checks the session values.
+    ProtocolParams (through to_params) checks the session values.  trials
+    and seed must be Python ints, not numpy integers: a report echoes them
+    to JSON as they are.
     """
 
     protocol: str = VARIANT_ORIGINAL
@@ -82,8 +69,6 @@ class RunConfig:
     hash_bits: int = 64
     pa_bits: int | None = None  # None = auto (half the raw key)
     balanced_k2: bool = False
-    output_format: str = "json"
-    output_path: str | None = None
 
     def validate(self) -> None:
         if self.protocol not in VARIANTS:
@@ -96,10 +81,15 @@ class RunConfig:
             raise ValueError(f"custom_strategy: only applies when attack is 'custom', got attack {self.attack!r}")
         if self.attack == ATTACK_CUSTOM:
             AdversaryStrategy.from_description(self.custom_strategy)  # its errors name the field at fault
-        _check_trials_and_seed(self.trials, self.seed)
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name}: must be a Python int, got {value!r}")
+        if self.trials < 1:
+            raise ValueError(f"trials: must be >= 1, got {self.trials}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         self.to_params()
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"output_format: must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
 
     def to_params(self) -> ProtocolParams:
         return ProtocolParams(
@@ -190,25 +180,25 @@ def run_batch(config: RunConfig) -> AggregateReport:
     )
 
 
-def search_attacks(
-    variant: str,
-    trials: int = 1000,
-    n: int = 16,
-    seed: int = 0,
-    tau: float = 0.0,
-    hash_bits: int = 64,
-) -> list[AttackSearchResult]:
+def run_search(config: RunConfig) -> list[AttackSearchResult]:
     """Evaluate every (gate, classical) strategy over fresh keys per trial.
 
     detection_rate counts trials where some party failed its check;
     key_corruption_rate counts trials where the raw keys disagree.  Results
     come back sorted by (detection_rate ascending, key_corruption_rate
-    descending, strategy label), most dangerous strategies first.  trials
-    and seed follow the rules of RunConfig and are checked before any
-    session runs.
+    descending, strategy label), most dangerous strategies first.
+
+    The sweep picks its own strategies and runs every session with auto
+    privacy amplification and uniform partitions, so a config that sets
+    any of those fields is rejected rather than echoed unused.
     """
-    _check_trials_and_seed(trials, seed)
-    params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=hash_bits)
+    config.validate()
+    for name in ("attack", "custom_strategy", "pa_bits", "balanced_k2"):
+        value, default = getattr(config, name), getattr(RunConfig, name)
+        if value != default:
+            raise ValueError(f"{name}: run_search does not use it; leave it at {default!r}, got {value!r}")
+    params = config.to_params()
+    trials = config.trials
     strategies = [
         AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
         for g in SEARCH_GATE_NAMES
@@ -216,7 +206,7 @@ def search_attacks(
     ]
     results = []
     for index, strategy in enumerate(strategies):
-        counts = count_sessions(params, strategy, TrialStreams((seed, index), trials))
+        counts = count_sessions(params, strategy, TrialStreams((config.seed, index), trials))
         results.append(
             AttackSearchResult(
                 strategy=strategy,
@@ -228,28 +218,6 @@ def search_attacks(
     # describe() lists the quantum label, then the classical one.
     results.sort(key=lambda r: (r.detection_rate, -r.key_corruption_rate, *r.strategy.describe().values()))
     return results
-
-
-def run_search(config: RunConfig) -> list[AttackSearchResult]:
-    """Sweep the full gate x classical strategy space under this config.
-
-    The sweep picks its own strategies and runs every session with auto
-    privacy amplification and uniform partitions, so a config that sets
-    any of those fields is rejected rather than echoed unused.
-    """
-    config.validate()
-    for name in ("attack", "custom_strategy", "pa_bits", "balanced_k2"):
-        value, default = getattr(config, name), getattr(RunConfig, name)
-        if value != default:
-            raise ValueError(f"{name}: run_search does not use it; leave it at {default!r}, got {value!r}")
-    return search_attacks(
-        variant=config.protocol,
-        trials=config.trials,
-        n=config.n,
-        seed=config.seed,
-        tau=config.tau,
-        hash_bits=config.hash_bits,
-    )
 
 
 # -- rendering -------------------------------------------------------------
@@ -276,7 +244,7 @@ def render_search_json(results: list[AttackSearchResult], config: RunConfig) -> 
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_search_csv(results: list[AttackSearchResult], config: RunConfig) -> str:
+def render_search_csv(results: list[AttackSearchResult]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf,

@@ -45,7 +45,7 @@ uniforms, privacy-amplification seed) in one call where it can
 (``run_session``), and checks only what comes from outside: its inputs.
 A batch's sessions run on one reused generator, set to each trial's
 stream in turn (``count_sessions``, the trial loop of both
-``harness.run_batch`` and ``harness.search_attacks``), and draw as if
+``harness.run_batch`` and ``harness.run_search``), and draw as if
 each had seeded its own.
 
 After a passing check both sides compress their raw keys into session keys
@@ -159,9 +159,10 @@ class ProtocolParams:
 
     Integers are any ``numbers.Integral`` but bool, stored as int; tau is
     any ``numbers.Real`` but bool, stored as float, so every accepted value
-    renders to JSON.  pa_bits None means "auto": half the raw-key length,
-    rounded down.  tau only applies to the original variant's bit-wise
-    comparison.  balanced_k2 forces exactly n raw and n check positions.
+    renders to JSON; -0.0 is stored as 0.0, so equal configs echo equal
+    reports.  pa_bits None means "auto": half the raw-key length, rounded
+    down.  tau only applies to the original variant's bit-wise comparison.
+    balanced_k2 forces exactly n raw and n check positions.
     """
 
     n: int
@@ -177,7 +178,7 @@ class ProtocolParams:
             raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
             raise ValueError(f"tau: must be a real number, got {self.tau!r}")
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", float(self.tau) + 0.0)
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau: must satisfy 0 <= tau < 1, got {self.tau}")
         object.__setattr__(self, "hash_bits", _check_size("hash_bits", self.hash_bits, MAX_HASH_BITS))
@@ -686,7 +687,7 @@ def run_session(
 def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
     """Run one session per seed in ``seeds`` and count what happened.
 
-    This is the package's one trial loop: run_batch and search_attacks
+    This is the package's one trial loop: run_batch and run_search
     differ only in the ``bits.TrialStreams`` they pass, so each keeps its
     own streams.  The adversary is compiled once, and every session draws
     from its tables.  A TrialStreams' sessions run on the one reused

@@ -11,7 +11,7 @@ import numpy as np
 
 from sqkdlab.bits import as_bits, random_bits, trial_stream
 from sqkdlab.cli import main
-from sqkdlab.harness import WALKTHROUGH_EXPECTED, RunConfig, replay_paper_example, run_batch, search_attacks
+from sqkdlab.harness import WALKTHROUGH_EXPECTED, RunConfig, replay_paper_example, run_batch, run_search
 from sqkdlab.hashing import _toeplitz_product
 from sqkdlab.adversary import intercept_resend_attack
 from sqkdlab.protocol import ProtocolParams, run_session
@@ -98,7 +98,7 @@ def test_criterion_5_intercept_resend_baseline(capsys):
 def test_criterion_6_attack_search(capsys):
     dangerous = {}
     for variant in ("original", "improved"):
-        results = search_attacks(variant, trials=1000, n=16, seed=15, tau=0.0, hash_bits=64)
+        results = run_search(RunConfig(protocol=variant, n=16, trials=1000, seed=15, tau=0.0, hash_bits=64))
         dangerous[variant] = {
             (r.strategy.gate, r.strategy.classical)
             for r in results

@@ -11,7 +11,7 @@ from sqkdlab.adversary import (
     modification_attack,
 )
 from sqkdlab.bits import to01
-from sqkdlab.harness import search_attacks
+from sqkdlab.harness import RunConfig, run_search
 from sqkdlab.protocol import (
     VARIANT_ORIGINAL,
     MasterKeys,
@@ -215,7 +215,7 @@ def test_intercept_resend_quarter_mismatch_rate():
 
 
 def test_search_smoke():
-    results = search_attacks(VARIANT_ORIGINAL, trials=40, n=8, seed=7)
+    results = run_search(RunConfig(protocol=VARIANT_ORIGINAL, n=8, trials=40, seed=7))
     assert len(results) == len(SEARCH_GATE_NAMES) * 2
     by_strategy = {(r.strategy.gate, r.strategy.classical): r for r in results}
     honest = by_strategy[("I", "none")]
@@ -249,7 +249,7 @@ def test_search_rejects_bad_trials(field, value, monkeypatch):
 
     monkeypatch.setattr("sqkdlab.harness.count_sessions", no_sessions)
     with pytest.raises(ValueError, match=rf"^{field}:"):
-        search_attacks(VARIANT_ORIGINAL, n=2, **{field: value})
+        run_search(RunConfig(protocol=VARIANT_ORIGINAL, n=2, **{field: value}))
 
 
 def test_numpy_trials_and_seed_are_refused_as_not_python_ints():
@@ -257,10 +257,10 @@ def test_numpy_trials_and_seed_are_refused_as_not_python_ints():
     # integer is refused, and the message says which kind of int is meant.
     for field in ("trials", "seed"):
         with pytest.raises(ValueError, match=rf"^{field}: must be a Python int, got np.int64\(3\)$"):
-            search_attacks(VARIANT_ORIGINAL, n=2, **{field: np.int64(3)})
+            run_search(RunConfig(protocol=VARIANT_ORIGINAL, n=2, **{field: np.int64(3)}))
 
 
 def test_search_result_wire_format():
-    result = search_attacks(VARIANT_ORIGINAL, trials=2, n=2, seed=0)[0]
+    result = run_search(RunConfig(protocol=VARIANT_ORIGINAL, n=2, trials=2, seed=0))[0]
     data = result.to_dict()
     assert set(data) == {"quantum", "classical", "detection_rate", "key_corruption_rate", "trials"}

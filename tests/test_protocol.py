@@ -18,7 +18,6 @@ from sqkdlab.adversary import (
     modification_attack,
 )
 from sqkdlab.bits import TrialStreams, as_bits, random_bits, to01
-from sqkdlab.harness import search_attacks
 from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import (
     MAX_HASH_BITS,
@@ -117,7 +116,7 @@ def test_size_caps_name_the_field_before_anything_is_drawn():
     with pytest.raises(ValueError, match=rf"^hash_bits: must be <= {MAX_HASH_BITS}, got {10**12}$"):
         ProtocolParams(n=1, hash_bits=10**12)
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
-        search_attacks("original", trials=1, n=10**9)
+        harness.run_search(harness.RunConfig(protocol="original", n=10**9, trials=1))
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
@@ -721,7 +720,7 @@ def test_a_seed_outside_the_contract_is_rejected_by_field_name(seed):
 
 
 def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
-    # count_sessions, under run_batch and search_attacks, reads counters
+    # count_sessions, under run_batch and run_search, reads counters
     # only; the raw keys, the announcements and the session keys are
     # derived on their first read, so a batch cuts no raw key, builds no
     # announcement and runs no privacy amplification.
@@ -736,7 +735,7 @@ def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
     monkeypatch.setattr(protocol, "run_session", recorded)
     harness.run_batch(harness.RunConfig(protocol="improved", n=6, trials=20, seed=3))
     harness.run_batch(harness.RunConfig(protocol="original", attack="modification", n=6, trials=10, seed=3))
-    search_attacks("original", trials=2, n=4, seed=1)
+    harness.run_search(harness.RunConfig(protocol="original", n=4, trials=2, seed=1))
     assert len(outcomes) == 20 + 10 + 2 * 12
     assert any(not out.aborted for out in outcomes)
     assert not any(name in vars(out) for out in outcomes for name in derived)
@@ -931,7 +930,7 @@ def test_trial_streams_give_the_sessions_of_their_seed_sequences(
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_batches_and_sweeps_seed_trial_t_from_their_prefix_and_t(monkeypatch, seed):
-    # run_batch passes the prefix (seed,), search_attacks (seed, index);
+    # run_batch passes the prefix (seed,), run_search (seed, index);
     # counted over each prefix's SeedSequences instead, every report is the
     # same.  A two-word seed makes entropies of three and four words.
     passed = []
@@ -946,7 +945,8 @@ def test_batches_and_sweeps_seed_trial_t_from_their_prefix_and_t(monkeypatch, se
     def reports():
         report = harness.run_batch(config).to_dict()
         report.pop("wall_time_ms")
-        return report, [r.to_dict() for r in search_attacks("original", trials=6, n=4, seed=seed)]
+        sweep = harness.run_search(harness.RunConfig(protocol="original", n=4, trials=6, seed=seed))
+        return report, [r.to_dict() for r in sweep]
 
     ours = reports()
     monkeypatch.setattr("sqkdlab.harness.count_sessions", reference)
@@ -1053,8 +1053,9 @@ def test_params_type_errors_name_the_field_in_run_session(field, value):
 
 @pytest.mark.parametrize("field, value", [case for case in PARAM_TYPE_CASES if case[0] in ("n", "hash_bits", "tau")])
 def test_params_type_errors_name_the_field_in_search_attacks(field, value):
+    # The attack search, run_search, names the field as run_session does.
     with pytest.raises(ValueError, match=rf"^{field}: must be"):
-        search_attacks("original", trials=1, **{field: value})
+        harness.run_search(harness.RunConfig(protocol="original", trials=1, **{field: value}))
 
 
 def test_session_with_numpy_integer_params_renders_to_json():
