@@ -17,8 +17,8 @@ out = run_session(params, adversary=None, seed=42)
 print("single honest session (n=8, original variant, seed 42)")
 print(f"  alice measured bits : {to01(out.alice_bits)}")
 print(f"  bob measured bits   : {to01(out.bob_bits)}")
-print(f"  compared bits       : {out.check.compared_bits_alice} by alice, {out.check.compared_bits_bob} by bob")
-print(f"  check mismatches    : {out.check.check_mismatches_alice + out.check.check_mismatches_bob}")
+print(f"  compared bits       : {out.compared_bits_alice} by alice, {out.compared_bits_bob} by bob")
+print(f"  check mismatches    : {out.check_mismatches_alice + out.check_mismatches_bob}")
 print(f"  raw keys            : alice {to01(out.alice_raw_key)} / bob {to01(out.bob_raw_key)}")
 print(f"  session keys        : alice {to01(out.alice_session_key)} / bob {to01(out.bob_session_key)}")
 print(f"  aborted             : {out.aborted}")

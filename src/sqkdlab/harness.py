@@ -316,28 +316,21 @@ def replay_paper_example(stream=None) -> dict:
     stream = stream if stream is not None else sys.stdout
     outcome = _find_walkthrough_outcome()
 
+    transcript = outcome.to_dict()
     is_check = as_bits(WALKTHROUGH_PARTITION_KEY) == 1
-    alice_check, bob_check = outcome.alice_bits[is_check], outcome.bob_bits[is_check]
-    observed = {
-        "alice_bits": to01(outcome.alice_bits),
-        "bob_bits": to01(outcome.bob_bits),
-        "alice_check": to01(alice_check),
-        "bob_check": to01(bob_check),
+    alice_check, bob_check = to01(outcome.alice_bits[is_check]), to01(outcome.bob_bits[is_check])
+    computed = {
+        "alice_check": alice_check,
+        "bob_check": bob_check,
         # Odd and even are 1-based positions in the check sequence.
-        "alice_check_odd": to01(alice_check[0::2]),
-        "alice_check_even": to01(alice_check[1::2]),
-        "bob_check_odd": to01(bob_check[0::2]),
-        "bob_check_even": to01(bob_check[1::2]),
-        "announced_by_alice": to01(outcome.check.announced_by_alice),
-        "announced_by_bob": to01(outcome.check.announced_by_bob),
-        "received_by_alice": to01(outcome.check.received_by_alice),
-        "received_by_bob": to01(outcome.check.received_by_bob),
+        "alice_check_odd": alice_check[0::2],
+        "alice_check_even": alice_check[1::2],
+        "bob_check_odd": bob_check[0::2],
+        "bob_check_even": bob_check[1::2],
         "alice_pass": not outcome.detected_by_alice,
         "bob_pass": not outcome.detected_by_bob,
-        "aborted": outcome.aborted,
-        "alice_raw_key": to01(outcome.alice_raw_key),
-        "bob_raw_key": to01(outcome.bob_raw_key),
     }
+    observed = {name: computed[name] if name in computed else transcript[name] for name in WALKTHROUGH_EXPECTED}
 
     print("four-pair modification-attack walkthrough (original variant)", file=stream)
     print(f"  op key (0=I, 1=H)           : {WALKTHROUGH_OP_KEY}", file=stream)

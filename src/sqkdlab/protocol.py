@@ -36,9 +36,11 @@ XOR that constant.  A session forms the difference once, cuts only it at
 the check positions, and counts the raw keys' disagreements and both
 sides' mismatches from it (``_difference_check``).  A difference that is
 zero at every check position, as in every honest session, encodes to
-zeros with no key expansion and no product.  The raw keys are cut, and
-the announcements encoded from one tagged sequence, when a reader first
-asks for them (``SessionOutcome``, ``CheckResult``, ``_announcements``).
+zeros with no key expansion and no product.  A session's one record,
+``SessionOutcome``, holds the exchange's two verdicts (``detected_by_*``)
+and four counters beside the rest of its transcript.  It cuts the raw
+keys, and encodes the announcements from one tagged sequence, when a
+reader first asks for them (``_announcements``).
 
 A session that seeds its own generator makes its draws (master keys,
 uniforms, privacy-amplification seed) in one call where it can
@@ -111,7 +113,7 @@ DIRECTION_EVEN = 0  # Alice -> Bob announcements (even halves)
 DIRECTION_ODD = 1  # Bob -> Alice announcements (odd halves)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MasterKeys:
     """Pre-shared secrets sized for a 2n-pair session.
 
@@ -121,7 +123,8 @@ class MasterKeys:
     bits.  Construction validates every key, so a session trusts them.
     A session's outcome keeps its partition and hash keys to derive fields
     on their first read (SessionOutcome), so do not write to keys a
-    session was given.
+    session was given.  ``==`` and ``hash`` go by identity: compare keys
+    through their arrays, and sessions through ``SessionOutcome.to_dict()``.
     """
 
     op_key: np.ndarray
@@ -189,84 +192,34 @@ class ProtocolParams:
         object.__setattr__(self, "balanced_k2", bool(self.balanced_k2))
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one announce-and-compare exchange.
-
-    The counters and arrays carry the names they have in a session
-    transcript (SessionOutcome.to_dict).  For the original variant the
-    counters count check bits, for the improved variant digest bits.
-
-    The four arrays (what each side announced and what it received) are
-    read-only attributes.  A session counts its mismatches without building
-    any announcement (``_difference_check``); ``_derive`` returns the four,
-    in that order, and runs on the first read of any of them, once, and
-    its result is cached.
-    """
-
-    alice_pass: bool
-    bob_pass: bool
-    check_mismatches_alice: int
-    check_mismatches_bob: int
-    compared_bits_alice: int
-    compared_bits_bob: int
-    _derive: object
-
-    # Transcript fields in rendering order, the derived arrays included.
-    _RENDERED = (
-        "check_mismatches_alice",
-        "check_mismatches_bob",
-        "compared_bits_alice",
-        "compared_bits_bob",
-        "announced_by_alice",
-        "announced_by_bob",
-        "received_by_alice",
-        "received_by_bob",
-    )
-
-    @functools.cached_property
-    def _arrays(self) -> tuple:
-        return self._derive()
-
-    @property
-    def announced_by_alice(self) -> np.ndarray:
-        return self._arrays[0]
-
-    @property
-    def announced_by_bob(self) -> np.ndarray:
-        return self._arrays[1]
-
-    @property
-    def received_by_alice(self) -> np.ndarray:
-        return self._arrays[2]
-
-    @property
-    def received_by_bob(self) -> np.ndarray:
-        return self._arrays[3]
-
-
-@dataclass
+@dataclass(eq=False)
 class SessionOutcome:
-    """Full transcript of one session.
+    """Full transcript of one session, its check exchange included.
 
     Raw keys are always populated (the partition happens before the
     check); session keys and pa_seed are present iff the session was not
-    aborted.  ``check`` records the exchange.  vacuous_check flags sessions where some announced check half was
-    empty, making that direction's comparison pass vacuously.
+    aborted.  detected_by_alice and detected_by_bob are the exchange's
+    verdicts; its counters count check bits for the original variant and
+    digest bits for the improved variant.  vacuous_check flags sessions
+    where some announced check half was empty, making that direction's
+    comparison pass vacuously.  ``==`` compares identity: compare two
+    transcripts through ``to_dict()``.
 
-    The raw keys are cut from the records with the partition
-    (``_check_positions``, the partition key as a boolean mask) on their
-    first read, and cached.  What a batch reads of them the session counted
-    from the records' difference: ``_raw_len`` raw positions, at
-    ``_raw_differ`` of which the two raw keys disagree.  The session keys
-    are derived from the raw keys, pa_seed and the session's resolved
-    output length (``_pa_bits``) on their first read, both in one Toeplitz
-    product, and cached.  The private fields stay out of the rendering;
-    reading any derived field again, in any order, or before ``to_dict()``,
-    changes nothing.  The derivations read ``alice_bits``, ``bob_bits``,
-    pa_seed and the session's partition and hash keys as they are at the
-    first read, without copying them: treat those arrays as read-only, as
-    a write to one before that read makes the derived fields disagree with
+    The raw keys, the exchange's four arrays and the session keys are
+    derived on their first read, once, and cached.  The raw keys are cut
+    from the records with the partition (``_check_positions``, the
+    partition key as a boolean mask); what a batch reads of them the
+    session counted from the records' difference: ``_raw_len`` raw
+    positions, at ``_raw_differ`` of which the two raw keys disagree.  The
+    four arrays (what each side announced and what each received) are
+    read-only; ``_announce`` returns them, in that order.  The session
+    keys come from the raw keys, pa_seed and the session's resolved output
+    length (``_pa_bits``), both in one Toeplitz product.  The private fields stay out of the rendering; reading any
+    derived field again, in any order, or before ``to_dict()``, changes
+    nothing.  The derivations read ``alice_bits``, ``bob_bits``, pa_seed
+    and the session's partition and hash keys as they are at the first
+    read, without copying them: treat those arrays as read-only, as a
+    write to one before that read makes the derived fields disagree with
     the counters.
     """
 
@@ -277,14 +230,18 @@ class SessionOutcome:
     alice_bits: np.ndarray
     bob_bits: np.ndarray
     vacuous_check: bool
-    check: CheckResult
     pa_seed: np.ndarray | None
+    check_mismatches_alice: int
+    check_mismatches_bob: int
+    compared_bits_alice: int
+    compared_bits_bob: int
+    _announce: object
     _check_positions: np.ndarray
     _raw_len: int
     _raw_differ: int
     _pa_bits: int = 0
 
-    # Transcript fields in rendering order, the derived session keys included.
+    # Transcript fields in rendering order, the derived ones included.
     _RENDERED = (
         "aborted",
         "detected_by_alice",
@@ -298,6 +255,14 @@ class SessionOutcome:
         "bob_session_key",
         "vacuous_check",
         "pa_seed",
+        "check_mismatches_alice",
+        "check_mismatches_bob",
+        "compared_bits_alice",
+        "compared_bits_bob",
+        "announced_by_alice",
+        "announced_by_bob",
+        "received_by_alice",
+        "received_by_bob",
     )
 
     @functools.cached_property
@@ -332,18 +297,30 @@ class SessionOutcome:
     def bob_session_key(self) -> np.ndarray | None:
         return self._session_keys[1]
 
+    @functools.cached_property
+    def _exchange(self) -> tuple:
+        return self._announce()
+
+    @property
+    def announced_by_alice(self) -> np.ndarray:
+        return self._exchange[0]
+
+    @property
+    def announced_by_bob(self) -> np.ndarray:
+        return self._exchange[1]
+
+    @property
+    def received_by_alice(self) -> np.ndarray:
+        return self._exchange[2]
+
+    @property
+    def received_by_bob(self) -> np.ndarray:
+        return self._exchange[3]
+
     def to_dict(self) -> dict:
-        """Flat JSON-able rendering: the session's fields and the check's
-        record side by side (the check's verdicts show as detected_by_*);
-        bit arrays become '0101' strings."""
-
-        def render(value):
-            if isinstance(value, np.ndarray):
-                return to01(value)
-            return value
-
-        fields = [(self, name) for name in self._RENDERED] + [(self.check, name) for name in CheckResult._RENDERED]
-        return {name: render(getattr(owner, name)) for owner, name in fields}
+        """Flat JSON-able rendering of ``_RENDERED``; bit arrays become '0101' strings."""
+        fields = {name: getattr(self, name) for name in self._RENDERED}
+        return {name: to01(value) if isinstance(value, np.ndarray) else value for name, value in fields.items()}
 
 
 @dataclass(frozen=True)
@@ -528,10 +505,10 @@ _EXCHANGES = {
 
 
 def _announcements(alice_check, bob_check, variant: str, flip: int, hash_key, hash_bits: int) -> tuple:
-    """What each side announced and what each received, in ``CheckResult``'s
-    order: the variant's tagged encoding of Alice's even half and of Bob's
-    odd half of the two check sequences, each XOR the channel's ``flip`` on
-    its way to the other side.  Both come from one encoding of the wire
+    """What Alice and Bob announced and what Alice and Bob received, in
+    that order: the variant's tagged encoding of Alice's even half and of
+    Bob's odd half of the two check sequences, each XOR the channel's
+    ``flip`` on its way to the other side.  Both come from one encoding of the wire
     sequence, Alice's check sequence with Bob's odd half in its place."""
     wire = alice_check.copy()
     wire[0::2] = bob_check[0::2]
@@ -539,7 +516,7 @@ def _announcements(alice_check, bob_check, variant: str, flip: int, hash_key, ha
     return announced_by_alice, announced_by_bob, announced_by_bob ^ flip, announced_by_alice ^ flip
 
 
-def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int, derive):
+def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int) -> tuple:
     """The one announce-and-compare exchange, counted from ``check_differ``,
     the two records' XOR at the check positions, with no announcement built.
 
@@ -548,10 +525,10 @@ def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_ke
     differ by the untagged encoding of their difference, and the channel
     XORs the constant ``flip`` onto each announced bit, so a side's
     mismatches are the set bits of its side of ``check_differ``'s untagged
-    encoding, XOR flip.  A side passes when it compared nothing or its
-    mismatch fraction is <= tau (the variant's own tau when it has one).
-    ``derive`` returns the record's arrays when they are read
-    (``CheckResult``).
+    encoding, XOR flip.  A side detects when it compared something and its
+    mismatch fraction exceeds tau (the variant's own tau when it has one).
+    Returns Alice's and Bob's detection flags, then ``SessionOutcome``'s
+    four counters in its order.
     """
     encode, fixed_tau = _EXCHANGES[variant]
     alice_side, bob_side = encode(check_differ, hash_key, hash_bits, False)
@@ -561,9 +538,9 @@ def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_ke
         mism_alice, mism_bob = compared_alice - mism_alice, compared_bob - mism_bob
     if fixed_tau is not None:
         tau = fixed_tau
-    alice_pass = compared_alice == 0 or mism_alice / compared_alice <= tau
-    bob_pass = compared_bob == 0 or mism_bob / compared_bob <= tau
-    return CheckResult(alice_pass, bob_pass, mism_alice, mism_bob, compared_alice, compared_bob, derive)
+    detected_alice = compared_alice > 0 and mism_alice / compared_alice > tau
+    detected_bob = compared_bob > 0 and mism_bob / compared_bob > tau
+    return detected_alice, detected_bob, mism_alice, mism_bob, compared_alice, compared_bob
 
 
 def _empty_bits() -> np.ndarray:
@@ -611,9 +588,10 @@ def run_session(
     disagreements, and its check cut counts both sides' mismatches
     (``_difference_check``, which expands the hash key once, and not at
     all when the check difference is zero).  Privacy amplification runs
-    only if its output fits the raw key.  The raw keys, the announcements
+    only if its output fits the raw key.  The outcome holds the exchange's
+    verdicts and counters; the raw keys, the announcements
     (``_announcements``) and the session keys are derived on their first
-    read (``SessionOutcome``, ``CheckResult``).
+    read (``SessionOutcome``).
     """
     # A Generator first: count_sessions passes one per trial.
     if not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)) and (
@@ -644,11 +622,11 @@ def run_session(
     raw_differ = int(np.count_nonzero(differ)) - int(np.count_nonzero(check_differ))
     variant, flip, hash_key, hash_bits = params.variant, channel.flip, keys.hash_key, params.hash_bits
 
-    def derive():
+    def announce():
         return _announcements(alice_bits[check], bob_bits[check], variant, flip, hash_key, hash_bits)
 
-    chk = _difference_check(check_differ, variant, flip, params.tau, hash_key, hash_bits, derive)
-    detected_alice, detected_bob = not chk.alice_pass, not chk.bob_pass
+    exchange = _difference_check(check_differ, variant, flip, params.tau, hash_key, hash_bits)
+    detected_alice, detected_bob, mism_alice, mism_bob, compared_alice, compared_bob = exchange
     aborted = detected_alice or detected_bob
     abort_reason = "check-mismatch" if aborted else None
 
@@ -675,8 +653,12 @@ def run_session(
         bob_bits=bob_bits,
         # Fewer than two check bits leave the even half empty, and none the odd half too.
         vacuous_check=len(check_differ) < 2,
-        check=chk,
         pa_seed=pa_seed,
+        check_mismatches_alice=mism_alice,
+        check_mismatches_bob=mism_bob,
+        compared_bits_alice=compared_alice,
+        compared_bits_bob=compared_bob,
+        _announce=announce,
         _check_positions=check,
         _raw_len=raw_len,
         _raw_differ=raw_differ,
@@ -712,7 +694,6 @@ def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
         matched += outcome._raw_differ == 0
         complemented += outcome._raw_differ == outcome._raw_len
         vacuous += outcome.vacuous_check
-        check = outcome.check
-        mismatched += check.check_mismatches_alice + check.check_mismatches_bob
-        compared += check.compared_bits_alice + check.compared_bits_bob
+        mismatched += outcome.check_mismatches_alice + outcome.check_mismatches_bob
+        compared += outcome.compared_bits_alice + outcome.compared_bits_bob
     return SessionCounts(sessions, detected, aborted, matched, complemented, vacuous, mismatched, compared)

@@ -86,8 +86,8 @@ def test_criterion_5_intercept_resend_baseline(capsys):
     mismatched = compared = 0
     for trial in range(1700):
         out = run_session(params, strategy, seed=trial_stream((14,), trial))
-        mismatched += out.check.check_mismatches_alice + out.check.check_mismatches_bob
-        compared += out.check.compared_bits_alice + out.check.compared_bits_bob
+        mismatched += out.check_mismatches_alice + out.check_mismatches_bob
+        compared += out.compared_bits_alice + out.compared_bits_bob
     assert compared >= 100_000
     rate = mismatched / compared
     assert 0.23 <= rate <= 0.27

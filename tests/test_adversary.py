@@ -99,9 +99,9 @@ def test_tap_classical_policies():
     ):
         assert strategy._flip == flip
         assert protocol._compile(strategy).flip == flip
-        check = run_session(params, strategy, seed=2).check
-        assert to01(check.received_by_bob) == to01(check.announced_by_alice ^ flip)
-        assert to01(check.received_by_alice) == to01(check.announced_by_bob ^ flip)
+        out = run_session(params, strategy, seed=2)
+        assert to01(out.received_by_bob) == to01(out.announced_by_alice ^ flip)
+        assert to01(out.received_by_alice) == to01(out.announced_by_bob ^ flip)
 
 
 # -- quantum tap ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Protocol engine tests: keys, partition, exchanges, full sessions."""
 
+import functools
 import itertools
 import json
 from unittest import mock
@@ -343,8 +344,8 @@ def test_partition_walkthrough_alice():
     assert to01(out.alice_bits) == "0011"
     assert to01(out.alice_raw_key) == "11"
     # the check sequence "00": odd half "0", even half "0"
-    assert to01(out.check.announced_by_bob) == "0"
-    assert to01(out.check.announced_by_alice) == "0"
+    assert to01(out.announced_by_bob) == "0"
+    assert to01(out.announced_by_alice) == "0"
 
 
 def test_partition_walkthrough_bob():
@@ -352,47 +353,61 @@ def test_partition_walkthrough_bob():
     assert to01(out.bob_bits) == "1100"
     assert to01(out.bob_raw_key) == "00"
     # the check sequence "11": odd half "1", even half "1"
-    assert to01(out.check.announced_by_bob) == "1"
-    assert to01(out.check.announced_by_alice) == "1"
+    assert to01(out.announced_by_bob) == "1"
+    assert to01(out.announced_by_alice) == "1"
 
 
 def test_partition_all_raw_when_key_zero():
     out = session_measuring("101101", "000000")
     assert to01(out.alice_raw_key) == to01(out.bob_raw_key) == "101101"
-    assert out.check.compared_bits_alice == out.check.compared_bits_bob == 0
-    assert len(out.check.announced_by_alice) == len(out.check.announced_by_bob) == 0
+    assert out.compared_bits_alice == out.compared_bits_bob == 0
+    assert len(out.announced_by_alice) == len(out.announced_by_bob) == 0
 
 
 def test_partition_odd_even_sizes():
     # check sequence "1010101" (the last position is raw)
     out = session_measuring("10101010", "11111110")
     assert to01(out.alice_raw_key) == "0"
-    assert to01(out.check.announced_by_bob) == "1111"
-    assert to01(out.check.announced_by_alice) == "000"
-    assert out.check.compared_bits_alice == 4 and out.check.compared_bits_bob == 3
+    assert to01(out.announced_by_bob) == "1111"
+    assert to01(out.announced_by_alice) == "000"
+    assert out.compared_bits_alice == 4 and out.compared_bits_bob == 3
 
 
 # -- announce-and-check exchanges --------------------------------------------------
 
 
-def exchange(alice_check, bob_check, variant, tau, flipped, hash_key, hash_bits):
+class Exchange:
     """The exchange of a session whose channel XORs ``flipped`` onto every
-    announced bit: counted from the check sequences' difference, with its
-    announcements derived on their first read."""
+    announced bit: its passes and counters counted from the check
+    sequences' difference (``_difference_check``), and its announcements
+    (``_announcements``) derived on their first read."""
 
-    def derive():
-        return protocol._announcements(alice_check, bob_check, variant, flipped, hash_key, hash_bits)
+    def __init__(self, alice_check, bob_check, variant, tau, flipped, hash_key, hash_bits):
+        detected_alice, detected_bob, *counters = protocol._difference_check(
+            alice_check ^ bob_check, variant, flipped, tau, hash_key, hash_bits
+        )
+        self.alice_pass, self.bob_pass = not detected_alice, not detected_bob
+        self.check_mismatches_alice, self.check_mismatches_bob = counters[:2]
+        self.compared_bits_alice, self.compared_bits_bob = counters[2:]
+        self._inputs = (alice_check, bob_check, variant, flipped, hash_key, hash_bits)
 
-    return protocol._difference_check(alice_check ^ bob_check, variant, flipped, tau, hash_key, hash_bits, derive)
+    @functools.cached_property
+    def _arrays(self):
+        return protocol._announcements(*self._inputs)
+
+    announced_by_alice = property(lambda self: self._arrays[0])
+    announced_by_bob = property(lambda self: self._arrays[1])
+    received_by_alice = property(lambda self: self._arrays[2])
+    received_by_bob = property(lambda self: self._arrays[3])
 
 
 def exchange_original(alice_check, bob_check, tau=0.0, flipped=0):
-    return exchange(as_bits(alice_check), as_bits(bob_check), VARIANT_ORIGINAL, tau, flipped, None, 0)
+    return Exchange(as_bits(alice_check), as_bits(bob_check), VARIANT_ORIGINAL, tau, flipped, None, 0)
 
 
 def exchange_improved(alice_check, bob_check, hash_key, hash_bits, flipped=0):
     alice_check, bob_check, hash_key = as_bits(alice_check), as_bits(bob_check), as_bits(hash_key)
-    return exchange(alice_check, bob_check, VARIANT_IMPROVED, 0.0, flipped, hash_key, hash_bits)
+    return Exchange(alice_check, bob_check, VARIANT_IMPROVED, 0.0, flipped, hash_key, hash_bits)
 
 
 def test_original_honest_exchange_passes():
@@ -544,7 +559,7 @@ def test_a_zero_check_difference_counts_as_the_exchange_does(check, tampered, di
     alice_check, key, flip_bit = as_bits(check), as_bits(hash_key), int(tampered)
     for variant, bits, passing in ((VARIANT_ORIGINAL, 0, tau), (VARIANT_IMPROVED, digest_len, 0.0)):
         with hashing_forbidden():
-            counted = exchange(alice_check, alice_check.copy(), variant, tau, flip_bit, key, bits)
+            counted = Exchange(alice_check, alice_check.copy(), variant, tau, flip_bit, key, bits)
         by_alice, by_bob, received_by_alice, received_by_bob = counted._arrays
         for side, received, expected in (("alice", received_by_alice, by_bob), ("bob", received_by_bob, by_alice)):
             mismatches = int(np.count_nonzero(received != expected))
@@ -595,6 +610,18 @@ def test_session_deterministic_given_seed():
     assert a.to_dict() != c.to_dict()
 
 
+def test_records_compare_by_identity():
+    # Records hold arrays, so == goes by identity and transcripts are
+    # compared through to_dict(); a set of master keys can be hashed.
+    params = ProtocolParams(n=4, variant=VARIANT_IMPROVED)
+    a, b = (run_session(params, None, seed=1) for _ in range(2))
+    assert a == a and a != b
+    assert a.to_dict() == b.to_dict()
+    keys, same = keys_for("0000", "1100"), keys_for("0000", "1100")
+    assert keys == keys and keys != same
+    assert len({keys, same, keys}) == 2
+
+
 def test_modification_attack_corrupts_original_undetected():
     params = ProtocolParams(n=8, variant=VARIANT_ORIGINAL)
     for seed in range(40):
@@ -617,7 +644,7 @@ def test_forced_keys_control_the_partition():
     params = ProtocolParams(n=2, variant=VARIANT_ORIGINAL)
     out = run_session(params, None, seed=0, keys=keys)
     assert len(out.alice_raw_key) == 2
-    assert out.check.compared_bits_alice == 1 and out.check.compared_bits_bob == 1
+    assert out.compared_bits_alice == 1 and out.compared_bits_bob == 1
 
 
 def test_explicit_pa_length():
@@ -634,7 +661,7 @@ def test_oversized_pa_request_aborts():
     assert out.abort_reason == "pa-output-exceeds-raw-key"
     # No party's check failed, so neither detected anything.
     assert not out.detected_by_alice and not out.detected_by_bob
-    assert out.check.alice_pass and out.check.bob_pass
+    assert out.check_mismatches_alice == out.check_mismatches_bob == 0
     assert out.alice_session_key is None
 
 
@@ -731,7 +758,7 @@ def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
         outcomes.append(run_session_unpatched(*args, **kwargs))
         return outcomes[-1]
 
-    derived = ("alice_raw_key", "bob_raw_key", "_session_keys")
+    derived = ("alice_raw_key", "bob_raw_key", "_session_keys", "_exchange")
     monkeypatch.setattr(protocol, "run_session", recorded)
     harness.run_batch(harness.RunConfig(protocol="improved", n=6, trials=20, seed=3))
     harness.run_batch(harness.RunConfig(protocol="original", attack="modification", n=6, trials=10, seed=3))
@@ -739,13 +766,11 @@ def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
     assert len(outcomes) == 20 + 10 + 2 * 12
     assert any(not out.aborted for out in outcomes)
     assert not any(name in vars(out) for out in outcomes for name in derived)
-    assert not any("_arrays" in vars(out.check) for out in outcomes)
     for out in outcomes:
         assert (out.alice_session_key is None) == out.aborted
         assert len(out.alice_raw_key) == len(out.bob_raw_key) == out._raw_len
-        assert len(out.check.announced_by_alice) == out.check.compared_bits_bob
+        assert len(out.announced_by_alice) == out.compared_bits_bob
     assert all(name in vars(out) for out in outcomes for name in derived)
-    assert all("_arrays" in vars(out.check) for out in outcomes)
 
 
 def test_an_honest_improved_run_hashes_nothing():
@@ -766,15 +791,15 @@ def test_an_honest_improved_run_hashes_nothing():
     expected_report, expected_counts, expected = counted()
     assert report == expected_report and counts == expected_counts
     assert counts.mismatched_bits == 0 and counts.compared_bits == 50 * 2 * params.hash_bits
-    assert out.check.compared_bits_alice == out.check.compared_bits_bob == params.hash_bits
+    assert out.compared_bits_alice == out.compared_bits_bob == params.hash_bits
     # Unpatched now, so the reads below derive with the real cores.
     keys = generate_master_keys(params.n, np.random.default_rng(9))
     assert np.array_equal(out._check_positions, keys.partition_key.view(bool))
     alice_check, bob_check = out.alice_bits[out._check_positions], out.bob_bits[out._check_positions]
     assert np.array_equal(alice_check, bob_check)
     announced = reference_digest(keys.hash_key, [0, *halves(alice_check)[1]], params.hash_bits)
-    assert np.array_equal(out.check.announced_by_alice, announced)
-    assert np.array_equal(out.check.received_by_bob, announced)
+    assert np.array_equal(out.announced_by_alice, announced)
+    assert np.array_equal(out.received_by_bob, announced)
     assert out.to_dict() == expected.to_dict()
 
 
@@ -782,7 +807,7 @@ def test_an_honest_improved_run_hashes_nothing():
 DERIVED_READERS = {
     "raw keys": lambda out: (out.alice_raw_key, out.bob_raw_key),
     "announcements": lambda out: tuple(
-        getattr(out.check, f"{side}_by_{party}") for side in ("announced", "received") for party in ("alice", "bob")
+        getattr(out, f"{side}_by_{party}") for side in ("announced", "received") for party in ("alice", "bob")
     ),
     "session keys": lambda out: (out.alice_session_key, out.bob_session_key),
 }
@@ -811,7 +836,7 @@ def test_reading_the_session_keys_leaves_the_transcript_unchanged(variant):
                 assert rendered == untouched
                 assert list(rendered) == TRANSCRIPT_FIELDS
     with pytest.raises(AttributeError):
-        out.check.announced_by_alice = out.check.announced_by_bob
+        out.announced_by_alice = out.announced_by_bob
 
 
 TRANSCRIPT_FIELDS = [
@@ -847,8 +872,8 @@ def counted(outcomes) -> SessionCounts:
         matched=sum(np.array_equal(out.alice_raw_key, out.bob_raw_key) for out in outcomes),
         complemented=sum(np.array_equal(out.bob_raw_key, 1 - out.alice_raw_key) for out in outcomes),
         vacuous=sum(out.vacuous_check for out in outcomes),
-        mismatched_bits=sum(out.check.check_mismatches_alice + out.check.check_mismatches_bob for out in outcomes),
-        compared_bits=sum(out.check.compared_bits_alice + out.check.compared_bits_bob for out in outcomes),
+        mismatched_bits=sum(out.check_mismatches_alice + out.check_mismatches_bob for out in outcomes),
+        compared_bits=sum(out.compared_bits_alice + out.compared_bits_bob for out in outcomes),
     )
 
 
@@ -1094,7 +1119,7 @@ def test_session_keys_and_digests_equal_the_public_helpers(variant):
             is_check = keys.partition_key == 1
             _, alice_even = halves(out.alice_bits[is_check])
             bob_odd, _ = halves(out.bob_bits[is_check])
-            announced = (out.check.announced_by_alice, out.check.announced_by_bob)
+            announced = (out.announced_by_alice, out.announced_by_bob)
             announcements = ((0, alice_even, announced[0]), (1, bob_odd, announced[1]))
             for direction, half, announced in announcements:
                 assert np.array_equal(announced, reference_digest(keys.hash_key, [direction, *half], 20))
