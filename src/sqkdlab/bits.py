@@ -52,64 +52,33 @@ _TOP_BIT_SHIFT = np.array(7, dtype=np.uint8)
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent uniform bits: ``rng.integers(0, 2, n, uint8)``, bit for
-    bit, and leaving the stream where that call leaves it.
+    bit, and leaving the stream where that call leaves it (``_draw_bits``)."""
+    return _draw_bits(rng, (n,))
+
+
+def _draw_bits(rng: np.random.Generator, sizes: tuple, *, unbuffered: bool = False) -> np.ndarray:
+    """The bits of successive ``rng.integers(0, 2, size, uint8)`` draws, one
+    per size, end to end, and the stream left where those calls leave it.
 
     ``integers`` takes output bit i from the top bit of byte i of successive
     little-endian ``next_uint32`` words, and PCG64 serves those from the low
-    and then the high half of one 64-bit word.  So when n is a multiple of
-    8 and no half-word is buffered, the top bits of the bytes of n // 8 raw
-    words are the same bits and consume the same words.  Any other count or
-    bit generator goes through ``integers``.
-    """
-    return _random_runs(rng, ((np.uint8, n),))[0]
-
-
-def _random_runs(rng: np.random.Generator, runs, *, fresh: bool = False) -> list:
-    """The draws of ``runs`` in order, bit for bit, and leaving the stream
-    where successive calls leave it: a run ``(np.uint8, n)`` is
-    ``random_bits(rng, n)`` and a run ``(np.float64, n)`` is ``rng.random(n)``.
-
-    Each raw-word draw of random_bits consumes whole words and buffers no
-    half-word, and ``random`` consumes whole words and leaves a buffered
-    half-word alone.  So when every bit count is a multiple of 8 and no
-    half-word is buffered, each stretch of successive bit runs is one raw
-    read, sliced in order, and each run of uniforms one ``random`` call.
-    ``fresh`` says the generator was just seeded, so nothing is buffered
-    and the state need not be read.  Any other bit count, a buffered
-    half-word or another bit generator draws each bit run through
+    and then the high half of one 64-bit word.  So when the sizes sum to a
+    count that is a multiple of 8 and no half-word is buffered, the top bits
+    of the bytes of count // 8 raw words are the same bits and consume the
+    same words, provided each draw but the last takes whole 32-bit words:
+    callers pass one size, or sizes of which every one but the last is a
+    multiple of 4 whenever their sum is a multiple of 8 (the master keys'
+    2n, 2n and MIN_HASH_KEY_BITS are).  ``unbuffered`` says the caller
+    knows no half-word is buffered (a just-seeded stream), so the state is
+    not read.  Any other count or bit generator draws each size through
     ``integers``.
     """
+    count = sum(sizes)
     bit_generator = rng.bit_generator
-    if not (
-        type(bit_generator) is np.random.PCG64
-        and not any([n % 8 for kind, n in runs if kind is np.uint8])
-        and (fresh or not bit_generator.state["has_uint32"])
-    ):
-        return [rng.integers(0, 2, size=n, dtype=np.uint8) if kind is np.uint8 else rng.random(n) for kind, n in runs]
-    drawn, stretch = [], []
-    for kind, n in runs:
-        if kind is np.uint8:
-            stretch.append(n)
-            continue
-        if stretch:
-            drawn += _raw_bit_runs(bit_generator, stretch)
-            stretch = []
-        drawn.append(rng.random(n))
-    if stretch:
-        drawn += _raw_bit_runs(bit_generator, stretch)
-    return drawn
-
-
-def _raw_bit_runs(bit_generator: np.random.PCG64, sizes: list) -> list:
-    """Bit runs of ``sizes`` (each a multiple of 8) from one raw read: the
-    top bit of each byte of the little-endian words, sliced in order."""
-    raw_bytes = bit_generator.random_raw(sum(sizes) // 8).astype("<u8", copy=False).view(np.uint8)
-    bits = np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
-    runs, start = [], 0
-    for n in sizes:
-        runs.append(bits[start : start + n])
-        start += n
-    return runs
+    if count % 8 or type(bit_generator) is not np.random.PCG64 or not unbuffered and bit_generator.state["has_uint32"]:
+        return np.concatenate([rng.integers(0, 2, size=size, dtype=np.uint8) for size in sizes])
+    raw_bytes = bit_generator.random_raw(count // 8).astype("<u8", copy=False).view(np.uint8)
+    return np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
 
 
 def to01(bits) -> str:

@@ -18,9 +18,10 @@ only the encoding and how much mismatch passes:
 * improved variant: a keyed Toeplitz digest of each half; a side passes
   only on exact digest equality.
 
-Each variant is one entry of ``_EXCHANGES``: its tau and its one
-encoder, which maps a check sequence to its odd and even halves'
-encodings in one pass (the improved variant's, one Toeplitz product).
+Each variant is one entry of ``_EXCHANGES``: its tau, its one encoder,
+which maps a check sequence to its odd and even halves' encodings in one
+pass (the improved variant's, one Toeplitz product), and those
+encodings' lengths.
 
 Announcements and flying qubits pass through a channel compiled from an
 ``adversary.AdversaryStrategy`` (``_compile``); the strategies know
@@ -36,15 +37,17 @@ XOR that constant.  A session forms the difference once, cuts only it at
 the check positions, and counts the raw keys' disagreements and both
 sides' mismatches from it (``_difference_check``).  A difference that is
 zero at every check position, as in every honest session, encodes to
-zeros with no key expansion and no product.  A session's one record,
+zeros, so it is counted from the variant's side lengths with nothing
+encoded.  A session's one record,
 ``SessionOutcome``, holds the exchange's two verdicts (``detected_by_*``)
 and four counters beside the rest of its transcript.  It cuts the raw
 keys, and encodes the announcements from one tagged sequence, when a
 reader first asks for them (``_announcements``).
 
 A session that seeds its own generator makes its draws (master keys,
-uniforms, privacy-amplification seed) in one call where it can
-(``run_session``), and checks only what comes from outside: its inputs.
+uniforms, privacy-amplification seed) in three generator calls, keeping
+the keys as bare arrays (``run_session``), and checks only what comes
+from outside: its inputs.
 A batch's sessions run on one reused generator, set to each trial's
 stream in turn (``count_sessions``, the trial loop of both
 ``harness.run_batch`` and ``harness.run_search``), and draw as if
@@ -68,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversary import AdversaryStrategy
-from .bits import TrialStreams, _check_size, _random_runs, as_bits, random_bits, to01
+from .bits import TrialStreams, _check_size, _draw_bits, as_bits, random_bits, to01
 from .hashing import _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
@@ -357,14 +360,10 @@ def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool 
         hash_key = random_bits(rng, MIN_HASH_KEY_BITS)
     else:
         # Three successive random_bits draws, from one raw read where it can.
-        op_key, partition_key, hash_key = _random_runs(rng, _key_runs(n))
+        drawn = _draw_bits(rng, (2 * n, 2 * n, MIN_HASH_KEY_BITS))
+        op_key, partition_key, hash_key = drawn[: 2 * n], drawn[2 * n : 4 * n], drawn[4 * n :]
     # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
     return MasterKeys._drawn(op_key, partition_key, hash_key)
-
-
-def _key_runs(n: int) -> tuple:
-    """The bit runs of the three master keys, in draw order (``bits._random_runs``)."""
-    return (np.uint8, 2 * n), (np.uint8, 2 * n), (np.uint8, MIN_HASH_KEY_BITS)
 
 
 def _tables(rows, ops):
@@ -475,12 +474,8 @@ def _digest_sides(check, hash_key, hash_bits, tagged):
     one product hash both.  ``tagged`` (as announced) writes the direction
     bits into the tag slots and XORs each side's mask, the hash_bits stream
     bits after its own matrix key.  Untagged, the encoding is ``T·x``, so
-    two sequences' tagged encodings XOR to their difference's untagged one,
-    and an untagged sequence with no set bit, as every honest session's
-    difference is, encodes to zeros with no expansion and no product.
+    two sequences' tagged encodings XOR to their difference's untagged one.
     """
-    if not tagged and not np.count_nonzero(check):
-        return np.zeros((2, hash_bits), dtype=np.uint8)
     size = len(check)
     width = (size + 1) // 2 + 1
     laid_out = np.zeros(2 * width)
@@ -495,12 +490,13 @@ def _digest_sides(check, hash_key, hash_bits, tagged):
     return sides
 
 
-# Each variant's exchange: its encoder and the mismatch fraction a side
-# passes at (None: the session's tau).  A digest of >= 1 bit passes at
-# tau = 0 exactly when every bit matches.
+# Each variant's exchange: its encoder, the lengths of the (odd, even)
+# sides it encodes c check bits to, and the mismatch fraction a side passes
+# at (None: the session's tau).  A digest of >= 1 bit passes at tau = 0
+# exactly when every bit matches.
 _EXCHANGES = {
-    VARIANT_ORIGINAL: (_plain_sides, None),
-    VARIANT_IMPROVED: (_digest_sides, 0.0),
+    VARIANT_ORIGINAL: (_plain_sides, lambda c, hash_bits: ((c + 1) // 2, c // 2), None),
+    VARIANT_IMPROVED: (_digest_sides, lambda c, hash_bits: (hash_bits, hash_bits), 0.0),
 }
 
 
@@ -516,24 +512,33 @@ def _announcements(alice_check, bob_check, variant: str, flip: int, hash_key, ha
     return announced_by_alice, announced_by_bob, announced_by_bob ^ flip, announced_by_alice ^ flip
 
 
-def _difference_check(check_differ, variant: str, flip: int, tau: float, hash_key, hash_bits: int) -> tuple:
+def _difference_check(
+    check_differ, differing: int, variant: str, flip: int, tau: float, hash_key, hash_bits: int
+) -> tuple:
     """The one announce-and-compare exchange, counted from ``check_differ``,
-    the two records' XOR at the check positions, with no announcement built.
+    the two records' XOR at the check positions, of which ``differing`` bits
+    are set, with no announcement built.
 
     Each side compares what it receives against the encoding of its own
     retained half of the same parity.  Two sequences' tagged encodings
     differ by the untagged encoding of their difference, and the channel
     XORs the constant ``flip`` onto each announced bit, so a side's
     mismatches are the set bits of its side of ``check_differ``'s untagged
-    encoding, XOR flip.  A side detects when it compared something and its
-    mismatch fraction exceeds tau (the variant's own tau when it has one).
-    Returns Alice's and Bob's detection flags, then ``SessionOutcome``'s
-    four counters in its order.
+    encoding, XOR flip.  Every encoding is linear, so a difference with no
+    set bit, as every honest session's is, encodes to zeros: it is counted
+    from the variant's side lengths, with nothing encoded.  A side detects
+    when it compared something and its mismatch fraction exceeds tau (the
+    variant's own tau when it has one).  Returns Alice's and Bob's
+    detection flags, then ``SessionOutcome``'s four counters in its order.
     """
-    encode, fixed_tau = _EXCHANGES[variant]
-    alice_side, bob_side = encode(check_differ, hash_key, hash_bits, False)
-    compared_alice, compared_bob = len(alice_side), len(bob_side)
-    mism_alice, mism_bob = int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side))
+    encode, side_lengths, fixed_tau = _EXCHANGES[variant]
+    if differing:
+        alice_side, bob_side = encode(check_differ, hash_key, hash_bits, False)
+        compared_alice, compared_bob = len(alice_side), len(bob_side)
+        mism_alice, mism_bob = int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side))
+    else:
+        compared_alice, compared_bob = side_lengths(len(check_differ), hash_bits)
+        mism_alice = mism_bob = 0
     if flip:
         mism_alice, mism_bob = compared_alice - mism_alice, compared_bob - mism_bob
     if fixed_tau is not None:
@@ -575,19 +580,23 @@ def run_session(
     generator from ``seed`` (anything but a Generator or a bit generator),
     or ``count_sessions`` hands it a Generator it has just set to a
     trial's fresh stream (the private ``_fresh``), the stream is its own,
-    so with sampled keys and no ``balanced_k2`` permutation it draws
-    everything in one ``bits._random_runs`` call, pa_seed included:
-    reading pa_seed when the session then aborts changes nothing anyone
-    sees.  Otherwise it makes the same draws one at a time, so a caller's
-    Generator ends where those calls leave it.
+    so with sampled keys and no ``balanced_k2`` permutation it makes three
+    generator calls up front and reads no state: one raw read for the
+    three keys, kept as slices of it (``bits._draw_bits``), one ``random``
+    call for the uniforms and one raw read for pa_seed.  Reading pa_seed
+    when the session then aborts changes nothing anyone sees.  Otherwise
+    the keys come from ``keys`` or ``generate_master_keys``, the uniforms
+    from ``_quantum_stage`` and pa_seed only if the session was not
+    aborted, so a caller's Generator ends where those calls leave it.
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
     cuts only that difference with the partition key, viewed as a boolean
     mask: its set bits outside the check positions count the raw keys'
     disagreements, and its check cut counts both sides' mismatches
-    (``_difference_check``, which expands the hash key once, and not at
-    all when the check difference is zero).  Privacy amplification runs
+    (``_difference_check``, given the cut's count of set bits, which the
+    raw keys' count takes anyway: a zero cut is counted with nothing
+    encoded, any other is encoded once).  Privacy amplification runs
     only if its output fits the raw key.  The outcome holds the exchange's
     verdicts and counters; the raw keys, the announcements
     (``_announcements``) and the session keys are derived on their first
@@ -603,29 +612,34 @@ def run_session(
     channel = _compile(adversary)
     size = 2 * params.n
     uniforms = pa_seed = None
-    if keys is not None:
-        if len(keys.op_key) != size:
-            raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
-    elif own_stream and not params.balanced_k2:
-        runs = (*_key_runs(params.n), (np.float64, _uniform_rows(channel) * size), (np.uint8, PA_SEED_BITS))
-        op_key, partition_key, hash_key, uniforms, pa_seed = _random_runs(rng, runs, fresh=True)
-        keys = MasterKeys._drawn(op_key, partition_key, hash_key)
+    if keys is None and own_stream and not params.balanced_k2:
+        drawn = _draw_bits(rng, (size, size, MIN_HASH_KEY_BITS), unbuffered=True)
+        op_key, partition_key, hash_key = drawn[:size], drawn[size : 2 * size], drawn[2 * size :]
+        uniforms = rng.random(_uniform_rows(channel) * size)
+        # Drawn raw or key by key, the keys took 2 * ceil(n / 2) + 32 words
+        # of 32 bits, an even count, so no half-word is buffered.
+        pa_seed = _draw_bits(rng, (PA_SEED_BITS,), unbuffered=True)
     else:
-        keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
+        if keys is None:
+            keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
+        elif len(keys.op_key) != size:
+            raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
+        op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
     # Bob measures first; Alice measures once he is done.
-    bob_bits, alice_bits = _quantum_stage(channel, keys.op_key, rng, uniforms)
+    bob_bits, alice_bits = _quantum_stage(channel, op_key, rng, uniforms)
     # Both parties hold the same partition key: 1 marks a check position.
-    check = keys.partition_key.view(bool)
+    check = partition_key.view(bool)
     differ = alice_bits ^ bob_bits
     check_differ = differ[check]
+    check_differing = int(np.count_nonzero(check_differ))
     raw_len = size - len(check_differ)
-    raw_differ = int(np.count_nonzero(differ)) - int(np.count_nonzero(check_differ))
-    variant, flip, hash_key, hash_bits = params.variant, channel.flip, keys.hash_key, params.hash_bits
+    raw_differ = int(np.count_nonzero(differ)) - check_differing
+    variant, flip, hash_bits = params.variant, channel.flip, params.hash_bits
 
     def announce():
         return _announcements(alice_bits[check], bob_bits[check], variant, flip, hash_key, hash_bits)
 
-    exchange = _difference_check(check_differ, variant, flip, params.tau, hash_key, hash_bits)
+    exchange = _difference_check(check_differ, check_differing, variant, flip, params.tau, hash_key, hash_bits)
     detected_alice, detected_bob, mism_alice, mism_bob, compared_alice, compared_bob = exchange
     aborted = detected_alice or detected_bob
     abort_reason = "check-mismatch" if aborted else None

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from sqkdlab.bits import (
     _SEED_CHUNK,
     TrialStreams,
+    _draw_bits,
     _pcg64_states,
-    _random_runs,
     as_bits,
     random_bits,
     to01,
@@ -66,27 +66,30 @@ def test_random_bits_equals_integers(count, bits_before, doubles_before, bit_gen
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.tuples(st.sampled_from([np.uint8, np.float64]), st.integers(0, 200)), min_size=1, max_size=5),
+    st.lists(st.integers(0, 50), max_size=4),
+    st.integers(0, 200),
+    st.integers(0, 2),
     st.integers(0, 9),
     st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
     st.integers(0, 2**32 - 1),
 )
-def test_random_bit_runs_equal_successive_random_bits_draws(runs, bits_before, bit_generator, seed):
-    # Each stretch of bit runs comes from one raw read, and each run of
-    # uniforms from one random call, when every bit count is a multiple of
-    # 8 and no PCG64 half-word is buffered (an odd count of bits drawn
-    # before leaves one), and every run is its own draw otherwise: the same
-    # numbers as random_bits and random calls either way, and the stream
-    # left in the same place.  A generator with nothing drawn yet is fresh.
+def test_random_bit_runs_equal_successive_random_bits_draws(words, last, doubles, bits_before, bit_generator, seed):
+    # Successive draws of whole 32-bit words and then any count, as
+    # _draw_bits's callers make them, come from one raw read when their
+    # bits are a multiple of 8 and no PCG64 half-word is buffered (an odd
+    # count of bits drawn before leaves one), and from one integers call
+    # each otherwise: the same bits as integers calls either way, and the
+    # stream left in the same place, so the uniforms that follow are the
+    # same too.  A generator with nothing drawn yet has nothing buffered.
+    sizes = (*(4 * count for count in words), last)
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (ours, reference):
         rng.integers(0, 2, size=bits_before, dtype=np.uint8)
-    drawn = _random_runs(ours, runs, fresh=bits_before == 0)
-    assert [(got.dtype, len(got)) for got in drawn] == [(np.dtype(kind), n) for kind, n in runs]
-    for (kind, n), got in zip(runs, drawn):
-        expected = random_bits(reference, n) if kind is np.uint8 else reference.random(n)
-        assert got.tobytes() == expected.tobytes()
-    assert np.array_equal(ours.random(3), reference.random(3))
+    drawn = _draw_bits(ours, sizes, unbuffered=bits_before == 0)
+    expected = [reference.integers(0, 2, size=size, dtype=np.uint8) for size in sizes]
+    assert drawn.dtype == np.uint8
+    assert drawn.tobytes() == np.concatenate(expected).tobytes()
+    assert np.array_equal(ours.random(doubles), reference.random(doubles))
     assert np.array_equal(random_bits(ours, 24), random_bits(reference, 24))
 
 

@@ -70,9 +70,9 @@ def test_generate_master_keys_lengths():
     st.integers(0, 2**32 - 1),
 )
 def test_master_keys_equal_three_successive_random_bits_draws(n, bits_before, bit_generator, seed):
-    # The three keys are bits._random_runs of (2n, 2n, MIN_HASH_KEY_BITS) bits:
-    # one raw read or per-key draws, the same bits as three random_bits
-    # calls either way, and the stream left in the same place.
+    # The three keys are one bits._draw_bits of (2n, 2n, MIN_HASH_KEY_BITS)
+    # bits, sliced: one raw read or per-key draws, the same bits as three
+    # random_bits calls either way, and the stream left in the same place.
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (ours, reference):
         rng.integers(0, 2, size=bits_before, dtype=np.uint8)
@@ -383,8 +383,9 @@ class Exchange:
     (``_announcements``) derived on their first read."""
 
     def __init__(self, alice_check, bob_check, variant, tau, flipped, hash_key, hash_bits):
+        check_differ = alice_check ^ bob_check
         detected_alice, detected_bob, *counters = protocol._difference_check(
-            alice_check ^ bob_check, variant, flipped, tau, hash_key, hash_bits
+            check_differ, int(np.count_nonzero(check_differ)), variant, flipped, tau, hash_key, hash_bits
         )
         self.alice_pass, self.bob_pass = not detected_alice, not detected_bob
         self.check_mismatches_alice, self.check_mismatches_bob = counters[:2]
@@ -571,6 +572,30 @@ def test_a_zero_check_difference_counts_as_the_exchange_does(check, tampered, di
         assert getattr(counted, f"compared_bits_{side}") == digest_len
         assert getattr(counted, f"check_mismatches_{side}") == (digest_len if tampered else 0)
         assert getattr(counted, f"{side}_pass") is not tampered
+
+
+@pytest.mark.parametrize("n", [1, 2, 32])
+def test_a_zero_check_difference_is_counted_without_encoding(n):
+    # Honest sessions, and a channel that flips every announcement and
+    # leaves every qubit alone, have a zero check difference in every
+    # session: both variants count it from their side lengths with no
+    # untagged encoding, and the counts are those of the real encoders.
+    def untagged_forbidden(encode):
+        def guarded(check, hash_key, hash_bits, tagged):
+            if not tagged:
+                raise AssertionError("encoded a zero check difference")
+            return encode(check, hash_key, hash_bits, tagged)
+
+        return guarded
+
+    guarded = {variant: (untagged_forbidden(encode), *rest) for variant, (encode, *rest) in protocol._EXCHANGES.items()}
+    flip_only = AdversaryStrategy.from_description({"quantum": "gate_all:i", "classical": "flip_all"})
+    for variant, adversary in itertools.product(VARIANTS, (None, flip_only)):
+        params = ProtocolParams(n=n, variant=variant)
+        expected = count_sessions(params, adversary, TrialStreams((11,), 200))
+        with mock.patch.dict(protocol._EXCHANGES, guarded):
+            assert count_sessions(params, adversary, TrialStreams((11,), 200)) == expected
+        assert (expected.detected > 0) == (adversary is not None)
 
 
 # -- full sessions -----------------------------------------------------------------
