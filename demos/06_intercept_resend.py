@@ -9,12 +9,12 @@ by the original variant's plain comparison, no hashing needed.
 """
 
 from sqkdlab.adversary import intercept_resend_attack
-from sqkdlab.bits import trial_stream
+from sqkdlab.bits import TrialStreams
 from sqkdlab.harness import RunConfig, run_batch
 from sqkdlab.protocol import ProtocolParams, count_sessions
 
 params = ProtocolParams(n=32, variant="original", tau=0.0)
-counts = count_sessions(params, intercept_resend_attack(), (trial_stream((5,), trial) for trial in range(600)))
+counts = count_sessions(params, intercept_resend_attack(), TrialStreams((5,), 600))
 rate = counts.mismatched_bits / counts.compared_bits
 print(f"per-compared-bit mismatch rate: {rate:.4f} over {counts.compared_bits} bits (analytic 0.25)")
 

@@ -44,14 +44,13 @@ and four counters beside the rest of its transcript.  It cuts the raw
 keys, and encodes the announcements from one tagged sequence, when a
 reader first asks for them (``_announcements``).
 
-A session that seeds its own generator makes its draws (master keys,
-uniforms, privacy-amplification seed) in three generator calls, keeping
-the keys as bare arrays (``run_session``), and checks only what comes
-from outside: its inputs.
-A batch's sessions run on one reused generator, set to each trial's
-stream in turn (``count_sessions``, the trial loop of both
-``harness.run_batch`` and ``harness.run_search``), and draw as if
-each had seeded its own.
+Every session draws in one order, whatever its seed: its master keys,
+kept as bare arrays (``_draw_keys``), its uniforms in one call, and, once
+its check has passed, the privacy-amplification seed (``run_session``).
+It checks only what comes from outside: its inputs.  A batch's sessions
+run on one reused generator, set to each trial's fresh stream in turn
+(``count_sessions``, the trial loop of both ``harness.run_batch`` and
+``harness.run_search``), and draw as if each had seeded its own.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -135,18 +134,19 @@ class MasterKeys:
     hash_key: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "op_key", as_bits(self.op_key))
-        object.__setattr__(self, "partition_key", as_bits(self.partition_key))
+        for name in ("op_key", "partition_key", "hash_key"):
+            try:
+                object.__setattr__(self, name, as_bits(getattr(self, name)))
+            except ValueError as error:
+                raise ValueError(f"{name}: {error}") from None
         size = len(self.op_key)
         if size == 0 or size % 2:
             raise ValueError(f"op_key: must have positive even length (2n bits), got {size}")
         if len(self.partition_key) != size:
             got = len(self.partition_key)
             raise ValueError(f"partition_key: must have equal length to op_key ({size} bits), got {got}")
-        hash_key = as_bits(self.hash_key)
-        if len(hash_key) < MIN_HASH_KEY_BITS:
-            raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(hash_key)}")
-        object.__setattr__(self, "hash_key", hash_key)
+        if len(self.hash_key) < MIN_HASH_KEY_BITS:
+            raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(self.hash_key)}")
 
     @classmethod
     def _drawn(cls, op_key: np.ndarray, partition_key: np.ndarray, hash_key: np.ndarray) -> "MasterKeys":
@@ -217,13 +217,13 @@ class SessionOutcome:
     four arrays (what each side announced and what each received) are
     read-only; ``_announce`` returns them, in that order.  The session
     keys come from the raw keys, pa_seed and the session's resolved output
-    length (``_pa_bits``), both in one Toeplitz product.  The private fields stay out of the rendering; reading any
-    derived field again, in any order, or before ``to_dict()``, changes
-    nothing.  The derivations read ``alice_bits``, ``bob_bits``, pa_seed
-    and the session's partition and hash keys as they are at the first
-    read, without copying them: treat those arrays as read-only, as a
-    write to one before that read makes the derived fields disagree with
-    the counters.
+    length (``_pa_bits``), both in one Toeplitz product.  The private
+    fields stay out of the rendering; reading any derived field again, in
+    any order, or before ``to_dict()``, changes nothing.  The derivations
+    read ``alice_bits``, ``bob_bits``, pa_seed and the session's partition
+    and hash keys as they are at the first read, without copying them:
+    treat those arrays as read-only, as a write to one before that read
+    makes the derived fields disagree with the counters.
     """
 
     aborted: bool
@@ -352,18 +352,27 @@ def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool 
     balanced_k2 forces exactly n raw and n check positions instead of
     sampling the partition key uniformly.  n is checked before any draw.
     """
-    n = _check_size("n", n, MAX_N)
-    if balanced_k2:
-        op_key = random_bits(rng, 2 * n)
-        partition_key = np.zeros(2 * n, dtype=np.uint8)
-        partition_key[rng.permutation(2 * n)[:n]] = 1
-        hash_key = random_bits(rng, MIN_HASH_KEY_BITS)
-    else:
-        # Three successive random_bits draws, from one raw read where it can.
-        drawn = _draw_bits(rng, (2 * n, 2 * n, MIN_HASH_KEY_BITS))
-        op_key, partition_key, hash_key = drawn[: 2 * n], drawn[2 * n : 4 * n], drawn[4 * n :]
     # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
-    return MasterKeys._drawn(op_key, partition_key, hash_key)
+    return MasterKeys._drawn(*_draw_keys(rng, _check_size("n", n, MAX_N), balanced_k2, False))
+
+
+def _draw_keys(rng: np.random.Generator, n: int, balanced_k2: bool, unbuffered: bool) -> tuple:
+    """The op, partition and hash keys of a 2n-pair session, as bare arrays.
+
+    Without balanced_k2 they are three successive random_bits draws, from
+    one raw read where it can (``bits._draw_bits``); with it, the op key's
+    draw, a permutation that marks n check positions, and the hash key's
+    draw.  ``unbuffered`` says no PCG64 half-word is buffered before the
+    first draw (``_draw_bits``).
+    """
+    size = 2 * n
+    if balanced_k2:
+        op_key = _draw_bits(rng, (size,), unbuffered=unbuffered)
+        partition_key = np.zeros(size, dtype=np.uint8)
+        partition_key[rng.permutation(size)[:n]] = 1
+        return op_key, partition_key, random_bits(rng, MIN_HASH_KEY_BITS)
+    drawn = _draw_bits(rng, (size, size, MIN_HASH_KEY_BITS), unbuffered=unbuffered)
+    return drawn[:size], drawn[size : 2 * size], drawn[2 * size :]
 
 
 def _tables(rows, ops):
@@ -423,17 +432,12 @@ def _compile(adversary) -> _Channel:
     return _Channel(p_eve, _tables(rows, ops), adversary._flip)
 
 
-def _uniform_rows(channel: _Channel) -> int:
-    """Rows of 2n uniforms a session draws: Eve's when she measures, Bob's, Alice's."""
-    return 2 if channel.p_eve is None else 3
-
-
-def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generator, uniforms=None):
+def _quantum_stage(channel: _Channel, op_key: np.ndarray, uniforms: np.ndarray):
     """Bob's and then Alice's Z measurements of one session: ``(bob_bits, alice_bits)``.
 
-    ``uniforms`` holds the session's ``_uniform_rows(channel)`` rows of
-    ``len(op_key)`` uniforms end to end; when it is None they are one
-    ``rng.random`` call.  Each pair gets a class label: its op bit, or
+    ``uniforms`` holds the session's rows of ``len(op_key)`` uniforms end
+    to end: Eve's when she measures (``channel.p_eve`` is not None), then
+    Bob's, then Alice's.  Each pair gets a class label: its op bit, or
     ``2 * op + e`` once Eve read e (intercept-resend, from the first row).
     Bob's bits are then one uniform per pair against his class's
     probability of reading 0, and Alice's one more against hers given
@@ -442,8 +446,6 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, rng: np.random.Generat
     probability raises RuntimeError.
     """
     size = len(op_key)
-    if uniforms is None:
-        uniforms = rng.random(_uniform_rows(channel) * size)
     labels = op_key
     if channel.p_eve is not None:
         labels = 2 * op_key + (uniforms[:size] >= channel.p_eve.take(op_key))
@@ -570,24 +572,20 @@ def run_session(
     master keys instead of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
-    construction (and the keys' size here), the seed and the adversary
-    before anything is drawn.  Everything else is an array the session
+    construction, and the seed, the keys' type and size and the adversary
+    here, before anything is drawn.  Everything else is an array the session
     built, so it calls the unchecked cores.
 
-    A session draws its master keys, Eve's row of uniforms if she
-    measures, Bob's and Alice's rows of uniforms and, if it was not
-    aborted, pa_seed, in that order.  When the session builds its
-    generator from ``seed`` (anything but a Generator or a bit generator),
-    or ``count_sessions`` hands it a Generator it has just set to a
-    trial's fresh stream (the private ``_fresh``), the stream is its own,
-    so with sampled keys and no ``balanced_k2`` permutation it makes three
-    generator calls up front and reads no state: one raw read for the
-    three keys, kept as slices of it (``bits._draw_bits``), one ``random``
-    call for the uniforms and one raw read for pa_seed.  Reading pa_seed
-    when the session then aborts changes nothing anyone sees.  Otherwise
-    the keys come from ``keys`` or ``generate_master_keys``, the uniforms
-    from ``_quantum_stage`` and pa_seed only if the session was not
-    aborted, so a caller's Generator ends where those calls leave it.
+    Every session draws in one order: its master keys (unless ``keys``
+    forces them, ``_draw_keys``), one ``random`` call for its uniforms
+    (Eve's row if she measures, then Bob's and Alice's), and, once its
+    check has passed, pa_seed.  The seed form decides only whether the
+    raw reads of the keys and of pa_seed may skip reading the PCG64 state
+    (``bits._draw_bits``): they may on a stream the session seeded from
+    ``seed`` (anything but a Generator or a bit generator) or on a trial's
+    fresh stream that ``count_sessions`` hands it (the private
+    ``_fresh``), and not after ``balanced_k2``'s permutation.  A caller's
+    Generator ends where those draws leave it.
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
@@ -607,26 +605,26 @@ def run_session(
         isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0
     ):
         raise ValueError(f"seed: must be a non-negative int, a SeedSequence or a Generator, got {seed!r}")
-    rng = np.random.default_rng(seed)  # a Generator is returned as it is
-    own_stream = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
-    channel = _compile(adversary)
     size = 2 * params.n
-    uniforms = pa_seed = None
-    if keys is None and own_stream and not params.balanced_k2:
-        drawn = _draw_bits(rng, (size, size, MIN_HASH_KEY_BITS), unbuffered=True)
-        op_key, partition_key, hash_key = drawn[:size], drawn[size : 2 * size], drawn[2 * size :]
-        uniforms = rng.random(_uniform_rows(channel) * size)
-        # Drawn raw or key by key, the keys took 2 * ceil(n / 2) + 32 words
-        # of 32 bits, an even count, so no half-word is buffered.
-        pa_seed = _draw_bits(rng, (PA_SEED_BITS,), unbuffered=True)
-    else:
-        if keys is None:
-            keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
-        elif len(keys.op_key) != size:
+    if keys is not None:
+        if not isinstance(keys, MasterKeys):
+            raise ValueError(f"keys: must be None or a MasterKeys, got {keys!r}")
+        if len(keys.op_key) != size:
             raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
+    channel = _compile(adversary)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
+    unbuffered = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    if keys is None:
+        op_key, partition_key, hash_key = _draw_keys(rng, params.n, params.balanced_k2, unbuffered)
+        # Drawn raw or key by key, three keys take 2 * ceil(n / 2) + 32
+        # words of 32 bits, an even count, which leaves no half-word
+        # buffered; balanced_k2's permutation may leave one.
+        unbuffered = unbuffered and not params.balanced_k2
+    else:
         op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
+    uniforms = rng.random((2 if channel.p_eve is None else 3) * size)
     # Bob measures first; Alice measures once he is done.
-    bob_bits, alice_bits = _quantum_stage(channel, op_key, rng, uniforms)
+    bob_bits, alice_bits = _quantum_stage(channel, op_key, uniforms)
     # Both parties hold the same partition key: 1 marks a check position.
     check = partition_key.view(bool)
     differ = alice_bits ^ bob_bits
@@ -644,19 +642,17 @@ def run_session(
     aborted = detected_alice or detected_bob
     abort_reason = "check-mismatch" if aborted else None
 
-    pa_bits = 0
-    if aborted:
-        pa_seed = None
-    else:
-        if pa_seed is None:
-            pa_seed = random_bits(rng, PA_SEED_BITS)
-        pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
+    pa_seed = None
+    pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
+    if not aborted:
+        drawn_seed = _draw_bits(rng, (PA_SEED_BITS,), unbuffered=unbuffered)
         if pa_bits > raw_len:
             # An impossible compression request: the session aborts, but
             # no party's check failed, so neither detected anything.
             aborted = True
             abort_reason = "pa-output-exceeds-raw-key"
-            pa_seed = None
+        else:
+            pa_seed = drawn_seed
 
     return SessionOutcome(
         aborted=aborted,
@@ -680,27 +676,24 @@ def run_session(
     )
 
 
-def count_sessions(params: ProtocolParams, adversary, seeds) -> SessionCounts:
-    """Run one session per seed in ``seeds`` and count what happened.
+def count_sessions(params: ProtocolParams, adversary, streams: TrialStreams) -> SessionCounts:
+    """Run one session per trial stream of ``streams`` and count what happened.
 
     This is the package's one trial loop: run_batch and run_search
     differ only in the ``bits.TrialStreams`` they pass, so each keeps its
     own streams.  The adversary is compiled once, and every session draws
-    from its tables.  A TrialStreams' sessions run on the one reused
-    Generator of ``TrialStreams._generators``, set to each trial's fresh
-    stream and handed to run_session as the session's own, so each session
-    makes its one-call draw and gets, bit for bit, what seeding run_session
-    with ``bits.trial_stream(prefix, t)`` gives.  Any other iterable's
-    seeds go to run_session as they are.  The loop reads only counters,
-    the raw keys' among them (``SessionOutcome._raw_len`` and
-    ``_raw_differ``), so no session cuts a raw key, builds an announcement
-    or derives a session key.
+    from its tables.  The sessions run on the one reused Generator of
+    ``TrialStreams._generators``, set to each trial's fresh stream and
+    handed to run_session as the session's own, so each gets, bit for
+    bit, what seeding run_session with ``bits.trial_stream(prefix, t)``
+    gives.  The loop reads only counters, the raw keys' among them
+    (``SessionOutcome._raw_len`` and ``_raw_differ``), so no session cuts
+    a raw key, builds an announcement or derives a session key.
     """
     channel = _compile(adversary)
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
-    fresh = isinstance(seeds, TrialStreams)
-    for seed in seeds._generators() if fresh else seeds:
-        outcome = run_session(params, channel, seed=seed, _fresh=fresh)
+    for rng in streams._generators():
+        outcome = run_session(params, channel, seed=rng, _fresh=True)
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted

@@ -10,7 +10,7 @@ from sqkdlab.adversary import (
     intercept_resend_attack,
     modification_attack,
 )
-from sqkdlab.bits import to01
+from sqkdlab.bits import TrialStreams, to01
 from sqkdlab.harness import RunConfig, run_search
 from sqkdlab.protocol import (
     VARIANT_ORIGINAL,
@@ -206,7 +206,7 @@ def test_x_and_z_attacks_detected_conditionally(gate, detecting_bit):
 def test_intercept_resend_quarter_mismatch_rate():
     params = ProtocolParams(n=16, variant=VARIANT_ORIGINAL, tau=0.0)
     strategy = intercept_resend_attack()
-    counts = count_sessions(params, strategy, range(800))
+    counts = count_sessions(params, strategy, TrialStreams((), 800))
     assert counts.compared_bits > 10_000
     assert 0.22 < counts.mismatched_bits / counts.compared_bits < 0.28
 

@@ -108,6 +108,20 @@ def test_master_keys_validation():
         keys_for("", "")
 
 
+@pytest.mark.parametrize(
+    "field, keys",
+    [
+        ("op_key", ("012", "0101", "0" * 128)),
+        ("partition_key", ("0101", "01x1", "0" * 128)),
+        ("hash_key", ("0101", "0101", None)),
+        ("hash_key", ("0101", "0101", "2" * 128)),
+    ],
+)
+def test_master_keys_non_binary_errors_name_the_field(field, keys):
+    with pytest.raises(ValueError, match=rf"^{field}: bit sequence may only contain 0 and 1$"):
+        MasterKeys(*keys)
+
+
 def test_size_caps_name_the_field_before_anything_is_drawn():
     # Constructing params allocates nothing, so the caps are tested at and
     # just past their bounds without building a state.
@@ -188,7 +202,7 @@ def measured_per_pair(rows, op_key, rng):
     class tables of ``rows`` (``protocol._tables``, each row with its op
     bit), each pair labelled by its position."""
     channel = protocol._Channel(None, protocol._tables(rows, op_key), 0)
-    return protocol._quantum_stage(channel, np.arange(len(rows)), rng)
+    return protocol._quantum_stage(channel, np.arange(len(rows)), rng.random(2 * len(rows)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -259,7 +273,10 @@ def test_quantum_stage_is_byte_equal_to_the_whole_pair_oracle(n, tap, pattern, s
         delivered = prepare(op_key)
         if tap is not None:
             delivered = tap_quantum_batch(tap, delivered, reference)
-        bob, alice = protocol._quantum_stage(protocol._compile(tap), op_key, engine)
+        channel = protocol._compile(tap)
+        # Eve's row of uniforms when she measures, then Bob's and Alice's.
+        uniforms = engine.random((2 if channel.p_eve is None else 3) * 2 * n)
+        bob, alice = protocol._quantum_stage(channel, op_key, uniforms)
     expected_bob, expected_alice = measure_session(op_key, delivered, reference)
     assert bob.dtype == alice.dtype == np.uint8
     assert bob.tobytes() == expected_bob.tobytes()
@@ -310,13 +327,8 @@ def test_a_drawn_zero_probability_outcome_raises():
     pair = [np.sqrt(1 - 5e-10), 1e-13, 0, 0]
     rows = np.array([pair, pair], dtype=complex)
     channel = protocol._Channel(None, protocol._tables(rows, np.array([0, 1])), 0)
-
-    class Ones:
-        def random(self, size):
-            return np.full(size, 1.0 - 2**-53)
-
     with pytest.raises(RuntimeError, match="zero probability"):
-        protocol._quantum_stage(channel, np.zeros(2, dtype=np.uint8), Ones())
+        protocol._quantum_stage(channel, np.zeros(2, dtype=np.uint8), np.full(4, 1.0 - 2**-53))
 
 
 # -- partition -------------------------------------------------------------------
@@ -771,6 +783,18 @@ def test_a_seed_outside_the_contract_is_rejected_by_field_name(seed):
             run_session(ProtocolParams(n=2), None, seed=seed)
 
 
+@pytest.mark.parametrize("keys", [("0011", "0101", "0" * 128), "0011", 0])
+def test_keys_that_are_not_master_keys_are_rejected_by_field_name(keys):
+    # Anything but None or a MasterKeys is named before the channel is
+    # compiled or a caller's Generator moves.
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with mock.patch.object(protocol, "_compile", side_effect=AssertionError("compiled before the keys check")):
+        with pytest.raises(ValueError, match=r"^keys: must be None or a MasterKeys, got "):
+            run_session(ProtocolParams(n=2), None, seed=rng, keys=keys)
+    assert rng.bit_generator.state == before
+
+
 def test_batches_and_sweeps_never_run_privacy_amplification(monkeypatch):
     # count_sessions, under run_batch and run_search, reads counters
     # only; the raw keys, the announcements and the session keys are
@@ -906,7 +930,7 @@ def test_count_sessions_equals_a_loop_over_run_session():
     params = ProtocolParams(n=8, variant=VARIANT_ORIGINAL, tau=0.1)
     seeds = [np.random.SeedSequence((3, trial)) for trial in range(120)]
     expected = counted([run_session(params, intercept_resend_attack(), seed=seed) for seed in seeds])
-    assert count_sessions(params, intercept_resend_attack(), iter(seeds)) == expected
+    assert count_sessions(params, intercept_resend_attack(), TrialStreams((3,), 120)) == expected
     # a mixed case: at tau=0.1 some sessions abort and some end with matching raw keys
     assert 0 < expected.detected < expected.sessions
     assert 0 < expected.matched < expected.sessions
@@ -916,12 +940,13 @@ def test_count_sessions_equals_a_loop_over_run_session():
 @pytest.mark.parametrize("tap", ENGINE_TAPS, ids=lambda tap: "none" if tap is None else tap.describe()["quantum"])
 @pytest.mark.parametrize("n, balanced_k2", [(6, False), (8, False), (5, True)], ids=["n6", "n8", "n5-balanced"])
 def test_count_sessions_equals_a_loop_on_every_channel(variant, tap, n, balanced_k2):
-    # Every channel and both variants, where each session draws in one
-    # call (n = 8) and where it draws call by call (n % 4 != 0, balanced_k2).
+    # Every channel and both variants, where each session's keys are one
+    # raw read (n = 8) and where they are drawn key by key (n % 4 != 0,
+    # balanced_k2).
     params = ProtocolParams(n=n, variant=variant, tau=0.1, balanced_k2=balanced_k2)
     seeds = [np.random.SeedSequence((5, trial)) for trial in range(30)]
     expected = counted([run_session(params, tap, seed=seed) for seed in seeds])
-    counts = count_sessions(params, tap, iter(seeds))
+    counts = count_sessions(params, tap, TrialStreams((5,), 30))
     assert counts == expected
     # Python ints, not numpy ones, so that rates are floats and a report goes through json.dumps.
     assert all(type(value) is int for value in vars(counts).values())
@@ -952,8 +977,8 @@ def test_trial_streams_give_the_sessions_of_their_seed_sequences(
     # count_sessions runs a TrialStreams on one reused generator, its state
     # set per trial; the counts, and the full transcripts of a sample of
     # trials, are those of a loop over SeedSequence((*prefix, t)).  n8 draws
-    # in one call, n5 and balanced_k2 call by call; pa_bits = 9 is longer
-    # than most raw keys at n = 8.
+    # its keys in one raw read, n5 and balanced_k2 key by key; pa_bits = 9
+    # is longer than most raw keys at n = 8.
     params = ProtocolParams(
         n=n, variant=variant, tau=0.1, hash_bits=hash_bits, pa_bits=pa_bits, balanced_k2=balanced_k2
     )
@@ -969,7 +994,7 @@ def test_trial_streams_give_the_sessions_of_their_seed_sequences(
         return outcome
 
     for channel in TRIAL_CHANNELS:
-        expected = count_sessions(params, channel, iter(seeds))
+        expected = counted([run_session(params, channel, seed=seed) for seed in seeds])
         transcripts.clear()
         with monkeypatch.context() as patched:
             patched.setattr(protocol, "run_session", recorded)
@@ -985,10 +1010,10 @@ def test_batches_and_sweeps_seed_trial_t_from_their_prefix_and_t(monkeypatch, se
     # same.  A two-word seed makes entropies of three and four words.
     passed = []
 
-    def reference(params, adversary, seeds):
-        passed.append(seeds)
-        streams = [np.random.SeedSequence((*seeds.prefix, t)) for t in range(seeds.trials)]
-        return count_sessions(params, adversary, streams)
+    def reference(params, adversary, streams):
+        passed.append(streams)
+        seeds = [np.random.SeedSequence((*streams.prefix, t)) for t in range(streams.trials)]
+        return counted([run_session(params, adversary, seed=seed) for seed in seeds])
 
     config = harness.RunConfig(protocol="improved", attack="modification", n=6, trials=30, seed=seed)
 
@@ -1029,10 +1054,11 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
 def test_session_draws_equal_the_call_by_call_oracle(
     n, variant, tap, seed_form, seed, bits_before, forced_keys, balanced_k2, tau, pa_bits
 ):
-    # Whether the session makes its draws in one call or call by call, its
-    # transcript (session keys read) is the oracle's, byte for byte, and a
-    # caller's Generator ends where the oracle's calls leave it; an odd
-    # count of bits drawn before leaves a PCG64 half-word buffered.
+    # Whatever the seed form, and whether the keys are one raw read or
+    # drawn key by key, the transcript (session keys read) is the oracle's,
+    # byte for byte, and a caller's Generator ends where the oracle's calls
+    # leave it; an odd count of bits drawn before leaves a PCG64 half-word
+    # buffered.
     params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=8, pa_bits=pa_bits, balanced_k2=balanced_k2)
     keys = None
     if forced_keys:
