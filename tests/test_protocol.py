@@ -396,8 +396,9 @@ class Exchange:
 
     def __init__(self, alice_check, bob_check, variant, tau, flipped, hash_key, hash_bits):
         check_differ = alice_check ^ bob_check
+        differing = int(np.count_nonzero(check_differ))
         detected_alice, detected_bob, *counters = protocol._difference_check(
-            check_differ, int(np.count_nonzero(check_differ)), variant, flipped, tau, hash_key, hash_bits
+            check_differ, len(check_differ), differing, variant, flipped, tau, hash_key, hash_bits
         )
         self.alice_pass, self.bob_pass = not detected_alice, not detected_bob
         self.check_mismatches_alice, self.check_mismatches_bob = counters[:2]
@@ -449,6 +450,18 @@ def test_original_vacuous_pass_with_no_check_bits():
     result = exchange_original("", "", flipped=1)
     assert result.alice_pass and result.bob_pass
     assert result.compared_bits_alice == result.compared_bits_bob == 0
+
+
+def test_improved_empty_halves_still_compare_digests():
+    # With no check bits both halves are empty, but each is still announced
+    # as a keyed digest of its direction tag: 16 bits compared on each side,
+    # and a channel that flips every announced bit is detected by both.
+    kh = random_bits(np.random.default_rng(3), 128)
+    result = exchange_improved("", "", kh, 16, flipped=1)
+    assert not result.alice_pass and not result.bob_pass
+    assert result.compared_bits_alice == result.compared_bits_bob == 16
+    assert result.check_mismatches_alice == result.check_mismatches_bob == 16
+    assert len(result.announced_by_alice) == len(result.received_by_bob) == 16
 
 
 def test_original_threshold_tolerates_fraction():
@@ -1051,6 +1064,10 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
     st.sampled_from([0.0, 0.25]),
     st.sampled_from([None, 1, 3, 40]),
 )
+# Balanced keys on a session's own stream: the permutation leaves a PCG64
+# half-word buffered, so the PA seed's raw read must read the state.
+@example(5, VARIANT_ORIGINAL, None, "int", 0, 0, False, True, 0.0, None)
+@example(5, VARIANT_ORIGINAL, None, "seed-sequence", 0, 0, False, True, 0.0, None)
 def test_session_draws_equal_the_call_by_call_oracle(
     n, variant, tap, seed_form, seed, bits_before, forced_keys, balanced_k2, tau, pa_bits
 ):
