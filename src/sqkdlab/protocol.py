@@ -37,8 +37,13 @@ XOR that constant.  A session forms the difference once and counts the
 raw keys' disagreements and both sides' mismatches from it
 (``_difference_check``).  A difference that is zero at every check
 position encodes to zeros, so it is counted from the variant's side
-lengths with nothing encoded; an all-zero one, as in every honest
-session, is not even cut at the check positions.  A session's one record,
+lengths with nothing encoded.  One that is set at every check position
+is counted the same way, every compared bit a mismatch before the flip,
+when the variant encodes all ones to all ones (the original variant's
+plain halves); the improved variant's digest of all ones depends on the
+hash key, so it still encodes it.  An all-zero difference, as in every
+honest session, and an all-ones one, as under the modification attack,
+are not even cut at the check positions.  A session's one record,
 ``SessionOutcome``, holds the exchange's two verdicts (``detected_by_*``)
 and four counters beside the rest of its transcript.  It cuts the raw
 keys, and encodes the announcements from one tagged sequence, when a
@@ -499,12 +504,15 @@ def _digest_sides(check, hash_key, hash_bits, tagged):
 
 
 # Each variant's exchange: its encoder, the lengths of the (odd, even)
-# sides it encodes c check bits to, and the mismatch fraction a side passes
-# at (None: the session's tau).  A digest of >= 1 bit passes at tau = 0
-# exactly when every bit matches.
+# sides it encodes c check bits to, the mismatch fraction a side passes at
+# (None: the session's tau), and whether it encodes an all-ones sequence
+# to all-ones sides, so that a full difference is counted from the side
+# lengths.  A digest's T·1 depends on the hash key, so the improved
+# variant still encodes a full difference.  A digest of >= 1 bit passes at
+# tau = 0 exactly when every bit matches.
 _EXCHANGES = {
-    VARIANT_ORIGINAL: (_plain_sides, lambda c, hash_bits: ((c + 1) // 2, c // 2), None),
-    VARIANT_IMPROVED: (_digest_sides, lambda c, hash_bits: (hash_bits, hash_bits), 0.0),
+    VARIANT_ORIGINAL: (_plain_sides, lambda c, hash_bits: ((c + 1) // 2, c // 2), None, True),
+    VARIANT_IMPROVED: (_digest_sides, lambda c, hash_bits: (hash_bits, hash_bits), 0.0, False),
 }
 
 
@@ -525,8 +533,8 @@ def _difference_check(
 ) -> tuple:
     """The one announce-and-compare exchange, counted from ``check_differ``,
     the two records' XOR at the ``checks`` check positions, of which
-    ``differing`` bits are set, with no announcement built.  When none is,
-    ``check_differ`` is not read, so it may be None.
+    ``differing`` bits are set, with no announcement built.  When none or
+    all of them are, ``check_differ`` may be None.
 
     Each side compares what it receives against the encoding of its own
     retained half of the same parity.  Two sequences' tagged encodings
@@ -535,14 +543,22 @@ def _difference_check(
     mismatches are the set bits of its side of ``check_differ``'s untagged
     encoding, XOR flip.  Every encoding is linear, so a difference with no
     set bit, as every honest session's is, encodes to zeros: it is counted
-    from the variant's side lengths for ``checks`` bits, with nothing cut
-    or encoded.  A side detects when it compared something and its
-    mismatch fraction exceeds tau (the variant's own tau when it has one).
-    Returns ``SessionOutcome``'s first six fields: the two detection flags
-    and the four counters.
+    from the variant's side lengths for ``checks`` bits, with nothing
+    encoded.  A full difference (every bit set, as under the modification
+    attack) is counted the same way, with ``flip`` flipped, when the
+    variant encodes all ones to all ones (the original variant); the
+    improved variant encodes it.  A side detects when it compared
+    something and its mismatch fraction exceeds tau (the variant's own tau
+    when it has one).  Returns ``SessionOutcome``'s first six fields: the
+    two detection flags and the four counters.
     """
-    encode, side_lengths, fixed_tau = _EXCHANGES[variant]
+    encode, side_lengths, fixed_tau, keeps_ones = _EXCHANGES[variant]
+    if keeps_ones and differing == checks:
+        # Every side bit mismatches before flip: a zero difference, flipped.
+        differing, flip = 0, flip ^ 1
     if differing:
+        if check_differ is None:  # a full difference, not cut
+            check_differ = np.ones(checks, dtype=np.uint8)
         alice_side, bob_side = encode(check_differ, hash_key, hash_bits, False)
         compared_alice, compared_bob = len(alice_side), len(bob_side)
         mism_alice, mism_bob = int(np.count_nonzero(alice_side)), int(np.count_nonzero(bob_side))
@@ -597,13 +613,15 @@ def run_session(
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
-    counts that difference's set bits; an honest session's is all zero, so
-    it cuts nothing and its check length is the partition key's count of
-    set bits.  Any other difference is cut with the partition key, viewed
-    as a boolean mask: its set bits outside the check positions count the
-    raw keys' disagreements, and its check cut counts both sides'
-    mismatches (``_difference_check``: a zero cut is counted with nothing
-    encoded, any other is encoded once).  Privacy amplification runs
+    counts that difference's set bits.  An honest session's is all zero
+    and a modification attack's all ones, so it is zero or all ones at the
+    check positions too: the session cuts nothing, and its check length is
+    the partition key's count of set bits.  Any other difference is cut
+    with the partition key, viewed as a boolean mask: its set bits outside
+    the check positions count the raw keys' disagreements, and its check
+    cut counts both sides' mismatches (``_difference_check``: a zero cut,
+    and under the original variant an all-ones one, is counted with
+    nothing encoded; any other is encoded once).  Privacy amplification runs
     only if its output fits the raw key.  The outcome holds the exchange's
     verdicts and counters; the raw keys, the announcements
     (``_announcements``) and the session keys are derived on their first
@@ -638,11 +656,15 @@ def run_session(
     check = partition_key.view(bool)
     differ = alice_bits ^ bob_bits
     differing = int(np.count_nonzero(differ))
-    if differing:
+    if not differing:
+        check_differ, checks, check_differing = None, int(np.count_nonzero(partition_key)), 0
+    elif differing < size:
         check_differ = differ[check]
         checks, check_differing = len(check_differ), int(np.count_nonzero(check_differ))
     else:
-        check_differ, checks, check_differing = None, int(np.count_nonzero(partition_key)), 0
+        # Every pair's records disagree, so every check position's do.
+        check_differ, checks = None, int(np.count_nonzero(partition_key))
+        check_differing = checks
     raw_len = size - checks
     raw_differ = differing - check_differing
     variant, flip, hash_bits = params.variant, channel.flip, params.hash_bits

@@ -559,6 +559,22 @@ def hashing_forbidden():
     return mock.patch.multiple(protocol, _expand=hashed, _toeplitz_product=hashed)
 
 
+def untagged_forbidden(*variants):
+    """A patch under which ``variants``' encoders raise on an untagged
+    encoding, the one a check difference gets; announcements still encode."""
+
+    def guarded(encode):
+        def encode_tagged_only(check, hash_key, hash_bits, tagged):
+            if not tagged:
+                raise AssertionError("encoded a constant check difference")
+            return encode(check, hash_key, hash_bits, tagged)
+
+        return encode_tagged_only
+
+    exchanges = protocol._EXCHANGES
+    return mock.patch.dict(exchanges, {v: (guarded(exchanges[v][0]), *exchanges[v][1:]) for v in variants})
+
+
 @settings(deadline=None)
 @given(
     st.lists(st.integers(0, 1), max_size=120),
@@ -599,28 +615,103 @@ def test_a_zero_check_difference_counts_as_the_exchange_does(check, tampered, di
         assert getattr(counted, f"{side}_pass") is not tampered
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 1), max_size=120),
+    st.booleans(),
+    st.integers(1, 70),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.lists(st.integers(0, 1), min_size=MIN_HASH_KEY_BITS, max_size=MIN_HASH_KEY_BITS),
+)
+@example([], False, 1, 0.0, ONES_KEY)
+@example([], True, 70, 0.0, ONES_KEY)
+@example([1], False, 1, 0.0, ONES_KEY)
+@example([0, 1], True, 64, 0.5, ONES_KEY)
+@example([0, 1, 1], False, 8, 0.9, ONES_KEY)
+@example([1, 0, 0] * 40, True, 33, 0.0, ONES_KEY)
+def test_a_full_check_difference_counts_as_the_exchange_does(check, tampered, digest_len, tau, hash_key):
+    # Bob's check sequence is the complement of Alice's, of lengths 0, 1, 2
+    # and odd and even up to 120, so every check bit differs.  The original
+    # variant counts that from its halves' lengths with no untagged
+    # encoding; the improved one encodes it, as cut or uncut (None, as
+    # run_session passes it).  Either way the counters and verdicts are
+    # those of comparing the announcements, derived with the real encoders:
+    # each side compares what it received against its own retained half.
+    alice_check, key, flip_bit = as_bits(check), as_bits(hash_key), int(tampered)
+    bob_check, checks = alice_check ^ 1, len(alice_check)
+    for variant, bits, passing in ((VARIANT_ORIGINAL, 0, tau), (VARIANT_IMPROVED, digest_len, 0.0)):
+        with untagged_forbidden(VARIANT_ORIGINAL):
+            counts = [
+                protocol._difference_check(differ, checks, checks, variant, flip_bit, tau, key, bits)
+                for differ in (alice_check ^ bob_check, None)
+            ]
+        received = protocol._announcements(alice_check, bob_check, variant, flip_bit, key, bits)[2:]
+        own = (
+            protocol._announcements(alice_check, alice_check, variant, 0, key, bits)[1],
+            protocol._announcements(bob_check, bob_check, variant, 0, key, bits)[0],
+        )
+        mismatches = [int(np.count_nonzero(got != kept)) for got, kept in zip(received, own)]
+        compared = [len(kept) for kept in own]
+        detected = [c > 0 and m / c > passing for m, c in zip(mismatches, compared)]
+        assert counts == [(*detected, *mismatches, *compared)] * 2
+        if variant == VARIANT_ORIGINAL:
+            # The plain halves: every compared bit mismatches unless the channel flips it back.
+            assert mismatches == ([0, 0] if tampered else compared)
+
+
 @pytest.mark.parametrize("n", [1, 2, 32])
 def test_a_zero_check_difference_is_counted_without_encoding(n):
     # Honest sessions, and a channel that flips every announcement and
     # leaves every qubit alone, have a zero check difference in every
     # session: both variants count it from their side lengths with no
     # untagged encoding, and the counts are those of the real encoders.
-    def untagged_forbidden(encode):
-        def guarded(check, hash_key, hash_bits, tagged):
-            if not tagged:
-                raise AssertionError("encoded a zero check difference")
-            return encode(check, hash_key, hash_bits, tagged)
-
-        return guarded
-
-    guarded = {variant: (untagged_forbidden(encode), *rest) for variant, (encode, *rest) in protocol._EXCHANGES.items()}
     flip_only = AdversaryStrategy.from_description({"quantum": "gate_all:i", "classical": "flip_all"})
     for variant, adversary in itertools.product(VARIANTS, (None, flip_only)):
         params = ProtocolParams(n=n, variant=variant)
         expected = count_sessions(params, adversary, TrialStreams((11,), 200))
-        with mock.patch.dict(protocol._EXCHANGES, guarded):
+        with untagged_forbidden(*VARIANTS):
             assert count_sessions(params, adversary, TrialStreams((11,), 200)) == expected
         assert (expected.detected > 0) == (adversary is not None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 32])
+def test_a_full_check_difference_is_counted_without_encoding_by_the_original_variant(n):
+    # Y or a spin flip on every qubit complements Bob's record in every
+    # session, with or without every announcement flipped (the spin flip
+    # with flip_all is modification_attack()).  The original variant counts
+    # that full difference from its halves' lengths with no untagged
+    # encoding, and the counts are those of the real encoder.  The improved
+    # variant's digest of all ones depends on the hash key, so it encodes
+    # the difference in every session with a check bit, and it detects
+    # every modification session.
+    channels = [
+        modification_attack(),
+        AdversaryStrategy("gate_all", "Y"),
+        AdversaryStrategy("gate_all", "SPIN_FLIP"),
+        AdversaryStrategy("gate_all", "Y", "flip_all"),
+    ]
+    trials = 200
+    original, improved = (ProtocolParams(n=n, variant=variant) for variant in VARIANTS)
+    # Keys are drawn first, so a trial's check set is the same on every channel.
+    seeds = (np.random.SeedSequence((11, t)) for t in range(trials))
+    with_checks = sum(run_session(original, None, seed=seed).compared_bits_alice > 0 for seed in seeds)
+    encode, *rest = protocol._EXCHANGES[VARIANT_IMPROVED]
+    for adversary in channels:
+        expected = count_sessions(original, adversary, TrialStreams((11,), trials))
+        with untagged_forbidden(VARIANT_ORIGINAL):
+            assert count_sessions(original, adversary, TrialStreams((11,), trials)) == expected
+        assert expected.complemented == trials
+        if adversary._flip:
+            assert expected.detected == 0 and expected.mismatched_bits == 0
+        else:
+            assert expected.mismatched_bits == expected.compared_bits
+        counting = mock.Mock(wraps=encode)
+        with mock.patch.dict(protocol._EXCHANGES, {VARIANT_IMPROVED: (counting, *rest)}):
+            counts = count_sessions(improved, adversary, TrialStreams((11,), trials))
+        assert counting.call_count == with_checks
+        assert all(np.all(call.args[0] == 1) for call in counting.call_args_list)
+        # With no check bit only a flipped announcement tells, as a digest of the tag.
+        assert counts.detected == counts.aborted == (trials if adversary._flip else with_checks)
 
 
 # -- full sessions -----------------------------------------------------------------
@@ -1068,6 +1159,14 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
 # half-word buffered, so the PA seed's raw read must read the state.
 @example(5, VARIANT_ORIGINAL, None, "int", 0, 0, False, True, 0.0, None)
 @example(5, VARIANT_ORIGINAL, None, "seed-sequence", 0, 0, False, True, 0.0, None)
+# A caller's Generator with a half-word buffered before the session: the
+# keys' raw read and the PA seed's must read the state.
+@example(8, VARIANT_ORIGINAL, None, "generator", 0, 3, False, False, 0.0, None)
+# Forced keys on the session's own stream: the uniforms come first.
+@example(8, VARIANT_IMPROVED, None, "int", 0, 0, True, False, 0.0, None)
+# The modification attack on the original variant, on a caller's
+# Generator: a full difference, counted uncut, and a passing check.
+@example(8, VARIANT_ORIGINAL, modification_attack(), "generator", 0, 1, False, False, 0.0, None)
 def test_session_draws_equal_the_call_by_call_oracle(
     n, variant, tap, seed_form, seed, bits_before, forced_keys, balanced_k2, tau, pa_bits
 ):
