@@ -6,10 +6,12 @@ serial and parallel execution aggregate identically, and reduces the
 outcomes to trial frequencies.  run_search runs every (gate, classical)
 strategy of ``adversary``'s search space the same way, strategy ``index``
 on the streams of (seed, index), and reports detection and key-corruption
-frequencies.  Both take a RunConfig, check it once (``validate``) and
-count in ``protocol.count_sessions``.
-Reports render to JSON or CSV with the same numeric values; two runs of
-the same config produce byte-identical JSON apart from wall_time_ms.
+frequencies.  Both take a RunConfig, check it once (``validate``, which
+returns the params and strategy it checked), count in
+``protocol.count_sessions`` and turn the counts into rates in ``_rates``.
+Reports render to JSON or CSV (one writer) with the same numeric values;
+two runs of the same config produce byte-identical JSON apart from
+wall_time_ms.
 """
 
 import csv
@@ -36,6 +38,7 @@ from .protocol import (
     VARIANTS,
     MasterKeys,
     ProtocolParams,
+    SessionCounts,
     SessionOutcome,
     count_sessions,
     run_session,
@@ -70,7 +73,8 @@ class RunConfig:
     pa_bits: int | None = None  # None = auto (half the raw key)
     balanced_k2: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[ProtocolParams, AdversaryStrategy | None]:
+        """Check every field; return ``(to_params(), resolve_strategy())``."""
         if self.protocol not in VARIANTS:
             raise ValueError(f"protocol: must be one of {VARIANTS}, got {self.protocol!r}")
         if self.attack not in ATTACKS:
@@ -79,8 +83,7 @@ class RunConfig:
             raise ValueError("custom_strategy: required when attack is 'custom'")
         if self.attack != ATTACK_CUSTOM and self.custom_strategy is not None:
             raise ValueError(f"custom_strategy: only applies when attack is 'custom', got attack {self.attack!r}")
-        if self.attack == ATTACK_CUSTOM:
-            AdversaryStrategy.from_description(self.custom_strategy)  # its errors name the field at fault
+        strategy = self.resolve_strategy()  # a custom strategy's errors name the field at fault
         for name in ("trials", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -89,7 +92,7 @@ class RunConfig:
             raise ValueError(f"trials: must be >= 1, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
-        self.to_params()
+        return self.to_params(), strategy
 
     def to_params(self) -> ProtocolParams:
         return ProtocolParams(
@@ -153,31 +156,39 @@ class AggregateReport:
         return dict(vars(self))
 
 
+def _rates(counts: SessionCounts) -> dict:
+    """Every rate a report gives, as frequencies over ``counts.sessions`` trials.
+
+    key_corruption_rate is (trials - matched) / trials, which differs from
+    1 - key_match_rate in the last bit for some counts (3 trials, 1 matched).
+    mean_check_error_rate is 0.0 when nothing was compared.
+    """
+    trials = counts.sessions
+    return {
+        "detection_rate": counts.detected / trials,
+        "abort_rate": counts.aborted / trials,
+        "key_match_rate": counts.matched / trials,
+        "key_corruption_rate": (trials - counts.matched) / trials,
+        "raw_key_complement_rate": counts.complemented / trials,
+        "mean_check_error_rate": counts.mismatched_bits / counts.compared_bits if counts.compared_bits else 0.0,
+    }
+
+
 def run_batch(config: RunConfig) -> AggregateReport:
     """Run ``config.trials`` independent sessions and aggregate them.
 
     Deterministic for a fixed config: trial t uses the stream derived from
     (config.seed, t) regardless of execution order.
     """
-    config.validate()
-    params = config.to_params()
-    strategy = config.resolve_strategy()
+    params, strategy = config.validate()
 
     started = time.perf_counter()
     counts = count_sessions(params, strategy, TrialStreams((config.seed,), config.trials))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
-    trials = config.trials
-    return AggregateReport(
-        config=config.echo(),
-        detection_rate=counts.detected / trials,
-        abort_rate=counts.aborted / trials,
-        key_match_rate=counts.matched / trials,
-        raw_key_complement_rate=counts.complemented / trials,
-        mean_check_error_rate=(counts.mismatched_bits / counts.compared_bits) if counts.compared_bits else 0.0,
-        vacuous_check_sessions=counts.vacuous,
-        wall_time_ms=elapsed_ms,
-    )
+    rates = _rates(counts)
+    del rates["key_corruption_rate"]  # a batch reports key_match_rate and raw_key_complement_rate
+    return AggregateReport(config.echo(), **rates, vacuous_check_sessions=counts.vacuous, wall_time_ms=elapsed_ms)
 
 
 def run_search(config: RunConfig) -> list[AttackSearchResult]:
@@ -192,12 +203,11 @@ def run_search(config: RunConfig) -> list[AttackSearchResult]:
     privacy amplification and uniform partitions, so a config that sets
     any of those fields is rejected rather than echoed unused.
     """
-    config.validate()
+    params, _ = config.validate()
     for name in ("attack", "custom_strategy", "pa_bits", "balanced_k2"):
         value, default = getattr(config, name), getattr(RunConfig, name)
         if value != default:
             raise ValueError(f"{name}: run_search does not use it; leave it at {default!r}, got {value!r}")
-    params = config.to_params()
     trials = config.trials
     strategies = [
         AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
@@ -206,15 +216,8 @@ def run_search(config: RunConfig) -> list[AttackSearchResult]:
     ]
     results = []
     for index, strategy in enumerate(strategies):
-        counts = count_sessions(params, strategy, TrialStreams((config.seed, index), trials))
-        results.append(
-            AttackSearchResult(
-                strategy=strategy,
-                detection_rate=counts.detected / trials,
-                key_corruption_rate=(trials - counts.matched) / trials,
-                trials=trials,
-            )
-        )
+        rates = _rates(count_sessions(params, strategy, TrialStreams((config.seed, index), trials)))
+        results.append(AttackSearchResult(strategy, rates["detection_rate"], rates["key_corruption_rate"], trials))
     # describe() lists the quantum label, then the classical one.
     results.sort(key=lambda r: (r.detection_rate, -r.key_corruption_rate, *r.strategy.describe().values()))
     return results
@@ -227,16 +230,20 @@ def render_report_json(report: AggregateReport) -> str:
     return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+def _render_csv(rows: list[dict]) -> str:
+    """``rows`` as CSV under a header of the first row's keys."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_report_csv(report: AggregateReport) -> str:
     data = report.to_dict()
     cfg = data.pop("config")
     cfg = {**cfg, "strategy": json.dumps(cfg["strategy"])}
-    row = {**{f"config_{k}": v for k, v in cfg.items()}, **data}
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(row), lineterminator="\n")
-    writer.writeheader()
-    writer.writerow(row)
-    return buf.getvalue()
+    return _render_csv([{**{f"config_{k}": v for k, v in cfg.items()}, **data}])
 
 
 def render_search_json(results: list[AttackSearchResult], config: RunConfig) -> str:
@@ -245,16 +252,7 @@ def render_search_json(results: list[AttackSearchResult], config: RunConfig) -> 
 
 
 def render_search_csv(results: list[AttackSearchResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["quantum", "classical", "detection_rate", "key_corruption_rate", "trials"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for result in results:
-        writer.writerow(result.to_dict())
-    return buf.getvalue()
+    return _render_csv([r.to_dict() for r in results])
 
 
 # -- worked-example replay ---------------------------------------------------

@@ -153,15 +153,6 @@ class MasterKeys:
         if len(self.hash_key) < MIN_HASH_KEY_BITS:
             raise ValueError(f"hash_key: must be at least {MIN_HASH_KEY_BITS} bits, got {len(self.hash_key)}")
 
-    @classmethod
-    def _drawn(cls, op_key: np.ndarray, partition_key: np.ndarray, hash_key: np.ndarray) -> "MasterKeys":
-        """Keys from fresh, correctly sized uint8 0/1 arrays, stored as they are, without the checks."""
-        keys = object.__new__(cls)
-        object.__setattr__(keys, "op_key", op_key)
-        object.__setattr__(keys, "partition_key", partition_key)
-        object.__setattr__(keys, "hash_key", hash_key)
-        return keys
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -359,8 +350,7 @@ def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool 
     balanced_k2 forces exactly n raw and n check positions instead of
     sampling the partition key uniformly.  n is checked before any draw.
     """
-    # Freshly drawn 0/1 arrays of the right lengths: nothing to re-check or copy.
-    return MasterKeys._drawn(*_draw_keys(rng, _check_size("n", n, MAX_N), balanced_k2, False))
+    return MasterKeys(*_draw_keys(rng, _check_size("n", n, MAX_N), balanced_k2, False))
 
 
 def _draw_keys(rng: np.random.Generator, n: int, balanced_k2: bool, unbuffered: bool) -> tuple:

@@ -15,13 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkdlab.bits import trial_stream
+from sqkdlab.adversary import (
+    CLASSICAL_POLICIES,
+    QUANTUM_GATE_ALL,
+    SEARCH_GATE_NAMES,
+    AdversaryStrategy,
+    AttackSearchResult,
+)
+from sqkdlab.bits import TrialStreams, trial_stream
 from sqkdlab.cli import main
 from sqkdlab.harness import (
     WALKTHROUGH_EXPECTED,
     AggregateReport,
     ReplayMismatch,
     RunConfig,
+    _rates,
     render_report_csv,
     render_report_json,
     render_search_csv,
@@ -30,7 +38,15 @@ from sqkdlab.harness import (
     run_batch,
     run_search,
 )
-from sqkdlab.protocol import MAX_HASH_BITS, MAX_N, VARIANTS, ProtocolParams, run_session
+from sqkdlab.protocol import (
+    MAX_HASH_BITS,
+    MAX_N,
+    VARIANTS,
+    ProtocolParams,
+    SessionCounts,
+    count_sessions,
+    run_session,
+)
 
 
 def drop_wall_time(report: AggregateReport) -> dict:
@@ -92,6 +108,16 @@ def test_config_caps_only_what_allocates():
     # n and hash_bits size per-session arrays and are capped; trials and
     # pa_bits size nothing that grows with them and are not.
     RunConfig(n=MAX_N, hash_bits=MAX_HASH_BITS, trials=10**12, pa_bits=10**12).validate()
+
+
+def test_validate_returns_the_params_and_strategy_it_checked():
+    config = RunConfig(
+        attack="custom", custom_strategy={"quantum": "gate_all:y", "classical": "flip_all"}, n=6, hash_bits=16
+    )
+    params, strategy = config.validate()
+    assert isinstance(params, ProtocolParams)
+    assert isinstance(strategy, AdversaryStrategy)
+    assert (params, strategy) == (config.to_params(), config.resolve_strategy())
 
 
 @pytest.mark.parametrize(
@@ -197,6 +223,28 @@ def test_rates_are_exact_trial_frequencies():
         assert (rate * 157) == pytest.approx(round(rate * 157), abs=1e-9)
 
 
+def test_rates_divide_each_count_by_the_trials():
+    counts = SessionCounts(
+        sessions=3, detected=2, aborted=1, matched=1, complemented=0, vacuous=1, mismatched_bits=0, compared_bits=0
+    )
+    rates = _rates(counts)
+    # (trials - matched) / trials, not 1 - matched / trials: at 3 trials and 1 match they differ in the last bit.
+    assert rates["key_corruption_rate"] == 2 / 3
+    assert rates["key_corruption_rate"] != 1 - 1 / 3
+    assert rates == {
+        "detection_rate": 2 / 3,
+        "abort_rate": 1 / 3,
+        "key_match_rate": 1 / 3,
+        "key_corruption_rate": 2 / 3,
+        "raw_key_complement_rate": 0.0,
+        "mean_check_error_rate": 0.0,
+    }
+    pooled = SessionCounts(
+        sessions=4, detected=0, aborted=0, matched=4, complemented=0, vacuous=0, mismatched_bits=3, compared_bits=8
+    )
+    assert _rates(pooled)["mean_check_error_rate"] == 3 / 8
+
+
 def test_batch_determinism_modulo_wall_time():
     config = RunConfig(protocol="improved", attack="modification", n=8, trials=100, seed=9)
     assert drop_wall_time(run_batch(config)) == drop_wall_time(run_batch(config))
@@ -252,6 +300,23 @@ def test_search_single_trial_rates_are_boolean():
     for result in results:
         assert result.detection_rate in (0.0, 1.0)
         assert result.key_corruption_rate in (0.0, 1.0)
+
+
+def test_search_rows_are_the_rates_of_their_strategies_counts():
+    # Strategy ``index`` runs on the streams of (seed, index).
+    config = RunConfig(protocol="original", n=2, trials=7, seed=0)
+    params, _ = config.validate()
+    strategies = [
+        AdversaryStrategy(quantum=QUANTUM_GATE_ALL, gate=g, classical=c)
+        for g in SEARCH_GATE_NAMES
+        for c in CLASSICAL_POLICIES
+    ]
+    rows = {row.strategy: row for row in run_search(config)}
+    assert set(rows) == set(strategies)
+    for index, strategy in enumerate(strategies):
+        rates = _rates(count_sessions(params, strategy, TrialStreams((config.seed, index), 7)))
+        expected = AttackSearchResult(strategy, rates["detection_rate"], rates["key_corruption_rate"], 7)
+        assert rows[strategy] == expected
 
 
 # -- rendering ---------------------------------------------------------------------
