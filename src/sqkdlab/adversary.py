@@ -14,15 +14,16 @@ each received half again matches the receiver's retained half).
 
 ``SEARCH_GATE_NAMES`` x ``CLASSICAL_POLICIES`` is the strategy space that
 ``harness.run_search`` sweeps, and ``AttackSearchResult`` is one row of
-its report.  This module imports only ``qsim``: the protocol compiles a
-strategy into a channel, and the harness runs the sweep.
+its report.  This module holds only the strategies, their wire form and
+the sweep space; it imports no numpy and takes only ``GATE_NAMES`` from
+``qsim``.  ``protocol._compile`` is the one function that turns a
+strategy into the channel a session runs through (its taps on the class
+rows and its constant flip), and the harness runs the sweep.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .qsim import BOB, GATE_NAMES, apply_gate_batch, standard_gate, z_branches
+from .qsim import GATE_NAMES
 
 QUANTUM_NONE = "none"
 QUANTUM_GATE_ALL = "gate_all"
@@ -63,41 +64,6 @@ class AdversaryStrategy:
                 raise ValueError(f"gate: must be one of {GATE_NAMES}, got {self.gate!r}")
         elif self.gate is not None:
             raise ValueError(f"gate: only applies to the {QUANTUM_GATE_ALL!r} quantum policy, got {self.gate!r}")
-
-    # -- quantum channel -------------------------------------------------
-
-    def _tap_classes(self, rows):
-        """The quantum tap on a few class rows instead of on every pair.
-
-        Every policy treats each flying qubit (the Bob half of a pair) alike,
-        so it maps the k distinct pair states a session prepares to at most
-        2k states Bob can receive.  Returns ``(p_eve, tapped)``: a gate acts
-        on each row and p_eve is None; intercept-resend Z-measures each row
-        without drawing, ``p_eve[i]`` is the probability Eve reads 0 on row
-        i, and ``tapped[2 * i + e]`` is the pair she forwards after reading
-        e: the collapsed state, since the observed basis state is exactly
-        the fresh qubit she sends.
-        """
-        if self.quantum == QUANTUM_GATE_ALL:
-            return None, apply_gate_batch(rows, standard_gate(self.gate), BOB)
-        if self.quantum == QUANTUM_INTERCEPT_RESEND_Z:
-            # Both of Eve's outcomes have probability 1/2 on a prepared pair,
-            # so every branch is drawable.
-            p_eve, rest, _ = z_branches(rows, BOB)
-            collapsed = np.zeros((len(rows), 2, 2, 2), dtype=complex)  # [row, Eve's bit, Alice's bit, Bob's bit]
-            collapsed[:, 0, :, 0] = rest[:, 0]
-            collapsed[:, 1, :, 1] = rest[:, 1]
-            return p_eve, collapsed.reshape(-1, 4)
-        return None, rows
-
-    # -- classical channel -----------------------------------------------
-
-    @property
-    def _flip(self) -> int:
-        """The bit the classical tap XORs onto every announced bit: 1 for
-        flip_all (complement every bit), 0 for none (pass it on).  A
-        compiled channel keeps only this constant (``protocol._compile``)."""
-        return int(self.classical == CLASSICAL_FLIP_ALL)
 
     # -- wire format -----------------------------------------------------
 

@@ -113,10 +113,8 @@ class RunConfig:
             return intercept_resend_attack()
         return AdversaryStrategy.from_description(self.custom_strategy)
 
-    def echo(self) -> dict:
-        """Config summary embedded in reports (fixed key order)."""
-        strategy = self.resolve_strategy()
-        params = self.to_params()
+    def echo(self, params: ProtocolParams, strategy: AdversaryStrategy | None) -> dict:
+        """Config summary embedded in reports (fixed key order), from what validate() returned."""
         return {
             "protocol": self.protocol,
             "attack": self.attack,
@@ -188,7 +186,8 @@ def run_batch(config: RunConfig) -> AggregateReport:
 
     rates = _rates(counts)
     del rates["key_corruption_rate"]  # a batch reports key_match_rate and raw_key_complement_rate
-    return AggregateReport(config.echo(), **rates, vacuous_check_sessions=counts.vacuous, wall_time_ms=elapsed_ms)
+    echo = config.echo(params, strategy)
+    return AggregateReport(echo, **rates, vacuous_check_sessions=counts.vacuous, wall_time_ms=elapsed_ms)
 
 
 def run_search(config: RunConfig) -> list[AttackSearchResult]:
@@ -247,7 +246,7 @@ def render_report_csv(report: AggregateReport) -> str:
 
 
 def render_search_json(results: list[AttackSearchResult], config: RunConfig) -> str:
-    payload = {"config": config.echo(), "results": [r.to_dict() for r in results]}
+    payload = {"config": config.echo(*config.validate()), "results": [r.to_dict() for r in results]}
     return json.dumps(payload, indent=2) + "\n"
 
 

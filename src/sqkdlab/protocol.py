@@ -24,11 +24,12 @@ pass (the improved variant's, one Toeplitz product), and those
 encodings' lengths.
 
 Announcements and flying qubits pass through a channel compiled from an
-``adversary.AdversaryStrategy`` (``_compile``); the strategies know
-nothing of this module.  A strategy's tap treats each flying
-qubit alike, so a session's pairs are copies of at most four distinct
-states: the channel's class rows are measured once, and each session
-draws its pairs' bits from the resulting per-class tables.
+``adversary.AdversaryStrategy``; ``_compile`` is the one function that
+reads a strategy's policies, and the strategies know nothing of this
+module.  A strategy's tap treats each flying qubit alike, so it runs on
+the two prepared class rows, and a session's pairs are copies of at most
+four distinct states: the channel's class rows are measured once, and
+each session draws its pairs' bits from the resulting per-class tables.
 
 A strategy's classical tap XORs one constant onto every announced bit, and
 two records' announced (tagged) encodings differ by the untagged encoding
@@ -74,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import AdversaryStrategy
+from .adversary import CLASSICAL_FLIP_ALL, QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
 from .bits import TrialStreams, _check_size, _draw_bits, as_bits, random_bits, to01
 from .hashing import _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
@@ -408,14 +409,27 @@ class _Channel(NamedTuple):
     flip: int
 
 
-_HONEST = _Channel(None, _tables(_PREPARED_ROWS, np.array([0, 1])), 0)
+def _intercept_resend_z(rows, ops):
+    """Eve's Z measurement of the flying qubit of each row, whose op bit is
+    in ``ops``, without a draw: ``(p_eve, collapsed, collapsed_ops)``.
+    ``p_eve[i]`` is the probability Eve reads 0 on row i, and row 2i + e
+    of ``collapsed`` is the pair she forwards after reading e (the observed
+    basis state is exactly the fresh qubit she sends), with op bit
+    ``ops[i]``.  On a prepared pair both outcomes have probability 1/2.
+    """
+    p_eve, rest, _ = z_branches(rows, BOB)
+    collapsed = np.zeros((len(rows), 2, 2, 2), dtype=complex)  # [row, Eve's bit, Alice's bit, Bob's bit]
+    collapsed[:, 0, :, 0] = rest[:, 0]
+    collapsed[:, 1, :, 1] = rest[:, 1]
+    return p_eve, collapsed.reshape(-1, 4), np.repeat(ops, 2)
 
 
 def _compile(adversary) -> _Channel:
     """The channel of ``adversary``: None is the honest channel, a compiled
-    channel is itself, and a strategy is compiled from its tap on the
-    prepared rows and its classical tap's constant flip (``_flip``).
-    Anything else raises ValueError, before the session draws anything.
+    channel is itself, and a strategy is compiled from its quantum tap on
+    the prepared rows (a gate on each, or Eve's two branches of each) and
+    its classical tap's constant flip.  Anything else raises ValueError,
+    before the session draws anything.
     """
     if isinstance(adversary, _Channel):
         return adversary
@@ -423,10 +437,15 @@ def _compile(adversary) -> _Channel:
         return _HONEST
     if not isinstance(adversary, AdversaryStrategy):
         raise ValueError(f"adversary: must be None or an AdversaryStrategy, got {adversary!r}")
-    p_eve, rows = adversary._tap_classes(_PREPARED_ROWS)
-    # Rows come op bit first: (op 0, op 1), or (op, Eve's bit) in order.
-    ops = np.repeat(np.array([0, 1]), len(rows) // 2)
-    return _Channel(p_eve, _tables(rows, ops), adversary._flip)
+    p_eve, rows, ops = None, _PREPARED_ROWS, np.array([0, 1])  # each row's op bit
+    if adversary.quantum == QUANTUM_GATE_ALL:
+        rows = apply_gate_batch(rows, standard_gate(adversary.gate), BOB)
+    elif adversary.quantum == QUANTUM_INTERCEPT_RESEND_Z:
+        p_eve, rows, ops = _intercept_resend_z(rows, ops)
+    return _Channel(p_eve, _tables(rows, ops), int(adversary.classical == CLASSICAL_FLIP_ALL))
+
+
+_HONEST = _compile(AdversaryStrategy())
 
 
 def _quantum_stage(channel: _Channel, op_key: np.ndarray, uniforms: np.ndarray):

@@ -97,7 +97,6 @@ def test_tap_classical_policies():
         (modification_attack(), 1),
         (AdversaryStrategy("intercept_resend_z", classical="flip_all"), 1),
     ):
-        assert strategy._flip == flip
         assert protocol._compile(strategy).flip == flip
         out = run_session(params, strategy, seed=2)
         assert to01(out.received_by_bob) == to01(out.announced_by_alice ^ flip)
@@ -131,12 +130,13 @@ def test_tap_quantum_intercept_collapses_to_product_state():
 
 
 def test_tap_quantum_batch_matches_single():
-    # The class-row tap, drawn once per pair, against the one-pair tap.
+    # The class-row tap the compile runs, drawn once per pair, against the one-pair tap.
     rng_batch = np.random.default_rng(9)
     rng_single = np.random.default_rng(9)
     strategy = intercept_resend_attack()
-    p_eve, tapped = strategy._tap_classes(bell_batch(1))
+    p_eve, tapped, ops = protocol._intercept_resend_z(bell_batch(1), np.array([0]))
     assert tapped.shape == (2, 4)
+    assert np.array_equal(ops, [0, 0])
     batched = tapped[(rng_batch.random(32) >= p_eve[0]).astype(int)]
     singles = np.array([tap_quantum(strategy, bell_batch(1)[0], rng_single) for _ in range(32)])
     assert np.allclose(batched, singles, rtol=0, atol=1e-12)

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ def test_validate_returns_the_params_and_strategy_it_checked():
     assert isinstance(params, ProtocolParams)
     assert isinstance(strategy, AdversaryStrategy)
     assert (params, strategy) == (config.to_params(), config.resolve_strategy())
+
+
+def test_run_batch_builds_the_params_and_strategy_once():
+    # validate() returns both, and the report's config echo renders them.
+    config = RunConfig(attack="custom", custom_strategy={"quantum": "gate_all:y"}, n=4, trials=2)
+    with (
+        mock.patch.object(RunConfig, "to_params", autospec=True, side_effect=RunConfig.to_params) as to_params,
+        mock.patch.object(RunConfig, "resolve_strategy", autospec=True, side_effect=RunConfig.resolve_strategy) as resolve,
+    ):
+        report = run_batch(config)
+    assert (to_params.call_count, resolve.call_count) == (1, 1)
+    assert report.config["strategy"] == {"quantum": "gate_all:y", "classical": "none"}
 
 
 @pytest.mark.parametrize(

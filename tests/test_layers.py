@@ -43,4 +43,17 @@ def test_package_imports_have_no_cycle():
 
 
 def test_adversary_imports_only_qsim():
+    # Strategies and their wire form need no numpy: only the protocol's
+    # compile touches state rows, and the strategy checks its gate by name.
     assert package_imports()["adversary"] == {"qsim"}
+    tree = ast.parse((PACKAGE / "adversary.py").read_text())
+    imported, from_qsim = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module == "qsim":
+            from_qsim.extend(alias.name for alias in node.names)
+    assert "numpy" not in imported
+    assert from_qsim == ["GATE_NAMES"]

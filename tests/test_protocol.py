@@ -701,7 +701,7 @@ def test_a_full_check_difference_is_counted_without_encoding_by_the_original_var
         with untagged_forbidden(VARIANT_ORIGINAL):
             assert count_sessions(original, adversary, TrialStreams((11,), trials)) == expected
         assert expected.complemented == trials
-        if adversary._flip:
+        if protocol._compile(adversary).flip:
             assert expected.detected == 0 and expected.mismatched_bits == 0
         else:
             assert expected.mismatched_bits == expected.compared_bits
@@ -711,7 +711,7 @@ def test_a_full_check_difference_is_counted_without_encoding_by_the_original_var
         assert counting.call_count == with_checks
         assert all(np.all(call.args[0] == 1) for call in counting.call_args_list)
         # With no check bit only a flipped announcement tells, as a digest of the tag.
-        assert counts.detected == counts.aborted == (trials if adversary._flip else with_checks)
+        assert counts.detected == counts.aborted == (trials if protocol._compile(adversary).flip else with_checks)
 
 
 # -- full sessions -----------------------------------------------------------------
