@@ -8,7 +8,7 @@ definition of a trial's rng stream (``trial_stream``, ``TrialStreams``).
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +81,46 @@ def _draw_bits(rng: np.random.Generator, sizes: tuple, *, unbuffered: bool = Fal
     return np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
 
 
+# Uniforms are the 53-bit integers x that ``Generator.random`` scales to
+# x * 2**-53, and probabilities their thresholds (``_thresholds``).
+_UNIFORM_SCALE = 2.0**53
+_UNIFORM_SHIFT = np.array(11, dtype=np.uint64)  # PCG64's random is (w >> 11) * 2**-53 of a raw word w
+
+
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """``ceil(p * 2**53)`` as uint64, for probabilities ``p``: a 53-bit
+    uniform x satisfies ``x >= ceil(p * 2**53)`` exactly when ``x * 2**-53
+    >= p``, since scaling by 2**53 and ceil are exact and x is an integer."""
+    return np.ceil(p * _UNIFORM_SCALE).astype(np.uint64)
+
+
+def _uniform_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``rng.random(count)`` as the 53-bit integers it scales by 2**-53;
+    exact, since every numpy bit generator's doubles are such multiples."""
+    return (rng.random(count) * _UNIFORM_SCALE).astype(np.uint64)
+
+
+def _read_session(rng: np.random.Generator, key_bits: int, uniform_count: int, pa_bits: int) -> tuple:
+    """A session's draws from one ``random_raw`` read of a PCG64 stream with
+    no half-word buffered: ``(keys, uniforms, pa_seed)``, each its own array.
+
+    In stream order, the read holds ``key_bits // 8`` words whose bytes'
+    top bits are the ``key_bits`` key bits (``_draw_bits``), then
+    ``uniform_count`` words whose 53-bit uniforms ``w >> 11`` are shifted in
+    place, the same integers ``_uniform_words`` gives of one ``random``
+    call, then the ``pa_bits // 8`` words of the PA seed's bits.  Both bit
+    counts are multiples of 8.  The key and PA bits are copied out, so
+    nothing that keeps them holds the read.
+    """
+    key_words, pa_words = key_bits // 8, pa_bits // 8
+    raw = rng.bit_generator.random_raw(key_words + uniform_count + pa_words)
+    raw_bytes = raw.astype("<u8", copy=False).view(np.uint8)
+    keys = np.right_shift(raw_bytes[:key_bits], _TOP_BIT_SHIFT)
+    pa_seed = np.right_shift(raw_bytes[len(raw_bytes) - pa_bits :], _TOP_BIT_SHIFT)
+    uniforms = raw[key_words : key_words + uniform_count]
+    return keys, np.right_shift(uniforms, _UNIFORM_SHIFT, out=uniforms), pa_seed
+
+
 def to01(bits) -> str:
     """Render as a compact '0101' string: the checked bits shifted onto the
     ASCII digits in one array step."""
@@ -126,11 +166,15 @@ class TrialStreams:
 
     ``count_sessions`` runs a TrialStreams' sessions on the generators of
     ``_generators``: the same streams, bit for bit, without a SeedSequence
-    each.
+    each.  ``_seeded`` may hold the PCG64 states of the first
+    ``_SEED_CHUNK`` trials (of all of them, if fewer), computed in a pass
+    shared with other runs' streams (``_shared_streams``); it changes no
+    stream, so equality ignores it.
     """
 
     prefix: tuple
     trials: int
+    _seeded: tuple = field(default=(), compare=False, repr=False)
 
     def _generators(self):
         """Yield one Generator per trial, the same object each time.
@@ -138,17 +182,27 @@ class TrialStreams:
         Its PCG64 is set to the state ``PCG64(trial_stream(prefix, t))``
         starts in, with no half-word buffered, so it draws what a
         Generator freshly seeded from that stream draws.  The states come
-        from ``_pcg64_states``, ``_SEED_CHUNK`` trials at a time.
+        from ``_pcg64_states``, ``_SEED_CHUNK`` trials at a time, the first
+        chunk's from ``_seeded`` when it holds them.
         """
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)
         lcg = {}
         state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
         for start in range(0, self.trials, _SEED_CHUNK):
-            for seeded, inc in _pcg64_states(self.prefix, start, min(_SEED_CHUNK, self.trials - start)):
+            count = min(_SEED_CHUNK, self.trials - start)
+            for seeded, inc in self._seeded if start == 0 and self._seeded else _pcg64_states(self.prefix, start, count):
                 lcg["state"], lcg["inc"] = seeded, inc
                 bit_generator.state = state
                 yield rng
+
+
+def _shared_streams(prefixes: list, trials: int) -> list:
+    """``TrialStreams(prefix, trials)`` for each of ``prefixes``, whose word
+    counts are equal, with the states of every one's first ``_SEED_CHUNK``
+    trials from one pass (``_pcg64_state_rows``)."""
+    rows = _pcg64_state_rows(prefixes, 0, min(trials, _SEED_CHUNK))
+    return [TrialStreams(prefix, trials, tuple(seeded)) for prefix, seeded in zip(prefixes, rows)]
 
 
 def _uint32_words(value: int) -> list:
@@ -197,33 +251,43 @@ def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
 
 def _pcg64_states(prefix: tuple, start: int, count: int) -> list:
     """``(state, inc)`` of ``PCG64(trial_stream(prefix, t)).state["state"]``
+    for each t in ``range(start, start + count)`` (``_pcg64_state_rows``)."""
+    return _pcg64_state_rows([prefix], start, count)[0]
+
+
+def _pcg64_state_rows(prefixes: list, start: int, count: int) -> list:
+    """One list per prefix of ``prefixes``, whose word counts are equal:
+    ``(state, inc)`` of ``PCG64(trial_stream(prefix, t)).state["state"]``
     for each t in ``range(start, start + count)``, from one pass of array
-    arithmetic across the trials.
+    arithmetic across every prefix's trials.
 
     Every SeedSequence step applies the same constants to every trial
     (a hashmix multiplier depends on how many hashmix calls came before,
     not on the data), so each step is one uint32 array operation: the
-    prefix words are constant rows of the entropy, t its last row (two
-    rows, low word first, for t >= 2**32; a range across 2**32 is cut
-    there, since the entropy lengths differ).  ``generate_state(4,
-    uint64)`` pairs the pool's hashed words little-endian into
-    ``initstate`` (words 0, 1) and ``initseq`` (words 2, 3), high word
-    first, and pcg64_srandom makes ``inc = 2 * initseq + 1`` and ``state =
-    ((initstate + inc) * mult + inc) mod 2**128``, done here in uint64
-    halves with explicit carries.
+    prefix words are the leading rows of the entropy, one column per
+    (prefix, trial), t its last row (two rows, low word first, for t >=
+    2**32; a range across 2**32 is cut there, since the entropy lengths
+    differ).  ``generate_state(4, uint64)`` pairs the pool's hashed words
+    little-endian into ``initstate`` (words 0, 1) and ``initseq`` (words
+    2, 3), high word first, and pcg64_srandom makes ``inc = 2 * initseq +
+    1`` and ``state = ((initstate + inc) * mult + inc) mod 2**128``, done
+    here in uint64 halves with explicit carries.
     """
     if start < 2**32 < start + count:
         cut = 2**32 - start
-        return _pcg64_states(prefix, start, cut) + _pcg64_states(prefix, 2**32, count - cut)
-    trials = np.arange(start, start + count, dtype=np.uint64)
+        below, above = _pcg64_state_rows(prefixes, start, cut), _pcg64_state_rows(prefixes, 2**32, count - cut)
+        return [first + second for first, second in zip(below, above)]
+    trials = np.tile(np.arange(start, start + count, dtype=np.uint64), len(prefixes))
     trial_words = [trials.astype(np.uint32)]
     if start >= 2**32:
         trial_words.append((trials >> _U32).astype(np.uint32))
-    prefix_words = [word for value in prefix for word in _uint32_words(value)]
-    used = len(prefix_words) + len(trial_words)
-    entropy = np.zeros((max(used, _POOL_SIZE), count), dtype=np.uint32)
-    entropy[: len(prefix_words)] = np.array(prefix_words, dtype=np.uint32)[:, None]
-    entropy[len(prefix_words) : used] = trial_words
+    prefix_words = [[word for value in prefix for word in _uint32_words(value)] for prefix in prefixes]
+    prefix_words = np.array(prefix_words, dtype=np.uint32)  # (prefixes, words)
+    words = prefix_words.shape[1]
+    used = words + len(trial_words)
+    entropy = np.zeros((max(used, _POOL_SIZE), len(trials)), dtype=np.uint32)
+    entropy[:words] = np.repeat(prefix_words.T, count, axis=1)
+    entropy[words:used] = trial_words
 
     # mix_entropy: hash the first four words into the pool, mix every word
     # into every other one (word src is hashed once per destination, in
@@ -252,4 +316,5 @@ def _pcg64_states(prefix: tuple, start: int, count: int) -> list:
     hi += inc_hi
     hi += lo < inc_lo
     rows = zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    return [(s1 << 64 | s0, i1 << 64 | i0) for s1, s0, i1, i0 in rows]
+    states = [(s1 << 64 | s0, i1 << 64 | i0) for s1, s0, i1, i0 in rows]
+    return [states[row * count : (row + 1) * count] for row in range(len(prefixes))]

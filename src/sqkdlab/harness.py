@@ -32,7 +32,7 @@ from .adversary import (
     intercept_resend_attack,
     modification_attack,
 )
-from .bits import TrialStreams, as_bits, to01
+from .bits import TrialStreams, _shared_streams, as_bits, to01
 from .protocol import (
     VARIANT_ORIGINAL,
     VARIANTS,
@@ -213,9 +213,11 @@ def run_search(config: RunConfig) -> list[AttackSearchResult]:
         for g in SEARCH_GATE_NAMES
         for c in CLASSICAL_POLICIES
     ]
+    # Strategy index's streams are TrialStreams((seed, index), trials), seeded together.
+    streams = _shared_streams([(config.seed, index) for index in range(len(strategies))], trials)
     results = []
-    for index, strategy in enumerate(strategies):
-        rates = _rates(count_sessions(params, strategy, TrialStreams((config.seed, index), trials)))
+    for strategy, strategy_streams in zip(strategies, streams):
+        rates = _rates(count_sessions(params, strategy, strategy_streams))
         results.append(AttackSearchResult(strategy, rates["detection_rate"], rates["key_corruption_rate"], trials))
     # describe() lists the quantum label, then the classical one.
     results.sort(key=lambda r: (r.detection_rate, -r.key_corruption_rate, *r.strategy.describe().values()))

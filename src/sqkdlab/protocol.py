@@ -51,12 +51,19 @@ keys, and encodes the announcements from one tagged sequence, when a
 reader first asks for them (``_announcements``).
 
 Every session draws in one order, whatever its seed: its master keys,
-kept as bare arrays (``_draw_keys``), its uniforms in one call, and, once
-its check has passed, the privacy-amplification seed (``run_session``).
-It checks only what comes from outside: its inputs.  A batch's sessions
-run on one reused generator, set to each trial's fresh stream in turn
-(``count_sessions``, the trial loop of both ``harness.run_batch`` and
-``harness.run_search``), and draw as if each had seeded its own.
+kept as bare arrays, its uniforms, then the privacy-amplification seed.
+A session on its own stream reads them in one ``random_raw`` call
+(``bits._read_session``), the seed even when it aborts, since nothing
+else reads that stream; on a caller's generator, or after
+``balanced_k2``'s permutation, it draws them call by call, the seed only
+once its check has passed (``run_session``).  Its uniforms are the
+53-bit integers ``Generator.random`` scales by 2**-53, and its channel's
+tables integer thresholds (``bits._thresholds``), so a pair's draw is
+one uint64 compare.  It checks only what comes from outside: its
+inputs.  A batch's sessions run on one reused generator, set to each
+trial's fresh stream in turn (``count_sessions``, the trial loop of both
+``harness.run_batch`` and ``harness.run_search``), and draw as if each
+had seeded its own.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -76,7 +83,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversary import CLASSICAL_FLIP_ALL, QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
-from .bits import TrialStreams, _check_size, _draw_bits, as_bits, random_bits, to01
+from .bits import (
+    TrialStreams,
+    _check_size,
+    _draw_bits,
+    _read_session,
+    _thresholds,
+    _uniform_words,
+    as_bits,
+    random_bits,
+    to01,
+)
 from .hashing import _expand, _toeplitz_product
 from .qsim import ALICE, BOB, apply_gate_batch, bell_batch, standard_gate, z_branches
 
@@ -87,20 +104,22 @@ VARIANTS = (VARIANT_ORIGINAL, VARIANT_IMPROVED)
 MIN_HASH_KEY_BITS = 128
 PA_SEED_BITS = 128
 # Size caps, checked before anything is allocated.  A session's uniform
-# block is k arrays of 2n doubles end to end (k = 3 when Eve measures, else
-# 2), and its quantum stage holds a few more arrays of 2n labels or bits,
-# at most 8 bytes an entry, so MAX_N = 2**20 caps each array at 16 MiB and
-# the block at 48 MiB; the records' difference and its check cut are two
-# more of 2n bytes.  The improved variant's check, and a read of its
-# announcements, each expand the hash key to width + 2 * hash_bits - 1
-# bits (width = n + 1 at most), one byte each, and multiply two float64
-# buffers: a check sequence (the difference, or the announced wire
-# sequence) laid out in 2 * width slots, about 16(n + 1) bytes (16 MiB at
-# MAX_N), and the float copy of the matrix key, 8 bytes a key bit (about
-# 9 MiB at MAX_N and MAX_HASH_BITS = 2**16).  A run's trial count and
-# the PA output length allocate nothing that grows with them (sessions run
-# one at a time; a PA output longer than the raw key aborts), so they have
-# no cap.
+# block is k arrays of 2n uint64 words end to end (k = 3 when Eve measures,
+# else 2), read with the keys' (4n + 128) / 8 words and the PA seed's 16
+# when the session reads once, and its quantum stage holds a few more
+# arrays of 2n labels, bits or thresholds, at most 8 bytes an entry, so
+# MAX_N = 2**20 caps each array at 16 MiB and the block at 48 MiB (the
+# read at 52 MiB); the keys copied out of it, the records' difference and
+# its check cut are about three more of 2n bytes.  The improved variant's
+# check, and a read of its announcements, each expand the hash key to
+# width + 2 * hash_bits - 1 bits (width = n + 1 at most), one byte each,
+# and multiply two float64 buffers: a check sequence (the difference, or
+# the announced wire sequence) laid out in 2 * width slots, about
+# 16(n + 1) bytes (16 MiB at MAX_N), and the float copy of the matrix key,
+# 8 bytes a key bit (about 9 MiB at MAX_N and MAX_HASH_BITS = 2**16).  A
+# run's trial count and the PA output length allocate nothing that grows
+# with them (sessions run one at a time; a PA output longer than the raw
+# key aborts), so they have no cap.
 MAX_N = 2**20
 MAX_HASH_BITS = 2**16
 
@@ -369,7 +388,11 @@ def _draw_keys(rng: np.random.Generator, n: int, balanced_k2: bool, unbuffered: 
         partition_key = np.zeros(size, dtype=np.uint8)
         partition_key[rng.permutation(size)[:n]] = 1
         return op_key, partition_key, random_bits(rng, MIN_HASH_KEY_BITS)
-    drawn = _draw_bits(rng, (size, size, MIN_HASH_KEY_BITS), unbuffered=unbuffered)
+    return _split_keys(_draw_bits(rng, (size, size, MIN_HASH_KEY_BITS), unbuffered=unbuffered), size)
+
+
+def _split_keys(drawn: np.ndarray, size: int) -> tuple:
+    """The op, partition and hash keys of ``drawn``, the three keys' bits end to end."""
     return drawn[:size], drawn[size : 2 * size], drawn[2 * size :]
 
 
@@ -381,9 +404,10 @@ def _tables(rows, ops):
     are those ``qsim.z_branches`` gives.  Bob's gate is one product over
     every row, and ``np.where`` keeps the rows whose op bit is 0, as the
     test oracle gates a session's pairs.  Returns ``(p_bob, p_alice,
-    drawable)``: ``p_bob[c]`` is the probability Bob reads 0 on class c,
-    ``p_alice[2 * c + b]`` the probability Alice reads 0 once Bob read b,
-    and ``drawable[2 * c + b]`` whether Bob's outcome b on class c has a
+    drawable)``: ``p_bob[c]`` is the threshold (``bits._thresholds``) of
+    the probability Bob reads 0 on class c, ``p_alice[2 * c + b]`` that of
+    the probability Alice reads 0 once Bob read b, both uint64, and
+    ``drawable[2 * c + b]`` whether Bob's outcome b on class c has a
     nonzero probability, or None when every outcome does.  After a
     drawable outcome Alice's qubit is normalized, so her draw needs no
     check.  A row that is not normalized raises ValueError.
@@ -391,7 +415,7 @@ def _tables(rows, ops):
     gated = np.where((ops == 1)[:, None], apply_gate_batch(rows, _HADAMARD, BOB), rows)
     p_bob, rest, drawable = z_branches(gated, BOB)
     p_alice = np.abs(rest[..., 0]) ** 2
-    return p_bob, p_alice.ravel(), None if drawable.all() else drawable.ravel()
+    return _thresholds(p_bob), _thresholds(p_alice.ravel()), None if drawable.all() else drawable.ravel()
 
 
 class _Channel(NamedTuple):
@@ -399,9 +423,10 @@ class _Channel(NamedTuple):
 
     A strategy's tap maps the two prepared rows to at most four rows Bob
     can receive, so its ``tables`` (``_tables``) serve every session, and
-    ``p_eve`` is the probability Eve reads 0 per op bit when she measures
-    (None otherwise).  ``flip``, 0 or 1, is the constant its classical tap
-    XORs onto every announced bit.
+    ``p_eve`` is the threshold of the probability Eve reads 0 per op bit
+    when she measures (None otherwise): integers that a 53-bit uniform is
+    compared with (``bits._thresholds``).  ``flip``, 0 or 1, is the
+    constant its classical tap XORs onto every announced bit.
     """
 
     p_eve: np.ndarray | None
@@ -442,6 +467,7 @@ def _compile(adversary) -> _Channel:
         rows = apply_gate_batch(rows, standard_gate(adversary.gate), BOB)
     elif adversary.quantum == QUANTUM_INTERCEPT_RESEND_Z:
         p_eve, rows, ops = _intercept_resend_z(rows, ops)
+    p_eve = None if p_eve is None else _thresholds(p_eve)
     return _Channel(p_eve, _tables(rows, ops), int(adversary.classical == CLASSICAL_FLIP_ALL))
 
 
@@ -452,15 +478,18 @@ def _quantum_stage(channel: _Channel, op_key: np.ndarray, uniforms: np.ndarray):
     """Bob's and then Alice's Z measurements of one session: ``(bob_bits, alice_bits)``.
 
     ``uniforms`` holds the session's rows of ``len(op_key)`` uniforms end
-    to end: Eve's when she measures (``channel.p_eve`` is not None), then
-    Bob's, then Alice's.  Each pair gets a class label: its op bit, or
-    ``2 * op + e`` once Eve read e (intercept-resend, from the first row).
-    Bob's bits are then one uniform per pair against his class's
-    probability of reading 0, and Alice's one more against hers given
-    Bob's bit b, at label ``2 * class + b``: the draws, in the order and
-    with the numbers of measuring every pair state, so the bits are the
-    same.  One ``intp`` label array is shifted and added to in place, so no
-    index is cast.  A drawn outcome of zero probability raises RuntimeError.
+    to end, as uint64 53-bit integers x: Eve's when she measures
+    (``channel.p_eve`` is not None), then Bob's, then Alice's.  Each pair
+    gets a class label: its op bit, or ``2 * op + e`` once Eve read e
+    (intercept-resend, from the first row).  Bob's bits are then one
+    uniform per pair against his class's threshold of reading 0, and
+    Alice's one more against hers given Bob's bit b, at label ``2 * class
+    + b``.  ``x >= threshold`` holds exactly when the double ``x *
+    2**-53`` is at least the probability, so these are the draws, in the
+    order and with the numbers of measuring every pair state, and the bits
+    are the same.  One ``intp`` label array is shifted and added to in
+    place, so no index is cast.  A drawn outcome of zero probability
+    raises RuntimeError.
     """
     size = len(op_key)
     labels = op_key.astype(np.intp)
@@ -610,15 +639,18 @@ def run_session(
     built, so it calls the unchecked cores.
 
     Every session draws in one order: its master keys (unless ``keys``
-    forces them, ``_draw_keys``), one ``random`` call for its uniforms
-    (Eve's row if she measures, then Bob's and Alice's), and, once its
-    check has passed, pa_seed.  The seed form decides only whether the
-    raw reads of the keys and of pa_seed may skip reading the PCG64 state
-    (``bits._draw_bits``): they may on a stream the session seeded from
-    ``seed`` (anything but a Generator or a bit generator) or on a trial's
-    fresh stream that ``count_sessions`` hands it (the private
-    ``_fresh``), and not after ``balanced_k2``'s permutation.  A caller's
-    Generator ends where those draws leave it.
+    forces them), its uniforms (Eve's row if she measures, then Bob's and
+    Alice's), then pa_seed.  On its own stream, one the session seeded
+    from ``seed`` (anything but a Generator or a bit generator) or a
+    trial's fresh stream that ``count_sessions`` hands it (the private
+    ``_fresh``), nothing is buffered, so it reads them all in one
+    ``random_raw`` call (``bits._read_session``); keys that do not fill
+    whole 64-bit words (n odd) are drawn key by key first, which leaves
+    nothing buffered.  A caller's Generator, which must end where the
+    draws leave it, and ``balanced_k2``'s permutation, which may leave a
+    half-word buffered, draw call by call (``_draw_keys``, ``random``
+    converted to 53-bit integers, and pa_seed only once the check has
+    passed), the same bits from the same words.
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
@@ -649,16 +681,25 @@ def run_session(
             raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
     channel = _compile(adversary)
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
-    unbuffered = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
-    if keys is None:
-        op_key, partition_key, hash_key = _draw_keys(rng, params.n, params.balanced_k2, unbuffered)
-        # Drawn raw or key by key, three keys take 2 * ceil(n / 2) + 32
-        # words of 32 bits, an even count, which leaves no half-word
-        # buffered; balanced_k2's permutation may leave one.
-        unbuffered = unbuffered and not params.balanced_k2
-    else:
+    own = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    uniform_count = (2 if channel.p_eve is None else 3) * size
+    key_bits = 0
+    if keys is not None:
         op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
-    uniforms = rng.random((2 if channel.p_eve is None else 3) * size)
+    elif own and not params.balanced_k2 and params.n % 2 == 0:
+        key_bits = 2 * size + MIN_HASH_KEY_BITS  # whole words: read with the uniforms
+    else:
+        op_key, partition_key, hash_key = _draw_keys(rng, params.n, params.balanced_k2, own)
+        # Key by key, three keys take 2 * ceil(n / 2) + 32 words of 32
+        # bits, an even count, which leaves no half-word buffered;
+        # balanced_k2's permutation may leave one.
+        own = own and not params.balanced_k2
+    if own:
+        drawn, uniforms, read_seed = _read_session(rng, key_bits, uniform_count, PA_SEED_BITS)
+        if key_bits:
+            op_key, partition_key, hash_key = _split_keys(drawn, size)
+    else:
+        uniforms, read_seed = _uniform_words(rng, uniform_count), None
     # Bob measures first; Alice measures once he is done.
     bob_bits, alice_bits = _quantum_stage(channel, op_key, uniforms)
     # Both parties hold the same partition key: 1 marks a check position.
@@ -688,7 +729,7 @@ def run_session(
     pa_seed = None
     pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
     if not aborted:
-        drawn_seed = _draw_bits(rng, (PA_SEED_BITS,), unbuffered=unbuffered)
+        drawn_seed = _draw_bits(rng, (PA_SEED_BITS,)) if read_seed is None else read_seed
         if pa_bits > raw_len:
             # An impossible compression request: the session aborts, but
             # no party's check failed, so neither detected anything.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkdlab.bits import (
@@ -8,6 +8,10 @@ from sqkdlab.bits import (
     TrialStreams,
     _draw_bits,
     _pcg64_states,
+    _read_session,
+    _shared_streams,
+    _thresholds,
+    _uniform_words,
     as_bits,
     random_bits,
     to01,
@@ -91,6 +95,52 @@ def test_random_bit_runs_equal_successive_random_bits_draws(words, last, doubles
     assert drawn.tobytes() == np.concatenate(expected).tobytes()
     assert np.array_equal(ours.random(doubles), reference.random(doubles))
     assert np.array_equal(random_bits(ours, 24), random_bits(reference, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 1), st.integers(0, 2**53 - 1))
+@example(0.0, 0)
+@example(1.0, 2**53 - 1)
+@example(0.5, 2**52)
+@example(float(np.nextafter(0.5, 0)), 2**52 - 1)
+def test_thresholds_compare_53_bit_uniforms_exactly(p, x):
+    # A 53-bit uniform x against ceil(p * 2**53), as uint64 words, reads
+    # what Generator.random's double x * 2**-53 reads against p: at x and
+    # at either side of the threshold, K - 1 and K.
+    threshold = _thresholds(np.array([p]))
+    assert threshold.dtype == np.uint64
+    (k,) = threshold.tolist()
+    words = np.array(sorted(w for w in {x, k - 1, k} if 0 <= w < 2**53), dtype=np.uint64)
+    assert np.array_equal(words >= threshold, words * 2.0**-53 >= p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 300), st.sampled_from([0, 128]), st.integers(0, 2**32 - 1))
+def test_one_session_read_equals_its_call_by_call_draws(key_words, uniform_count, pa_bits, seed):
+    # One raw read on a fresh PCG64 stream: the key bits of _draw_bits,
+    # then random's doubles as 53-bit integers, then the PA bits, and the
+    # stream left where those calls leave it.  Keys and PA bits are copied
+    # out of the read, and the uniforms share no memory with either.
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    keys, uniforms, pa_seed = _read_session(ours, 8 * key_words, uniform_count, pa_bits)
+    assert keys.tobytes() == _draw_bits(reference, (8 * key_words,), unbuffered=True).tobytes()
+    assert uniforms.dtype == np.uint64 and np.array_equal(uniforms, _uniform_words(reference, uniform_count))
+    assert pa_seed.tobytes() == _draw_bits(reference, (pa_bits,), unbuffered=True).tobytes()
+    assert ours.bit_generator.state == reference.bit_generator.state
+    assert keys.base is None and pa_seed.base is None
+    assert not np.shares_memory(uniforms, keys) and not np.shares_memory(uniforms, pa_seed)
+
+
+def test_shared_streams_seed_each_prefix_as_its_own_streams_do():
+    # One pass for every prefix's first chunk; later chunks per prefix.
+    # The streams compare equal to, and yield the states of, each
+    # prefix's own TrialStreams.
+    trials = _SEED_CHUNK + 3
+    prefixes = [(2**64 - 1, index) for index in range(3)]
+    for shared, prefix in zip(_shared_streams(prefixes, trials), prefixes):
+        assert shared == TrialStreams(prefix, trials) and len(shared._seeded) == _SEED_CHUNK
+        states = [rng.bit_generator.state["state"] for rng in shared._generators()]
+        assert states == [rng.bit_generator.state["state"] for rng in TrialStreams(prefix, trials)._generators()]
 
 
 @given(st.lists(st.integers(0, 1), max_size=100))

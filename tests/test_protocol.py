@@ -137,8 +137,8 @@ def test_size_caps_name_the_field_before_anything_is_drawn():
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
         generate_master_keys(10**9, rng=rng)
     assert rng.bit_generator.state == before
-    # The cap's arithmetic: one array of 2n float64 uniforms.
-    assert 2 * MAX_N * np.dtype(np.float64).itemsize == 16 * 2**20
+    # The cap's arithmetic: one array of 2n uniforms, 53-bit integers in uint64 words.
+    assert 2 * MAX_N * np.dtype(np.uint64).itemsize == 16 * 2**20
 
 
 def test_master_keys_reject_a_short_hash_key():
@@ -197,12 +197,18 @@ def random_rows(rng, count):
     return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
+def uniform_words(rng, count):
+    """``rng.random(count)`` as the 53-bit integers the quantum stage
+    compares: each double is one of them times 2**-53, so this is exact."""
+    return (rng.random(count) * 2**53).astype(np.uint64)
+
+
 def measured_per_pair(rows, op_key, rng):
     """The quantum stage's draws with one class per delivered row: the
     class tables of ``rows`` (``protocol._tables``, each row with its op
     bit), each pair labelled by its position."""
     channel = protocol._Channel(None, protocol._tables(rows, op_key), 0)
-    return protocol._quantum_stage(channel, np.arange(len(rows)), rng.random(2 * len(rows)))
+    return protocol._quantum_stage(channel, np.arange(len(rows)), uniform_words(rng, 2 * len(rows)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -275,7 +281,7 @@ def test_quantum_stage_is_byte_equal_to_the_whole_pair_oracle(n, tap, pattern, s
             delivered = tap_quantum_batch(tap, delivered, reference)
         channel = protocol._compile(tap)
         # Eve's row of uniforms when she measures, then Bob's and Alice's.
-        uniforms = engine.random((2 if channel.p_eve is None else 3) * 2 * n)
+        uniforms = uniform_words(engine, (2 if channel.p_eve is None else 3) * 2 * n)
         bob, alice = protocol._quantum_stage(channel, op_key, uniforms)
     expected_bob, expected_alice = measure_session(op_key, delivered, reference)
     assert bob.dtype == alice.dtype == np.uint8
@@ -315,8 +321,10 @@ def test_compiling_a_strategy_warns_of_nothing(tap, recwarn):
     assert len(p_bob) <= 4 and len(p_alice) == 2 * len(p_bob)
     if tap is not None and tap.quantum == "intercept_resend_z":
         # After Eve reads 0 on an op-0 pair, Bob reads 1 with probability
-        # exactly 0: compiling that branch divides by nothing.
-        assert np.allclose(channel.p_eve, 0.5) and p_bob[0] == 1.0 and not drawable[1]
+        # exactly 0: compiling that branch divides by nothing.  Tables hold
+        # thresholds ceil(p * 2**53): 2**53 for p = 1, about 2**52 for
+        # Eve's p of 1/2 (the Born values fall an ulp or two below it).
+        assert np.allclose(channel.p_eve, 2**52) and p_bob[0] == 2**53 and not drawable[1]
     else:
         assert channel.p_eve is None and drawable is None
 
@@ -328,7 +336,7 @@ def test_a_drawn_zero_probability_outcome_raises():
     rows = np.array([pair, pair], dtype=complex)
     channel = protocol._Channel(None, protocol._tables(rows, np.array([0, 1])), 0)
     with pytest.raises(RuntimeError, match="zero probability"):
-        protocol._quantum_stage(channel, np.zeros(2, dtype=np.uint8), np.full(4, 1.0 - 2**-53))
+        protocol._quantum_stage(channel, np.zeros(2, dtype=np.uint8), np.full(4, 2**53 - 1, dtype=np.uint64))
 
 
 # -- partition -------------------------------------------------------------------
@@ -1167,6 +1175,17 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
 # The modification attack on the original variant, on a caller's
 # Generator: a full difference, counted uncut, and a passing check.
 @example(8, VARIANT_ORIGINAL, modification_attack(), "generator", 0, 1, False, False, 0.0, None)
+# One raw read on the session's own stream (keys, uniforms, PA seed): an
+# honest session that passes its check, so its session keys read the PA
+# words from the end of the read; a SeedSequence under the modification
+# attack on the improved variant, which aborts; Eve's third row of
+# uniforms; n = 5, whose keys are drawn key by key before the read; and
+# forced keys, so the read starts with the uniforms.
+@example(8, VARIANT_ORIGINAL, None, "int", 1, 0, False, False, 0.0, None)
+@example(8, VARIANT_IMPROVED, modification_attack(), "seed-sequence", 2, 0, False, False, 0.0, None)
+@example(8, VARIANT_ORIGINAL, intercept_resend_attack(), "int", 3, 0, False, False, 0.25, None)
+@example(5, VARIANT_ORIGINAL, None, "int", 4, 0, False, False, 0.0, None)
+@example(8, VARIANT_IMPROVED, None, "seed-sequence", 5, 0, True, False, 0.0, None)
 def test_session_draws_equal_the_call_by_call_oracle(
     n, variant, tap, seed_form, seed, bits_before, forced_keys, balanced_k2, tau, pa_bits
 ):
@@ -1192,6 +1211,29 @@ def test_session_draws_equal_the_call_by_call_oracle(
     assert json.dumps(out.to_dict()) == json.dumps(expected)
     if seed_form == "generator":
         assert stream_position(ours) == stream_position(reference)
+
+
+def owner_bytes(array: np.ndarray) -> int:
+    """The size of the buffer that ``array`` keeps alive."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 32])
+@pytest.mark.parametrize("seed_form", SEED_FORMS)
+@pytest.mark.parametrize("balanced_k2", [False, True])
+def test_an_outcome_holds_no_buffer_larger_than_its_keys_and_seed(n, seed_form, balanced_k2):
+    # The outcome keeps the partition key (_check_positions) and pa_seed:
+    # at most the three keys' 4n + 128 bytes and the seed's 128, whichever
+    # way they were drawn, never a session's whole raw read.
+    params = ProtocolParams(n=n, balanced_k2=balanced_k2)
+    seed_of = {"int": int, "seed-sequence": np.random.SeedSequence, "generator": np.random.default_rng}[seed_form]
+    for tap in (None, modification_attack(), intercept_resend_attack()):
+        for seed in range(3):
+            out = run_session(params, tap, seed=seed_of(seed))
+            assert owner_bytes(out._check_positions) <= 4 * n + MIN_HASH_KEY_BITS
+            assert out.pa_seed is None or owner_bytes(out.pa_seed) == protocol.PA_SEED_BITS
 
 
 def stream_position(rng: np.random.Generator) -> dict:
