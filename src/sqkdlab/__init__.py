@@ -9,15 +9,7 @@ of the check bits detects it.
 from .adversary import AdversaryStrategy, AttackSearchResult, intercept_resend_attack, modification_attack
 from .harness import AggregateReport, RunConfig, replay_paper_example, run_batch, run_search
 from .hashing import privacy_amplify
-from .protocol import (
-    VARIANT_IMPROVED,
-    VARIANT_ORIGINAL,
-    MasterKeys,
-    ProtocolParams,
-    SessionOutcome,
-    generate_master_keys,
-    run_session,
-)
+from .protocol import VARIANT_IMPROVED, VARIANT_ORIGINAL, MasterKeys, ProtocolParams, SessionOutcome, run_session
 from .qsim import standard_gate
 
 __version__ = "0.1.0"
@@ -32,7 +24,6 @@ __all__ = [
     "SessionOutcome",
     "VARIANT_IMPROVED",
     "VARIANT_ORIGINAL",
-    "generate_master_keys",
     "intercept_resend_attack",
     "modification_attack",
     "privacy_amplify",

@@ -3,8 +3,10 @@
 Bit sequences are numpy uint8 arrays with values in {0, 1} throughout the
 package; "0011"-style strings are accepted at the boundaries.  The one
 size check of a count given from outside (``_check_size``) lives here too,
-so that every module can import it without a cycle, and so does the one
-definition of a trial's rng stream (``trial_stream``, ``TrialStreams``).
+so that every module can import it without a cycle, and so do the one
+definition of a trial's rng stream (``trial_stream``, ``TrialStreams``) and
+the one reader of raw PCG64 words, a fresh stream's session draws in one
+read (``_read_session``).  Every other draw is a plain numpy call.
 """
 
 import numbers
@@ -45,40 +47,9 @@ def _check_size(name: str, value, cap: int | None = None) -> int:
     return int(value)
 
 
-# A 0-d uint8 shift count keeps the shift in uint8 without the slower
-# promotion step a Python int operand takes.
-_TOP_BIT_SHIFT = np.array(7, dtype=np.uint8)
-
-
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent uniform bits: ``rng.integers(0, 2, n, uint8)``, bit for
-    bit, and leaving the stream where that call leaves it (``_draw_bits``)."""
-    return _draw_bits(rng, (n,))
-
-
-def _draw_bits(rng: np.random.Generator, sizes: tuple, *, unbuffered: bool = False) -> np.ndarray:
-    """The bits of successive ``rng.integers(0, 2, size, uint8)`` draws, one
-    per size, end to end, and the stream left where those calls leave it.
-
-    ``integers`` takes output bit i from the top bit of byte i of successive
-    little-endian ``next_uint32`` words, and PCG64 serves those from the low
-    and then the high half of one 64-bit word.  So when the sizes sum to a
-    count that is a multiple of 8 and no half-word is buffered, the top bits
-    of the bytes of count // 8 raw words are the same bits and consume the
-    same words, provided each draw but the last takes whole 32-bit words:
-    callers pass one size, or sizes of which every one but the last is a
-    multiple of 4 whenever their sum is a multiple of 8 (the master keys'
-    2n, 2n and MIN_HASH_KEY_BITS are).  ``unbuffered`` says the caller
-    knows no half-word is buffered (a just-seeded stream), so the state is
-    not read.  Any other count or bit generator draws each size through
-    ``integers``.
-    """
-    count = sum(sizes)
-    bit_generator = rng.bit_generator
-    if count % 8 or type(bit_generator) is not np.random.PCG64 or not unbuffered and bit_generator.state["has_uint32"]:
-        return np.concatenate([rng.integers(0, 2, size=size, dtype=np.uint8) for size in sizes])
-    raw_bytes = bit_generator.random_raw(count // 8).astype("<u8", copy=False).view(np.uint8)
-    return np.right_shift(raw_bytes, _TOP_BIT_SHIFT, out=raw_bytes)
+    """n independent uniform bits: ``rng.integers(0, 2, n, uint8)``."""
+    return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 # Uniforms are the 53-bit integers x that ``Generator.random`` scales to
@@ -100,22 +71,41 @@ def _uniform_words(rng: np.random.Generator, count: int) -> np.ndarray:
     return (rng.random(count) * _UNIFORM_SCALE).astype(np.uint64)
 
 
-def _read_session(rng: np.random.Generator, key_bits: int, uniform_count: int, pa_bits: int) -> tuple:
-    """A session's draws from one ``random_raw`` read of a PCG64 stream with
-    no half-word buffered: ``(keys, uniforms, pa_seed)``, each its own array.
+# A 0-d uint8 shift count keeps the shift in uint8 without the slower
+# promotion step a Python int operand takes.
+_TOP_BIT_SHIFT = np.array(7, dtype=np.uint8)
 
-    In stream order, the read holds ``key_bits // 8`` words whose bytes'
-    top bits are the ``key_bits`` key bits (``_draw_bits``), then
-    ``uniform_count`` words whose 53-bit uniforms ``w >> 11`` are shifted in
-    place, the same integers ``_uniform_words`` gives of one ``random``
-    call, then the ``pa_bits // 8`` words of the PA seed's bits.  Both bit
-    counts are multiples of 8.  The key and PA bits are copied out, so
-    nothing that keeps them holds the read.
+
+def _read_session(rng: np.random.Generator, key_size: int, hash_size: int, uniform_count: int, pa_bits: int) -> tuple:
+    """A session's draws from one ``random_raw`` read of a PCG64 stream with
+    no half-word buffered: ``(keys, uniforms, pa_seed)``, where ``keys`` is
+    a ``key_size``-, a ``key_size``- and a ``hash_size``-bit key (three
+    empty arrays when both sizes are 0).  They are what these numpy calls
+    draw in turn: one ``integers(0, 2, size, uint8)`` per key, one
+    ``random(uniform_count)`` as the 53-bit integers it scales by 2**-53
+    (``_uniform_words``), and one ``integers`` of ``pa_bits`` bits.
+
+    ``integers`` takes output bit i from the top bit of byte i of
+    successive little-endian ``next_uint32`` words, from a new word at each
+    call, and PCG64 serves those from the low and then the high half of one
+    64-bit word; ``random`` takes one whole word w per uniform, ``w >> 11``.
+    So in stream order the read holds each key on ``ceil(size / 4)`` whole
+    32-bit words, then ``uniform_count`` words, shifted in place, then the
+    PA seed's ``pa_bits // 8`` words.  ``hash_size`` and ``pa_bits`` are
+    multiples of 8, so the keys and the seed end on whole 64-bit words.
+    This is the one function that knows this layout.  Keys laid on padded
+    words are copied out, as the PA bits always are, so nothing that keeps
+    them holds more than its own bits.
     """
-    key_words, pa_words = key_bits // 8, pa_bits // 8
-    raw = rng.bit_generator.random_raw(key_words + uniform_count + pa_words)
+    width = (key_size + 3) & -4  # bytes of a key's whole 32-bit words
+    key_bytes = 2 * width + hash_size
+    key_words = key_bytes // 8
+    raw = rng.bit_generator.random_raw(key_words + uniform_count + pa_bits // 8)
     raw_bytes = raw.astype("<u8", copy=False).view(np.uint8)
-    keys = np.right_shift(raw_bytes[:key_bits], _TOP_BIT_SHIFT)
+    key_bits = np.right_shift(raw_bytes[:key_bytes], _TOP_BIT_SHIFT)
+    keys = key_bits[:key_size], key_bits[width : width + key_size], key_bits[2 * width :]
+    if width > key_size:
+        keys = tuple(key.copy() for key in keys)
     pa_seed = np.right_shift(raw_bytes[len(raw_bytes) - pa_bits :], _TOP_BIT_SHIFT)
     uniforms = raw[key_words : key_words + uniform_count]
     return keys, np.right_shift(uniforms, _UNIFORM_SHIFT, out=uniforms), pa_seed
@@ -182,8 +172,8 @@ class TrialStreams:
         Its PCG64 is set to the state ``PCG64(trial_stream(prefix, t))``
         starts in, with no half-word buffered, so it draws what a
         Generator freshly seeded from that stream draws.  The states come
-        from ``_pcg64_states``, ``_SEED_CHUNK`` trials at a time, the first
-        chunk's from ``_seeded`` when it holds them.
+        from ``_pcg64_state_rows``, ``_SEED_CHUNK`` trials at a time, the
+        first chunk's from ``_seeded`` when it holds them.
         """
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)
@@ -191,7 +181,7 @@ class TrialStreams:
         state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
         for start in range(0, self.trials, _SEED_CHUNK):
             count = min(_SEED_CHUNK, self.trials - start)
-            for seeded, inc in self._seeded if start == 0 and self._seeded else _pcg64_states(self.prefix, start, count):
+            for seeded, inc in start == 0 and self._seeded or _pcg64_state_rows([self.prefix], start, count)[0]:
                 lcg["state"], lcg["inc"] = seeded, inc
                 bit_generator.state = state
                 yield rng
@@ -247,12 +237,6 @@ def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
     cross_01, cross_10 = a0 * _M1, a1 * _M0
     carry = ((a0 * _M0) >> _U32) + (cross_01 & _LOW32) + (cross_10 & _LOW32)
     return a1 * _M1 + (cross_01 >> _U32) + (cross_10 >> _U32) + (carry >> _U32)
-
-
-def _pcg64_states(prefix: tuple, start: int, count: int) -> list:
-    """``(state, inc)`` of ``PCG64(trial_stream(prefix, t)).state["state"]``
-    for each t in ``range(start, start + count)`` (``_pcg64_state_rows``)."""
-    return _pcg64_state_rows([prefix], start, count)[0]
 
 
 def _pcg64_state_rows(prefixes: list, start: int, count: int) -> list:

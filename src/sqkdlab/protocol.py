@@ -52,18 +52,18 @@ reader first asks for them (``_announcements``).
 
 Every session draws in one order, whatever its seed: its master keys,
 kept as bare arrays, its uniforms, then the privacy-amplification seed.
-A session on its own stream reads them in one ``random_raw`` call
+A session on its own stream reads them in one raw read of its PCG64
 (``bits._read_session``), the seed even when it aborts, since nothing
-else reads that stream; on a caller's generator, or after
-``balanced_k2``'s permutation, it draws them call by call, the seed only
-once its check has passed (``run_session``).  Its uniforms are the
-53-bit integers ``Generator.random`` scales by 2**-53, and its channel's
-tables integer thresholds (``bits._thresholds``), so a pair's draw is
-one uint64 compare.  It checks only what comes from outside: its
-inputs.  A batch's sessions run on one reused generator, set to each
-trial's fresh stream in turn (``count_sessions``, the trial loop of both
-``harness.run_batch`` and ``harness.run_search``), and draw as if each
-had seeded its own.
+else reads that stream; on a caller's generator, or when
+``balanced_k2``'s permutation draws its keys, it draws them with plain
+numpy calls, the seed only once its check has passed (``run_session``).
+Its uniforms are the 53-bit integers ``Generator.random`` scales by
+2**-53, and its channel's tables integer thresholds
+(``bits._thresholds``), so a pair's draw is one uint64 compare.  It
+checks only what comes from outside: its inputs.  A batch's sessions run
+on one reused generator, set to each trial's fresh stream in turn
+(``count_sessions``, the trial loop of both ``harness.run_batch`` and
+``harness.run_search``), and draw as if each had seeded its own.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -86,7 +86,6 @@ from .adversary import CLASSICAL_FLIP_ALL, QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_R
 from .bits import (
     TrialStreams,
     _check_size,
-    _draw_bits,
     _read_session,
     _thresholds,
     _uniform_words,
@@ -105,11 +104,12 @@ MIN_HASH_KEY_BITS = 128
 PA_SEED_BITS = 128
 # Size caps, checked before anything is allocated.  A session's uniform
 # block is k arrays of 2n uint64 words end to end (k = 3 when Eve measures,
-# else 2), read with the keys' (4n + 128) / 8 words and the PA seed's 16
-# when the session reads once, and its quantum stage holds a few more
-# arrays of 2n labels, bits or thresholds, at most 8 bytes an entry, so
-# MAX_N = 2**20 caps each array at 16 MiB and the block at 48 MiB (the
-# read at 52 MiB); the keys copied out of it, the records' difference and
+# else 2), read with the keys' ceil(n / 2) + 16 words (each key on whole
+# 32-bit words, the two 2n-bit keys padded when n is odd) and the PA
+# seed's 16 when the session reads once, and its quantum stage holds a few
+# more arrays of 2n labels, bits or thresholds, at most 8 bytes an entry,
+# so MAX_N = 2**20 caps each array at 16 MiB and the block at 48 MiB (the
+# read at 52 MiB); the keys shifted out of it, the records' difference and
 # its check cut are about three more of 2n bytes.  The improved variant's
 # check, and a read of its announcements, each expand the hash key to
 # width + 2 * hash_bits - 1 bits (width = n + 1 at most), one byte each,
@@ -364,36 +364,18 @@ class SessionCounts:
     compared_bits: int
 
 
-def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool = False) -> MasterKeys:
-    """Sample fresh 2n-bit master keys plus a MIN_HASH_KEY_BITS-bit hash key.
-
-    balanced_k2 forces exactly n raw and n check positions instead of
-    sampling the partition key uniformly.  n is checked before any draw.
-    """
-    return MasterKeys(*_draw_keys(rng, _check_size("n", n, MAX_N), balanced_k2, False))
-
-
-def _draw_keys(rng: np.random.Generator, n: int, balanced_k2: bool, unbuffered: bool) -> tuple:
-    """The op, partition and hash keys of a 2n-pair session, as bare arrays.
-
-    Without balanced_k2 they are three successive random_bits draws, from
-    one raw read where it can (``bits._draw_bits``); with it, the op key's
-    draw, a permutation that marks n check positions, and the hash key's
-    draw.  ``unbuffered`` says no PCG64 half-word is buffered before the
-    first draw (``_draw_bits``).
-    """
+def _draw_keys(rng: np.random.Generator, n: int, balanced_k2: bool) -> tuple:
+    """The op, partition and hash keys of a 2n-pair session, as bare arrays:
+    three random_bits draws, or with balanced_k2 the op key's draw, a
+    permutation that marks n check positions, and the hash key's draw."""
     size = 2 * n
+    op_key = random_bits(rng, size)
     if balanced_k2:
-        op_key = _draw_bits(rng, (size,), unbuffered=unbuffered)
         partition_key = np.zeros(size, dtype=np.uint8)
         partition_key[rng.permutation(size)[:n]] = 1
-        return op_key, partition_key, random_bits(rng, MIN_HASH_KEY_BITS)
-    return _split_keys(_draw_bits(rng, (size, size, MIN_HASH_KEY_BITS), unbuffered=unbuffered), size)
-
-
-def _split_keys(drawn: np.ndarray, size: int) -> tuple:
-    """The op, partition and hash keys of ``drawn``, the three keys' bits end to end."""
-    return drawn[:size], drawn[size : 2 * size], drawn[2 * size :]
+    else:
+        partition_key = random_bits(rng, size)
+    return op_key, partition_key, random_bits(rng, MIN_HASH_KEY_BITS)
 
 
 def _tables(rows, ops):
@@ -643,14 +625,13 @@ def run_session(
     Alice's), then pa_seed.  On its own stream, one the session seeded
     from ``seed`` (anything but a Generator or a bit generator) or a
     trial's fresh stream that ``count_sessions`` hands it (the private
-    ``_fresh``), nothing is buffered, so it reads them all in one
-    ``random_raw`` call (``bits._read_session``); keys that do not fill
-    whole 64-bit words (n odd) are drawn key by key first, which leaves
-    nothing buffered.  A caller's Generator, which must end where the
-    draws leave it, and ``balanced_k2``'s permutation, which may leave a
-    half-word buffered, draw call by call (``_draw_keys``, ``random``
-    converted to 53-bit integers, and pa_seed only once the check has
-    passed), the same bits from the same words.
+    ``_fresh``), nothing is buffered, so it reads them all in one raw
+    read (``bits._read_session``), at any n, unless
+    ``balanced_k2``'s permutation draws its keys.  Any other session draws
+    them with plain numpy calls (``_draw_keys``, ``random`` converted to
+    53-bit integers, and pa_seed only once the check has passed), the same
+    bits from the same words, and a caller's Generator ends where those
+    calls leave it.
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
@@ -681,25 +662,15 @@ def run_session(
             raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
     channel = _compile(adversary)
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
-    own = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    fresh = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     uniform_count = (2 if channel.p_eve is None else 3) * size
-    key_bits = 0
-    if keys is not None:
-        op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
-    elif own and not params.balanced_k2 and params.n % 2 == 0:
-        key_bits = 2 * size + MIN_HASH_KEY_BITS  # whole words: read with the uniforms
+    if fresh and (keys is not None or not params.balanced_k2):
+        key_size, hash_size = (size, MIN_HASH_KEY_BITS) if keys is None else (0, 0)
+        drawn, uniforms, read_seed = _read_session(rng, key_size, hash_size, uniform_count, PA_SEED_BITS)
     else:
-        op_key, partition_key, hash_key = _draw_keys(rng, params.n, params.balanced_k2, own)
-        # Key by key, three keys take 2 * ceil(n / 2) + 32 words of 32
-        # bits, an even count, which leaves no half-word buffered;
-        # balanced_k2's permutation may leave one.
-        own = own and not params.balanced_k2
-    if own:
-        drawn, uniforms, read_seed = _read_session(rng, key_bits, uniform_count, PA_SEED_BITS)
-        if key_bits:
-            op_key, partition_key, hash_key = _split_keys(drawn, size)
-    else:
+        drawn = None if keys is not None else _draw_keys(rng, params.n, params.balanced_k2)
         uniforms, read_seed = _uniform_words(rng, uniform_count), None
+    op_key, partition_key, hash_key = drawn if keys is None else (keys.op_key, keys.partition_key, keys.hash_key)
     # Bob measures first; Alice measures once he is done.
     bob_bits, alice_bits = _quantum_stage(channel, op_key, uniforms)
     # Both parties hold the same partition key: 1 marks a check position.
@@ -729,7 +700,7 @@ def run_session(
     pa_seed = None
     pa_bits = raw_len // 2 if params.pa_bits is None else params.pa_bits
     if not aborted:
-        drawn_seed = _draw_bits(rng, (PA_SEED_BITS,)) if read_seed is None else read_seed
+        drawn_seed = random_bits(rng, PA_SEED_BITS) if read_seed is None else read_seed
         if pa_bits > raw_len:
             # An impossible compression request: the session aborts, but
             # no party's check failed, so neither detected anything.

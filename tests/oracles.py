@@ -6,8 +6,8 @@ from per-class tables, every Toeplitz product is one blocked product with
 no full matrix.  The forms here do the same work the slow, obvious way
 (every pair state of a session in one ``(2n, 4)`` array, one pair state,
 one explicit 4x4 product, one Born draw, one materialized matrix, one
-session's draws one call at a time) and the equivalence tests assert that
-the engine equals them.
+session's draws one call at a time, master keys drawn key by key) and the
+equivalence tests assert that the engine equals them.
 ``measure_z_batch`` is not a slow form: it draws and collapses a whole
 stack on ``qsim.z_branches`` numbers, so the tests that measure a stack
 through it check the engine's arithmetic.
@@ -21,7 +21,7 @@ import numpy as np
 from sqkdlab.adversary import CLASSICAL_FLIP_ALL, QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
 from sqkdlab.bits import as_bits, random_bits, to01
 from sqkdlab.hashing import privacy_amplify
-from sqkdlab.protocol import MIN_HASH_KEY_BITS, PA_SEED_BITS, VARIANT_ORIGINAL
+from sqkdlab.protocol import MIN_HASH_KEY_BITS, PA_SEED_BITS, VARIANT_ORIGINAL, MasterKeys
 from sqkdlab.qsim import ALICE, ATOL, BOB, apply_gate_batch, bell_batch, is_unitary, standard_gate, z_branches
 
 # Value of the measured qubit in each of the four basis components.
@@ -217,12 +217,36 @@ def reference_digest(hash_key, tagged, digest_len: int) -> np.ndarray:
     return ((matrix @ tagged.astype(np.int64)) % 2).astype(np.uint8) ^ stream[split:]
 
 
+def generate_master_keys(n: int, rng: np.random.Generator, *, balanced_k2: bool = False) -> MasterKeys:
+    """Fresh keys for a 2n-pair session: three random_bits draws (2n, 2n
+    and MIN_HASH_KEY_BITS bits), or with balanced_k2 the op key's draw, a
+    permutation whose first n positions are the check positions, and the
+    hash key's draw."""
+    op_key = random_bits(rng, 2 * n)
+    if balanced_k2:
+        partition_key = np.zeros(2 * n, dtype=np.uint8)
+        partition_key[rng.permutation(2 * n)[:n]] = 1
+    else:
+        partition_key = random_bits(rng, 2 * n)
+    return MasterKeys(op_key, partition_key, random_bits(rng, MIN_HASH_KEY_BITS))
+
+
+def stream_position(rng: np.random.Generator) -> dict:
+    """A PCG64 generator's state, without the stale half-word that its state
+    still lists when none is buffered: ``integers`` leaves the last one it
+    used there, a raw read the one before."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
+
+
 def session_transcript(params, tap, seed, keys=None) -> dict:
     """One session's transcript (``SessionOutcome.to_dict()`` with the
-    session keys), each draw its own call: the master keys (three
-    random_bits draws, or balanced_k2's draw, permutation and draw), then
-    the tap's draws, then Bob's and Alice's uniforms, then the PA seed, only
-    if the session was not aborted.
+    session keys), each draw its own call: the master keys
+    (``generate_master_keys``), then the tap's draws, then Bob's and
+    Alice's uniforms, then the PA seed, only if the session was not
+    aborted.
 
     ``tap`` is None or an AdversaryStrategy; ``seed`` is whatever
     run_session takes, and a Generator ends where these calls
@@ -231,15 +255,9 @@ def session_transcript(params, tap, seed, keys=None) -> dict:
     """
     rng = np.random.default_rng(seed)
     size = 2 * params.n
-    if keys is not None:
-        op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
-    elif params.balanced_k2:
-        op_key = random_bits(rng, size)
-        partition_key = np.zeros(size, dtype=np.uint8)
-        partition_key[rng.permutation(size)[: params.n]] = 1
-        hash_key = random_bits(rng, MIN_HASH_KEY_BITS)
-    else:
-        op_key, partition_key, hash_key = (random_bits(rng, bits) for bits in (size, size, MIN_HASH_KEY_BITS))
+    if keys is None:
+        keys = generate_master_keys(params.n, rng, balanced_k2=params.balanced_k2)
+    op_key, partition_key, hash_key = keys.op_key, keys.partition_key, keys.hash_key
     empty = np.zeros(0, dtype=np.uint8)
     record = dict(
         aborted=True, detected_by_alice=False, detected_by_bob=False, abort_reason=None,

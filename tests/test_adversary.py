@@ -17,12 +17,11 @@ from sqkdlab.protocol import (
     MasterKeys,
     ProtocolParams,
     count_sessions,
-    generate_master_keys,
     run_session,
 )
 from sqkdlab.qsim import ALICE, BOB, bell_batch, standard_gate
 
-from oracles import apply_gate, measure_z, tap_quantum
+from oracles import apply_gate, generate_master_keys, measure_z, tap_quantum
 
 SQRT_HALF = 1 / np.sqrt(2)
 

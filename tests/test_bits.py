@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from sqkdlab.bits import (
     _SEED_CHUNK,
     TrialStreams,
-    _draw_bits,
-    _pcg64_states,
+    _pcg64_state_rows,
     _read_session,
     _shared_streams,
     _thresholds,
-    _uniform_words,
     as_bits,
     random_bits,
     to01,
     trial_stream,
 )
+
+from oracles import stream_position
 
 
 def test_as_bits_from_string():
@@ -53,8 +53,9 @@ def test_random_bits_reproducible():
 )
 def test_random_bits_equals_integers(count, bits_before, doubles_before, bit_generator, seed):
     # The same bits as Generator.integers and the same stream afterwards,
-    # whichever path random_bits takes: an odd count of bits drawn before
-    # leaves a PCG64 half-word buffered, doubles do not.
+    # with or without a PCG64 half-word buffered: bits drawn before take
+    # ceil(bits / 4) 32-bit words, and an odd count leaves one; doubles do
+    # not.
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (ours, reference):
         rng.integers(0, 2, size=bits_before, dtype=np.uint8)
@@ -66,35 +67,6 @@ def test_random_bits_equals_integers(count, bits_before, doubles_before, bit_gen
     assert np.array_equal(random_bits(ours, 13), reference.integers(0, 2, size=13, dtype=np.uint8))
     assert np.array_equal(ours.random(3), reference.random(3))
     assert np.array_equal(random_bits(ours, 64), reference.integers(0, 2, size=64, dtype=np.uint8))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 50), max_size=4),
-    st.integers(0, 200),
-    st.integers(0, 2),
-    st.integers(0, 9),
-    st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
-    st.integers(0, 2**32 - 1),
-)
-def test_random_bit_runs_equal_successive_random_bits_draws(words, last, doubles, bits_before, bit_generator, seed):
-    # Successive draws of whole 32-bit words and then any count, as
-    # _draw_bits's callers make them, come from one raw read when their
-    # bits are a multiple of 8 and no PCG64 half-word is buffered (an odd
-    # count of bits drawn before leaves one), and from one integers call
-    # each otherwise: the same bits as integers calls either way, and the
-    # stream left in the same place, so the uniforms that follow are the
-    # same too.  A generator with nothing drawn yet has nothing buffered.
-    sizes = (*(4 * count for count in words), last)
-    ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-    for rng in (ours, reference):
-        rng.integers(0, 2, size=bits_before, dtype=np.uint8)
-    drawn = _draw_bits(ours, sizes, unbuffered=bits_before == 0)
-    expected = [reference.integers(0, 2, size=size, dtype=np.uint8) for size in sizes]
-    assert drawn.dtype == np.uint8
-    assert drawn.tobytes() == np.concatenate(expected).tobytes()
-    assert np.array_equal(ours.random(doubles), reference.random(doubles))
-    assert np.array_equal(random_bits(ours, 24), random_bits(reference, 24))
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,21 +86,31 @@ def test_thresholds_compare_53_bit_uniforms_exactly(p, x):
     assert np.array_equal(words >= threshold, words * 2.0**-53 >= p)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 40), st.integers(0, 300), st.sampled_from([0, 128]), st.integers(0, 2**32 - 1))
-def test_one_session_read_equals_its_call_by_call_draws(key_words, uniform_count, pa_bits, seed):
-    # One raw read on a fresh PCG64 stream: the key bits of _draw_bits,
-    # then random's doubles as 53-bit integers, then the PA bits, and the
-    # stream left where those calls leave it.  Keys and PA bits are copied
-    # out of the read, and the uniforms share no memory with either.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 300), st.sampled_from([0, 128]), st.integers(0, 2**32 - 1))
+def test_one_session_read_equals_its_call_by_call_draws(n, uniform_count, pa_bits, seed):
+    # One raw read on a fresh PCG64 stream draws what numpy's own calls
+    # draw in turn: three keys of 2n, 2n and 128 bits (none when n = 0),
+    # each an integers call (2n = 2 mod 4 at odd n, a key on padded
+    # words), random's doubles as 53-bit integers, and an integers call
+    # for the PA bits; the stream is left where those calls leave it.
+    # Keys and PA bits are copied out of the read, and the uniforms share
+    # no memory with either.
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    keys, uniforms, pa_seed = _read_session(ours, 8 * key_words, uniform_count, pa_bits)
-    assert keys.tobytes() == _draw_bits(reference, (8 * key_words,), unbuffered=True).tobytes()
-    assert uniforms.dtype == np.uint64 and np.array_equal(uniforms, _uniform_words(reference, uniform_count))
-    assert pa_seed.tobytes() == _draw_bits(reference, (pa_bits,), unbuffered=True).tobytes()
-    assert ours.bit_generator.state == reference.bit_generator.state
-    assert keys.base is None and pa_seed.base is None
-    assert not np.shares_memory(uniforms, keys) and not np.shares_memory(uniforms, pa_seed)
+    key_size, hash_size = (2 * n, 128) if n else (0, 0)
+    keys, uniforms, pa_seed = _read_session(ours, key_size, hash_size, uniform_count, pa_bits)
+    for key, size in zip(keys, (key_size, key_size, hash_size)):
+        assert key.dtype == np.uint8
+        assert key.tobytes() == reference.integers(0, 2, size=size, dtype=np.uint8).tobytes()
+    assert uniforms.dtype == np.uint64 and np.array_equal(uniforms, reference.random(uniform_count) * 2.0**53)
+    assert pa_seed.tobytes() == reference.integers(0, 2, size=pa_bits, dtype=np.uint8).tobytes()
+    assert stream_position(ours) == stream_position(reference)
+    assert pa_seed.base is None
+    assert not np.shares_memory(uniforms, pa_seed)
+    for key in keys:
+        owner = key if key.base is None else key.base
+        assert owner.base is None and owner.nbytes <= 2 * key_size + hash_size
+        assert not np.shares_memory(uniforms, key)
 
 
 def test_shared_streams_seed_each_prefix_as_its_own_streams_do():
@@ -205,7 +187,7 @@ def test_pcg64_states_equal_pcg64_seeded_from_the_trial_stream(prefix, start, co
     # Entropy of 2 to 7 words: a pool filled from the prefix and t, or the
     # words beyond the pool mixed in after it; the last trials of a run
     # that starts near 2**32 - 1 cross to two-word t.
-    states = _pcg64_states(tuple(prefix), start, count)
+    (states,) = _pcg64_state_rows([tuple(prefix)], start, count)
     assert len(states) == count
     for t, (state, inc) in zip(range(start, start + count), states):
         assert {"state": state, "inc": inc} == reference_state(tuple(prefix), t)
@@ -217,7 +199,8 @@ def test_pcg64_states_at_the_edges_of_t(prefix):
     # 2**32 that the helper cuts there, with two-word t up to 2**40.
     for start, count in [(0, 3), (U32_MAX, 1), (2**32 - 2, 5), (2**40, 2)]:
         expected = [reference_state(prefix, t) for t in range(start, start + count)]
-        assert [{"state": s, "inc": i} for s, i in _pcg64_states(prefix, start, count)] == expected
+        (states,) = _pcg64_state_rows([prefix], start, count)
+        assert [{"state": s, "inc": i} for s, i in states] == expected
 
 
 def test_trial_streams_generators_draw_each_trial_stream():
@@ -238,4 +221,4 @@ def test_trial_streams_generators_draw_each_trial_stream():
 def test_trial_stream_is_the_seed_sequence_of_prefix_and_t():
     assert trial_stream((7, 2), 5).entropy == (7, 2, 5)
     with pytest.raises(ValueError):
-        _pcg64_states((-1,), 0, 1)
+        _pcg64_state_rows([(-1,)], 0, 1)

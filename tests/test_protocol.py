@@ -31,12 +31,20 @@ from sqkdlab.protocol import (
     ProtocolParams,
     SessionCounts,
     count_sessions,
-    generate_master_keys,
     run_session,
 )
 from sqkdlab.qsim import GATE_NAMES, bell_batch
 
-from oracles import bob_gated, measure_session, prepare, reference_digest, session_transcript, tap_quantum_batch
+from oracles import (
+    bob_gated,
+    generate_master_keys,
+    measure_session,
+    prepare,
+    reference_digest,
+    session_transcript,
+    stream_position,
+    tap_quantum_batch,
+)
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -48,54 +56,67 @@ def keys_for(op_key, partition_key, hash_bits=128):
 # -- master keys ----------------------------------------------------------------
 
 
-def test_generate_master_keys_reproducible():
-    a = generate_master_keys(8, rng=np.random.default_rng(5))
-    b = generate_master_keys(8, rng=np.random.default_rng(5))
-    assert np.array_equal(a.op_key, b.op_key)
-    assert np.array_equal(a.partition_key, b.partition_key)
-    assert np.array_equal(a.hash_key, b.hash_key)
+def test_draw_keys_reproducible():
+    a = protocol._draw_keys(np.random.default_rng(5), 8, False)
+    b = protocol._draw_keys(np.random.default_rng(5), 8, False)
+    for drawn, again in zip(a, b):
+        assert np.array_equal(drawn, again)
 
 
-def test_generate_master_keys_lengths():
-    keys = generate_master_keys(2, np.random.default_rng(0))
-    assert len(keys.op_key) == len(keys.partition_key) == 4
-    assert len(keys.hash_key) == MIN_HASH_KEY_BITS
+def test_draw_keys_lengths():
+    for balanced_k2 in (False, True):
+        op_key, partition_key, hash_key = protocol._draw_keys(np.random.default_rng(0), 2, balanced_k2)
+        assert len(op_key) == len(partition_key) == 4
+        assert len(hash_key) == MIN_HASH_KEY_BITS
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 40),
+    st.booleans(),
     st.integers(0, 9),
+    st.integers(0, 2),
     st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox]),
     st.integers(0, 2**32 - 1),
 )
-def test_master_keys_equal_three_successive_random_bits_draws(n, bits_before, bit_generator, seed):
-    # The three keys are one bits._draw_bits of (2n, 2n, MIN_HASH_KEY_BITS)
-    # bits, sliced: one raw read or per-key draws, the same bits as three
-    # random_bits calls either way, and the stream left in the same place.
+def test_draw_keys_equal_successive_numpy_draws(n, balanced_k2, bits_before, doubles, bit_generator, seed):
+    # The keys are numpy's own calls in turn: three integers draws of 2n,
+    # 2n and MIN_HASH_KEY_BITS bits, or with balanced_k2 the op key's,
+    # a permutation whose first n positions are the check positions, and
+    # the hash key's.  The same bits, and the stream left in the same
+    # place, so the uniforms and bits that follow are the same too.  Bits
+    # drawn before take ceil(bits / 4) 32-bit words, and an odd count of
+    # them leaves a PCG64 half-word buffered.
     ours, reference = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for rng in (ours, reference):
         rng.integers(0, 2, size=bits_before, dtype=np.uint8)
-    keys = generate_master_keys(n, ours)
-    for drawn in (keys.op_key, keys.partition_key, keys.hash_key):
+    keys = protocol._draw_keys(ours, n, balanced_k2)
+    op_key = reference.integers(0, 2, size=2 * n, dtype=np.uint8)
+    if balanced_k2:
+        partition_key = np.zeros(2 * n, dtype=np.uint8)
+        partition_key[reference.permutation(2 * n)[:n]] = 1
+    else:
+        partition_key = reference.integers(0, 2, size=2 * n, dtype=np.uint8)
+    hash_key = reference.integers(0, 2, size=MIN_HASH_KEY_BITS, dtype=np.uint8)
+    for drawn, expected in zip(keys, (op_key, partition_key, hash_key)):
         assert drawn.dtype == np.uint8
-        assert np.array_equal(drawn, random_bits(reference, len(drawn)))
-    assert (len(keys.op_key), len(keys.hash_key)) == (2 * n, MIN_HASH_KEY_BITS)
-    assert np.array_equal(ours.random(3), reference.random(3))
+        assert drawn.tobytes() == expected.tobytes()
+    assert np.array_equal(ours.random(doubles), reference.random(doubles))
+    assert np.array_equal(random_bits(ours, 24), reference.integers(0, 2, size=24, dtype=np.uint8))
 
 
-def test_generate_master_keys_balanced():
+def test_draw_keys_balanced():
     for seed in range(20):
-        keys = generate_master_keys(16, rng=np.random.default_rng(seed), balanced_k2=True)
-        assert int(keys.partition_key.sum()) == 16
+        _, partition_key, _ = protocol._draw_keys(np.random.default_rng(seed), 16, True)
+        assert int(partition_key.sum()) == 16
 
 
 def test_partition_key_bits_are_uniform():
     total = ones = 0
     for seed in range(10_000):
-        keys = generate_master_keys(32, rng=np.random.default_rng(seed))
-        ones += int(keys.partition_key.sum())
-        total += len(keys.partition_key)
+        _, partition_key, _ = protocol._draw_keys(np.random.default_rng(seed), 32, False)
+        ones += int(partition_key.sum())
+        total += len(partition_key)
     assert 0.48 <= ones / total <= 0.52
 
 
@@ -132,11 +153,6 @@ def test_size_caps_name_the_field_before_anything_is_drawn():
         ProtocolParams(n=1, hash_bits=10**12)
     with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
         harness.run_search(harness.RunConfig(protocol="original", n=10**9, trials=1))
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=rf"^n: must be <= {MAX_N}, got {10**9}$"):
-        generate_master_keys(10**9, rng=rng)
-    assert rng.bit_generator.state == before
     # The cap's arithmetic: one array of 2n uniforms, 53-bit integers in uint64 words.
     assert 2 * MAX_N * np.dtype(np.uint64).itemsize == 16 * 2**20
 
@@ -1163,14 +1179,14 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
     st.sampled_from([0.0, 0.25]),
     st.sampled_from([None, 1, 3, 40]),
 )
-# Balanced keys on a session's own stream: the permutation leaves a PCG64
-# half-word buffered, so the PA seed's raw read must read the state.
+# Balanced keys on a session's own stream: drawn call by call, and the
+# permutation may leave a PCG64 half-word buffered before the PA seed.
 @example(5, VARIANT_ORIGINAL, None, "int", 0, 0, False, True, 0.0, None)
 @example(5, VARIANT_ORIGINAL, None, "seed-sequence", 0, 0, False, True, 0.0, None)
-# A caller's Generator with a half-word buffered before the session: the
-# keys' raw read and the PA seed's must read the state.
+# A caller's Generator with a half-word buffered before the session: every
+# draw is a numpy call, which uses that half-word first.
 @example(8, VARIANT_ORIGINAL, None, "generator", 0, 3, False, False, 0.0, None)
-# Forced keys on the session's own stream: the uniforms come first.
+# Forced keys on the session's own stream: the read starts with the uniforms.
 @example(8, VARIANT_IMPROVED, None, "int", 0, 0, True, False, 0.0, None)
 # The modification attack on the original variant, on a caller's
 # Generator: a full difference, counted uncut, and a passing check.
@@ -1179,21 +1195,30 @@ SEED_FORMS = ("int", "seed-sequence", "generator")
 # honest session that passes its check, so its session keys read the PA
 # words from the end of the read; a SeedSequence under the modification
 # attack on the improved variant, which aborts; Eve's third row of
-# uniforms; n = 5, whose keys are drawn key by key before the read; and
-# forced keys, so the read starts with the uniforms.
+# uniforms; n = 5, whose keys lie on padded 32-bit words; and forced
+# keys, so the read starts with the uniforms.
 @example(8, VARIANT_ORIGINAL, None, "int", 1, 0, False, False, 0.0, None)
 @example(8, VARIANT_IMPROVED, modification_attack(), "seed-sequence", 2, 0, False, False, 0.0, None)
 @example(8, VARIANT_ORIGINAL, intercept_resend_attack(), "int", 3, 0, False, False, 0.25, None)
 @example(5, VARIANT_ORIGINAL, None, "int", 4, 0, False, False, 0.0, None)
 @example(8, VARIANT_IMPROVED, None, "seed-sequence", 5, 0, True, False, 0.0, None)
+# Padded keys in the read: each takes ceil(n / 2) 32-bit words, one at
+# n = 1 (the partition key is the high half of the first raw word) and two
+# at n = 3 (each key on a whole raw word); the improved variant reads its
+# hash key.  Balanced forced keys on a SeedSequence are read too: only
+# balanced keys the session draws itself are drawn call by call.
+@example(1, VARIANT_ORIGINAL, None, "int", 6, 0, False, False, 0.0, None)
+@example(3, VARIANT_IMPROVED, None, "int", 7, 0, False, False, 0.0, None)
+@example(5, VARIANT_IMPROVED, None, "seed-sequence", 8, 0, True, True, 0.0, None)
 def test_session_draws_equal_the_call_by_call_oracle(
     n, variant, tap, seed_form, seed, bits_before, forced_keys, balanced_k2, tau, pa_bits
 ):
-    # Whatever the seed form, and whether the keys are one raw read or
-    # drawn key by key, the transcript (session keys read) is the oracle's,
+    # Whatever the seed form, and whether the session reads once or draws
+    # call by call, the transcript (session keys read) is the oracle's,
     # byte for byte, and a caller's Generator ends where the oracle's calls
-    # leave it; an odd count of bits drawn before leaves a PCG64 half-word
-    # buffered.
+    # leave it; 1 to 4 bits, or 9, drawn before leave a PCG64 half-word
+    # buffered.  A session on its own stream reads once, unless
+    # balanced_k2 draws its keys; a caller's Generator is never read raw.
     params = ProtocolParams(n=n, variant=variant, tau=tau, hash_bits=8, pa_bits=pa_bits, balanced_k2=balanced_k2)
     keys = None
     if forced_keys:
@@ -1205,7 +1230,9 @@ def test_session_draws_equal_the_call_by_call_oracle(
             rng.integers(0, 2, size=bits_before, dtype=np.uint8)
     else:
         ours = reference = seed if seed_form == "int" else np.random.SeedSequence(seed)
-    out = run_session(params, tap, seed=ours, keys=keys)
+    with mock.patch.object(protocol, "_read_session", wraps=protocol._read_session) as read:
+        out = run_session(params, tap, seed=ours, keys=keys)
+    assert read.call_count == (seed_form != "generator" and (forced_keys or not balanced_k2))
     out.alice_session_key  # derive the session keys before rendering
     expected = session_transcript(params, tap, reference, keys=keys)
     assert json.dumps(out.to_dict()) == json.dumps(expected)
@@ -1236,13 +1263,20 @@ def test_an_outcome_holds_no_buffer_larger_than_its_keys_and_seed(n, seed_form, 
             assert out.pa_seed is None or owner_bytes(out.pa_seed) == protocol.PA_SEED_BITS
 
 
-def stream_position(rng: np.random.Generator) -> dict:
-    """A PCG64 generator's state, without the stale half-word that its state
-    still lists when none is buffered (a raw read leaves it as it was)."""
-    state = rng.bit_generator.state
-    if not state["has_uint32"]:
-        del state["uinteger"]
-    return state
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("balanced_k2", [False, True])
+def test_a_fresh_stream_draws_what_a_callers_generator_draws(n, balanced_k2):
+    # Each key takes ceil(n / 2) 32-bit words: odd and even counts, padded
+    # (n odd) or not.  A session on its own stream, seeded from an int or
+    # handed a fresh Generator as count_sessions hands it one (_fresh),
+    # gives the transcript that a caller's Generator on the same stream
+    # gives, drawn call by call.
+    params = ProtocolParams(n=n, variant=VARIANT_IMPROVED, hash_bits=8, balanced_k2=balanced_k2)
+    for tap in (None, modification_attack(), intercept_resend_attack()):
+        for seed in range(4):
+            expected = run_session(params, tap, seed=np.random.default_rng(seed)).to_dict()
+            assert run_session(params, tap, seed=seed).to_dict() == expected
+            assert run_session(params, tap, seed=np.random.default_rng(seed), _fresh=True).to_dict() == expected
 
 
 def test_params_validation():
@@ -1256,11 +1290,6 @@ def test_params_validation():
         ProtocolParams(n=1, hash_bits=0)
     with pytest.raises(ValueError, match="^pa_bits:"):
         ProtocolParams(n=1, pa_bits=0)
-
-
-def test_master_key_count_error_names_the_field():
-    with pytest.raises(ValueError, match=r"^n: must be >= 1, got 0$"):
-        generate_master_keys(0, np.random.default_rng(0))
 
 
 PARAM_TYPE_CASES = [
