@@ -4,33 +4,28 @@ Bit sequences are numpy uint8 arrays with values in {0, 1} throughout the
 package; "0011"-style strings are accepted at the boundaries.  The one
 size check of a count given from outside (``_check_size``) lives here too,
 so that every module can import it without a cycle, and so do the one
-definition of a trial's rng stream (``trial_stream``, ``TrialStreams``) and
-the one reader of raw PCG64 words, a fresh stream's session draws in one
-read (``_read_session``).  Every other draw is a plain numpy call.
+definition of a trial's rng stream (``trial_stream``, ``TrialStreams``,
+whose trials' seeds are the words numpy's SeedSequence would give PCG64,
+computed in array passes) and the one reader of raw PCG64 words, a fresh
+stream's session draws in one read (``_read_session``).  Every other draw
+is a plain numpy call.
 """
 
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_NON_BINARY = "bit sequence may only contain 0 and 1"
+from numpy.random.bit_generator import ISeedSequence
 
 
 def as_bits(value) -> np.ndarray:
     """Coerce a bit string, iterable, or array to a fresh uint8 0/1 array."""
-    if isinstance(value, np.ndarray) and value.dtype == np.uint8:
-        # Internal bit arrays are already uint8: one reduction validates them.
-        arr = value.reshape(-1)
-        if arr.size and np.maximum.reduce(arr) > 1:
-            raise ValueError(_NON_BINARY)
-        return arr.copy()
     if isinstance(value, str):
         arr = np.frombuffer(value.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
         arr = np.asarray(value).reshape(-1)
     if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ValueError(_NON_BINARY)
+        raise ValueError("bit sequence may only contain 0 and 1")
     return arr.astype(np.uint8)
 
 
@@ -122,18 +117,14 @@ def to01(bits) -> str:
 # numpy's SeedSequence arithmetic: a pool of four uint32 words filled by
 # ``hashmix`` (whose multiplier steps by MULT_A after every call, from
 # INIT_A) and cross-mixed by ``mix``; ``generate_state`` hashes the pool
-# the same way from INIT_B by MULT_B.  PCG64 seeds from four of its
-# uint64 words through pcg64_srandom, a step of its 128-bit LCG.
+# the same way from INIT_B by MULT_B.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
+_U32 = np.uint64(32)
 _OTHER_WORDS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (2**64 - 1))
-_M1, _M0 = np.uint64(_PCG64_MULT >> 32 & (2**32 - 1)), np.uint64(_PCG64_MULT & (2**32 - 1))  # _MULT_LO's halves
-_LOW32, _U1, _U32, _U63 = np.uint64(2**32 - 1), np.uint64(1), np.uint64(32), np.uint64(63)
 # Trials seeded per pass: the pass's arrays stay a few tens of KiB whatever the trial count.
 _SEED_CHUNK = 1024
 
@@ -144,9 +135,24 @@ def trial_stream(prefix: tuple, trial: int) -> np.random.SeedSequence:
 
     A batch's prefix is ``(seed,)`` and a sweep strategy's ``(seed,
     index)``.  This is the reference form of every trial stream;
-    ``TrialStreams`` sets the same PCG64 states without building it.
+    ``TrialStreams`` hands out the same PCG64 seeds without building it.
     """
     return np.random.SeedSequence((*prefix, trial))
+
+
+class _TrialSeed(ISeedSequence):
+    """One trial's seed: the four uint64 words that ``generate_state(4,
+    np.uint64)`` of its ``trial_stream`` returns, PCG64's one request.  A
+    PCG64 seeded from it starts where one seeded from that stream does;
+    it cannot spawn, so ``Generator.spawn`` on it raises."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"a trial seed holds only PCG64's (4, uint64) words, not ({n_words}, {dtype})")
+        return self._words
 
 
 @dataclass(frozen=True)
@@ -154,45 +160,35 @@ class TrialStreams:
     """The streams of trials ``0 .. trials - 1`` under ``prefix``: trial t's
     is ``trial_stream(prefix, t)``.
 
-    ``count_sessions`` runs a TrialStreams' sessions on the generators of
-    ``_generators``: the same streams, bit for bit, without a SeedSequence
-    each.  ``_seeded`` may hold the PCG64 states of the first
-    ``_SEED_CHUNK`` trials (of all of them, if fewer), computed in a pass
-    shared with other runs' streams (``_shared_streams``); it changes no
-    stream, so equality ignores it.
+    ``count_sessions`` seeds each trial's session from ``_seeds``: the same
+    streams, bit for bit, without a SeedSequence each.  ``_seeded`` may
+    hold the seed words of the first ``_SEED_CHUNK`` trials (of all of
+    them, if fewer), computed in a pass shared with other runs' streams
+    (``_shared_streams``); it changes no stream, so equality ignores it.
     """
 
     prefix: tuple
     trials: int
-    _seeded: tuple = field(default=(), compare=False, repr=False)
+    _seeded: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def _generators(self):
-        """Yield one Generator per trial, the same object each time.
-
-        Its PCG64 is set to the state ``PCG64(trial_stream(prefix, t))``
-        starts in, with no half-word buffered, so it draws what a
-        Generator freshly seeded from that stream draws.  The states come
-        from ``_pcg64_state_rows``, ``_SEED_CHUNK`` trials at a time, the
-        first chunk's from ``_seeded`` when it holds them.
-        """
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-        lcg = {}
-        state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    def _seeds(self):
+        """Yield one ``_TrialSeed`` per trial, its words from
+        ``_seed_words``, ``_SEED_CHUNK`` trials at a time, the first
+        chunk's from ``_seeded`` when it holds them."""
         for start in range(0, self.trials, _SEED_CHUNK):
-            count = min(_SEED_CHUNK, self.trials - start)
-            for seeded, inc in start == 0 and self._seeded or _pcg64_state_rows([self.prefix], start, count)[0]:
-                lcg["state"], lcg["inc"] = seeded, inc
-                bit_generator.state = state
-                yield rng
+            words = self._seeded
+            if start or words is None:
+                (words,) = _seed_words([self.prefix], start, min(_SEED_CHUNK, self.trials - start))
+            for row in words:
+                yield _TrialSeed(row)
 
 
 def _shared_streams(prefixes: list, trials: int) -> list:
     """``TrialStreams(prefix, trials)`` for each of ``prefixes``, whose word
-    counts are equal, with the states of every one's first ``_SEED_CHUNK``
-    trials from one pass (``_pcg64_state_rows``)."""
-    rows = _pcg64_state_rows(prefixes, 0, min(trials, _SEED_CHUNK))
-    return [TrialStreams(prefix, trials, tuple(seeded)) for prefix, seeded in zip(prefixes, rows)]
+    counts are equal, with the seed words of every one's first
+    ``_SEED_CHUNK`` trials from one pass (``_seed_words``)."""
+    words = _seed_words(prefixes, 0, min(trials, _SEED_CHUNK))
+    return [TrialStreams(prefix, trials, seeded) for prefix, seeded in zip(prefixes, words)]
 
 
 def _uint32_words(value: int) -> list:
@@ -230,19 +226,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each ``a * _MULT_LO`` (a full 128-bit product),
-    from 32-bit halves."""
-    a0, a1 = a & _LOW32, a >> _U32
-    cross_01, cross_10 = a0 * _M1, a1 * _M0
-    carry = ((a0 * _M0) >> _U32) + (cross_01 & _LOW32) + (cross_10 & _LOW32)
-    return a1 * _M1 + (cross_01 >> _U32) + (cross_10 >> _U32) + (carry >> _U32)
-
-
-def _pcg64_state_rows(prefixes: list, start: int, count: int) -> list:
-    """One list per prefix of ``prefixes``, whose word counts are equal:
-    ``(state, inc)`` of ``PCG64(trial_stream(prefix, t)).state["state"]``
-    for each t in ``range(start, start + count)``, from one pass of array
+def _seed_words(prefixes: list, start: int, count: int) -> np.ndarray:
+    """A read-only ``(len(prefixes), count, 4)`` uint64 array, for prefixes
+    whose word counts are equal: row ``[i, t - start]`` is
+    ``trial_stream(prefixes[i], t).generate_state(4, np.uint64)`` for each
+    t in ``range(start, start + count)``, from one pass of array
     arithmetic across every prefix's trials.
 
     Every SeedSequence step applies the same constants to every trial
@@ -251,16 +239,14 @@ def _pcg64_state_rows(prefixes: list, start: int, count: int) -> list:
     prefix words are the leading rows of the entropy, one column per
     (prefix, trial), t its last row (two rows, low word first, for t >=
     2**32; a range across 2**32 is cut there, since the entropy lengths
-    differ).  ``generate_state(4, uint64)`` pairs the pool's hashed words
-    little-endian into ``initstate`` (words 0, 1) and ``initseq`` (words
-    2, 3), high word first, and pcg64_srandom makes ``inc = 2 * initseq +
-    1`` and ``state = ((initstate + inc) * mult + inc) mod 2**128``, done
-    here in uint64 halves with explicit carries.
+    differ).  ``generate_state`` pairs the pool's hashed uint32 words into
+    uint64 words, low word first.
     """
     if start < 2**32 < start + count:
         cut = 2**32 - start
-        below, above = _pcg64_state_rows(prefixes, start, cut), _pcg64_state_rows(prefixes, 2**32, count - cut)
-        return [first + second for first, second in zip(below, above)]
+        seeds = np.concatenate([_seed_words(prefixes, start, cut), _seed_words(prefixes, 2**32, count - cut)], axis=1)
+        seeds.flags.writeable = False
+        return seeds
     trials = np.tile(np.arange(start, start + count, dtype=np.uint64), len(prefixes))
     trial_words = [trials.astype(np.uint32)]
     if start >= 2**32:
@@ -288,17 +274,7 @@ def _pcg64_state_rows(prefixes: list, start: int, count: int) -> list:
         k += _POOL_SIZE
 
     hashed = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-    seed_hi, seed_lo, seq_hi, seq_lo = hashed[0::2].astype(np.uint64) | (hashed[1::2].astype(np.uint64) << _U32)
-    inc_hi = (seq_hi << _U1) | (seq_lo >> _U63)
-    inc_lo = (seq_lo << _U1) | _U1
-    lo = seed_lo + inc_lo  # initstate + inc; a sum below an addend carried
-    hi = seed_hi + inc_hi
-    hi += lo < inc_lo
-    hi = _mulhi_mult_lo(lo) + lo * _MULT_HI + hi * _MULT_LO  # * mult, mod 2**128
-    lo *= _MULT_LO
-    lo += inc_lo  # + inc
-    hi += inc_hi
-    hi += lo < inc_lo
-    rows = zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    states = [(s1 << 64 | s0, i1 << 64 | i0) for s1, s0, i1, i0 in rows]
-    return [states[row * count : (row + 1) * count] for row in range(len(prefixes))]
+    seeds = hashed[0::2].astype(np.uint64) | (hashed[1::2].astype(np.uint64) << _U32)  # (4, prefixes * count)
+    seeds = np.ascontiguousarray(seeds.T).reshape(len(prefixes), count, 4)
+    seeds.flags.writeable = False
+    return seeds

@@ -60,10 +60,10 @@ numpy calls, the seed only once its check has passed (``run_session``).
 Its uniforms are the 53-bit integers ``Generator.random`` scales by
 2**-53, and its channel's tables integer thresholds
 (``bits._thresholds``), so a pair's draw is one uint64 compare.  It
-checks only what comes from outside: its inputs.  A batch's sessions run
-on one reused generator, set to each trial's fresh stream in turn
+checks only what comes from outside: its inputs.  A batch's sessions
 (``count_sessions``, the trial loop of both ``harness.run_batch`` and
-``harness.run_search``), and draw as if each had seeded its own.
+``harness.run_search``) each seed their own stream from the trial's seed
+words, which ``bits.TrialStreams`` computes in array passes.
 
 After a passing check both sides compress their raw keys into session keys
 with the same publicly seeded privacy-amplification map.  A session draws
@@ -81,6 +81,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .adversary import CLASSICAL_FLIP_ALL, QUANTUM_GATE_ALL, QUANTUM_INTERCEPT_RESEND_Z, AdversaryStrategy
 from .bits import (
@@ -604,16 +605,16 @@ def run_session(
     seed=0,
     *,
     keys: MasterKeys | None = None,
-    _fresh: bool = False,
 ) -> SessionOutcome:
     """Execute one full session through adversary-tappable channels.
 
     ``adversary`` is None for an honest channel, an
     adversary.AdversaryStrategy, or a channel ``count_sessions`` compiled
-    from one of these.  ``seed`` is a non-negative int, a SeedSequence, a
-    Generator or a bit generator; identical (params, adversary, seed,
-    keys) inputs give a bit-identical SessionOutcome.  ``keys`` forces the
-    master keys instead of sampling them from the session rng.
+    from one of these.  ``seed`` is what ``np.random.default_rng`` takes: a
+    non-negative int, a SeedSequence (any ``ISeedSequence``), a Generator
+    or a bit generator; identical (params, adversary, seed, keys) inputs
+    give a bit-identical SessionOutcome.  ``keys`` forces the master keys
+    instead of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
     construction, and the seed, the keys' type and size and the adversary
@@ -623,15 +624,14 @@ def run_session(
     Every session draws in one order: its master keys (unless ``keys``
     forces them), its uniforms (Eve's row if she measures, then Bob's and
     Alice's), then pa_seed.  On its own stream, one the session seeded
-    from ``seed`` (anything but a Generator or a bit generator) or a
-    trial's fresh stream that ``count_sessions`` hands it (the private
-    ``_fresh``), nothing is buffered, so it reads them all in one raw
-    read (``bits._read_session``), at any n, unless
-    ``balanced_k2``'s permutation draws its keys.  Any other session draws
-    them with plain numpy calls (``_draw_keys``, ``random`` converted to
-    53-bit integers, and pa_seed only once the check has passed), the same
-    bits from the same words, and a caller's Generator ends where those
-    calls leave it.
+    from ``seed`` (anything but a Generator or a bit generator, such as
+    the trial seed ``count_sessions`` hands it), nothing is buffered, so
+    it reads them all in one raw read (``bits._read_session``), at any n,
+    unless ``balanced_k2``'s permutation draws its keys.  Any other
+    session draws them with plain numpy calls (``_draw_keys``, ``random``
+    converted to 53-bit integers, and pa_seed only once the check has
+    passed), the same bits from the same words, and a caller's Generator
+    ends where those calls leave it.
 
     The quantum stage draws each pair's bits from the channel's class
     tables (``_quantum_stage``).  The session XORs the two records once and
@@ -649,8 +649,8 @@ def run_session(
     (``_announcements``) and the session keys are derived on their first
     read (``SessionOutcome``).
     """
-    # A Generator first: count_sessions passes one per trial.
-    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)) and (
+    # A seed sequence first: count_sessions passes one per trial.
+    if not isinstance(seed, (ISeedSequence, np.random.Generator, np.random.BitGenerator)) and (
         isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0
     ):
         raise ValueError(f"seed: must be a non-negative int, a SeedSequence or a Generator, got {seed!r}")
@@ -662,7 +662,7 @@ def run_session(
             raise ValueError(f"keys are sized for {len(keys.op_key) // 2} pairs, not n={params.n}")
     channel = _compile(adversary)
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
-    fresh = _fresh or not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    fresh = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     uniform_count = (2 if channel.p_eve is None else 3) * size
     if fresh and (keys is not None or not params.balanced_k2):
         key_size, hash_size = (size, MIN_HASH_KEY_BITS) if keys is None else (0, 0)
@@ -722,18 +722,17 @@ def count_sessions(params: ProtocolParams, adversary, streams: TrialStreams) -> 
     This is the package's one trial loop: run_batch and run_search
     differ only in the ``bits.TrialStreams`` they pass, so each keeps its
     own streams.  The adversary is compiled once, and every session draws
-    from its tables.  The sessions run on the one reused Generator of
-    ``TrialStreams._generators``, set to each trial's fresh stream and
-    handed to run_session as the session's own, so each gets, bit for
-    bit, what seeding run_session with ``bits.trial_stream(prefix, t)``
-    gives.  The loop reads only counters, the raw keys' among them
+    from its tables.  Each trial's session is one run_session call,
+    seeded from that trial's seed of ``TrialStreams._seeds``, so it gets,
+    bit for bit, what seeding run_session with ``bits.trial_stream(prefix,
+    t)`` gives.  The loop reads only counters, the raw keys' among them
     (``SessionOutcome._raw_len`` and ``_raw_differ``), so no session cuts
     a raw key, builds an announcement or derives a session key.
     """
     channel = _compile(adversary)
     sessions = detected = aborted = matched = complemented = vacuous = mismatched = compared = 0
-    for rng in streams._generators():
-        outcome = run_session(params, channel, seed=rng, _fresh=True)
+    for seed in streams._seeds():
+        outcome = run_session(params, channel, seed=seed)
         sessions += 1
         detected += outcome.detected_by_alice or outcome.detected_by_bob
         aborted += outcome.aborted

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from sqkdlab.bits import (
     _SEED_CHUNK,
     TrialStreams,
-    _pcg64_state_rows,
     _read_session,
+    _seed_words,
     _shared_streams,
     _thresholds,
+    _TrialSeed,
     as_bits,
     random_bits,
     to01,
@@ -115,14 +116,14 @@ def test_one_session_read_equals_its_call_by_call_draws(n, uniform_count, pa_bit
 
 def test_shared_streams_seed_each_prefix_as_its_own_streams_do():
     # One pass for every prefix's first chunk; later chunks per prefix.
-    # The streams compare equal to, and yield the states of, each
+    # The streams compare equal to, and yield the seed words of, each
     # prefix's own TrialStreams.
     trials = _SEED_CHUNK + 3
     prefixes = [(2**64 - 1, index) for index in range(3)]
     for shared, prefix in zip(_shared_streams(prefixes, trials), prefixes):
         assert shared == TrialStreams(prefix, trials) and len(shared._seeded) == _SEED_CHUNK
-        states = [rng.bit_generator.state["state"] for rng in shared._generators()]
-        assert states == [rng.bit_generator.state["state"] for rng in TrialStreams(prefix, trials)._generators()]
+        words = [seed.generate_state(4, np.uint64).tolist() for seed in shared._seeds()]
+        assert words == [seed.generate_state(4, np.uint64).tolist() for seed in TrialStreams(prefix, trials)._seeds()]
 
 
 @given(st.lists(st.integers(0, 1), max_size=100))
@@ -173,8 +174,8 @@ U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
 
 
-def reference_state(prefix, t) -> dict:
-    return np.random.PCG64(trial_stream(prefix, t)).state["state"]
+def reference_words(prefix, t) -> list:
+    return trial_stream(prefix, t).generate_state(4, np.uint64).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,42 +184,60 @@ def reference_state(prefix, t) -> dict:
     st.one_of(st.integers(0, U32_MAX), st.sampled_from([0, 1, 2**31, U32_MAX])),
     st.integers(1, 40),
 )
-def test_pcg64_states_equal_pcg64_seeded_from_the_trial_stream(prefix, start, count):
+def test_seed_words_equal_the_words_the_trial_stream_gives_pcg64(prefix, start, count):
     # Entropy of 2 to 7 words: a pool filled from the prefix and t, or the
     # words beyond the pool mixed in after it; the last trials of a run
     # that starts near 2**32 - 1 cross to two-word t.
-    (states,) = _pcg64_state_rows([tuple(prefix)], start, count)
-    assert len(states) == count
-    for t, (state, inc) in zip(range(start, start + count), states):
-        assert {"state": state, "inc": inc} == reference_state(tuple(prefix), t)
+    (words,) = _seed_words([tuple(prefix)], start, count)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for t, row in zip(range(start, start + count), words.tolist()):
+        assert row == reference_words(tuple(prefix), t)
 
 
 @pytest.mark.parametrize("prefix", [(0,), (U64_MAX,), (0, 0), (U64_MAX, 11), (U64_MAX, U64_MAX, U64_MAX)])
-def test_pcg64_states_at_the_edges_of_t(prefix):
+def test_seed_words_at_the_edges_of_t(prefix):
     # t = 0 and t = 2**32 - 1 (the last one-word t), and a range across
-    # 2**32 that the helper cuts there, with two-word t up to 2**40.
+    # 2**32 that the helper cuts there, with two-word t up to 2**40.  A
+    # trial's seed gives only PCG64's request.
     for start, count in [(0, 3), (U32_MAX, 1), (2**32 - 2, 5), (2**40, 2)]:
-        expected = [reference_state(prefix, t) for t in range(start, start + count)]
-        (states,) = _pcg64_state_rows([prefix], start, count)
-        assert [{"state": s, "inc": i} for s, i in states] == expected
+        expected = [reference_words(prefix, t) for t in range(start, start + count)]
+        (words,) = _seed_words([prefix], start, count)
+        assert words.tolist() == expected and not words.flags.writeable
+    seed = _TrialSeed(words[0])
+    assert seed.generate_state(4, np.uint64).tolist() == expected[0]
+    with pytest.raises(ValueError):
+        seed.generate_state(8, np.uint32)
 
 
-def test_trial_streams_generators_draw_each_trial_stream():
-    # One Generator, reset to each trial's fresh stream: the half-word that
-    # three uint32 draws leave buffered in one trial is gone in the next,
-    # and the chunks join up.
+def test_trial_streams_seeds_draw_each_trial_stream():
+    # A Generator seeded from each trial's seed draws what one seeded from
+    # its trial stream draws, and the chunks join up.
     def draws(rng):
         return rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
 
-    trials, generators = _SEED_CHUNK + 5, set()
-    for t, rng in enumerate(TrialStreams((3, 4), trials)._generators()):
-        generators.add(id(rng))
-        assert draws(rng) == draws(np.random.default_rng(trial_stream((3, 4), t)))
-    assert t == trials - 1 and len(generators) == 1
-    assert list(TrialStreams((7,), 0)._generators()) == []
+    trials = _SEED_CHUNK + 5
+    for t, seed in enumerate(TrialStreams((3, 4), trials)._seeds()):
+        assert draws(np.random.default_rng(seed)) == draws(np.random.default_rng(trial_stream((3, 4), t)))
+    assert t == trials - 1
+    assert list(TrialStreams((7,), 0)._seeds()) == []
+
+
+def test_a_trial_seed_spawns_what_its_trial_stream_spawns_or_raises():
+    # A child stream must never silently differ between a batch trial and
+    # a session seeded from the same trial stream.
+    def children(seed):
+        try:
+            (child,) = np.random.default_rng(seed).spawn(1)
+        except TypeError:
+            return None
+        return child.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+
+    for t, seed in enumerate(TrialStreams((3, 4), _SEED_CHUNK + 2)._seeds()):
+        spawned = children(seed)
+        assert spawned is None or spawned == children(trial_stream((3, 4), t))
 
 
 def test_trial_stream_is_the_seed_sequence_of_prefix_and_t():
     assert trial_stream((7, 2), 5).entropy == (7, 2, 5)
     with pytest.raises(ValueError):
-        _pcg64_state_rows([(-1,)], 0, 1)
+        _seed_words([(-1,)], 0, 1)

@@ -18,7 +18,7 @@ from sqkdlab.adversary import (
     intercept_resend_attack,
     modification_attack,
 )
-from sqkdlab.bits import TrialStreams, as_bits, random_bits, to01
+from sqkdlab.bits import TrialStreams, as_bits, random_bits, to01, trial_stream
 from sqkdlab.hashing import privacy_amplify
 from sqkdlab.protocol import (
     MAX_HASH_BITS,
@@ -1102,11 +1102,11 @@ TRIAL_CHANNELS = [
 def test_trial_streams_give_the_sessions_of_their_seed_sequences(
     monkeypatch, variant, n, balanced_k2, pa_bits, hash_bits, prefix
 ):
-    # count_sessions runs a TrialStreams on one reused generator, its state
-    # set per trial; the counts, and the full transcripts of a sample of
-    # trials, are those of a loop over SeedSequence((*prefix, t)).  n8 draws
-    # its keys in one raw read, n5 and balanced_k2 key by key; pa_bits = 9
-    # is longer than most raw keys at n = 8.
+    # count_sessions seeds each trial's session from its TrialStreams seed;
+    # the counts, and the full transcripts of a sample of trials, are those
+    # of a loop over SeedSequence((*prefix, t)).  n8 and n5 draw their keys
+    # in one raw read, balanced_k2 call by call; pa_bits = 9 is longer than
+    # most raw keys at n = 8.
     params = ProtocolParams(
         n=n, variant=variant, tau=0.1, hash_bits=hash_bits, pa_bits=pa_bits, balanced_k2=balanced_k2
     )
@@ -1268,15 +1268,17 @@ def test_an_outcome_holds_no_buffer_larger_than_its_keys_and_seed(n, seed_form, 
 def test_a_fresh_stream_draws_what_a_callers_generator_draws(n, balanced_k2):
     # Each key takes ceil(n / 2) 32-bit words: odd and even counts, padded
     # (n odd) or not.  A session on its own stream, seeded from an int or
-    # handed a fresh Generator as count_sessions hands it one (_fresh),
-    # gives the transcript that a caller's Generator on the same stream
-    # gives, drawn call by call.
+    # from a trial's seed as count_sessions hands it one, gives the
+    # transcript that a caller's Generator on the same stream gives, drawn
+    # call by call.
     params = ProtocolParams(n=n, variant=VARIANT_IMPROVED, hash_bits=8, balanced_k2=balanced_k2)
     for tap in (None, modification_attack(), intercept_resend_attack()):
         for seed in range(4):
             expected = run_session(params, tap, seed=np.random.default_rng(seed)).to_dict()
             assert run_session(params, tap, seed=seed).to_dict() == expected
-            assert run_session(params, tap, seed=np.random.default_rng(seed), _fresh=True).to_dict() == expected
+        for t, seed in enumerate(TrialStreams((n,), 4)._seeds()):
+            expected = run_session(params, tap, seed=np.random.default_rng(trial_stream((n,), t))).to_dict()
+            assert run_session(params, tap, seed=seed).to_dict() == expected
 
 
 def test_params_validation():
