@@ -19,11 +19,17 @@ from numpy.random.bit_generator import ISeedSequence
 
 
 def as_bits(value) -> np.ndarray:
-    """Coerce a bit string, iterable, or array to a fresh uint8 0/1 array."""
+    """Coerce a bit string, flat sequence, or 1-D array (a scalar is one
+    bit) to a fresh uint8 0/1 array; anything of two or more dimensions is
+    refused rather than flattened into one key."""
     if isinstance(value, str):
-        arr = np.frombuffer(value.encode("ascii"), dtype=np.uint8) - ord("0")
+        # A non-ASCII character encodes to "?", which fails the 0/1 check below.
+        arr = np.frombuffer(value.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
     else:
-        arr = np.asarray(value).reshape(-1)
+        arr = np.asarray(value)
+        if arr.ndim > 1:
+            raise ValueError(f"bit sequence must be one-dimensional, got shape {arr.shape}")
+        arr = arr.reshape(-1)
     if arr.size and not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bit sequence may only contain 0 and 1")
     return arr.astype(np.uint8)

@@ -3,9 +3,16 @@
 Subcommands: ``run`` (Monte-Carlo batch), ``search`` (strategy sweep),
 ``paper-example`` (replay the four-pair attack walkthrough).  Exit status:
 0 success, 1 usage error, 2 walkthrough assertion failure.
+
+A ``run`` or ``search`` option sets the RunConfig field of its name, and
+one left out stays out of the parsed args, so the field keeps RunConfig's
+default: RunConfig holds every run default, and its session defaults are
+ProtocolParams'.  ``--strategy-file`` fills ``custom_strategy``;
+``--format`` and ``--out`` pick the report's form and path.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -44,30 +51,33 @@ def _pa_bits(text: str):
         raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--protocol", choices=VARIANTS, default="original")
-    parser.add_argument("--n", type=int, default=32, help="pair count (a session uses 2n pairs)")
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
-    parser.add_argument("--tau", type=float, default=0.0, help="tolerated check-mismatch fraction")
-    parser.add_argument("--hash-bits", type=int, default=64, help="digest length of the improved variant")
+def _add_run_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A ``run`` or ``search`` sub-parser with the options both take; one
+    omitted stays out of the parsed args, so RunConfig's default applies."""
+    parser = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--protocol", choices=VARIANTS)
+    parser.add_argument("--n", type=int, help="pair count (a session uses 2n pairs)")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int, help="unsigned 64-bit master seed")
+    parser.add_argument("--tau", type=float, help="tolerated check-mismatch fraction")
+    parser.add_argument("--hash-bits", type=int, help="digest length of the improved variant")
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sqkdlab", description=__doc__)
+    # --help prints the docstring's first two paragraphs (nothing under -OO, which strips docstrings).
+    parser = _Parser(prog="sqkdlab", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    run_p = sub.add_parser("run", help="run a Monte-Carlo batch of sessions")
-    _add_common(run_p)
-    run_p.add_argument("--attack", choices=ATTACKS, default="none")
-    run_p.add_argument("--strategy-file", default=None, help="JSON strategy description (attack=custom)")
-    run_p.add_argument("--pa-bits", type=_pa_bits, default=None, metavar="INT|auto")
+    run_p = _add_run_parser(sub, "run", "run a Monte-Carlo batch of sessions")
+    run_p.add_argument("--attack", choices=ATTACKS)
+    run_p.add_argument("--strategy-file", help="JSON strategy description (attack=custom)")
+    run_p.add_argument("--pa-bits", type=_pa_bits, metavar="INT|auto")
     run_p.add_argument("--balanced-k2", action="store_true", help="force exactly n raw and n check positions")
 
-    search_p = sub.add_parser("search", help="sweep the gate x classical strategy space")
-    _add_common(search_p)
+    _add_run_parser(sub, "search", "sweep the gate x classical strategy space")
 
     sub.add_parser("paper-example", help="replay the four-pair attack walkthrough")
     return parser
@@ -82,30 +92,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    custom = None
-    path = getattr(args, "strategy_file", None)
-    if path is not None:
+    """The RunConfig of the options given; custom_strategy is read from --strategy-file."""
+    given = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig) if field.name in args}
+    if "strategy_file" in args:
+        path = args.strategy_file
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as err:
             raise ValueError(f"custom_strategy: cannot read {path} ({err})") from None
         try:
-            custom = json.loads(text)
+            given["custom_strategy"] = json.loads(text)
         except json.JSONDecodeError as err:
             raise ValueError(f"custom_strategy: {path} is not valid JSON ({err})") from None
-    return RunConfig(
-        protocol=args.protocol,
-        attack=getattr(args, "attack", "none"),
-        custom_strategy=custom,
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        tau=args.tau,
-        hash_bits=args.hash_bits,
-        pa_bits=getattr(args, "pa_bits", None),
-        balanced_k2=getattr(args, "balanced_k2", False),
-    )
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

@@ -57,21 +57,21 @@ MAX_SEED = 2**64 - 1  # a run's master seed is an unsigned 64-bit integer
 class RunConfig:
     """Everything one batch or sweep needs; validate() reports the offending field.
 
-    ProtocolParams (through to_params) checks the session values.  trials
-    and seed must be Python ints, not numpy integers: a report echoes them
-    to JSON as they are.
+    ProtocolParams (through to_params) checks the session values, and its
+    defaults are theirs.  trials and seed must be Python ints, not numpy
+    integers: a report echoes them to JSON as they are.
     """
 
-    protocol: str = VARIANT_ORIGINAL
+    protocol: str = ProtocolParams.variant
     attack: str = ATTACK_NONE
     custom_strategy: dict | None = None
     n: int = 32
     trials: int = 1000
     seed: int = 0
-    tau: float = 0.0
-    hash_bits: int = 64
-    pa_bits: int | None = None  # None = auto (half the raw key)
-    balanced_k2: bool = False
+    tau: float = ProtocolParams.tau
+    hash_bits: int = ProtocolParams.hash_bits
+    pa_bits: int | None = ProtocolParams.pa_bits  # None = auto (half the raw key)
+    balanced_k2: bool = ProtocolParams.balanced_k2
 
     def validate(self) -> tuple[ProtocolParams, AdversaryStrategy | None]:
         """Check every field; return ``(to_params(), resolve_strategy())``."""

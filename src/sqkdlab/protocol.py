@@ -617,9 +617,9 @@ def run_session(
     instead of sampling them from the session rng.
 
     Inputs are checked where they enter: ``params`` and ``keys`` on
-    construction, and the seed, the keys' type and size and the adversary
-    here, before anything is drawn.  Everything else is an array the session
-    built, so it calls the unchecked cores.
+    construction, and the type of ``params``, the seed, the keys' type and
+    size and the adversary here, before anything is drawn.  Everything
+    else is an array the session built, so it calls the unchecked cores.
 
     Every session draws in one order: its master keys (unless ``keys``
     forces them), its uniforms (Eve's row if she measures, then Bob's and
@@ -649,6 +649,8 @@ def run_session(
     (``_announcements``) and the session keys are derived on their first
     read (``SessionOutcome``).
     """
+    if not isinstance(params, ProtocolParams):
+        raise ValueError(f"params: must be a ProtocolParams, got {params!r}")
     # A seed sequence first: count_sessions passes one per trial.
     if not isinstance(seed, (ISeedSequence, np.random.Generator, np.random.BitGenerator)) and (
         isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0

@@ -31,9 +31,10 @@ def test_as_bits_from_iterables():
     assert as_bits([1, 0]).dtype == np.uint8
 
 
-@pytest.mark.parametrize("bad", ["012", [0, 2], [0.5], [-1]])
+# A non-ASCII string fails as a non-bit, not as a UnicodeEncodeError.
+@pytest.mark.parametrize("bad", ["012", [0, 2], [0.5], [-1], None, "01\u00e9", "\u2080\u2081", "0\u00a01"])
 def test_as_bits_rejects_non_binary(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bit sequence may only contain 0 and 1$"):
         as_bits(bad)
 
 
@@ -160,12 +161,26 @@ def test_as_bits_uint8_fast_path(values):
 
 def test_as_bits_uint8_returns_fresh_copy():
     arr = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    out = as_bits(arr)
+    out = as_bits(arr[0])
     out[0] = 1
     assert arr[0, 0] == 0
     assert np.array_equal(as_bits(arr[:, 1]), [1, 0])  # strided view
     with pytest.raises(ValueError):
         as_bits(np.array([0, 2], dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[[0, 1], [1, 0]], np.zeros((2, 3), dtype=np.uint8), np.ones((1, 4), dtype=bool), np.zeros((2, 2, 2))],
+)
+def test_as_bits_refuses_two_or_more_dimensions(value):
+    with pytest.raises(ValueError, match=r"bit sequence must be one-dimensional, got shape \("):
+        as_bits(value)
+
+
+def test_as_bits_reads_a_scalar_as_one_bit():
+    assert np.array_equal(as_bits(1), [1])
+    assert np.array_equal(as_bits(np.uint8(0)), [0])
 
 
 # -- trial streams -------------------------------------------------------------

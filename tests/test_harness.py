@@ -1,6 +1,7 @@
 """Harness tests: config validation, aggregation, rendering, CLI, replay."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -99,6 +100,12 @@ def test_config_validation_names_the_field(overrides, field):
     config = RunConfig(**overrides)
     with pytest.raises(ValueError, match=f"^{field}:"):
         config.validate()
+
+
+def test_config_session_defaults_are_protocol_params_defaults():
+    # to_params() maps each session field, protocol to variant.
+    defaults = RunConfig()
+    assert defaults.to_params() == ProtocolParams(n=defaults.n)
 
 
 def test_config_accepts_integral_tau():
@@ -416,6 +423,48 @@ def test_cli_run_csv_to_file(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["key_match_rate"] == "1.0"
+
+
+def _echo(**fields) -> dict:
+    config = RunConfig(**fields)
+    return config.echo(*config.validate())
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [(["run", "--trials", "3"], {"trials": 3}), (["search", "--n", "2", "--trials", "2"], {"n": 2, "trials": 2})],
+)
+def test_cli_omitted_flags_take_the_run_config_defaults(capsys, argv, fields):
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == _echo(**fields)
+
+
+# One run flag per RunConfig field but custom_strategy (read from --strategy-file), each off its default.
+FLAG_FIELDS = [
+    (["--protocol", "improved"], "protocol", "improved"),
+    (["--attack", "modification"], "attack", "modification"),
+    (["--n", "4"], "n", 4),
+    (["--trials", "3"], "trials", 3),
+    (["--seed", "5"], "seed", 5),
+    (["--tau", "0.25"], "tau", 0.25),
+    (["--hash-bits", "8"], "hash_bits", 8),
+    (["--pa-bits", "4"], "pa_bits", 4),
+    (["--balanced-k2"], "balanced_k2", True),
+]
+
+
+def test_cli_flag_table_covers_every_run_config_field():
+    fields = {field.name for field in dataclasses.fields(RunConfig)} - {"custom_strategy"}
+    assert sorted(field for _, field, _ in FLAG_FIELDS) == sorted(fields)
+
+
+@pytest.mark.parametrize("flag, field, value", FLAG_FIELDS)
+def test_cli_each_run_flag_reaches_the_echo(capsys, flag, field, value):
+    assert value != getattr(RunConfig(), field)
+    assert main(["run", *flag]) == 0
+    echo = json.loads(capsys.readouterr().out)["config"]
+    assert echo[field] == value
+    assert echo == _echo(**{field: value})
 
 
 def test_cli_run_pa_bits_auto(capsys):

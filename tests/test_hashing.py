@@ -212,6 +212,9 @@ def test_privacy_amplify_contract():
             privacy_amplify(raw, seed, out_len)
     with pytest.raises(ValueError, match="empty"):
         privacy_amplify([], seed, 1)
+    # Two raw keys stacked as rows are refused, not hashed as one 32-bit key.
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 16\)"):
+        privacy_amplify(np.stack([raw, raw ^ 1]), seed, 16)
 
 
 @settings(max_examples=200, deadline=None)

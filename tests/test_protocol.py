@@ -143,6 +143,20 @@ def test_master_keys_non_binary_errors_name_the_field(field, keys):
         MasterKeys(*keys)
 
 
+@pytest.mark.parametrize(
+    "field, keys",
+    [
+        ("op_key", ([[0, 1], [1, 0]], "0101", "0" * 128)),
+        ("partition_key", ("0101", np.zeros((2, 2), dtype=np.uint8), "0" * 128)),
+        ("hash_key", ("0101", "0101", np.zeros((2, 64), dtype=np.uint8))),
+    ],
+)
+def test_master_keys_refuse_a_stacked_key_by_field_name(field, keys):
+    # Flattened, a (2, 2) key would pass as its four bits, row after row.
+    with pytest.raises(ValueError, match=rf"^{field}: bit sequence must be one-dimensional, got shape \(2, "):
+        MasterKeys(*keys)
+
+
 def test_size_caps_name_the_field_before_anything_is_drawn():
     # Constructing params allocates nothing, so the caps are tested at and
     # just past their bounds without building a state.
@@ -899,6 +913,18 @@ def test_any_other_adversary_is_rejected_by_field_name():
     assert rng.bit_generator.state == before
     with pytest.raises(ValueError, match=message):
         count_sessions(ProtocolParams(n=2), OldTap(), TrialStreams((0,), 3))
+
+
+@pytest.mark.parametrize("params", [None, {"n": 2}, 2])
+def test_params_that_are_not_protocol_params_are_rejected_by_field_name(params):
+    # Anything but a ProtocolParams is named before the channel is compiled
+    # or a caller's Generator moves, not left to fail on params.n.
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with mock.patch.object(protocol, "_compile", side_effect=AssertionError("compiled before the params check")):
+        with pytest.raises(ValueError, match=r"^params: must be a ProtocolParams, got "):
+            run_session(params, None, seed=rng)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "x", [1, 2]])
